@@ -43,7 +43,7 @@ from .ilmodel import (
 from .ladder import LadderConfig, run_ladder
 from .nn import init_mlp, load_model, save_model
 from .records import RunRecord, epochs_to_target, load_run_record, save_run_record
-from .selection import SelectionPolicy, svp_offline_select
+from .selection import NEEDS_IL, SelectionPolicy, svp_offline_select
 from .trainer import RunConfig, run_original_selection, run_training
 
 OUT_ENV_VAR = "RHOLOSS_OUT_DIR"
@@ -148,7 +148,10 @@ def cmd_prepare(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
     return 0
 
 
-def _load_prepared(out: Path, cfg: ExperimentConfig):
+def _load_prepared(out: Path, cfg: ExperimentConfig, names: tuple[str, ...]) -> list:
+    """Check the manifest against the config, then load the named splits
+    ("train", "holdout", "test"), in that order. A split the manifest does not
+    list (holdout under the two-halves scheme) comes back as None."""
     ddir = out / "dataset"
     manifest_path = ddir / "manifest.json"
     if not manifest_path.exists():
@@ -157,12 +160,7 @@ def _load_prepared(out: Path, cfg: ExperimentConfig):
         manifest = json.load(f)
     if manifest["dataset_config_hash"] != dataset_config_hash(cfg):
         raise CliError("prepared dataset was built from a different dataset config (hash mismatch); re-run prepare")
-    pool = datamod.load_dataset_csv(ddir / "train.csv")
-    test = datamod.load_dataset_csv(ddir / "test.csv")
-    holdout = None
-    if (ddir / "holdout.csv").exists():
-        holdout = datamod.load_dataset_csv(ddir / "holdout.csv")
-    return pool, holdout, test
+    return [datamod.load_dataset_csv(ddir / f"{name}.csv") if name in manifest["files"] else None for name in names]
 
 
 def _save_checkpoint_log(log, path, chash: str, seed: int) -> None:
@@ -178,7 +176,7 @@ def _save_checkpoint_log(log, path, chash: str, seed: int) -> None:
 def cmd_train_il(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
     if cfg.il is None:
         raise CliError("config has no il section")
-    pool, holdout, _ = _load_prepared(out, cfg)
+    pool, holdout = _load_prepared(out, cfg, ("train", "holdout"))
     ildir = out / "il"
     ildir.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
@@ -212,10 +210,13 @@ def _record_path(out: Path, policy_kind: str, seed: int) -> Path:
 
 
 def _run_one(payload) -> str:
-    """One (policy, seed) training run; standalone so it can run in a worker."""
-    cfg, out_dir, policy_kind, seed = payload
+    """One (policy, seed) training run; standalone so it can run in a worker.
+
+    pool, test and table are loaded once by cmd_run and shared read-only by
+    every run; the live IL model of original mode is trained in place, so
+    each run loads its own."""
+    cfg, out_dir, policy_kind, seed, pool, test, table = payload
     out = Path(out_dir)
-    pool, holdout, test = _load_prepared(out, cfg)
     run = cfg.run
     chash = config_hash(cfg)
     policy = replace(run.policy, kind=policy_kind) if policy_kind != run.policy.kind else run.policy
@@ -258,7 +259,6 @@ def _run_one(payload) -> str:
         il_model = load_model(out / "il" / "il_model.npz")
         record = run_original_selection(train_pool, test, il_model, run_cfg, model)
     else:
-        table = load_il_table(out / "il" / "il_table.csv") if policy.needs_il else None
         record = run_training(train_pool, test, table, run_cfg, model)
     record.policy = policy_kind
     record.config_hash = chash
@@ -271,13 +271,16 @@ def _run_one(payload) -> str:
 
 
 def cmd_run(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = False) -> int:
+    """Train every queued (policy, seed) run. The prepared train and test
+    splits, and the IL table when a frozen-mode policy needs it, are read
+    once here and handed to each run."""
     if cfg.run is None:
         raise CliError("config has no run section")
     (out / "runs").mkdir(parents=True, exist_ok=True)
     policies = [cfg.run.policy.kind]
     if cfg.run.targets and "uniform" not in policies:
         policies.append("uniform")  # baseline needed to anchor epoch-to-target comparisons
-    jobs_list = []
+    todo = []
     for kind in policies:
         for seed in cfg.run.seeds:
             path = _record_path(out, kind, seed)
@@ -289,13 +292,20 @@ def cmd_run(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = Fals
                     continue  # complete record, skip
                 except Exception as exc:
                     raise CliError(f"{path} exists but cannot be parsed ({exc}); remove it manually") from exc
-            jobs_list.append((cfg, str(out), kind, seed))
-    if jobs > 1 and len(jobs_list) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for path in pool.map(_run_one, jobs_list):
+            todo.append((kind, seed))
+    if not todo:
+        return 0
+    pool, test = _load_prepared(out, cfg, ("train", "test"))
+    table = None
+    if cfg.run.il_update_mode == "frozen" and any(kind in NEEDS_IL for kind, _ in todo):
+        table = load_il_table(out / "il" / "il_table.csv")
+    payloads = [(cfg, str(out), kind, seed, pool, test, table if kind in NEEDS_IL else None) for kind, seed in todo]
+    if jobs > 1 and len(payloads) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as executor:
+            for path in executor.map(_run_one, payloads):
                 print(f"wrote {path}")
     else:
-        for payload in jobs_list:
+        for payload in payloads:
             print(f"wrote {_run_one(payload)}")
     return 0
 
@@ -389,7 +399,7 @@ def cmd_report(cfg: ExperimentConfig, out: Path, records_glob: str | None = None
 def cmd_ladder(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
     if cfg.ladder is None:
         raise CliError("config has no ladder section")
-    pool, holdout, _ = _load_prepared(out, cfg)
+    pool, holdout = _load_prepared(out, cfg, ("train", "holdout"))
     if holdout is None:
         raise CliError("the ladder needs a holdout split (il.scheme=holdout)")
     lad = cfg.ladder
@@ -482,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the experiment YAML")
         p.add_argument("--out", default=None, help=f"output directory (default: config output_dir or ${OUT_ENV_VAR})")
         p.add_argument("--seed-override", type=int, default=None, help="replace run.seeds with this single seed")
-        p.add_argument("--jobs", type=int, default=1, help="independent runs to execute concurrently")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="independent runs to execute concurrently (used by run and sweep only)")
         if name in ("run", "sweep"):
             p.add_argument("--resume", action="store_true", help="skip runs whose record file already exists")
         if name == "report":

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 import yaml
 
+from .optim import OPTIMIZER_KINDS
 from .selection import ALL_KINDS, SelectionPolicy
 
 
@@ -26,6 +28,10 @@ def _check_keys(d: dict, allowed, path: str) -> None:
 
 _REQUIRED = object()
 
+# Exponent spellings such as 1e-3 or 2.5E4 are floats in YAML 1.2 but plain
+# strings to PyYAML's YAML 1.1 resolver, which wants a dot and a signed exponent.
+_EXPONENT_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+")
+
 
 def _get(d: dict, key: str, typ, path: str, default=_REQUIRED):
     if key not in d or d[key] is None:
@@ -34,6 +40,8 @@ def _get(d: dict, key: str, typ, path: str, default=_REQUIRED):
         return default
     value = d[key]
     if typ is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if typ is float and isinstance(value, str) and _EXPONENT_FLOAT.fullmatch(value):
         value = float(value)
     if typ is not None and not isinstance(value, typ):
         raise ConfigError(f"{path}.{key}: expected {getattr(typ, '__name__', typ)}, got {type(value).__name__}")
@@ -47,6 +55,15 @@ def _hidden(d: dict, key: str, path: str, default=(128, 128)) -> tuple[int, ...]
     return tuple(raw)
 
 
+def _batch_sizes(d: dict, path: str, default: tuple[int, int]) -> tuple[int, int]:
+    """(n_b, n_B): the trained batch is picked from the candidate batch, so it cannot be larger."""
+    n_b = _get(d, "n_b", int, path, default=default[0])
+    n_B = _get(d, "n_B", int, path, default=default[1])
+    if not 1 <= n_b <= n_B:
+        raise ConfigError(f"{path}.n_b: need 1 <= n_b <= n_B, got n_b={n_b}, n_B={n_B}")
+    return n_b, n_B
+
+
 @dataclass(frozen=True)
 class OptimizerSettings:
     kind: str = "adamw"
@@ -58,8 +75,11 @@ def _optimizer(d: dict | None, path: str) -> OptimizerSettings:
     if d is None:
         return OptimizerSettings()
     _check_keys(d, ("kind", "learning_rate", "weight_decay"), path)
+    kind = _get(d, "kind", str, path, default="adamw")
+    if kind not in OPTIMIZER_KINDS:
+        raise ConfigError(f"{path}.kind: expected {'|'.join(OPTIMIZER_KINDS)}, got {kind!r}")
     return OptimizerSettings(
-        kind=_get(d, "kind", str, path, default="adamw"),
+        kind=kind,
         learning_rate=_get(d, "learning_rate", float, path, default=1e-3),
         weight_decay=_get(d, "weight_decay", float, path, default=0.01),
     )
@@ -318,10 +338,11 @@ def _run_section(d: dict) -> RunSection:
     mode = _get(d, "il_update_mode", str, path, default="frozen")
     if mode not in ("frozen", "original"):
         raise ConfigError(f"{path}.il_update_mode: expected frozen|original, got {mode!r}")
+    n_b, n_B = _batch_sizes(d, path, default=(32, 320))
     return RunSection(
         policy=policy,
-        n_b=_get(d, "n_b", int, path, default=32),
-        n_B=_get(d, "n_B", int, path, default=320),
+        n_b=n_b,
+        n_B=n_B,
         epochs=_get(d, "epochs", int, path, default=10),
         eval_every=eval_every,
         il_update_mode=mode,
@@ -342,9 +363,10 @@ def _ladder_section(d: dict) -> LadderSettings:
          "il_pretrain_epochs", "hidden", "small_hidden", "batch_size", "optimizer", "seed"),
         path,
     )
+    n_b, n_B = _batch_sizes(d, path, default=(6, 60))
     return LadderSettings(
-        n_b=_get(d, "n_b", int, path, default=6),
-        n_B=_get(d, "n_B", int, path, default=60),
+        n_b=n_b,
+        n_B=n_B,
         ensemble_size=_get(d, "ensemble_size", int, path, default=5),
         convergence_epochs=_get(d, "convergence_epochs", int, path, default=5),
         convergence_tol=_get(d, "convergence_tol", float, path, default=1e-3),

@@ -43,16 +43,14 @@ class IrreducibleLossTable:
     producers: dict[int, str] | None = None  # two-halves: example id -> producing model id
 
     def lookup(self, ids) -> np.ndarray:
-        out = np.empty(len(ids), dtype=np.float64)
-        for i, ex_id in enumerate(ids):
-            try:
-                out[i] = self.values[int(ex_id)]
-            except KeyError:
-                raise KeyError(f"example id {int(ex_id)} missing from irreducible-loss table") from None
-        return out
+        values = self.values
+        try:
+            return np.array([values[i] for i in np.asarray(ids).tolist()], dtype=np.float64)
+        except KeyError as exc:
+            raise KeyError(f"example id {exc.args[0]} missing from irreducible-loss table") from None
 
     def covers(self, ids) -> bool:
-        return all(int(i) in self.values for i in ids)
+        return self.values.keys() >= set(np.asarray(ids).tolist())
 
     def content_hash(self) -> str:
         h = hashlib.sha256()

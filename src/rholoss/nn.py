@@ -17,6 +17,10 @@ import numpy as np
 
 Array = np.ndarray
 
+
+class NonFiniteLogitsError(ValueError):
+    """A forward pass produced NaN or infinite logits, as when training diverges."""
+
 _MODES = ("train", "eval")
 _BN_SOURCES = ("batch", "running")
 
@@ -251,7 +255,7 @@ def _forward_cache(model, x, mode, bn_stat_source, rng, update_running):
         cache.append(layer)
         a = h
     if not np.all(np.isfinite(a)):
-        raise ValueError("forward pass produced non-finite logits")
+        raise NonFiniteLogitsError("forward pass produced non-finite logits")
     return a, cache
 
 

@@ -7,7 +7,7 @@ import numpy as np
 
 from .nn import MlpModel, parameters
 
-_KINDS = ("sgd", "adamw")
+OPTIMIZER_KINDS = ("sgd", "adamw")
 
 
 @dataclass
@@ -31,8 +31,8 @@ def make_optimizer(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> OptimizerState:
-    if kind not in _KINDS:
-        raise ValueError(f"optimizer kind must be one of {_KINDS}, got {kind!r}")
+    if kind not in OPTIMIZER_KINDS:
+        raise ValueError(f"optimizer kind must be one of {OPTIMIZER_KINDS}, got {kind!r}")
     if learning_rate < 0:
         raise ValueError(f"learning rate must be >= 0, got {learning_rate}")
     return OptimizerState(kind, learning_rate, beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay)

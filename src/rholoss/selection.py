@@ -121,7 +121,12 @@ def sample_grad_norm_is(scores, n_b: int, seed_or_rng, temperature: float = 1.0)
     Weights are proportional to the inverse of the *initial* inclusion-draw
     probability and normalized to mean 1 within the selected set, so the
     weighted selected-gradient estimator tracks the candidate-mean gradient.
-    All-zero scores fall back to uniform sampling with unit weights.
+
+    When fewer than n_b candidates have nonzero probability, all of them are
+    taken (inclusion certain) and the rest of the batch is filled uniformly
+    from the zero-probability candidates; each pick is weighted by the
+    inverse of its inclusion probability. All-zero scores therefore reduce
+    to uniform sampling with unit weights.
     """
     s = np.asarray(scores, dtype=np.float64)
     if np.any(s < 0):
@@ -129,12 +134,20 @@ def sample_grad_norm_is(scores, n_b: int, seed_or_rng, temperature: float = 1.0)
     if n_b > s.size:
         raise ValueError(f"cannot sample {n_b} from {s.size} candidates")
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
-    total = s.sum()
-    if total == 0.0:
-        idx = np.sort(rng.choice(s.size, size=n_b, replace=False))
-        return idx, np.ones(n_b)
     p = s ** (1.0 / temperature)
-    p = p / p.sum()
+    total = p.sum()
+    if total > 0.0:
+        p = p / total
+    positive = p > 0.0
+    n_sure = int(positive.sum())
+    if n_sure < n_b:
+        rest = np.flatnonzero(~positive)
+        fill = rng.choice(rest, size=n_b - n_sure, replace=False)
+        idx = np.sort(np.concatenate([np.flatnonzero(positive), fill]))
+        # Relative weights: 1 for a fill pick, fill/rest (its inclusion
+        # probability) for a certain one, so all-fill batches get exact ones.
+        w = np.where(positive[idx], fill.size / rest.size, 1.0)
+        return idx, w * (n_b / w.sum())
     remaining = p.copy()
     chosen: list[int] = []
     for _ in range(n_b):

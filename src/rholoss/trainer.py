@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .ilmodel import IrreducibleLossTable, update_il_model
-from .nn import MlpModel, backward, cross_entropy, forward
+from .nn import MlpModel, NonFiniteLogitsError, backward, cross_entropy, forward
 from .optim import make_optimizer, optimizer_step
 from .records import CompositionRow, EvalRow, RunRecord, StepRow
 from .selection import SelectionPolicy, score_and_select
@@ -120,70 +120,77 @@ def _run(train, test, cfg, model, il_values_fn, il_after_step) -> RunRecord:
     opt = make_optimizer(cfg.optimizer_kind, cfg.learning_rate, weight_decay=cfg.weight_decay)
     record = RunRecord(policy=cfg.policy.kind, seed=cfg.seed)
     dump = None
-    if cfg.score_dump_path is not None:
-        dump = open(cfg.score_dump_path, "w")
-        dump.write("step,id,score,selected\n")
     step = 0
-    for epoch in range(1, cfg.epochs + 1):
-        perm = perm_rng.permutation(train.n)
-        sel_total = 0
-        sel_corrupted = 0
-        sel_lowrel = 0
-        sel_correct = 0
-        for start in range(0, train.n, cfg.n_B):
-            chunk = perm[start : start + cfg.n_B]
-            x = train.features[chunk]
-            y = train.labels[chunk]
-            ids = train.ids[chunk]
-            tie_seed = int(tie_rng.integers(0, 2**31 - 1))
-            logits = forward(model, x, mode="eval", bn_stat_source="batch" if model.batchnorm else "running")
-            losses = cross_entropy(logits, y)
-            k = _chunk_select_count(chunk.size, cfg)
-            scored = score_and_select(
-                cfg.policy, model, x, y, ids, losses, il_values_fn, k, tie_seed, policy_rng
+    epoch = 0
+    try:
+        if cfg.score_dump_path is not None:
+            dump = open(cfg.score_dump_path, "w")
+            dump.write("step,id,score,selected\n")
+        for epoch in range(1, cfg.epochs + 1):
+            perm = perm_rng.permutation(train.n)
+            sel_total = 0
+            sel_corrupted = 0
+            sel_lowrel = 0
+            sel_correct = 0
+            for start in range(0, train.n, cfg.n_B):
+                chunk = perm[start : start + cfg.n_B]
+                x = train.features[chunk]
+                y = train.labels[chunk]
+                ids = train.ids[chunk]
+                tie_seed = int(tie_rng.integers(0, 2**31 - 1))
+                logits = forward(model, x, mode="eval", bn_stat_source="batch" if model.batchnorm else "running")
+                losses = cross_entropy(logits, y)
+                k = _chunk_select_count(chunk.size, cfg)
+                scored = score_and_select(
+                    cfg.policy, model, x, y, ids, losses, il_values_fn, k, tie_seed, policy_rng
+                )
+                sel = scored.selected_indices
+                predictions = np.argmax(logits, axis=1)
+                sel_total += sel.size
+                sel_corrupted += int(train.corrupted[chunk[sel]].sum())
+                sel_lowrel += int(train.low_relevance[chunk[sel]].sum())
+                sel_correct += int((predictions[sel] == y[sel]).sum())
+                grads = backward(
+                    model,
+                    x[sel],
+                    y[sel],
+                    mode="train",
+                    bn_stat_source="batch" if model.batchnorm else "running",
+                    rng=dropout_rng,
+                    update_running=True,
+                    sample_weights=scored.weights,
+                )
+                optimizer_step(opt, model, grads)
+                il_after_step(x[sel], y[sel])
+                if dump is not None:
+                    picked = set(sel.tolist())
+                    for j, ex_id in enumerate(ids):
+                        dump.write(f"{step},{int(ex_id)},{float(scored.scores[j])!r},{int(j in picked)}\n")
+                record.steps.append(
+                    StepRow(step, epoch, tuple(int(i) for i in scored.selected_ids), float(scored.scores[sel].mean()))
+                )
+                step += 1
+                if cfg.eval_every is not None and step % cfg.eval_every == 0:
+                    acc, loss = evaluate(model, test)
+                    record.evals.append(EvalRow(step, epoch, False, acc, loss))
+            acc, loss = evaluate(model, test)
+            record.evals.append(EvalRow(step, epoch, True, acc, loss))
+            record.compositions.append(
+                CompositionRow(
+                    epoch,
+                    sel_total,
+                    sel_corrupted / sel_total,
+                    sel_lowrel / sel_total,
+                    sel_correct / sel_total,
+                )
             )
-            sel = scored.selected_indices
-            predictions = np.argmax(logits, axis=1)
-            sel_total += sel.size
-            sel_corrupted += int(train.corrupted[chunk[sel]].sum())
-            sel_lowrel += int(train.low_relevance[chunk[sel]].sum())
-            sel_correct += int((predictions[sel] == y[sel]).sum())
-            grads = backward(
-                model,
-                x[sel],
-                y[sel],
-                mode="train",
-                bn_stat_source="batch" if model.batchnorm else "running",
-                rng=dropout_rng,
-                update_running=True,
-                sample_weights=scored.weights,
-            )
-            optimizer_step(opt, model, grads)
-            il_after_step(x[sel], y[sel])
-            if dump is not None:
-                picked = set(sel.tolist())
-                for j, ex_id in enumerate(ids):
-                    dump.write(f"{step},{int(ex_id)},{float(scored.scores[j])!r},{int(j in picked)}\n")
-            record.steps.append(
-                StepRow(step, epoch, tuple(int(i) for i in scored.selected_ids), float(scored.scores[sel].mean()))
-            )
-            step += 1
-            if cfg.eval_every is not None and step % cfg.eval_every == 0:
-                acc, loss = evaluate(model, test)
-                record.evals.append(EvalRow(step, epoch, False, acc, loss))
-        acc, loss = evaluate(model, test)
-        record.evals.append(EvalRow(step, epoch, True, acc, loss))
-        record.compositions.append(
-            CompositionRow(
-                epoch,
-                sel_total,
-                sel_corrupted / sel_total,
-                sel_lowrel / sel_total,
-                sel_correct / sel_total,
-            )
-        )
-    if dump is not None:
-        dump.close()
+    except NonFiniteLogitsError as exc:
+        raise NonFiniteLogitsError(
+            f"policy {cfg.policy.kind} seed {cfg.seed} epoch {epoch} step {step}: {exc}"
+        ) from exc
+    finally:
+        if dump is not None:
+            dump.close()
     return record
 
 

@@ -110,3 +110,19 @@ def brute_top_k(scores, k, tie_seed):
     pos[perm] = np.arange(scores.size)
     keyed = sorted(range(scores.size), key=lambda i: (-scores[i], pos[i]))
     return set(keyed[:k])
+
+
+def sequential_is_draws(scores, n_b, rng, temperature=1.0):
+    """Importance sampling as n_b sequential rng.choice draws, renormalizing
+    after each pick; valid when at least n_b candidates have nonzero score."""
+    p = np.asarray(scores, dtype=float) ** (1.0 / temperature)
+    p = p / p.sum()
+    remaining = p.copy()
+    chosen = []
+    for _ in range(n_b):
+        pick = int(rng.choice(p.size, p=remaining / remaining.sum()))
+        chosen.append(pick)
+        remaining[pick] = 0.0
+    idx = np.sort(np.array(chosen, dtype=np.int64))
+    w = 1.0 / p[idx]
+    return idx, w * (n_b / w.sum())

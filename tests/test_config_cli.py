@@ -1,10 +1,13 @@
 import json
+import re
+import shutil
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 import yaml
 
-from rholoss import data
+from rholoss import cli, data
 from rholoss.cli import main
 from rholoss.config import ConfigError, DEFAULT_SWEEP_GRID, config_hash, load_config
 from rholoss.ilmodel import load_il_table
@@ -98,6 +101,38 @@ def test_config_rejects_bad_values(tmp_path):
         load_config(write_config(tmp_path, {"run.seeds": []}))
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, {"il.scheme": "thirds"}))
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"il.optimizer.kind": "adam"}, "il.optimizer.kind"),
+        ({"run.optimizer.kind": "adam"}, "run.optimizer.kind"),
+        ({"ladder.optimizer.kind": "rmsprop"}, "ladder.optimizer.kind"),
+        ({"run.n_b": 21}, "run.n_b"),
+        ({"ladder.n_b": 31}, "ladder.n_b"),
+    ],
+)
+def test_config_errors_name_the_key_before_any_output(tmp_path, overrides, key):
+    cfg_path = write_config(tmp_path, overrides)
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        load_config(cfg_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_config_accepts_yaml_exponent_floats(tmp_path):
+    path = write_config(tmp_path)
+    text = path.read_text()
+    assert "learning_rate: 0.001" in text
+    path.write_text(text.replace("learning_rate: 0.001", "learning_rate: 1e-3").replace("radius: 2.5", "radius: 25E-1"))
+    cfg = load_config(path)
+    assert cfg.il.optimizer.learning_rate == cfg.run.optimizer.learning_rate == 0.001
+    assert cfg.dataset.synthetic.radius == 2.5
+    for bad in ("fast", "1e-3x", "e5", "1e"):
+        with pytest.raises(ConfigError, match="run.optimizer"):
+            load_config(write_config(tmp_path, {"run.optimizer.learning_rate": bad}))
 
 
 def test_config_hash_excludes_seeds_and_output_dir(tmp_path):
@@ -384,6 +419,53 @@ def test_dump_scores_via_cli_carries_provenance(tmp_path):
     assert len(lines) - 2 == len(rec.steps) * 0 + sum(
         min(cfg.run.n_B, train.n - s) for s in range(0, train.n, cfg.run.n_B)
     ) * cfg.run.epochs
+
+
+def test_stages_load_each_split_they_use_once(tmp_path, monkeypatch):
+    cfg_path = write_config(tmp_path, {"run.seeds": [1, 2]})  # rho-loss + the uniform baseline: 4 runs
+    out = tmp_path / "out"
+    assert main(["prepare", "--config", str(cfg_path), "--out", str(out)]) == 0
+    loads = []
+    real_csv, real_table = data.load_dataset_csv, cli.load_il_table
+
+    def load_csv(path):
+        ds = real_csv(path)
+        loads.append(path.name)
+        for value in vars(ds).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False  # a run that writes to the shared splits fails
+        return ds
+
+    def load_table(path):
+        table = real_table(path)
+        loads.append(path.name)
+        table.values = MappingProxyType(table.values)
+        return table
+
+    monkeypatch.setattr(data, "load_dataset_csv", load_csv)
+    monkeypatch.setattr(cli, "load_il_table", load_table)
+    assert main(["train-il", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert loads == ["train.csv", "holdout.csv"]
+    loads.clear()
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--jobs", "1"]) == 0
+    assert sorted(loads) == ["il_table.csv", "test.csv", "train.csv"]
+    assert len(list((out / "runs").glob("record_*.csv"))) == 4
+    loads.clear()
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--resume"]) == 0
+    assert loads == []
+    assert main(["ladder", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert loads == ["train.csv", "holdout.csv"]
+    monkeypatch.undo()
+
+    # the loaded splits and table reach worker processes as the same values
+    par = tmp_path / "par"
+    for sub in ("dataset", "il"):
+        shutil.copytree(out / sub, par / sub)
+    assert main(["run", "--config", str(cfg_path), "--out", str(par), "--jobs", "2"]) == 0
+    for path in sorted((out / "runs").glob("record_*.csv")):
+        seq, para = path.read_text().splitlines(), (par / "runs" / path.name).read_text().splitlines()
+        assert seq[0].split(" generated_at=")[0] == para[0].split(" generated_at=")[0]
+        assert seq[1:] == para[1:]
 
 
 def test_run_with_parallel_jobs(tmp_path):

@@ -20,7 +20,7 @@ from rholoss.selection import (
     svp_offline_select,
 )
 
-from oracles import brute_top_k
+from oracles import brute_top_k, sequential_is_draws
 
 
 def table_from(ids, values):
@@ -175,6 +175,30 @@ def test_is_all_zero_scores_uniform_fallback():
     idx, w = sample_grad_norm_is(np.zeros(6), 3, rng)
     assert len(idx) == 3 and len(set(idx.tolist())) == 3
     assert np.array_equal(w, np.ones(3))
+
+
+def test_is_too_few_nonzero_takes_them_all_and_fills_uniformly():
+    for seed in range(20):
+        idx, w = sample_grad_norm_is([1.0, 0.0, 0.0, 0.0], 2, seed)
+        assert idx.size == 2 and idx[0] == 0 and np.all(np.diff(idx) > 0)
+        assert np.all(np.isfinite(w)) and w.mean() == pytest.approx(1.0, abs=1e-12)
+    # inverse-inclusion weights keep the estimator unbiased: candidate 0 is
+    # always in, each zero-score candidate with probability 1/3
+    g = np.array([4.0, 1.0, 2.0, 3.0])
+    rng = np.random.default_rng(4)
+    est = np.mean([(g[idx] * w).mean() for idx, w in (sample_grad_norm_is([1.0, 0, 0, 0], 2, rng) for _ in range(3000))])
+    assert est == pytest.approx(g.mean(), abs=0.05)
+
+
+def test_is_enough_nonzero_matches_sequential_draws_bitwise():
+    scores = np.random.default_rng(5).uniform(0.0, 3.0, 64)
+    scores[::4] = 0.0
+    for temperature in (1.0, 0.5):
+        rng_a, rng_b = np.random.default_rng(6), np.random.default_rng(6)
+        for _ in range(20):
+            idx, w = sample_grad_norm_is(scores, 16, rng_a, temperature=temperature)
+            ref_idx, ref_w = sequential_is_draws(scores, 16, rng_b, temperature=temperature)
+            assert np.array_equal(idx, ref_idx) and np.array_equal(w, ref_w)
 
 
 def test_is_weights_mean_one():

@@ -380,3 +380,17 @@ def test_score_dump_csv(tmp_path):
     id_to_score = {int(r[1]): float(r[2]) for r in step0}
     selected_scores = [id_to_score[i] for i in record.steps[0].selected_ids]
     assert np.mean(selected_scores) == pytest.approx(record.steps[0].mean_score, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_divergence_names_the_step_and_closes_the_dump(tmp_path):
+    pool, _, test = make_task()
+    dump_path = tmp_path / "scores.csv"
+    cfg = quick_cfg("uniform", optimizer_kind="sgd", learning_rate=1e300, score_dump_path=str(dump_path))
+    model = nn.init_mlp((pool.dim, 8, pool.num_classes), seed=5)
+    with pytest.raises(nn.NonFiniteLogitsError, match=r"policy uniform seed 3 epoch 1 step 1: .*non-finite logits"):
+        run_training(pool, test, None, cfg, model)
+    # step 0's rows are on disk only if the file was closed on the way out
+    lines = dump_path.read_text().splitlines()
+    assert lines[0] == "step,id,score,selected"
+    assert len(lines) == 1 + 20 and all(line.startswith("0,") for line in lines[1:])
