@@ -59,10 +59,8 @@ from .selection import (
     ScoredBatch,
     SelectionPolicy,
     sample_grad_norm_is,
+    score_candidates,
     score_grad_norm,
-    score_neg_il,
-    score_rho_loss,
-    score_train_loss,
     select_top_k,
     svp_offline_select,
 )

@@ -10,6 +10,7 @@ nonzero before partial output is written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import glob as globlib
 import json
@@ -57,9 +58,7 @@ def _resolve_out(args, cfg: ExperimentConfig) -> Path:
     out = args.out or cfg.output_dir or os.environ.get(OUT_ENV_VAR)
     if not out:
         raise CliError(f"no output directory: pass --out, set output_dir in the config, or set ${OUT_ENV_VAR}")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(out)
 
 
 def _load_base_dataset(cfg: ExperimentConfig) -> datamod.LabeledDataset:
@@ -70,6 +69,16 @@ def _load_base_dataset(cfg: ExperimentConfig) -> datamod.LabeledDataset:
     if ds.kind == "idx":
         return datamod.load_idx(ds.idx.images, ds.idx.labels)
     return datamod.load_dataset_csv(ds.csv_path)
+
+
+def _il_train_kwargs(il) -> dict:
+    """train_il_model keywords from the il section, shared by the IL fit, the
+    two-halves fits, the structured-noise reference model and the svp proxy."""
+    return dict(
+        hidden=il.hidden, epochs=il.epochs, optimizer_kind=il.optimizer.kind,
+        learning_rate=il.optimizer.learning_rate, weight_decay=il.optimizer.weight_decay,
+        batch_size=il.batch_size,
+    )
 
 
 def _model_seed(base: int, run_seed: int) -> int:
@@ -105,12 +114,7 @@ def prepare_datasets(cfg: ExperimentConfig):
     elif ds_cfg.noise.kind == "structured":
         if cfg.il is None:
             raise CliError("structured noise needs the il section (for the reference model)")
-        ref_model, _ = train_il_model(
-            pool, validation=pool, hidden=cfg.il.hidden, epochs=cfg.il.epochs,
-            optimizer_kind=cfg.il.optimizer.kind, learning_rate=cfg.il.optimizer.learning_rate,
-            weight_decay=cfg.il.optimizer.weight_decay, batch_size=cfg.il.batch_size,
-            seed=cfg.il.seed + 101,
-        )
+        ref_model, _ = train_il_model(pool, validation=pool, seed=cfg.il.seed + 101, **_il_train_kwargs(cfg.il))
         from .nn import predict_labels
 
         confusion = datamod.confusion_counts(pool.labels, predict_labels(ref_model, pool.features), pool.num_classes)
@@ -122,7 +126,7 @@ def prepare_datasets(cfg: ExperimentConfig):
     return pool, holdout, test
 
 
-def cmd_prepare(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
+def cmd_prepare(cfg: ExperimentConfig, out: Path) -> int:
     pool, holdout, test = prepare_datasets(cfg)
     ddir = out / "dataset"
     ddir.mkdir(parents=True, exist_ok=True)
@@ -173,7 +177,7 @@ def _save_checkpoint_log(log, path, chash: str, seed: int) -> None:
             writer.writerow([e + 1, repr(loss), repr(acc), int(e == best)])
 
 
-def cmd_train_il(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
+def cmd_train_il(cfg: ExperimentConfig, out: Path) -> int:
     if cfg.il is None:
         raise CliError("config has no il section")
     pool, holdout = _load_prepared(out, cfg, ("train", "holdout"))
@@ -181,11 +185,7 @@ def cmd_train_il(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
     ildir.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
     il = cfg.il
-    kwargs = dict(
-        hidden=il.hidden, epochs=il.epochs, optimizer_kind=il.optimizer.kind,
-        learning_rate=il.optimizer.learning_rate, weight_decay=il.optimizer.weight_decay,
-        batch_size=il.batch_size,
-    )
+    kwargs = _il_train_kwargs(il)
     if il.scheme == "holdout":
         if holdout is None:
             raise CliError("holdout scheme needs a prepared holdout split")
@@ -225,18 +225,12 @@ def _run_one(payload) -> str:
         if cfg.il is None:
             raise CliError("svp-entropy needs the il section to define the proxy model")
         proxy, _ = train_il_model(
-            pool, validation=pool, hidden=cfg.il.hidden, epochs=cfg.il.epochs,
-            optimizer_kind=cfg.il.optimizer.kind, learning_rate=cfg.il.optimizer.learning_rate,
-            weight_decay=cfg.il.optimizer.weight_decay, batch_size=cfg.il.batch_size,
-            seed=_model_seed(cfg.il.seed + 7, seed),
+            pool, validation=pool, seed=_model_seed(cfg.il.seed + 7, seed), **_il_train_kwargs(cfg.il)
         )
         kept = svp_offline_select(proxy, pool, run.policy.keep_fraction, seed=seed)
         pos = {int(i): k for k, i in enumerate(pool.ids)}
         train_pool = datamod.take(pool, np.sort([pos[int(i)] for i in kept]))
         policy = SelectionPolicy(kind="uniform")
-    dump_path = None
-    if run.dump_scores:
-        dump_path = str(out / "runs" / f"scores_{policy_kind}_seed{seed}.csv")
     run_cfg = RunConfig(
         policy=policy,
         n_b=run.n_b,
@@ -249,24 +243,23 @@ def _run_one(payload) -> str:
         il_lr_scale=run.lr_scale,
         seed=seed,
         eval_every=run.eval_every,
-        target_accuracies=run.targets,
-        score_dump_path=dump_path,
     )
     sizes = (train_pool.dim, *run.model.hidden, train_pool.num_classes)
     model = init_mlp(sizes, seed=_model_seed(run.model.seed, seed),
                      dropout_rate=run.model.dropout, batchnorm=run.model.batchnorm)
-    if run.il_update_mode == "original" and policy.needs_il:
-        il_model = load_model(out / "il" / "il_model.npz")
-        record = run_original_selection(train_pool, test, il_model, run_cfg, model)
-    else:
-        record = run_training(train_pool, test, table, run_cfg, model)
+    il_model = load_model(out / "il" / "il_model.npz") if run.il_update_mode == "original" and policy.needs_il else None
+    dump_path = out / "runs" / f"scores_{policy_kind}_seed{seed}.csv"
+    with open(dump_path, "w") if run.dump_scores else contextlib.nullcontext() as dump:
+        if dump is not None:
+            dump.write(f"# rholoss-scores v1 config_hash={chash} seed={seed}\n")
+        if il_model is not None:
+            record = run_original_selection(train_pool, test, il_model, run_cfg, model, score_dump=dump)
+        else:
+            record = run_training(train_pool, test, table, run_cfg, model, score_dump=dump)
     record.policy = policy_kind
     record.config_hash = chash
     path = _record_path(out, policy_kind, seed)
     save_run_record(record, path)
-    if dump_path is not None:
-        body = Path(dump_path).read_text()
-        Path(dump_path).write_text(f"# rholoss-scores v1 config_hash={chash} seed={seed}\n" + body)
     return str(path)
 
 
@@ -276,7 +269,6 @@ def cmd_run(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = Fals
     once here and handed to each run."""
     if cfg.run is None:
         raise CliError("config has no run section")
-    (out / "runs").mkdir(parents=True, exist_ok=True)
     policies = [cfg.run.policy.kind]
     if cfg.run.targets and "uniform" not in policies:
         policies.append("uniform")  # baseline needed to anchor epoch-to-target comparisons
@@ -296,6 +288,7 @@ def cmd_run(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = Fals
     if not todo:
         return 0
     pool, test = _load_prepared(out, cfg, ("train", "test"))
+    (out / "runs").mkdir(parents=True, exist_ok=True)
     table = None
     if cfg.run.il_update_mode == "frozen" and any(kind in NEEDS_IL for kind, _ in todo):
         table = load_il_table(out / "il" / "il_table.csv")
@@ -318,7 +311,7 @@ def _aggregate_epochs(values: list[int | None]) -> str:
     return "NR" if math.isinf(med) else repr(med)
 
 
-def cmd_report(cfg: ExperimentConfig, out: Path, records_glob: str | None = None, jobs: int = 1) -> int:
+def cmd_report(cfg: ExperimentConfig, out: Path, records_glob: str | None = None) -> int:
     pattern = records_glob or str(out / "runs" / "*.csv")
     paths = sorted(globlib.glob(pattern))
     if not paths:
@@ -396,7 +389,7 @@ def cmd_report(cfg: ExperimentConfig, out: Path, records_glob: str | None = None
     return 0
 
 
-def cmd_ladder(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
+def cmd_ladder(cfg: ExperimentConfig, out: Path) -> int:
     if cfg.ladder is None:
         raise CliError("config has no ladder section")
     pool, holdout = _load_prepared(out, cfg, ("train", "holdout"))
@@ -511,15 +504,15 @@ def main(argv=None) -> int:
             cfg = parse_config(raw)
         out = _resolve_out(args, cfg)
         if args.command == "prepare":
-            return cmd_prepare(cfg, out, jobs=args.jobs)
+            return cmd_prepare(cfg, out)
         if args.command == "train-il":
-            return cmd_train_il(cfg, out, jobs=args.jobs)
+            return cmd_train_il(cfg, out)
         if args.command == "run":
             return cmd_run(cfg, out, jobs=args.jobs, resume=args.resume)
         if args.command == "report":
-            return cmd_report(cfg, out, records_glob=args.records, jobs=args.jobs)
+            return cmd_report(cfg, out, records_glob=args.records)
         if args.command == "ladder":
-            return cmd_ladder(cfg, out, jobs=args.jobs)
+            return cmd_ladder(cfg, out)
         if args.command == "sweep":
             return cmd_sweep(cfg, out, jobs=args.jobs, resume=args.resume)
         raise CliError(f"unknown command {args.command!r}")

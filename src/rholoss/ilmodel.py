@@ -9,6 +9,7 @@ negative, and nothing here clamps it.
 """
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 from dataclasses import dataclass, field
@@ -16,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabeledDataset, dataset_hash
-from .nn import MlpModel, backward, clone_model, cross_entropy, forward, init_mlp, model_id
-from .optim import OptimizerState, make_optimizer, optimizer_step
+from .nn import MlpModel, backward, batched_logits, cross_entropy, evaluate, init_mlp, model_id
+from .optim import OptimizerState, make_optimizer, optimizer_step, train_epoch
 
 
 @dataclass
@@ -60,17 +61,6 @@ class IrreducibleLossTable:
         return h.hexdigest()
 
 
-def _eval_loss_acc(model: MlpModel, ds: LabeledDataset, batch_size: int) -> tuple[float, float]:
-    losses = np.empty(ds.n)
-    correct = 0
-    for start in range(0, ds.n, batch_size):
-        stop = min(start + batch_size, ds.n)
-        logits = forward(model, ds.features[start:stop])
-        losses[start:stop] = cross_entropy(logits, ds.labels[start:stop])
-        correct += int((np.argmax(logits, axis=1) == ds.labels[start:stop]).sum())
-    return float(losses.mean()), correct / ds.n
-
-
 def train_il_model(
     holdout: LabeledDataset,
     validation: LabeledDataset,
@@ -101,25 +91,13 @@ def train_il_model(
     best: MlpModel | None = None
     best_loss = np.inf
     for _ in range(epochs):
-        perm = rng.permutation(holdout.n)
-        for start in range(0, holdout.n, batch_size):
-            idx = perm[start : start + batch_size]
-            grads = backward(
-                model,
-                holdout.features[idx],
-                holdout.labels[idx],
-                mode="train",
-                bn_stat_source="batch",
-                rng=rng,
-                update_running=True,
-            )
-            optimizer_step(opt, model, grads)
-        val_loss, val_acc = _eval_loss_acc(model, validation, batch_size=1024)
+        train_epoch(model, opt, holdout.features, holdout.labels, batch_size, rng)
+        val_acc, val_loss = evaluate(model, validation)
         log.val_losses.append(val_loss)
         log.val_accuracies.append(val_acc)
         if val_loss < best_loss:
             best_loss = val_loss
-            best = clone_model(model)
+            best = copy.deepcopy(model)
     assert best is not None
     return best, log
 
@@ -130,14 +108,9 @@ def compute_il_table(il_model: MlpModel, pool: LabeledDataset, batch_size: int =
     Always evaluated in eval mode with running batch statistics, on the raw
     (un-augmented) inputs, so the table is deterministic for a given model.
     """
-    values: dict[int, float] = {}
-    for start in range(0, pool.n, batch_size):
-        stop = min(start + batch_size, pool.n)
-        losses = cross_entropy(forward(il_model, pool.features[start:stop]), pool.labels[start:stop])
-        for ex_id, loss in zip(pool.ids[start:stop], losses):
-            values[int(ex_id)] = float(loss)
+    losses = cross_entropy(batched_logits(il_model, pool.features, batch_size), pool.labels)
     return IrreducibleLossTable(
-        values=values,
+        values=dict(zip(pool.ids.tolist(), losses.tolist())),
         scheme="holdout",
         provenance=f"{model_id(il_model)}:{dataset_hash(pool)[:16]}",
     )
@@ -214,11 +187,6 @@ def update_il_model(
     finally:
         opt_state.learning_rate = base_lr
     return il_model, opt_state
-
-
-def il_table_path(directory, ds_hash: str, il_model_id: str) -> str:
-    """Cache location keyed by (dataset hash, model id)."""
-    return f"{directory}/il_{ds_hash[:12]}_{il_model_id[:12]}.csv"
 
 
 def save_il_table(table: IrreducibleLossTable, path) -> None:

@@ -22,26 +22,28 @@ at this scale.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import LabeledDataset
-from .nn import (
-    EnsembleModel,
-    MlpModel,
-    backward,
-    cross_entropy,
-    ensemble_cross_entropy,
-    forward,
-    init_mlp,
-    make_ensemble,
-)
-from .optim import OptimizerState, make_optimizer, optimizer_step
-from .selection import select_top_k
+from .nn import EnsembleModel, backward, cross_entropy, ensemble_cross_entropy, forward, init_mlp, make_ensemble
+from .optim import make_optimizer, optimizer_step, train_epoch
+from .selection import chunk_select_count, select_top_k
 from .stats import spearman
 
-RUNG_NAMES = ("approx0", "approx1a", "approx1b", "approx2", "approx3")
+# rung -> (target members, IL members, target regime, IL regime). A regime is
+# "converged" (retrain on everything seen so far), "single-step" (one gradient
+# step on the acquired batch) or "frozen".
+RUNGS = {
+    "approx0": ("ensemble", "ensemble", "converged", "converged"),
+    "approx1a": ("single", "single", "converged", "converged"),
+    "approx1b": ("single", "single", "single-step", "single-step"),
+    "approx2": ("single", "single", "single-step", "frozen"),
+    "approx3": ("single", "small", "single-step", "frozen"),
+}
+RUNG_NAMES = tuple(RUNGS)
 
 # Reported large-scale mean rank correlations for the same ladder, recorded
 # for side-by-side comparison only.
@@ -86,39 +88,22 @@ class RungResult:
     step_scores: list[np.ndarray] | None = None  # this rung's raw candidate scores
 
 
-def _mean_loss(model: MlpModel, x, y) -> float:
+def _mean_loss(model, x, y) -> float:
     return float(cross_entropy(forward(model, x), y).mean())
 
 
-def _train_one_to_convergence(model, opt, x, y, budget, tol, batch_size, rng):
-    prev = _mean_loss(model, x, y)
-    for _ in range(budget):
-        perm = rng.permutation(x.shape[0])
-        for start in range(0, x.shape[0], batch_size):
-            idx = perm[start : start + batch_size]
-            grads = backward(model, x[idx], y[idx], mode="train", bn_stat_source="batch", rng=rng)
-            optimizer_step(opt, model, grads)
-        cur = _mean_loss(model, x, y)
-        if prev - cur < tol * max(prev, 1e-12):
-            break
-        prev = cur
-
-
 def train_to_convergence(
-    model_or_ensemble,
+    model,
     x,
     y,
-    opt_or_opts,
+    opt,
     budget_epochs: int,
     tol: float = 1e-3,
     batch_size: int = 32,
     rng: np.random.Generator | None = None,
 ) -> None:
     """Full shuffled passes until the relative loss improvement drops below
-    tol, capped at budget_epochs. A budget of 0 leaves the model untouched.
-
-    Ensembles train member by member, each against its own optimizer state.
-    """
+    tol, capped at budget_epochs. A budget of 0 leaves the model untouched."""
     if budget_epochs < 0:
         raise ValueError("budget must be >= 0")
     if budget_epochs == 0 or np.asarray(x).shape[0] == 0:
@@ -127,103 +112,33 @@ def train_to_convergence(
         rng = np.random.default_rng()
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    if isinstance(model_or_ensemble, EnsembleModel):
-        for member, opt in zip(model_or_ensemble.members, opt_or_opts):
-            _train_one_to_convergence(member, opt, x, y, budget_epochs, tol, batch_size, rng)
-    else:
-        _train_one_to_convergence(model_or_ensemble, opt_or_opts, x, y, budget_epochs, tol, batch_size, rng)
+    prev = _mean_loss(model, x, y)
+    for _ in range(budget_epochs):
+        train_epoch(model, opt, x, y, batch_size, rng)
+        cur = _mean_loss(model, x, y)
+        if prev - cur < tol * max(prev, 1e-12):
+            break
+        prev = cur
 
 
-class _Pipeline:
-    """One rung's evolving state: target model(s), IL model(s), acquired data."""
+def _loss(members, x, y) -> np.ndarray:
+    """Per-example loss of one model, or of the mean prediction of several."""
+    if len(members) == 1:
+        return cross_entropy(forward(members[0][0], x), y)
+    return ensemble_cross_entropy(EnsembleModel([model for model, _ in members]), x, y)
 
-    def __init__(self, name, target, target_opts, il, il_opts, regime, il_regime, cfg, rng):
-        self.name = name
-        self.target = target
-        self.target_opts = target_opts
-        self.il = il
-        self.il_opts = il_opts
-        self.regime = regime  # "converged" | "single-step"
-        self.il_regime = il_regime  # "converged" | "single-step" | "frozen"
-        self.cfg = cfg
-        self.rng = rng
-        self.acquired_x: list[np.ndarray] = []
-        self.acquired_y: list[np.ndarray] = []
 
-    def _target_loss(self, x, y):
-        if isinstance(self.target, EnsembleModel):
-            return ensemble_cross_entropy(self.target, x, y)
-        return cross_entropy(forward(self.target, x), y)
-
-    def _il_loss(self, x, y):
-        if isinstance(self.il, EnsembleModel):
-            return ensemble_cross_entropy(self.il, x, y)
-        return cross_entropy(forward(self.il, x), y)
-
-    def score(self, x, y) -> np.ndarray:
-        return np.asarray(self._target_loss(x, y)) - np.asarray(self._il_loss(x, y))
-
-    def _single_step(self, model, opt, x, y):
-        grads = backward(model, x, y, mode="train", bn_stat_source="batch", rng=self.rng)
-        optimizer_step(opt, model, grads)
-
-    def acquire(self, x_sel, y_sel, holdout_x, holdout_y):
-        self.acquired_x.append(x_sel)
-        self.acquired_y.append(y_sel)
-        cfg = self.cfg
-        ax = np.concatenate(self.acquired_x)
-        ay = np.concatenate(self.acquired_y)
-        if self.regime == "converged":
+def _update(members, regime, seen_x, seen_y, x_sel, y_sel, cfg: LadderConfig, rng) -> None:
+    """Update each (model, optimizer) member by its regime: retrain on
+    everything seen, take one step on the acquired batch, or stay frozen."""
+    for model, opt in members:
+        if regime == "converged":
             train_to_convergence(
-                self.target, ax, ay, self.target_opts, cfg.convergence_epochs,
-                tol=cfg.convergence_tol, batch_size=cfg.batch_size, rng=self.rng,
+                model, seen_x, seen_y, opt, cfg.convergence_epochs,
+                tol=cfg.convergence_tol, batch_size=cfg.batch_size, rng=rng,
             )
-        else:
-            if isinstance(self.target, EnsembleModel):
-                for m, o in zip(self.target.members, self.target_opts):
-                    self._single_step(m, o, x_sel, y_sel)
-            else:
-                self._single_step(self.target, self.target_opts, x_sel, y_sel)
-        if self.il_regime == "converged":
-            ilx = np.concatenate([holdout_x, ax])
-            ily = np.concatenate([holdout_y, ay])
-            train_to_convergence(
-                self.il, ilx, ily, self.il_opts, cfg.convergence_epochs,
-                tol=cfg.convergence_tol, batch_size=cfg.batch_size, rng=self.rng,
-            )
-        elif self.il_regime == "single-step":
-            self._single_step(self.il, self.il_opts, x_sel, y_sel)
-
-
-def _fit_holdout(model_or_ens, opts, holdout, cfg, rng):
-    train_to_convergence(
-        model_or_ens,
-        holdout.features,
-        holdout.labels,
-        opts,
-        cfg.il_pretrain_epochs,
-        tol=cfg.convergence_tol,
-        batch_size=cfg.batch_size,
-        rng=rng,
-    )
-
-
-def _clone_single(model, opt):
-    from .nn import clone_model
-
-    new_model = clone_model(model)
-    new_opt = OptimizerState(
-        kind=opt.kind,
-        learning_rate=opt.learning_rate,
-        beta1=opt.beta1,
-        beta2=opt.beta2,
-        eps=opt.eps,
-        weight_decay=opt.weight_decay,
-        exp_avg={k: v.copy() for k, v in opt.exp_avg.items()},
-        exp_avg_sq={k: v.copy() for k, v in opt.exp_avg_sq.items()},
-        step_count=opt.step_count,
-    )
-    return new_model, new_opt
+        elif regime == "single-step":
+            optimizer_step(opt, model, backward(model, x_sel, y_sel, mode="train", bn_stat_source="batch", rng=rng))
 
 
 def run_ladder(pool: LabeledDataset, holdout: LabeledDataset, cfg: LadderConfig) -> dict[str, RungResult]:
@@ -241,62 +156,52 @@ def run_ladder(pool: LabeledDataset, holdout: LabeledDataset, cfg: LadderConfig)
 
     sizes = (pool.dim, *cfg.hidden, pool.num_classes)
     small_sizes = (pool.dim, *cfg.small_hidden, pool.num_classes)
-    opt_kw = dict(weight_decay=cfg.weight_decay)
 
-    def new_opt():
-        return make_optimizer(cfg.optimizer_kind, cfg.learning_rate, **opt_kw)
+    def members(models):
+        """(model, fresh optimizer) pairs."""
+        return [
+            (m, make_optimizer(cfg.optimizer_kind, cfg.learning_rate, weight_decay=cfg.weight_decay)) for m in models
+        ]
 
-    # Holdout-fitted IL models. The full-width single model is fitted once
-    # and cloned into rungs 1a/1b/2 so the update regime is the only
-    # difference between them.
+    # Holdout-fitted IL models. Every rung starts from a copy of one of these,
+    # so rungs 1a/1b/2 differ only in how they update the same fitted model.
+    ils = {
+        "single": members([init_mlp(sizes, seed=int(init_seeds[0]))]),
+        "small": members([init_mlp(small_sizes, seed=int(init_seeds[1]))]),
+        "ensemble": members(make_ensemble(sizes, cfg.ensemble_size, seed=int(init_seeds[2])).members),
+    }
     pre_rng = np.random.default_rng(ss[3])
-    il_single = init_mlp(sizes, seed=int(init_seeds[0]))
-    il_single_opt = new_opt()
-    _fit_holdout(il_single, il_single_opt, holdout, cfg, pre_rng)
-    il_small = init_mlp(small_sizes, seed=int(init_seeds[1]))
-    il_small_opt = new_opt()
-    _fit_holdout(il_small, il_small_opt, holdout, cfg, pre_rng)
-    il_ens = make_ensemble(sizes, cfg.ensemble_size, seed=int(init_seeds[2]))
-    il_ens_opts = [new_opt() for _ in range(cfg.ensemble_size)]
-    _fit_holdout(il_ens, il_ens_opts, holdout, cfg, pre_rng)
-
-    target_single_seed = int(init_seeds[3])
-    target_ens = make_ensemble(sizes, cfg.ensemble_size, seed=int(init_seeds[4]))
-
-    def build(name):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, RUNG_NAMES.index(name)]))
-        if name == "approx0":
-            ens = EnsembleModel([_clone_single(m, new_opt())[0] for m in target_ens.members])
-            il = EnsembleModel([_clone_single(m, o)[0] for m, o in zip(il_ens.members, il_ens_opts)])
-            il_opts = [_clone_single(m, o)[1] for m, o in zip(il_ens.members, il_ens_opts)]
-            return _Pipeline(name, ens, [new_opt() for _ in ens.members], il, il_opts,
-                             "converged", "converged", cfg, rng)
-        target = init_mlp(sizes, seed=target_single_seed)
-        if name == "approx1a":
-            il, il_opt = _clone_single(il_single, il_single_opt)
-            return _Pipeline(name, target, new_opt(), il, il_opt, "converged", "converged", cfg, rng)
-        if name == "approx1b":
-            il, il_opt = _clone_single(il_single, il_single_opt)
-            return _Pipeline(name, target, new_opt(), il, il_opt, "single-step", "single-step", cfg, rng)
-        if name == "approx2":
-            il, il_opt = _clone_single(il_single, il_single_opt)
-            return _Pipeline(name, target, new_opt(), il, il_opt, "single-step", "frozen", cfg, rng)
-        if name == "approx3":
-            il, il_opt = _clone_single(il_small, il_small_opt)
-            return _Pipeline(name, target, new_opt(), il, il_opt, "single-step", "frozen", cfg, rng)
-        raise ValueError(f"unknown rung {name!r}")
+    for fitted in ils.values():
+        for model, opt in fitted:
+            train_to_convergence(
+                model, holdout.features, holdout.labels, opt, cfg.il_pretrain_epochs,
+                tol=cfg.convergence_tol, batch_size=cfg.batch_size, rng=pre_rng,
+            )
+    targets = {
+        "single": members([init_mlp(sizes, seed=int(init_seeds[3]))]),
+        "ensemble": members(make_ensemble(sizes, cfg.ensemble_size, seed=int(init_seeds[4])).members),
+    }
 
     scores: dict[str, list[np.ndarray]] = {}
-    for name in RUNG_NAMES:
-        pipe = build(name)
+    for index, (name, (target_src, il_src, regime, il_regime)) in enumerate(RUNGS.items()):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, index]))
+        target = copy.deepcopy(targets[target_src])
+        il = copy.deepcopy(ils[il_src])
+        seen_x, seen_y = [], []
         per_step = []
         for chunk, tie_seed in zip(chunks, tie_seeds):
             x, y = pool.features[chunk], pool.labels[chunk]
-            s = pipe.score(x, y)
+            s = _loss(target, x, y) - _loss(il, x, y)
             per_step.append(s)
-            k = cfg.n_b if chunk.size >= cfg.n_B else max(1, int(round(cfg.n_b * chunk.size / cfg.n_B)))
-            sel = select_top_k(s, k, tie_seed)
-            pipe.acquire(x[sel], y[sel], holdout.features, holdout.labels)
+            sel = select_top_k(s, chunk_select_count(chunk.size, cfg.n_b, cfg.n_B), tie_seed)
+            seen_x.append(x[sel])
+            seen_y.append(y[sel])
+            ax, ay = np.concatenate(seen_x), np.concatenate(seen_y)
+            _update(target, regime, ax, ay, x[sel], y[sel], cfg, rng)
+            _update(
+                il, il_regime, np.concatenate([holdout.features, ax]), np.concatenate([holdout.labels, ay]),
+                x[sel], y[sel], cfg, rng,
+            )
         scores[name] = per_step
 
     results: dict[str, RungResult] = {}

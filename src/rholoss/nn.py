@@ -143,25 +143,6 @@ def init_mlp(
     return MlpModel(sizes, weights, biases, dropout_rate=dropout_rate, batchnorm=bn)
 
 
-def clone_model(model: MlpModel) -> MlpModel:
-    bn = None
-    if model.batchnorm is not None:
-        bn = [
-            BatchNormLayer(
-                l.gamma.copy(), l.beta.copy(), l.running_mean.copy(), l.running_var.copy(),
-                momentum=l.momentum, eps=l.eps,
-            )
-            for l in model.batchnorm
-        ]
-    return MlpModel(
-        model.layer_sizes,
-        [w.copy() for w in model.weights],
-        [b.copy() for b in model.biases],
-        dropout_rate=model.dropout_rate,
-        batchnorm=bn,
-    )
-
-
 def parameters(model: MlpModel) -> dict[str, Array]:
     """Live views of every trainable array, in a stable order."""
     params: dict[str, Array] = {}
@@ -280,6 +261,24 @@ def forward(
 
 def predict_labels(model: MlpModel, x) -> Array:
     return np.argmax(forward(model, x), axis=1)
+
+
+def batched_logits(model: MlpModel, x, batch_size: int) -> Array:
+    """Eval-mode logits with running statistics, batch_size rows per forward.
+
+    Logits can differ in the last bit between batch sizes, so each caller
+    keeps one fixed size.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    starts = range(0, max(len(x), 1), batch_size)  # one (empty) forward for an empty x
+    return np.concatenate([forward(model, x[start : start + batch_size]) for start in starts])
+
+
+def evaluate(model: MlpModel, test, batch_size: int = 1024) -> tuple[float, float]:
+    """(accuracy, mean cross-entropy) on a labelled set, eval mode, running stats."""
+    logits = batched_logits(model, test.features, batch_size)
+    correct = int((np.argmax(logits, axis=1) == test.labels).sum())
+    return correct / test.n, float(cross_entropy(logits, test.labels).mean())
 
 
 def backward(

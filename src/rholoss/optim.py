@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import MlpModel, parameters
+from .nn import MlpModel, backward, parameters
 
 OPTIMIZER_KINDS = ("sgd", "adamw")
 
@@ -77,3 +77,16 @@ def optimizer_step(state: OptimizerState, model: MlpModel, grads: dict[str, np.n
             p -= state.learning_rate * state.weight_decay * p
         p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
     return model, state
+
+
+def train_epoch(model: MlpModel, opt: OptimizerState, x, y, batch_size: int, rng: np.random.Generator) -> None:
+    """One shuffled pass over (x, y) in minibatches, one optimizer step each.
+
+    Train mode with batch statistics, which also update the running ones; rng
+    draws the permutation and any dropout masks.
+    """
+    perm = rng.permutation(x.shape[0])
+    for start in range(0, x.shape[0], batch_size):
+        idx = perm[start : start + batch_size]
+        grads = backward(model, x[idx], y[idx], mode="train", bn_stat_source="batch", rng=rng, update_running=True)
+        optimizer_step(opt, model, grads)

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset
-from .ilmodel import IrreducibleLossTable
-from .nn import MlpModel, cross_entropy, forward, mc_dropout_predict, per_example_grad_norm, softmax
+from .nn import MlpModel, batched_logits, cross_entropy, forward, mc_dropout_predict, per_example_grad_norm, softmax
 
 LOSS_BASED_KINDS = ("rho-loss", "train-loss", "neg-il", "uniform")
 GRAD_KINDS = ("grad-norm", "grad-norm-is")
@@ -74,26 +73,20 @@ class ScoredBatch:
         return self.candidate_ids[self.selected_indices]
 
 
-def score_rho_loss(losses, candidate_ids, table: IrreducibleLossTable) -> np.ndarray:
-    """Training loss minus cached irreducible loss; may be negative."""
-    losses = np.asarray(losses, dtype=np.float64)
-    return losses - table.lookup(candidate_ids)
-
-
-def score_train_loss(losses) -> np.ndarray:
-    return np.asarray(losses, dtype=np.float64).copy()
-
-
-def score_neg_il(candidate_ids, table: IrreducibleLossTable) -> np.ndarray:
-    return -table.lookup(candidate_ids)
-
-
 def score_grad_norm(model: MlpModel, x, labels, last_layer_only: bool = False) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     return np.array(
         [per_example_grad_norm(model, x[i], y[i], last_layer_only=last_layer_only) for i in range(x.shape[0])]
     )
+
+
+def chunk_select_count(chunk_size: int, n_b: int, n_B: int) -> int:
+    """How many to select from a chunk: n_b from a full chunk of n_B, the same
+    fraction (at least one) from a partial last chunk."""
+    if chunk_size >= n_B:
+        return n_b
+    return max(1, int(round(n_b * chunk_size / n_B)))
 
 
 def select_top_k(scores, n_b: int, tie_seed: int) -> np.ndarray:
@@ -225,10 +218,7 @@ def svp_offline_select(
     under a cheap proxy model. The subset is fixed for a whole training run."""
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError(f"keep_fraction must lie in (0, 1], got {keep_fraction}")
-    scores = np.empty(pool.n)
-    for start in range(0, pool.n, batch_size):
-        stop = min(start + batch_size, pool.n)
-        scores[start:stop] = entropy(softmax(forward(proxy_model, pool.features[start:stop])))
+    scores = entropy(softmax(batched_logits(proxy_model, pool.features, batch_size)))
     n_keep = max(1, int(round(keep_fraction * pool.n)))
     kept = select_top_k(scores, n_keep, tie_seed=seed)
     return pool.ids[kept]
@@ -249,12 +239,13 @@ def score_candidates(
     losses are the precomputed per-candidate cross-entropies of the snapshot;
     il_values_fn(ids, x, labels) supplies irreducible losses when the policy
     needs them (table lookup in the frozen scheme, a live model otherwise).
+    rho-loss is training loss minus irreducible loss and may be negative.
     """
     kind = policy.kind
     if kind == "uniform":
         return np.zeros(len(candidate_ids))
     if kind == "train-loss":
-        return score_train_loss(losses)
+        return np.array(losses, dtype=np.float64)
     if kind == "rho-loss":
         return np.asarray(losses, dtype=np.float64) - il_values_fn(candidate_ids, x, labels)
     if kind == "neg-il":

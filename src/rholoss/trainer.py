@@ -18,15 +18,16 @@ candidate schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
 from .data import LabeledDataset
 from .ilmodel import IrreducibleLossTable, update_il_model
-from .nn import MlpModel, NonFiniteLogitsError, backward, cross_entropy, forward
+from .nn import MlpModel, NonFiniteLogitsError, backward, cross_entropy, evaluate, forward
 from .optim import make_optimizer, optimizer_step
 from .records import CompositionRow, EvalRow, RunRecord, StepRow
-from .selection import SelectionPolicy, score_and_select
+from .selection import SelectionPolicy, chunk_select_count, score_and_select
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,6 @@ class RunConfig:
     il_lr_scale: float = 0.01
     seed: int = 0
     eval_every: int | None = None  # extra evaluations every this many steps
-    target_accuracies: tuple[float, ...] = ()
-    score_dump_path: str | None = None  # per-candidate scores: step,id,score,selected
 
     def __post_init__(self):
         if self.n_b < 1:
@@ -63,18 +62,6 @@ class RunConfig:
             raise ValueError(f"unknown il_update_mode {self.il_update_mode!r}")
         if self.eval_every is not None and self.eval_every < 1:
             raise ValueError("eval_every must be >= 1 when given")
-
-
-def evaluate(model: MlpModel, test: LabeledDataset, batch_size: int = 1024) -> tuple[float, float]:
-    """(accuracy, mean cross-entropy) on a test set, eval mode, running stats."""
-    correct = 0
-    loss_sum = 0.0
-    for start in range(0, test.n, batch_size):
-        stop = min(start + batch_size, test.n)
-        logits = forward(model, test.features[start:stop])
-        loss_sum += float(cross_entropy(logits, test.labels[start:stop]).sum())
-        correct += int((np.argmax(logits, axis=1) == test.labels[start:stop]).sum())
-    return correct / test.n, loss_sum / test.n
 
 
 def composition_metrics(selected_ids, dataset: LabeledDataset, model: MlpModel | None = None, predictions=None):
@@ -101,13 +88,7 @@ def composition_metrics(selected_ids, dataset: LabeledDataset, model: MlpModel |
     )
 
 
-def _chunk_select_count(chunk_size: int, cfg: RunConfig) -> int:
-    if chunk_size >= cfg.n_B:
-        return cfg.n_b
-    return max(1, int(round(cfg.n_b * chunk_size / cfg.n_B)))
-
-
-def _run(train, test, cfg, model, il_values_fn, il_after_step) -> RunRecord:
+def _run(train, test, cfg, model, il_values_fn, il_after_step, dump) -> RunRecord:
     if train.n == 0:
         raise ValueError("training set is empty")
     if cfg.policy.kind in ("svp-entropy",):
@@ -119,13 +100,11 @@ def _run(train, test, cfg, model, il_values_fn, il_after_step) -> RunRecord:
     dropout_rng = np.random.default_rng(streams[3])
     opt = make_optimizer(cfg.optimizer_kind, cfg.learning_rate, weight_decay=cfg.weight_decay)
     record = RunRecord(policy=cfg.policy.kind, seed=cfg.seed)
-    dump = None
     step = 0
     epoch = 0
+    if dump is not None:
+        dump.write("step,id,score,selected\n")
     try:
-        if cfg.score_dump_path is not None:
-            dump = open(cfg.score_dump_path, "w")
-            dump.write("step,id,score,selected\n")
         for epoch in range(1, cfg.epochs + 1):
             perm = perm_rng.permutation(train.n)
             sel_total = 0
@@ -140,7 +119,7 @@ def _run(train, test, cfg, model, il_values_fn, il_after_step) -> RunRecord:
                 tie_seed = int(tie_rng.integers(0, 2**31 - 1))
                 logits = forward(model, x, mode="eval", bn_stat_source="batch" if model.batchnorm else "running")
                 losses = cross_entropy(logits, y)
-                k = _chunk_select_count(chunk.size, cfg)
+                k = chunk_select_count(chunk.size, cfg.n_b, cfg.n_B)
                 scored = score_and_select(
                     cfg.policy, model, x, y, ids, losses, il_values_fn, k, tie_seed, policy_rng
                 )
@@ -188,9 +167,6 @@ def _run(train, test, cfg, model, il_values_fn, il_after_step) -> RunRecord:
         raise NonFiniteLogitsError(
             f"policy {cfg.policy.kind} seed {cfg.seed} epoch {epoch} step {step}: {exc}"
         ) from exc
-    finally:
-        if dump is not None:
-            dump.close()
     return record
 
 
@@ -200,11 +176,14 @@ def run_training(
     il_table: IrreducibleLossTable | None,
     cfg: RunConfig,
     model: MlpModel,
+    score_dump: TextIO | None = None,
 ) -> RunRecord:
     """Frozen-table mode: irreducible losses are looked up, never recomputed.
 
     The table must cover every training id when the policy consumes it; the
     table is read-only for the whole run. The model is trained in place.
+    score_dump, an open text stream, receives every candidate's score as
+    step,id,score,selected rows under a column header; the caller owns it.
     """
     if cfg.policy.needs_il:
         if il_table is None:
@@ -216,7 +195,7 @@ def run_training(
     def il_values(ids, x, labels):
         return il_table.lookup(ids)
 
-    return _run(train, test, cfg, model, il_values, lambda x, y: None)
+    return _run(train, test, cfg, model, il_values, lambda x, y: None, score_dump)
 
 
 def run_original_selection(
@@ -225,12 +204,14 @@ def run_original_selection(
     il_model: MlpModel,
     cfg: RunConfig,
     model: MlpModel,
+    score_dump: TextIO | None = None,
 ) -> RunRecord:
     """Live-model mode: the irreducible loss is recomputed each step from an
     IL model that takes one scaled-lr gradient step on every acquired batch.
 
     With il_lr_scale=0 the IL model's parameters never move, so the selected
     sets coincide step-for-step with frozen-table mode under shared seeds.
+    score_dump is as in run_training.
     """
     il_opt = make_optimizer(cfg.optimizer_kind, cfg.learning_rate, weight_decay=cfg.weight_decay)
 
@@ -240,4 +221,4 @@ def run_original_selection(
     def after_step(x, labels):
         update_il_model(il_model, il_opt, x, labels, lr_scale=cfg.il_lr_scale)
 
-    return _run(train, test, cfg, model, il_values, after_step)
+    return _run(train, test, cfg, model, il_values, after_step, score_dump)

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s`. The experiment bundles are
 built once per session and shared between the criteria that reuse the same
 runs (the noisy task feeds criteria 7, 8, 10, 11, 12).
 """
+import copy
 import math
 import time
 
@@ -353,7 +354,7 @@ def test_criterion_14_live_il_update_ablation():
     m1 = nn.init_mlp((32, 32, 10), seed=3001)
     frozen = run_training(pool, test, table, RunConfig(policy=SelectionPolicy(kind="rho-loss"), **kw_exact), m1)
     live = run_original_selection(
-        pool, test, nn.clone_model(il_model),
+        pool, test, copy.deepcopy(il_model),
         RunConfig(policy=SelectionPolicy(kind="rho-loss"), il_update_mode="original", il_lr_scale=0.0, **kw_exact),
         nn.init_mlp((32, 32, 10), seed=3001),  # same init as the frozen run
     )
@@ -365,11 +366,11 @@ def test_criterion_14_live_il_update_ablation():
     diffs = []
     for seed in SEEDS:
         m_frozen = nn.init_mlp((32, 32, 10), seed=2000 + seed)
-        m_live = nn.clone_model(m_frozen)
+        m_live = copy.deepcopy(m_frozen)
         kw = dict(n_b=6, n_B=60, epochs=60, seed=seed, optimizer_kind="sgd", learning_rate=0.1, weight_decay=0.0)
         rec_f = run_training(pool, test, table, RunConfig(policy=SelectionPolicy(kind="rho-loss"), **kw), m_frozen)
         rec_l = run_original_selection(
-            pool, test, nn.clone_model(il_model),
+            pool, test, copy.deepcopy(il_model),
             RunConfig(policy=SelectionPolicy(kind="rho-loss"), il_update_mode="original", il_lr_scale=0.01, **kw),
             m_live,
         )

@@ -385,7 +385,7 @@ def test_validation_failure_exits_nonzero(tmp_path):
     # run before prepare: setup error, no partial output
     cfg_ok = write_config(tmp_path, name="ok.yaml")
     assert main(["run", "--config", str(cfg_ok), "--out", str(tmp_path / "fresh")]) == 1
-    assert not (tmp_path / "fresh" / "runs").exists() or not list((tmp_path / "fresh" / "runs").glob("*.csv"))
+    assert not (tmp_path / "fresh").exists()
 
 
 def test_svp_policy_runs_via_offline_filter(tmp_path):

@@ -1,12 +1,16 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rholoss import data, nn
 from rholoss.ilmodel import (
     CheckpointLog,
+    IrreducibleLossTable,
     compute_il_table,
     compute_il_table_two_halves,
-    il_table_path,
     load_il_table,
     save_il_table,
     train_il_model,
@@ -150,7 +154,7 @@ def test_update_il_model_zero_scale_is_identity():
 def test_update_il_model_single_step_matches_manual():
     pool, holdout = small_task()
     model, _ = train_il_model(holdout, validation=pool, hidden=(16,), epochs=2, seed=8)
-    twin = nn.clone_model(model)
+    twin = copy.deepcopy(model)
     opt_a = make_optimizer("sgd", 1e-2)
     opt_b = make_optimizer("sgd", 1e-2 * 0.5)
     x, y = pool.features[:8], pool.labels[:8]
@@ -196,6 +200,18 @@ def test_il_table_csv_roundtrip_and_provenance(tmp_path):
         load_il_table(path)
 
 
-def test_il_table_path_keyed_by_dataset_and_model():
-    p = il_table_path("/tmp/x", "a" * 64, "b" * 16)
-    assert "a" * 12 in p and "b" * 12 in p
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.dictionaries(
+        st.integers(-(2**62), 2**62), st.floats(allow_nan=False, allow_infinity=False), max_size=30
+    ),
+    scheme=st.sampled_from(["holdout", "two-halves"]),
+)
+def test_il_table_roundtrips_any_ids_and_values(tmp_path_factory, values, scheme):
+    path = tmp_path_factory.mktemp("table") / "table.csv"
+    table = IrreducibleLossTable(values=values, scheme=scheme)
+    save_il_table(table, path)
+    back = load_il_table(path)
+    assert back.values == values
+    assert back.scheme == scheme
+    assert back.content_hash() == table.content_hash()

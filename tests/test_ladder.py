@@ -6,6 +6,7 @@ from rholoss.ladder import (
     REFERENCE_RANK_CORRELATION,
     RUNG_NAMES,
     LadderConfig,
+    _update,
     run_ladder,
     train_to_convergence,
 )
@@ -61,9 +62,10 @@ def test_train_to_convergence_stops_on_plateau():
 def test_train_to_convergence_ensemble_members_trained():
     x, y = toy_xy()
     ens = nn.make_ensemble((4, 8, 3), 3, seed=5)
-    opts = [make_optimizer("adamw", 1e-3) for _ in range(3)]
+    members = [(m, make_optimizer("adamw", 1e-3)) for m in ens.members]
     before = [m.weights[0].copy() for m in ens.members]
-    train_to_convergence(ens, x, y, opts, 2, rng=np.random.default_rng(2))
+    cfg = LadderConfig(convergence_epochs=2)
+    _update(members, "converged", x, y, x[:4], y[:4], cfg, np.random.default_rng(2))
     for b, m in zip(before, ens.members):
         assert not np.array_equal(b, m.weights[0])
 

@@ -12,10 +12,8 @@ from rholoss.selection import (
     entropy,
     sample_grad_norm_is,
     score_al,
+    score_candidates,
     score_grad_norm,
-    score_neg_il,
-    score_rho_loss,
-    score_train_loss,
     select_top_k,
     svp_offline_select,
 )
@@ -27,34 +25,41 @@ def table_from(ids, values):
     return IrreducibleLossTable(values={int(i): float(v) for i, v in zip(ids, values)})
 
 
+def score_from_table(kind, losses, ids, table):
+    """A loss-based policy's scores with irreducible losses looked up in table."""
+    return score_candidates(
+        SelectionPolicy(kind=kind), None, None, None, ids, losses, lambda ids, x, y: table.lookup(ids), None
+    )
+
+
 # ---------------------------------------------------------------- scoring
 
 
 def test_rho_loss_zero_when_loss_equals_il():
     t = table_from([1, 2, 3], [0.5, 1.0, 2.0])
-    scores = score_rho_loss([0.5, 1.0, 2.0], [1, 2, 3], t)
+    scores = score_from_table("rho-loss", [0.5, 1.0, 2.0], [1, 2, 3], t)
     assert np.allclose(scores, 0.0)
 
 
 def test_rho_loss_hand_case_ranks_second_first():
     t = table_from([10, 11], [1.9, 0.1])
-    scores = score_rho_loss([2.0, 0.5], [10, 11], t)
+    scores = score_from_table("rho-loss", [2.0, 0.5], [10, 11], t)
     assert np.allclose(scores, [0.1, 0.4])
     assert np.argmax(scores) == 1
 
 
 def test_rho_loss_noisy_below_clean():
     t = table_from([0, 1], [2.3, 0.1])
-    noisy, clean = score_rho_loss([2.3, 1.0], [0, 1], t)
+    noisy, clean = score_from_table("rho-loss", [2.3, 1.0], [0, 1], t)
     assert noisy < clean
 
 
 def test_rho_loss_can_go_negative_and_shift_invariance():
     t = table_from([0, 1, 2], [1.0, 3.0, 0.2])
     losses = np.array([0.5, 1.0, 0.9])
-    scores = score_rho_loss(losses, [0, 1, 2], t)
+    scores = score_from_table("rho-loss", losses, [0, 1, 2], t)
     assert scores.min() < 0  # no clamping anywhere
-    shifted = score_rho_loss(losses + 5.0, [0, 1, 2], t)
+    shifted = score_from_table("rho-loss", losses + 5.0, [0, 1, 2], t)
     assert np.allclose(shifted, scores + 5.0)
     assert np.array_equal(np.argsort(shifted), np.argsort(scores))
 
@@ -62,17 +67,17 @@ def test_rho_loss_can_go_negative_and_shift_invariance():
 def test_rho_loss_missing_id_raises():
     t = table_from([0], [1.0])
     with pytest.raises(KeyError):
-        score_rho_loss([0.5, 0.5], [0, 99], t)
+        score_from_table("rho-loss", [0.5, 0.5], [0, 99], t)
 
 
 def test_train_loss_identity():
-    assert np.array_equal(score_train_loss([3.0, 1.0, 2.0]), [3.0, 1.0, 2.0])
-    assert np.array_equal(score_train_loss([1.0, 1.0]), [1.0, 1.0])
+    assert np.array_equal(score_from_table("train-loss", [3.0, 1.0, 2.0], [0, 1, 2], None), [3.0, 1.0, 2.0])
+    assert np.array_equal(score_from_table("train-loss", [1.0, 1.0], [0, 1], None), [1.0, 1.0])
 
 
 def test_neg_il_reverses_table_order():
     t = table_from([5, 6, 7], [0.1, 2.0, 1.0])
-    scores = score_neg_il([5, 6, 7], t)
+    scores = score_from_table("neg-il", None, [5, 6, 7], t)
     assert np.array_equal(scores, [-0.1, -2.0, -1.0])
     assert np.array_equal(np.argsort(scores), np.argsort([0.1, 2.0, 1.0])[::-1])
 
@@ -341,6 +346,6 @@ def test_rho_loss_redundant_point_never_beats_positive_candidate():
     # a learnt point (train loss ~0) scores <= 0, so it never outranks any
     # candidate with positive reducible loss
     t = table_from([0, 1], [0.8, 1.5])
-    redundant, informative = score_rho_loss([1e-9, 2.0], [0, 1], t)
+    redundant, informative = score_from_table("rho-loss", [1e-9, 2.0], [0, 1], t)
     assert redundant <= 0.0
     assert informative > 0.0 > redundant

@@ -1,5 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rholoss import data, nn
 from rholoss.ilmodel import compute_il_table, train_il_model
@@ -65,6 +69,21 @@ def test_evaluate_loss_matches_oracle():
     _, loss = evaluate(model, ds, batch_size=16)
     per = [float(nn.cross_entropy(nn.forward(model, ds.features[i : i + 1]), [ds.labels[i]])[0]) for i in range(ds.n)]
     assert loss == pytest.approx(np.mean(per), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**16), extra=st.integers(0, 45))
+def test_evaluate_any_batch_size_matches_per_example_oracle(n, seed, extra):
+    rng = np.random.default_rng(seed)
+    ds = data.make_dataset(rng.normal(size=(n, 4)), rng.integers(0, 3, n), 3)
+    model = nn.init_mlp((4, 8, 3), seed=seed)
+    batch_size = 1 + extra % (n + 5)
+    acc, loss = evaluate(model, ds, batch_size=batch_size)
+    rows = [nn.forward(model, ds.features[i : i + 1]) for i in range(n)]
+    correct = sum(int(np.argmax(r[0]) == ds.labels[i]) for i, r in enumerate(rows))
+    per = [float(nn.cross_entropy(r, [ds.labels[i]])[0]) for i, r in enumerate(rows)]
+    assert acc == correct / n
+    assert abs(loss - np.mean(per)) <= 1e-12
 
 
 # ---------------------------------------------------------------- composition metrics
@@ -149,7 +168,7 @@ def test_uniform_full_batch_matches_plain_training():
     pool, _, test = make_task()
     cfg = quick_cfg(n_b=10, n_B=10, epochs=2, seed=9)
     model = nn.init_mlp((pool.dim, 8, pool.num_classes), seed=11)
-    twin = nn.clone_model(model)
+    twin = copy.deepcopy(model)
     record = run_training(pool, test, None, cfg, model)
 
     # plain shuffled minibatch training, reusing the documented stream layout
@@ -286,9 +305,9 @@ def test_original_mode_zero_scale_matches_frozen_exactly():
         learning_rate=1e-3, il_update_mode="original", il_lr_scale=0.0,
     )
     m1 = nn.init_mlp((pool.dim, 8, pool.num_classes), seed=11)
-    m2 = nn.clone_model(m1)
+    m2 = copy.deepcopy(m1)
     frozen = run_training(pool, test, table, cfg_frozen, m1)
-    live = run_original_selection(pool, test, nn.clone_model(il_model), cfg_live, m2)
+    live = run_original_selection(pool, test, copy.deepcopy(il_model), cfg_live, m2)
     for a, b in zip(frozen.steps, live.steps):
         assert a.selected_ids == b.selected_ids
 
@@ -301,8 +320,8 @@ def test_original_mode_scores_match_live_loss_oracle():
         learning_rate=0.0, il_update_mode="original", il_lr_scale=0.0,
     )
     model = nn.init_mlp((pool.dim, 8, pool.num_classes), seed=13)
-    snapshot = nn.clone_model(model)
-    record = run_original_selection(pool, test, nn.clone_model(il_model), cfg, model)
+    snapshot = copy.deepcopy(model)
+    record = run_original_selection(pool, test, copy.deepcopy(il_model), cfg, model)
     # lr=0 and lr_scale=0: every step scores with the initial parameters
     row = record.steps[0]
     idx = [int(np.flatnonzero(pool.ids == i)[0]) for i in row.selected_ids]
@@ -321,10 +340,10 @@ def test_original_mode_diverges_from_frozen_over_time():
     table = compute_il_table(il_model, pool)
     kw = dict(n_b=8, n_B=40, epochs=8, seed=27, learning_rate=2e-3)
     m1 = nn.init_mlp((pool.dim, 16, pool.num_classes), seed=15)
-    m2 = nn.clone_model(m1)
+    m2 = copy.deepcopy(m1)
     frozen = run_training(pool, test, table, RunConfig(policy=SelectionPolicy(kind="rho-loss"), **kw), m1)
     live = run_original_selection(
-        pool, test, nn.clone_model(il_model),
+        pool, test, copy.deepcopy(il_model),
         RunConfig(policy=SelectionPolicy(kind="rho-loss"), il_update_mode="original", il_lr_scale=0.5, **kw),
         m2,
     )
@@ -362,12 +381,10 @@ def test_score_dump_csv(tmp_path):
     il_model, _ = train_il_model(holdout, validation=pool, hidden=(8,), epochs=2, seed=4)
     table = compute_il_table(il_model, pool)
     dump_path = tmp_path / "scores.csv"
-    cfg = RunConfig(
-        policy=SelectionPolicy(kind="rho-loss"), n_b=4, n_B=20, epochs=1, seed=3,
-        score_dump_path=str(dump_path),
-    )
+    cfg = RunConfig(policy=SelectionPolicy(kind="rho-loss"), n_b=4, n_B=20, epochs=1, seed=3)
     model = nn.init_mlp((pool.dim, 8, pool.num_classes), seed=5)
-    record = run_training(pool, test, table, cfg, model)
+    with open(dump_path, "w") as dump:
+        record = run_training(pool, test, table, cfg, model, score_dump=dump)
     lines = dump_path.read_text().splitlines()
     assert lines[0] == "step,id,score,selected"
     rows = [line.split(",") for line in lines[1:]]
@@ -386,11 +403,12 @@ def test_score_dump_csv(tmp_path):
 def test_divergence_names_the_step_and_closes_the_dump(tmp_path):
     pool, _, test = make_task()
     dump_path = tmp_path / "scores.csv"
-    cfg = quick_cfg("uniform", optimizer_kind="sgd", learning_rate=1e300, score_dump_path=str(dump_path))
+    cfg = quick_cfg("uniform", optimizer_kind="sgd", learning_rate=1e300)
     model = nn.init_mlp((pool.dim, 8, pool.num_classes), seed=5)
-    with pytest.raises(nn.NonFiniteLogitsError, match=r"policy uniform seed 3 epoch 1 step 1: .*non-finite logits"):
-        run_training(pool, test, None, cfg, model)
-    # step 0's rows are on disk only if the file was closed on the way out
+    with open(dump_path, "w") as dump:
+        with pytest.raises(nn.NonFiniteLogitsError, match=r"policy uniform seed 3 epoch 1 step 1: .*non-finite logits"):
+            run_training(pool, test, None, cfg, model, score_dump=dump)
+    # step 0's rows reach the stream before the step that diverges
     lines = dump_path.read_text().splitlines()
     assert lines[0] == "step,id,score,selected"
     assert len(lines) == 1 + 20 and all(line.startswith("0,") for line in lines[1:])
