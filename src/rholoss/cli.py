@@ -154,8 +154,9 @@ def cmd_prepare(cfg: ExperimentConfig, out: Path) -> int:
 
 def _load_prepared(out: Path, cfg: ExperimentConfig, names: tuple[str, ...]) -> list:
     """Check the manifest against the config, then load the named splits
-    ("train", "holdout", "test"), in that order. A split the manifest does not
-    list (holdout under the two-halves scheme) comes back as None."""
+    ("train", "holdout", "test"), in that order, and check each against the
+    manifest's content hash. A split the manifest does not list (holdout
+    under the two-halves scheme) comes back as None."""
     ddir = out / "dataset"
     manifest_path = ddir / "manifest.json"
     if not manifest_path.exists():
@@ -164,7 +165,16 @@ def _load_prepared(out: Path, cfg: ExperimentConfig, names: tuple[str, ...]) -> 
         manifest = json.load(f)
     if manifest["dataset_config_hash"] != dataset_config_hash(cfg):
         raise CliError("prepared dataset was built from a different dataset config (hash mismatch); re-run prepare")
-    return [datamod.load_dataset_csv(ddir / f"{name}.csv") if name in manifest["files"] else None for name in names]
+    splits = []
+    for name in names:
+        if name not in manifest["files"]:
+            splits.append(None)
+            continue
+        ds = datamod.load_dataset_csv(ddir / f"{name}.csv")
+        if datamod.dataset_hash(ds) != manifest["files"][name]["sha256"]:
+            raise CliError(f"prepared {name} split does not match its manifest hash (file changed); re-run prepare")
+        splits.append(ds)
+    return splits
 
 
 def _save_checkpoint_log(log, path, chash: str, seed: int) -> None:
@@ -312,7 +322,7 @@ def _aggregate_epochs(values: list[int | None]) -> str:
 
 
 def cmd_report(cfg: ExperimentConfig, out: Path, records_glob: str | None = None) -> int:
-    pattern = records_glob or str(out / "runs" / "*.csv")
+    pattern = records_glob or str(out / "runs" / "record_*.csv")
     paths = sorted(globlib.glob(pattern))
     if not paths:
         raise CliError(f"no run records match {pattern!r}")
@@ -490,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("run", "sweep"):
             p.add_argument("--resume", action="store_true", help="skip runs whose record file already exists")
         if name == "report":
-            p.add_argument("--records", default=None, help="glob of run-record files (default: <out>/runs/*.csv)")
+            p.add_argument("--records", default=None, help="glob of run-record files (default: <out>/runs/record_*.csv)")
     return parser
 
 

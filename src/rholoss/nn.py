@@ -29,7 +29,7 @@ def _as_batch(x, width: int, name: str = "x") -> Array:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != width:
         raise ValueError(f"{name} must be 2-D with {width} columns, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{name} contains non-finite values")
     return x
 
@@ -235,7 +235,7 @@ def _forward_cache(model, x, mode, bn_stat_source, rng, update_running):
                 layer["mask"] = mask
         cache.append(layer)
         a = h
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteLogitsError("forward pass produced non-finite logits")
     return a, cache
 
@@ -281,6 +281,13 @@ def evaluate(model: MlpModel, test, batch_size: int = 1024) -> tuple[float, floa
     return correct / test.n, float(cross_entropy(logits, test.labels).mean())
 
 
+def _weight_grad(a_in: Array, d: Array) -> Array:
+    """a_in.T @ d. For one row this is the outer product, one rounded product
+    per element as in the K=1 GEMM (which differs only in giving +0 where the
+    product is -0), without the GEMM call's overhead."""
+    return a_in.T * d if a_in.shape[0] == 1 else a_in.T @ d
+
+
 def backward(
     model: MlpModel,
     x,
@@ -322,7 +329,7 @@ def backward(
                 d, dg, db = _bn_backward(model.batchnorm[l], layer["bn"], d)
                 grads[f"bn{l}_gamma"] = dg
                 grads[f"bn{l}_beta"] = db
-        grads[f"w{l}"] = layer["a_in"].T @ d
+        grads[f"w{l}"] = _weight_grad(layer["a_in"], d)
         grads[f"b{l}"] = d.sum(axis=0)
         if l > 0:
             d = d @ model.weights[l].T

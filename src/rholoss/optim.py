@@ -1,7 +1,15 @@
-"""SGD and AdamW (decoupled weight decay) over named parameter dicts."""
+"""SGD and AdamW (decoupled weight decay) over named parameter dicts.
+
+One step gathers the gradients and the parameters, in `nn.parameters` order,
+into one flat vector each, updates the parameter vector with whole-vector
+ufuncs, and copies it back into the parameter arrays. Every element goes
+through the same operations in the same order as a per-parameter update, so
+the result does not depend on how the parameters are split into arrays.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -9,18 +17,46 @@ from .nn import MlpModel, backward, parameters
 
 OPTIMIZER_KINDS = ("sgd", "adamw")
 
+Layout = tuple[tuple[str, tuple[int, ...]], ...]
+
+
+def _views(flat: np.ndarray, layout: Layout) -> dict[str, np.ndarray]:
+    """Name-keyed views of a flat vector, each shaped like its parameter."""
+    views, start = {}, 0
+    for name, shape in layout:
+        stop = start + math.prod(shape)
+        views[name] = flat[start:stop].reshape(shape)
+        start = stop
+    return views
+
 
 @dataclass
 class OptimizerState:
+    """Hyperparameters, step count and, for AdamW, the moment vectors.
+
+    The moments are flat vectors over the parameter layout (names and shapes,
+    in `nn.parameters` order) they were built for; exp_avg and exp_avg_sq
+    give them back keyed by parameter name.
+    """
+
     kind: str
     learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.0
-    exp_avg: dict[str, np.ndarray] = field(default_factory=dict)
-    exp_avg_sq: dict[str, np.ndarray] = field(default_factory=dict)
     step_count: int = 0
+    layout: Layout | None = None
+    flat_exp_avg: np.ndarray | None = None
+    flat_exp_avg_sq: np.ndarray | None = None
+
+    @property
+    def exp_avg(self) -> dict[str, np.ndarray]:
+        return {} if self.flat_exp_avg is None else _views(self.flat_exp_avg, self.layout)
+
+    @property
+    def exp_avg_sq(self) -> dict[str, np.ndarray]:
+        return {} if self.flat_exp_avg_sq is None else _views(self.flat_exp_avg_sq, self.layout)
 
 
 def make_optimizer(
@@ -43,7 +79,8 @@ def optimizer_step(state: OptimizerState, model: MlpModel, grads: dict[str, np.n
 
     SGD is the bare rule p <- p - lr * g. AdamW applies decoupled weight decay
     p <- p - lr * wd * p independently of the bias-corrected adaptive term.
-    Moment buffers are allocated lazily, keyed and shape-checked per parameter.
+    Moment vectors are allocated lazily on the first step; a later step on a
+    different parameter layout raises ValueError.
     """
     params = parameters(model)
     for name, p in params.items():
@@ -52,30 +89,51 @@ def optimizer_step(state: OptimizerState, model: MlpModel, grads: dict[str, np.n
         g = grads[name]
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter {name!r} shape {p.shape}")
-    if state.kind == "sgd":
-        for name, p in params.items():
-            p -= state.learning_rate * grads[name]
-        state.step_count += 1
-        return model, state
-
+    if state.kind == "adamw":
+        layout = tuple((name, p.shape) for name, p in params.items())
+        if state.layout is not None and layout != state.layout:
+            raise ValueError(f"parameter layout {layout} differs from the one the moments were built for {state.layout}")
+    p = np.concatenate([q.ravel() for q in params.values()])
+    g = np.concatenate([grads[name].ravel() for name in params])
+    s = np.empty_like(p)  # scratch; g becomes the second scratch once the moments are updated
+    lr = state.learning_rate
     state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    for name, p in params.items():
-        g = grads[name]
-        if name not in state.exp_avg:
-            state.exp_avg[name] = np.zeros_like(p)
-            state.exp_avg_sq[name] = np.zeros_like(p)
-        m = state.exp_avg[name]
-        v = state.exp_avg_sq[name]
+    if state.kind == "sgd":
+        np.multiply(g, lr, out=s)
+        p -= s
+    else:
+        if state.layout is None:
+            state.layout = layout
+            state.flat_exp_avg = np.zeros_like(p)
+            state.flat_exp_avg_sq = np.zeros_like(p)
+        m, v = state.flat_exp_avg, state.flat_exp_avg_sq
+        t = state.step_count
+        bc1 = 1.0 - state.beta1**t
+        bc2 = 1.0 - state.beta2**t
+        # m <- b1*m + (1-b1)*g;  v <- b2*v + ((1-b2)*g)*g
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        np.multiply(g, 1.0 - state.beta1, out=s)
+        m += s
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        if state.weight_decay != 0.0:
-            p -= state.learning_rate * state.weight_decay * p
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        np.multiply(g, 1.0 - state.beta2, out=s)
+        s *= g
+        v += s
+        if state.weight_decay != 0.0:  # at 0, p - 0*p would turn a -0 parameter into +0
+            np.multiply(p, lr * state.weight_decay, out=s)
+            p -= s
+        # p <- p - (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
+        np.divide(m, bc1, out=s)
+        s *= lr
+        np.divide(v, bc2, out=g)
+        np.sqrt(g, out=g)
+        g += state.eps
+        s /= g
+        p -= s
+    start = 0
+    for q in params.values():
+        stop = start + q.size
+        q[...] = p[start:stop].reshape(q.shape)
+        start = stop
     return model, state
 
 

@@ -149,7 +149,12 @@ def sample_grad_norm_is(scores, n_b: int, seed_or_rng, temperature: float = 1.0)
         chosen.append(pick)
         remaining[pick] = 0.0
     idx = np.sort(np.asarray(chosen, dtype=np.int64))
-    w = 1.0 / p[idx]
+    with np.errstate(over="ignore"):
+        w = 1.0 / p[idx]
+        if not np.isfinite(w.sum()):
+            # Probabilities spanning more than the float range overflow 1/p;
+            # scaling by the smallest one keeps every relative weight in (0, 1].
+            w = p[idx].min() / p[idx]
     w *= n_b / w.sum()
     return idx, w
 

@@ -9,11 +9,12 @@ gradient step, in eval mode (dropout off) with batch statistics taken over
 the candidate chunk when batch normalization is on; the training step then
 recomputes statistics over the selected batch only.
 
-Randomness is split into four independent streams spawned from the run seed,
+Randomness is split into five independent streams spawned from the run seed,
 in this order: epoch permutations, tie-breaks, policy-internal draws
-(importance sampling, Monte-Carlo dropout), dropout masks. The streams are
-consumed identically by every policy, so runs with the same seed share the
-candidate schedule.
+(importance sampling, Monte-Carlo dropout), dropout masks, and the live IL
+model's dropout masks (original mode only). The streams are consumed
+identically by every policy, so runs with the same seed share the candidate
+schedule.
 """
 from __future__ import annotations
 
@@ -93,11 +94,12 @@ def _run(train, test, cfg, model, il_values_fn, il_after_step, dump) -> RunRecor
         raise ValueError("training set is empty")
     if cfg.policy.kind in ("svp-entropy",):
         raise ValueError("offline policies pre-filter the pool; run them as uniform on the filtered subset")
-    streams = np.random.SeedSequence(cfg.seed).spawn(4)
+    streams = np.random.SeedSequence(cfg.seed).spawn(5)
     perm_rng = np.random.default_rng(streams[0])
     tie_rng = np.random.default_rng(streams[1])
     policy_rng = np.random.default_rng(streams[2])
     dropout_rng = np.random.default_rng(streams[3])
+    il_rng = np.random.default_rng(streams[4])
     opt = make_optimizer(cfg.optimizer_kind, cfg.learning_rate, weight_decay=cfg.weight_decay)
     record = RunRecord(policy=cfg.policy.kind, seed=cfg.seed)
     step = 0
@@ -140,7 +142,7 @@ def _run(train, test, cfg, model, il_values_fn, il_after_step, dump) -> RunRecor
                     sample_weights=scored.weights,
                 )
                 optimizer_step(opt, model, grads)
-                il_after_step(x[sel], y[sel])
+                il_after_step(x[sel], y[sel], il_rng)
                 if dump is not None:
                     picked = set(sel.tolist())
                     for j, ex_id in enumerate(ids):
@@ -195,7 +197,7 @@ def run_training(
     def il_values(ids, x, labels):
         return il_table.lookup(ids)
 
-    return _run(train, test, cfg, model, il_values, lambda x, y: None, score_dump)
+    return _run(train, test, cfg, model, il_values, lambda x, y, rng: None, score_dump)
 
 
 def run_original_selection(
@@ -218,7 +220,7 @@ def run_original_selection(
     def il_values(ids, x, labels):
         return cross_entropy(forward(il_model, x), labels)
 
-    def after_step(x, labels):
-        update_il_model(il_model, il_opt, x, labels, lr_scale=cfg.il_lr_scale)
+    def after_step(x, labels, rng):
+        update_il_model(il_model, il_opt, x, labels, lr_scale=cfg.il_lr_scale, rng=rng)
 
     return _run(train, test, cfg, model, il_values, after_step, score_dump)

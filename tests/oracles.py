@@ -126,3 +126,45 @@ def sequential_is_draws(scores, n_b, rng, temperature=1.0):
     idx = np.sort(np.array(chosen, dtype=np.int64))
     w = 1.0 / p[idx]
     return idx, w * (n_b / w.sum())
+
+
+class LoopOptimizer:
+    """SGD/AdamW as one update per parameter array, with moment buffers keyed
+    by parameter name: the per-parameter loop the fused flat step replaced."""
+
+    def __init__(self, kind, learning_rate, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.kind = kind
+        self.learning_rate = learning_rate
+        self.weight_decay = weight_decay
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.exp_avg: dict = {}
+        self.exp_avg_sq: dict = {}
+        self.step_count = 0
+
+    def step(self, model, grads):
+        params = nn.parameters(model)
+        if self.kind == "sgd":
+            for name, p in params.items():
+                p -= self.learning_rate * grads[name]
+            self.step_count += 1
+            return
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - self.beta1**t
+        bc2 = 1.0 - self.beta2**t
+        for name, p in params.items():
+            g = grads[name]
+            if name not in self.exp_avg:
+                self.exp_avg[name] = np.zeros_like(p)
+                self.exp_avg_sq[name] = np.zeros_like(p)
+            m = self.exp_avg[name]
+            v = self.exp_avg_sq[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            if self.weight_decay != 0.0:
+                p -= self.learning_rate * self.weight_decay * p
+            p -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)

@@ -183,6 +183,20 @@ def test_prepare_writes_dataset_and_manifest(prepared):
     assert "config_hash=" in header
 
 
+def test_run_refuses_a_changed_dataset_cache(prepared, capsys):
+    cfg_path, out = prepared
+    train_csv = out / "dataset" / "train.csv"
+    lines = train_csv.read_text().splitlines(keepends=True)
+    row = lines[2].rstrip("\n").split(",")
+    row[-1] = repr(float(row[-1]) + 0.5)
+    lines[2] = ",".join(row) + "\n"
+    train_csv.write_text("".join(lines))
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "train" in err and "re-run prepare" in err
+    assert not (out / "runs").exists()
+
+
 def test_prepare_is_idempotent(prepared):
     cfg_path, out = prepared
     before = json.loads((out / "dataset" / "manifest.json").read_text())
@@ -419,6 +433,8 @@ def test_dump_scores_via_cli_carries_provenance(tmp_path):
     assert len(lines) - 2 == len(rec.steps) * 0 + sum(
         min(cfg.run.n_B, train.n - s) for s in range(0, train.n, cfg.run.n_B)
     ) * cfg.run.epochs
+    # report's default glob reads the run records and skips the score dump
+    assert main(["report", "--config", str(cfg_path), "--out", str(out)]) == 0
 
 
 def test_stages_load_each_split_they_use_once(tmp_path, monkeypatch):

@@ -1,8 +1,14 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rholoss import nn
 from rholoss.optim import make_optimizer, optimizer_step
+
+from oracles import LoopOptimizer
 
 
 def scalar_model(theta: float) -> nn.MlpModel:
@@ -96,3 +102,65 @@ def test_moment_buffers_track_parameter_shapes():
     for name, p in nn.parameters(model).items():
         assert opt.exp_avg[name].shape == p.shape
         assert opt.exp_avg_sq[name].shape == p.shape
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["sgd", "adamw"]),
+    hidden=st.lists(st.integers(1, 9), min_size=0, max_size=3),
+    batchnorm=st.booleans(),
+    lr=st.floats(0.0, 1.0),
+    beta1=st.floats(0.0, 0.999),
+    beta2=st.floats(0.0, 0.9999),
+    weight_decay=st.sampled_from([0.0, 1e-4, 0.01, 0.5]),
+    steps=st.integers(1, 20),
+    seed=st.integers(0, 2**16),
+)
+def test_fused_step_matches_per_parameter_loop_bitwise(kind, hidden, batchnorm, lr, beta1, beta2, weight_decay, steps, seed):
+    rng = np.random.default_rng(seed)
+    sizes = (int(rng.integers(1, 6)), *hidden, int(rng.integers(1, 5)))
+    model = nn.init_mlp(sizes, seed=seed, batchnorm=batchnorm and len(hidden) > 0)
+    twin = copy.deepcopy(model)
+    opt = make_optimizer(kind, lr, weight_decay=weight_decay, beta1=beta1, beta2=beta2)
+    loop = LoopOptimizer(kind, lr, weight_decay=weight_decay, beta1=beta1, beta2=beta2)
+    for _ in range(steps):
+        grads = {}
+        for name, p in nn.parameters(model).items():
+            g = rng.standard_normal(p.shape) * 10.0 ** rng.integers(-8, 4, size=p.shape)
+            g[rng.random(p.shape) < 0.2] = 0.0
+            grads[name] = g
+        optimizer_step(opt, model, grads)
+        loop.step(twin, grads)
+    assert opt.step_count == loop.step_count == steps
+    for name, p in nn.parameters(model).items():
+        assert np.array_equal(p, nn.parameters(twin)[name])
+        if kind == "adamw":
+            assert np.array_equal(opt.exp_avg[name], loop.exp_avg[name])
+            assert np.array_equal(opt.exp_avg_sq[name], loop.exp_avg_sq[name])
+
+
+def test_moments_survive_deepcopy_as_name_keyed_views():
+    model = nn.init_mlp((3, 4, 2), seed=1, batchnorm=True)
+    opt = make_optimizer("adamw", 1e-3, weight_decay=0.01)
+    x, y = np.random.default_rng(0).standard_normal((5, 3)), [0, 1, 0, 1, 1]
+    optimizer_step(opt, model, nn.backward(model, x, y))
+    model2, opt2 = copy.deepcopy((model, opt))
+    for m, o in ((model, opt), (model2, opt2)):
+        optimizer_step(o, m, nn.backward(m, x, y))
+    for name, p in nn.parameters(model).items():
+        assert np.array_equal(p, nn.parameters(model2)[name])
+        assert np.array_equal(opt.exp_avg[name], opt2.exp_avg[name])
+        assert np.shares_memory(opt2.exp_avg[name], opt2.flat_exp_avg)
+        assert not np.shares_memory(opt2.exp_avg[name], opt.flat_exp_avg)
+
+
+def test_adamw_rejects_a_layout_other_than_its_moments():
+    opt = make_optimizer("adamw", 1e-3)
+    model = nn.init_mlp((3, 4, 2), seed=1)
+    optimizer_step(opt, model, nn.backward(model, np.zeros((2, 3)), [0, 1]))
+    before = opt.flat_exp_avg.copy()
+    for other in (nn.init_mlp((3, 5, 2), seed=1), nn.init_mlp((3, 4, 2), seed=1, batchnorm=True)):
+        with pytest.raises(ValueError, match="layout"):
+            optimizer_step(opt, other, nn.backward(other, np.zeros((2, 3)), [0, 1]))
+    assert opt.step_count == 1
+    assert np.array_equal(opt.flat_exp_avg, before)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from rholoss import data, nn
@@ -246,6 +248,24 @@ def test_is_debias_expectation_tracks_candidate_mean_gradient():
         accum += (flat[idx] * w[:, None]).mean(axis=0)
     rel = np.linalg.norm(accum / draws - exact) / np.linalg.norm(exact)
     assert rel < 0.05
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scores=st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+    frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_top_k_and_is_give_distinct_sorted_indices_and_mean_one_weights(scores, frac, seed):
+    n_b = int(round(frac * len(scores)))
+    for idx in (select_top_k(scores, n_b, seed), sample_grad_norm_is(scores, n_b, seed)[0]):
+        assert idx.size == n_b
+        assert np.all(np.diff(idx) > 0)
+        assert n_b == 0 or 0 <= idx[0] <= idx[-1] < len(scores)
+    if n_b:
+        _, w = sample_grad_norm_is(scores, n_b, seed)
+        assert np.all(np.isfinite(w)) and np.all(w >= 0)
+        assert w.mean() == pytest.approx(1.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------- acquisition scores

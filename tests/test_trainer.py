@@ -356,6 +356,24 @@ def test_original_mode_diverges_from_frozen_over_time():
     assert np.mean(sims[:quarter]) > np.mean(sims[-quarter:])
 
 
+def test_original_mode_with_dropout_il_model_is_deterministic():
+    # The live IL model's dropout masks come from a stream of the run seed.
+    pool, holdout, test = make_task(seed=5)
+    il_model, _ = train_il_model(holdout, validation=pool, hidden=(16,), epochs=2, seed=16, dropout_rate=0.2)
+    cfg = RunConfig(
+        policy=SelectionPolicy(kind="rho-loss"), n_b=4, n_B=20, epochs=2, seed=28,
+        learning_rate=1e-3, il_update_mode="original", il_lr_scale=0.5,
+    )
+    model = nn.init_mlp((pool.dim, 8, pool.num_classes), seed=17)
+    runs = []
+    for _ in range(2):
+        live = copy.deepcopy(il_model)
+        runs.append((run_original_selection(pool, test, live, cfg, copy.deepcopy(model)), live))
+    (rec_a, il_a), (rec_b, il_b) = runs
+    assert rec_a == rec_b
+    assert nn.model_id(il_a) == nn.model_id(il_b) != nn.model_id(il_model)
+
+
 # ---------------------------------------------------------------- record CSV round trip
 
 
