@@ -26,13 +26,13 @@ import yaml
 
 from . import data as datamod
 from .config import (
-    DEFAULT_SWEEP_GRID,
     ConfigError,
     ExperimentConfig,
     config_hash,
     dataset_config_hash,
     load_config,
     parse_config,
+    sweep_configs,
 )
 from .ilmodel import (
     _two_halves_parts,
@@ -41,7 +41,7 @@ from .ilmodel import (
     save_il_table,
     train_il_model,
 )
-from .ladder import LadderConfig, run_ladder
+from .ladder import run_ladder
 from .nn import init_mlp, load_model, save_model
 from .records import RunRecord, epochs_to_target, load_run_record, save_run_record
 from .selection import NEEDS_IL, SelectionPolicy, svp_offline_select
@@ -405,21 +405,12 @@ def cmd_ladder(cfg: ExperimentConfig, out: Path) -> int:
     pool, holdout = _load_prepared(out, cfg, ("train", "holdout"))
     if holdout is None:
         raise CliError("the ladder needs a holdout split (il.scheme=holdout)")
-    lad = cfg.ladder
-    ladder_cfg = LadderConfig(
-        n_b=lad.n_b, n_B=lad.n_B, ensemble_size=lad.ensemble_size,
-        convergence_epochs=lad.convergence_epochs, convergence_tol=lad.convergence_tol,
-        il_pretrain_epochs=lad.il_pretrain_epochs, hidden=lad.hidden, small_hidden=lad.small_hidden,
-        batch_size=lad.batch_size, optimizer_kind=lad.optimizer.kind,
-        learning_rate=lad.optimizer.learning_rate, weight_decay=lad.optimizer.weight_decay,
-        seed=lad.seed,
-    )
-    results = run_ladder(pool, holdout, ladder_cfg)
+    results = run_ladder(pool, holdout, cfg.ladder)
     ldir = out / "ladder"
     ldir.mkdir(parents=True, exist_ok=True)
     path = ldir / "ladder.csv"
     with open(path, "w", newline="") as f:
-        f.write(f"# rholoss-ladder v1 config_hash={config_hash(cfg)} seed={lad.seed}\n")
+        f.write(f"# rholoss-ladder v1 config_hash={config_hash(cfg)} seed={cfg.ladder.seed}\n")
         writer = csv.writer(f)
         writer.writerow(["rung", "step", "rho"])
         for name, res in results.items():
@@ -437,37 +428,12 @@ def cmd_ladder(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _sweep_cells(cfg: ExperimentConfig) -> list[dict]:
-    grid = cfg.sweep.grid if cfg.sweep is not None else dict(DEFAULT_SWEEP_GRID)
-    keys = list(grid.keys())
-    cells: list[dict] = [{}]
-    for key in keys:
-        cells = [dict(cell, **{key: value}) for cell in cells for value in grid[key]]
-    return cells
-
-
-def _cell_config(cfg: ExperimentConfig, cell: dict) -> ExperimentConfig:
-    raw = json.loads(json.dumps(cfg.raw))
-    run = raw.setdefault("run", {})
-    ratio = cfg.run.n_b / cfg.run.n_B
-    for key, value in cell.items():
-        if key == "batch_size":  # vary the trained batch, keeping the selection ratio
-            run["n_b"] = int(value)
-            run["n_B"] = max(int(value), int(round(value / ratio)))
-        elif key in ("n_b", "n_B"):
-            run[key] = int(value)
-        else:
-            run.setdefault("optimizer", {})[key] = float(value)
-    return parse_config(raw)
-
-
 def cmd_sweep(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = False) -> int:
     if cfg.run is None:
         raise CliError("config has no run section")
-    cells = _sweep_cells(cfg)
-    print(f"sweeping {len(cells)} cells")
-    for i, cell in enumerate(cells):
-        cell_cfg = _cell_config(cfg, cell)
+    cell_cfgs = sweep_configs(cfg)  # all built, so a bad cell fails before any cell runs
+    print(f"sweeping {len(cell_cfgs)} cells")
+    for i, cell_cfg in enumerate(cell_cfgs):
         cell_out = out / "sweep" / f"cell_{i:03d}"
         cell_out.mkdir(parents=True, exist_ok=True)
         with open(cell_out / "config.yaml", "w") as f:

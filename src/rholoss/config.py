@@ -1,98 +1,60 @@
 """Experiment configuration: a single YAML document, strictly validated.
 
-Unknown keys are rejected everywhere so typos fail loudly. The config hash
-identifies an experiment for provenance headers; it covers every section
-except run.seeds (seeds vary within one experiment) and output_dir.
+The section dataclasses below are the schema. Each field declares its key,
+type, default and allowed values once; `_field` records the allowed interval
+(bounds such as "[0, 1)", applied to each element of a list) and choices in
+the field's metadata. `_section` walks the fields to build a section from its
+mapping: it rejects unknown keys, fills in defaults, converts and checks every
+value, and starts every error with the dotted key. Checks that span keys are
+written out in parse_config, and the sweep grid is parsed by hand.
+
+The config hash identifies an experiment for provenance headers; it covers
+every section except run.seeds (seeds vary within one experiment) and
+output_dir.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import dataclass, field
+
 import yaml
 
 from .optim import OPTIMIZER_KINDS
-from .selection import ALL_KINDS, SelectionPolicy
+from .selection import SelectionPolicy
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _check_keys(d: dict, allowed, path: str) -> None:
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
-
-
-_REQUIRED = object()
-
-# Exponent spellings such as 1e-3 or 2.5E4 are floats in YAML 1.2 but plain
-# strings to PyYAML's YAML 1.1 resolver, which wants a dot and a signed exponent.
-_EXPONENT_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+")
-
-
-def _get(d: dict, key: str, typ, path: str, default=_REQUIRED):
-    if key not in d or d[key] is None:
-        if default is _REQUIRED:
-            raise ConfigError(f"{path}: missing required key {key!r}")
-        return default
-    value = d[key]
-    if typ is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if typ is float and isinstance(value, str) and _EXPONENT_FLOAT.fullmatch(value):
-        value = float(value)
-    if typ is not None and not isinstance(value, typ):
-        raise ConfigError(f"{path}.{key}: expected {getattr(typ, '__name__', typ)}, got {type(value).__name__}")
-    return value
-
-
-def _hidden(d: dict, key: str, path: str, default=(128, 128)) -> tuple[int, ...]:
-    raw = _get(d, key, list, path, default=list(default))
-    if not raw or not all(isinstance(v, int) and v > 0 for v in raw):
-        raise ConfigError(f"{path}.{key}: expected a list of positive ints")
-    return tuple(raw)
-
-
-def _batch_sizes(d: dict, path: str, default: tuple[int, int]) -> tuple[int, int]:
-    """(n_b, n_B): the trained batch is picked from the candidate batch, so it cannot be larger."""
-    n_b = _get(d, "n_b", int, path, default=default[0])
-    n_B = _get(d, "n_B", int, path, default=default[1])
-    if not 1 <= n_b <= n_B:
-        raise ConfigError(f"{path}.n_b: need 1 <= n_b <= n_B, got n_b={n_b}, n_B={n_B}")
-    return n_b, n_B
+def _field(default=dataclasses.MISSING, *, bounds: str | None = None, choices: tuple = (), nonempty: bool = False):
+    """A config key with its default. bounds is an interval such as "[0, 1)"
+    or "(0, inf)"; on a list it bounds each element, and nonempty forbids an
+    empty list."""
+    return field(default=default, metadata={"bounds": bounds, "choices": choices, "nonempty": nonempty})
 
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    kind: str = "adamw"
-    learning_rate: float = 1e-3
-    weight_decay: float = 0.01
-
-
-def _optimizer(d: dict | None, path: str) -> OptimizerSettings:
-    if d is None:
-        return OptimizerSettings()
-    _check_keys(d, ("kind", "learning_rate", "weight_decay"), path)
-    kind = _get(d, "kind", str, path, default="adamw")
-    if kind not in OPTIMIZER_KINDS:
-        raise ConfigError(f"{path}.kind: expected {'|'.join(OPTIMIZER_KINDS)}, got {kind!r}")
-    return OptimizerSettings(
-        kind=kind,
-        learning_rate=_get(d, "learning_rate", float, path, default=1e-3),
-        weight_decay=_get(d, "weight_decay", float, path, default=0.01),
-    )
+    kind: str = _field("adamw", choices=OPTIMIZER_KINDS)
+    learning_rate: float = _field(1e-3, bounds="[0, inf)")
+    weight_decay: float = _field(0.01, bounds="[0, inf)")
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    classes: int = 10
-    per_class: int = 100
-    dim: int = 32
-    spread: float = 1.0
+    classes: int = _field(10, bounds="[2, inf)")
+    per_class: int = _field(100, bounds="[1, inf)")
+    dim: int = _field(32, bounds="[1, inf)")
+    spread: float = _field(1.0, bounds="(0, inf)")
     radius: float = 3.0
-    seed: int = 0
+    seed: int = _field(0, bounds="[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -102,90 +64,102 @@ class IdxSpec:
     test_images: str | None = None
     test_labels: str | None = None
 
+    def __post_init__(self):
+        if (self.test_images is None) != (self.test_labels is None):
+            raise ValueError("test_images and test_labels must be given together")
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    kind: str = "none"  # none | uniform | structured
-    p: float = 0.1
-    pairs: int = 4
-    flip_prob: float = 0.5
-    seed: int = 0
+    kind: str = _field("none", choices=("none", "uniform", "structured"))
+    p: float = _field(0.1, bounds="[0, 1]")
+    pairs: int = _field(4, bounds="[1, inf)")
+    flip_prob: float = _field(0.5, bounds="[0, 1]")
+    seed: int = _field(0, bounds="[0, inf)")
 
 
 @dataclass(frozen=True)
 class RelevanceSpec:
-    high_frac: float = 0.2
-    keep_frac: float = 0.06
-    seed: int = 0
+    high_frac: float = _field(0.2, bounds="(0, 1]")
+    keep_frac: float = _field(0.06, bounds="(0, 1]")
+    seed: int = _field(0, bounds="[0, inf)")
 
 
 @dataclass(frozen=True)
 class SplitSettings:
-    test_fraction: float = 0.2
-    holdout_fraction: float = 0.25
-    seed: int = 0
+    test_fraction: float = _field(0.2, bounds="(0, 1)")
+    holdout_fraction: float = _field(0.25, bounds="(0, 1)")
+    seed: int = _field(0, bounds="[0, inf)")
 
 
 @dataclass(frozen=True)
 class DatasetSection:
-    kind: str  # synthetic | idx | csv
-    synthetic: SyntheticSpec | None
-    idx: IdxSpec | None
-    csv_path: str | None
-    split: SplitSettings
-    noise: NoiseSpec
-    relevance: RelevanceSpec | None
-    duplicate_factor: int = 1
+    kind: str = _field(choices=("synthetic", "idx", "csv"))
+    synthetic: SyntheticSpec = SyntheticSpec()  # read when kind is synthetic
+    idx: IdxSpec | None = None  # required when kind is idx
+    csv_path: str | None = None  # required when kind is csv
+    split: SplitSettings = SplitSettings()
+    noise: NoiseSpec = NoiseSpec()
+    relevance: RelevanceSpec | None = None
+    duplicate_factor: int = _field(1, bounds="[1, inf)")
 
 
 @dataclass(frozen=True)
 class IlSection:
-    hidden: tuple[int, ...] = (128, 128)
-    dropout: float = 0.0
-    epochs: int = 20
-    batch_size: int = 64
-    scheme: str = "holdout"  # holdout | two-halves
+    hidden: tuple[int, ...] = _field((128, 128), bounds="[1, inf)", nonempty=True)
+    dropout: float = _field(0.0, bounds="[0, 1)")
+    epochs: int = _field(20, bounds="[1, inf)")
+    batch_size: int = _field(64, bounds="[1, inf)")
+    scheme: str = _field("holdout", choices=("holdout", "two-halves"))
     optimizer: OptimizerSettings = OptimizerSettings()
-    seed: int = 0
+    seed: int = _field(0, bounds="[0, inf)")
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    hidden: tuple[int, ...] = (128, 128)
-    dropout: float = 0.0
+    hidden: tuple[int, ...] = _field((128, 128), bounds="[1, inf)", nonempty=True)
+    dropout: float = _field(0.0, bounds="[0, 1)")
     batchnorm: bool = False
-    seed: int = 0
+    seed: int = _field(0, bounds="[0, inf)")
 
 
 @dataclass(frozen=True)
 class RunSection:
     policy: SelectionPolicy
-    n_b: int = 32
-    n_B: int = 320
-    epochs: int = 10
-    eval_every: int | None = None
-    il_update_mode: str = "frozen"
-    lr_scale: float = 0.01
+    n_b: int = _field(32, bounds="[1, inf)")
+    n_B: int = _field(320, bounds="[1, inf)")
+    epochs: int = _field(10, bounds="[1, inf)")
+    eval_every: int | None = _field(None, bounds="[1, inf)")
+    il_update_mode: str = _field("frozen", choices=("frozen", "original"))
+    lr_scale: float = _field(0.01, bounds="[0, inf)")
     model: ModelSpec = ModelSpec()
     optimizer: OptimizerSettings = OptimizerSettings()
-    seeds: tuple[int, ...] = (0,)
+    seeds: tuple[int, ...] = _field((0,), bounds="[0, inf)", nonempty=True)
     targets: tuple[float, ...] = ()
     dump_scores: bool = False
 
 
 @dataclass(frozen=True)
-class LadderSettings:
-    n_b: int = 6
-    n_B: int = 60
-    ensemble_size: int = 5
-    convergence_epochs: int = 5
-    convergence_tol: float = 1e-3
-    il_pretrain_epochs: int = 30
-    hidden: tuple[int, ...] = (64, 64)
-    small_hidden: tuple[int, ...] = (32, 32)
-    batch_size: int = 32
+class LadderConfig:
+    """The ladder section: the settings of ladder.run_ladder."""
+
+    n_b: int = _field(6, bounds="[1, inf)")
+    n_B: int = _field(60, bounds="[1, inf)")
+    ensemble_size: int = _field(5, bounds="[1, inf)")
+    convergence_epochs: int = _field(5, bounds="[0, inf)")  # per-acquisition training budget
+    convergence_tol: float = _field(1e-3, bounds="[0, inf)")
+    il_pretrain_epochs: int = _field(30, bounds="[0, inf)")  # budget for the initial holdout fit
+    hidden: tuple[int, ...] = _field((64, 64), bounds="[1, inf)", nonempty=True)
+    small_hidden: tuple[int, ...] = _field((32, 32), bounds="[1, inf)", nonempty=True)
+    batch_size: int = _field(32, bounds="[1, inf)")
     optimizer: OptimizerSettings = OptimizerSettings()
-    seed: int = 0
+    seed: int = _field(0, bounds="[0, inf)")
+
+    def __post_init__(self):
+        if not 0 < self.n_b <= self.n_B:
+            raise ValueError(f"n_b must lie in [1, n_B], got n_b={self.n_b}, n_B={self.n_B}")
+        if self.ensemble_size < 1:
+            raise ValueError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
 
 
 # Reported hyperparameter grid used as the default sweep template.
@@ -195,7 +169,8 @@ DEFAULT_SWEEP_GRID: dict[str, tuple] = {
     "weight_decay": (0.001, 0.01, 0.1),
 }
 
-_SWEEP_KEYS = ("batch_size", "n_b", "n_B", "learning_rate", "weight_decay")
+# The keys a sweep grid may vary, with their types, in cell-numbering order.
+_SWEEP_KEYS = {"batch_size": int, "n_b": int, "n_B": int, "learning_rate": float, "weight_decay": float}
 
 
 @dataclass(frozen=True)
@@ -208,210 +183,159 @@ class ExperimentConfig:
     dataset: DatasetSection
     il: IlSection | None
     run: RunSection | None
-    ladder: LadderSettings | None
+    ladder: LadderConfig | None
     sweep: SweepSection | None
     output_dir: str | None
     raw: dict
 
 
-def _dataset_section(d: dict) -> DatasetSection:
-    path = "dataset"
-    _check_keys(d, ("kind", "synthetic", "idx", "csv_path", "split", "noise", "relevance", "duplicate_factor"), path)
-    kind = _get(d, "kind", str, path)
-    if kind not in ("synthetic", "idx", "csv"):
-        raise ConfigError(f"{path}.kind: expected synthetic|idx|csv, got {kind!r}")
-    synthetic = None
-    idx = None
-    csv_path = None
-    if kind == "synthetic":
-        sub = _get(d, "synthetic", dict, path, default={})
-        _check_keys(sub, ("classes", "per_class", "dim", "spread", "radius", "seed"), f"{path}.synthetic")
-        synthetic = SyntheticSpec(
-            classes=_get(sub, "classes", int, f"{path}.synthetic", default=10),
-            per_class=_get(sub, "per_class", int, f"{path}.synthetic", default=100),
-            dim=_get(sub, "dim", int, f"{path}.synthetic", default=32),
-            spread=_get(sub, "spread", float, f"{path}.synthetic", default=1.0),
-            radius=_get(sub, "radius", float, f"{path}.synthetic", default=3.0),
-            seed=_get(sub, "seed", int, f"{path}.synthetic", default=0),
-        )
-    elif kind == "idx":
-        sub = _get(d, "idx", dict, path)
-        _check_keys(sub, ("images", "labels", "test_images", "test_labels"), f"{path}.idx")
-        idx = IdxSpec(
-            images=_get(sub, "images", str, f"{path}.idx"),
-            labels=_get(sub, "labels", str, f"{path}.idx"),
-            test_images=_get(sub, "test_images", str, f"{path}.idx", default=None),
-            test_labels=_get(sub, "test_labels", str, f"{path}.idx", default=None),
-        )
-    else:
-        csv_path = _get(d, "csv_path", str, path)
-    split_d = _get(d, "split", dict, path, default={})
-    _check_keys(split_d, ("test_fraction", "holdout_fraction", "seed"), f"{path}.split")
-    split = SplitSettings(
-        test_fraction=_get(split_d, "test_fraction", float, f"{path}.split", default=0.2),
-        holdout_fraction=_get(split_d, "holdout_fraction", float, f"{path}.split", default=0.25),
-        seed=_get(split_d, "seed", int, f"{path}.split", default=0),
-    )
-    noise_d = _get(d, "noise", dict, path, default={})
-    _check_keys(noise_d, ("kind", "p", "pairs", "flip_prob", "seed"), f"{path}.noise")
-    noise = NoiseSpec(
-        kind=_get(noise_d, "kind", str, f"{path}.noise", default="none"),
-        p=_get(noise_d, "p", float, f"{path}.noise", default=0.1),
-        pairs=_get(noise_d, "pairs", int, f"{path}.noise", default=4),
-        flip_prob=_get(noise_d, "flip_prob", float, f"{path}.noise", default=0.5),
-        seed=_get(noise_d, "seed", int, f"{path}.noise", default=0),
-    )
-    if noise.kind not in ("none", "uniform", "structured"):
-        raise ConfigError(f"{path}.noise.kind: expected none|uniform|structured, got {noise.kind!r}")
-    relevance = None
-    rel_d = _get(d, "relevance", dict, path, default=None)
-    if rel_d is not None:
-        _check_keys(rel_d, ("high_frac", "keep_frac", "seed"), f"{path}.relevance")
-        relevance = RelevanceSpec(
-            high_frac=_get(rel_d, "high_frac", float, f"{path}.relevance", default=0.2),
-            keep_frac=_get(rel_d, "keep_frac", float, f"{path}.relevance", default=0.06),
-            seed=_get(rel_d, "seed", int, f"{path}.relevance", default=0),
-        )
-    return DatasetSection(
-        kind=kind,
-        synthetic=synthetic,
-        idx=idx,
-        csv_path=csv_path,
-        split=split,
-        noise=noise,
-        relevance=relevance,
-        duplicate_factor=_get(d, "duplicate_factor", int, path, default=1),
+_SECTIONS = {"dataset": DatasetSection, "il": IlSection, "run": RunSection, "ladder": LadderConfig}
+
+# Exponent spellings such as 1e-3 or 2.5E4 are floats in YAML 1.2 but plain
+# strings to PyYAML's YAML 1.1 resolver, which wants a dot and a signed exponent.
+_EXPONENT_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+")
+
+
+# Resolving the annotation strings costs more than the rest of a parse.
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def _check_keys(d: dict, allowed, path: str) -> None:
+    unknown = set(d) - set(allowed)
+    if unknown:
+        raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
+
+
+def _within(value, bounds: str) -> bool:
+    """Whether value lies in an interval written like "[0, 1)" or "(0, inf)"."""
+    lo, hi = (float(v) for v in bounds[1:-1].split(","))
+    above = lo < value if bounds[0] == "(" else lo <= value
+    below = value < hi if bounds[-1] == ")" else value <= hi
+    return above and below
+
+
+def _value(typ, value, key: str, meta):
+    """value (not None) converted to typ and checked against a field's
+    metadata: a dataclass is parsed as a section, a tuple from a list."""
+    if isinstance(typ, types.UnionType):  # X | None
+        typ = typing.get_args(typ)[0]
+    if dataclasses.is_dataclass(typ):
+        return _section(typ, value, key)
+    if typing.get_origin(typ) is tuple:
+        if not isinstance(value, (list, tuple)) or (meta.get("nonempty") and not value):
+            raise ConfigError(f"{key}: expected a {'nonempty ' if meta.get('nonempty') else ''}list, got {value!r}")
+        return tuple(_value(typing.get_args(typ)[0], v, f"{key}[{i}]", meta) for i, v in enumerate(value))
+    if typ is float and not isinstance(value, bool) and (
+        isinstance(value, int) or isinstance(value, str) and _EXPONENT_FLOAT.fullmatch(value)
+    ):
+        value = float(value)
+    if not isinstance(value, typ) or (isinstance(value, bool) and typ is not bool):
+        raise ConfigError(f"{key}: expected {typ.__name__}, got {type(value).__name__}")
+    if meta.get("choices") and value not in meta["choices"]:
+        raise ConfigError(f"{key}: expected {'|'.join(meta['choices'])}, got {value!r}")
+    if meta.get("bounds") and not _within(value, meta["bounds"]):
+        raise ConfigError(f"{key}: expected a value in {meta['bounds']}, got {value!r}")
+    return value
+
+
+def _section(cls, d, path: str):
+    """Build the dataclass cls from the mapping d at the dotted path. A key
+    that is absent or null takes the field's default."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path}: expected a mapping, got {type(d).__name__}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    _check_keys(d, fields, path)
+    hints = _type_hints(cls)
+    kwargs = {}
+    for name, f in fields.items():
+        if d.get(name) is not None:
+            kwargs[name] = _value(hints[name], d[name], f"{path}.{name}", f.metadata)
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"{path}: missing required key {name!r}")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        # The library's own checks start their message with the field they reject.
+        first = str(exc).split(" ", 1)[0]
+        raise ConfigError(f"{path}.{exc}" if first in fields else f"{path}: {exc}") from exc
+
+
+def _sweep_section(d) -> SweepSection:
+    if not isinstance(d, dict):
+        raise ConfigError(f"sweep: expected a mapping, got {type(d).__name__}")
+    _check_keys(d, ("grid",), "sweep")
+    grid_d = d.get("grid") or {}
+    if not isinstance(grid_d, dict):
+        raise ConfigError(f"sweep.grid: expected a mapping, got {type(grid_d).__name__}")
+    _check_keys(grid_d, _SWEEP_KEYS, "sweep.grid")
+    grid = {
+        key: _value(tuple[typ, ...], grid_d[key], f"sweep.grid.{key}", {"nonempty": True})
+        for key, typ in _SWEEP_KEYS.items()
+        if key in grid_d
+    }
+    return SweepSection(grid=grid or dict(DEFAULT_SWEEP_GRID))
+
+
+def _parse(raw) -> ExperimentConfig:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")
+    _check_keys(raw, (*_SECTIONS, "sweep", "output_dir"), "config")
+    if raw.get("dataset") is None:
+        raise ConfigError("config: missing required section 'dataset'")
+    sections = {name: _section(cls, raw[name], name) for name, cls in _SECTIONS.items() if raw.get(name) is not None}
+    dataset, il, run = sections["dataset"], sections.get("il"), sections.get("run")
+    for kind, key in (("idx", "idx"), ("csv", "csv_path")):
+        if dataset.kind == kind and getattr(dataset, key) is None:
+            raise ConfigError(f"dataset: missing required key {key!r} (dataset.kind is {kind})")
+    if run is not None:
+        if run.n_b > run.n_B:
+            raise ConfigError(f"run.n_b: need 1 <= n_b <= n_B, got n_b={run.n_b}, n_B={run.n_B}")
+        if run.policy.kind == "bald" and run.model.dropout == 0:
+            raise ConfigError("run.policy.kind: bald needs run.model.dropout > 0; without dropout every "
+                              "Monte-Carlo sample is the same and the scores are rounding noise")
+        if run.il_update_mode == "original" and il is not None and il.scheme == "two-halves":
+            raise ConfigError("run.il_update_mode=original needs a single live model; two-halves tables cannot be updated")
+    return ExperimentConfig(
+        dataset=dataset, il=il, run=run, ladder=sections.get("ladder"),
+        sweep=_sweep_section(raw["sweep"]) if raw.get("sweep") is not None else None,
+        output_dir=_value(str, raw["output_dir"], "output_dir", {}) if raw.get("output_dir") is not None else None,
+        raw=raw,
     )
 
 
-def _il_section(d: dict) -> IlSection:
-    path = "il"
-    _check_keys(d, ("hidden", "dropout", "epochs", "batch_size", "scheme", "optimizer", "seed"), path)
-    scheme = _get(d, "scheme", str, path, default="holdout")
-    if scheme not in ("holdout", "two-halves"):
-        raise ConfigError(f"{path}.scheme: expected holdout|two-halves, got {scheme!r}")
-    return IlSection(
-        hidden=_hidden(d, "hidden", path),
-        dropout=_get(d, "dropout", float, path, default=0.0),
-        epochs=_get(d, "epochs", int, path, default=20),
-        batch_size=_get(d, "batch_size", int, path, default=64),
-        scheme=scheme,
-        optimizer=_optimizer(d.get("optimizer"), f"{path}.optimizer"),
-        seed=_get(d, "seed", int, path, default=0),
-    )
-
-
-def _run_section(d: dict) -> RunSection:
-    path = "run"
-    _check_keys(
-        d,
-        ("policy", "n_b", "n_B", "epochs", "eval_every", "il_update_mode", "lr_scale",
-         "model", "optimizer", "seeds", "targets", "dump_scores"),
-        path,
-    )
-    pol_d = _get(d, "policy", dict, path)
-    _check_keys(pol_d, ("kind", "mc_samples", "temperature", "keep_fraction"), f"{path}.policy")
-    kind = _get(pol_d, "kind", str, f"{path}.policy")
-    if kind not in ALL_KINDS:
-        raise ConfigError(f"{path}.policy.kind: unknown kind {kind!r}; allowed: {sorted(ALL_KINDS)}")
-    policy = SelectionPolicy(
-        kind=kind,
-        mc_samples=_get(pol_d, "mc_samples", int, f"{path}.policy", default=16),
-        temperature=_get(pol_d, "temperature", float, f"{path}.policy", default=1.0),
-        keep_fraction=_get(pol_d, "keep_fraction", float, f"{path}.policy", default=0.5),
-    )
-    model_d = _get(d, "model", dict, path, default={})
-    _check_keys(model_d, ("hidden", "dropout", "batchnorm", "seed"), f"{path}.model")
-    model = ModelSpec(
-        hidden=_hidden(model_d, "hidden", f"{path}.model"),
-        dropout=_get(model_d, "dropout", float, f"{path}.model", default=0.0),
-        batchnorm=_get(model_d, "batchnorm", bool, f"{path}.model", default=False),
-        seed=_get(model_d, "seed", int, f"{path}.model", default=0),
-    )
-    seeds = _get(d, "seeds", list, path, default=[0])
-    if not seeds or not all(isinstance(s, int) for s in seeds):
-        raise ConfigError(f"{path}.seeds: expected a nonempty list of ints")
-    targets = _get(d, "targets", list, path, default=[])
-    if not all(isinstance(t, (int, float)) for t in targets):
-        raise ConfigError(f"{path}.targets: expected a list of numbers")
-    eval_every = _get(d, "eval_every", int, path, default=None)
-    mode = _get(d, "il_update_mode", str, path, default="frozen")
-    if mode not in ("frozen", "original"):
-        raise ConfigError(f"{path}.il_update_mode: expected frozen|original, got {mode!r}")
-    n_b, n_B = _batch_sizes(d, path, default=(32, 320))
-    return RunSection(
-        policy=policy,
-        n_b=n_b,
-        n_B=n_B,
-        epochs=_get(d, "epochs", int, path, default=10),
-        eval_every=eval_every,
-        il_update_mode=mode,
-        lr_scale=_get(d, "lr_scale", float, path, default=0.01),
-        model=model,
-        optimizer=_optimizer(d.get("optimizer"), f"{path}.optimizer"),
-        seeds=tuple(seeds),
-        targets=tuple(float(t) for t in targets),
-        dump_scores=_get(d, "dump_scores", bool, path, default=False),
-    )
-
-
-def _ladder_section(d: dict) -> LadderSettings:
-    path = "ladder"
-    _check_keys(
-        d,
-        ("n_b", "n_B", "ensemble_size", "convergence_epochs", "convergence_tol",
-         "il_pretrain_epochs", "hidden", "small_hidden", "batch_size", "optimizer", "seed"),
-        path,
-    )
-    n_b, n_B = _batch_sizes(d, path, default=(6, 60))
-    return LadderSettings(
-        n_b=n_b,
-        n_B=n_B,
-        ensemble_size=_get(d, "ensemble_size", int, path, default=5),
-        convergence_epochs=_get(d, "convergence_epochs", int, path, default=5),
-        convergence_tol=_get(d, "convergence_tol", float, path, default=1e-3),
-        il_pretrain_epochs=_get(d, "il_pretrain_epochs", int, path, default=30),
-        hidden=_hidden(d, "hidden", path, default=(64, 64)),
-        small_hidden=_hidden(d, "small_hidden", path, default=(32, 32)),
-        batch_size=_get(d, "batch_size", int, path, default=32),
-        optimizer=_optimizer(d.get("optimizer"), f"{path}.optimizer"),
-        seed=_get(d, "seed", int, path, default=0),
-    )
-
-
-def _sweep_section(d: dict) -> SweepSection:
-    path = "sweep"
-    _check_keys(d, ("grid",), path)
-    grid_d = _get(d, "grid", dict, path, default={})
-    if not grid_d:
-        return SweepSection(grid=dict(DEFAULT_SWEEP_GRID))
-    _check_keys(grid_d, _SWEEP_KEYS, f"{path}.grid")
-    grid = {}
-    for key in _SWEEP_KEYS:  # fixed iteration order keeps cell numbering stable
-        if key in grid_d:
-            vals = grid_d[key]
-            if not isinstance(vals, list) or not vals:
-                raise ConfigError(f"{path}.grid.{key}: expected a nonempty list")
-            grid[key] = tuple(vals)
-    return SweepSection(grid=grid)
+def sweep_configs(cfg: ExperimentConfig) -> list[ExperimentConfig]:
+    """The config of each cell of the sweep grid (the default grid when the
+    config has no sweep section), in cell order. A cell sets its values in
+    run; a batch_size cell sets n_b and keeps the ratio n_b/n_B. An invalid
+    cell raises a ConfigError naming it."""
+    grid = cfg.sweep.grid if cfg.sweep is not None else DEFAULT_SWEEP_GRID
+    cells: list[dict] = [{}]
+    for key, values in grid.items():
+        cells = [dict(cell, **{key: value}) for cell in cells for value in values]
+    ratio = cfg.run.n_b / cfg.run.n_B
+    configs = []
+    for i, cell in enumerate(cells):
+        raw = json.loads(json.dumps(cfg.raw))
+        run = raw["run"]
+        for key, value in cell.items():
+            if key == "batch_size":
+                run["n_b"], run["n_B"] = value, max(value, round(value / ratio))
+            elif key in ("n_b", "n_B"):
+                run[key] = value
+            else:
+                run["optimizer"] = {**(run.get("optimizer") or {}), key: value}
+        try:
+            configs.append(_parse(raw))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep.grid cell {i:03d} {cell}: {exc}") from exc
+    return configs
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")
-    _check_keys(raw, ("dataset", "il", "run", "ladder", "sweep", "output_dir"), "config")
-    if "dataset" not in raw:
-        raise ConfigError("config: missing required section 'dataset'")
-    dataset = _dataset_section(_get(raw, "dataset", dict, "config"))
-    il = _il_section(raw["il"]) if raw.get("il") is not None else None
-    run = _run_section(raw["run"]) if raw.get("run") is not None else None
-    ladder = _ladder_section(raw["ladder"]) if raw.get("ladder") is not None else None
-    sweep = _sweep_section(raw["sweep"]) if raw.get("sweep") is not None else None
-    output_dir = _get(raw, "output_dir", str, "config", default=None)
-    if run is not None and run.il_update_mode == "original" and il is not None and il.scheme == "two-halves":
-        raise ConfigError("run.il_update_mode=original needs a single live model; two-halves tables cannot be updated")
-    return ExperimentConfig(dataset=dataset, il=il, run=run, ladder=ladder, sweep=sweep,
-                            output_dir=output_dir, raw=raw)
+    cfg = _parse(raw)
+    if cfg.sweep is not None and cfg.run is not None:
+        sweep_configs(cfg)  # every cell is checked before any stage writes output
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

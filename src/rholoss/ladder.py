@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import LadderConfig
 from .data import LabeledDataset
 from .nn import EnsembleModel, backward, cross_entropy, ensemble_cross_entropy, forward, init_mlp, make_ensemble
 from .optim import make_optimizer, optimizer_step, train_epoch
@@ -53,29 +54,6 @@ REFERENCE_RANK_CORRELATION = {
     "approx2": 0.63,
     "approx3": 0.51,
 }
-
-
-@dataclass(frozen=True)
-class LadderConfig:
-    n_b: int = 6
-    n_B: int = 60
-    ensemble_size: int = 5
-    convergence_epochs: int = 5  # per-acquisition training budget
-    convergence_tol: float = 1e-3
-    il_pretrain_epochs: int = 30  # budget for the initial holdout fit
-    hidden: tuple[int, ...] = (64, 64)
-    small_hidden: tuple[int, ...] = (32, 32)
-    batch_size: int = 32
-    optimizer_kind: str = "adamw"
-    learning_rate: float = 1e-3
-    weight_decay: float = 0.01
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 < self.n_b <= self.n_B:
-            raise ValueError(f"need 1 <= n_b <= n_B, got n_b={self.n_b}, n_B={self.n_B}")
-        if self.ensemble_size < 1:
-            raise ValueError("ensemble size must be >= 1")
 
 
 @dataclass
@@ -159,9 +137,8 @@ def run_ladder(pool: LabeledDataset, holdout: LabeledDataset, cfg: LadderConfig)
 
     def members(models):
         """(model, fresh optimizer) pairs."""
-        return [
-            (m, make_optimizer(cfg.optimizer_kind, cfg.learning_rate, weight_decay=cfg.weight_decay)) for m in models
-        ]
+        opt = cfg.optimizer
+        return [(m, make_optimizer(opt.kind, opt.learning_rate, weight_decay=opt.weight_decay)) for m in models]
 
     # Holdout-fitted IL models. Every rung starts from a copy of one of these,
     # so rungs 1a/1b/2 differ only in how they update the same fitted model.

@@ -43,12 +43,12 @@ class SelectionPolicy:
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
-            raise ValueError(f"unknown selection policy kind {self.kind!r}")
+            raise ValueError(f"kind must be one of {'|'.join(ALL_KINDS)}, got {self.kind!r}")
         if self.kind in AL_KINDS:
             if self.mc_samples < 1:
-                raise ValueError("Monte-Carlo acquisition needs mc_samples >= 1")
+                raise ValueError(f"mc_samples must be >= 1 for Monte-Carlo acquisition, got {self.mc_samples}")
             if self.kind == "bald" and self.mc_samples < 2:
-                raise ValueError("bald needs mc_samples >= 2 to decompose the entropy")
+                raise ValueError(f"mc_samples must be >= 2 for bald to decompose the entropy, got {self.mc_samples}")
         if self.kind == "grad-norm-is" and self.temperature <= 0:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
         if self.kind in OFFLINE_KINDS and not 0.0 < self.keep_fraction <= 1.0:

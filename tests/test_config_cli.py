@@ -1,17 +1,37 @@
+import dataclasses
 import json
 import re
 import shutil
+import types
+import typing
 from types import MappingProxyType
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rholoss import cli, data
 from rholoss.cli import main
-from rholoss.config import ConfigError, DEFAULT_SWEEP_GRID, config_hash, load_config
+from rholoss.config import (
+    DEFAULT_SWEEP_GRID,
+    ConfigError,
+    DatasetSection,
+    IlSection,
+    LadderConfig,
+    RunSection,
+    config_hash,
+    load_config,
+    parse_config,
+    sweep_configs,
+)
 from rholoss.ilmodel import load_il_table
+from rholoss.nn import init_mlp
+from rholoss.optim import make_optimizer
 from rholoss.records import load_run_record
+from rholoss.selection import ALL_KINDS, SelectionPolicy
+from rholoss.trainer import RunConfig
 
 
 BASE_CONFIG = {
@@ -111,14 +131,38 @@ def test_config_rejects_bad_values(tmp_path):
         ({"ladder.optimizer.kind": "rmsprop"}, "ladder.optimizer.kind"),
         ({"run.n_b": 21}, "run.n_b"),
         ({"ladder.n_b": 31}, "ladder.n_b"),
+        # one value out of its declared range in each bounded section
+        ({"dataset.duplicate_factor": 0}, "dataset.duplicate_factor"),
+        ({"dataset.synthetic.classes": 1}, "dataset.synthetic.classes"),
+        ({"dataset.split.test_fraction": 1.0}, "dataset.split.test_fraction"),
+        ({"dataset.noise.p": 1.5}, "dataset.noise.p"),
+        ({"dataset.relevance": {"keep_frac": 0}}, "dataset.relevance.keep_frac"),
+        ({"il.batch_size": 0}, "il.batch_size"),
+        ({"il.optimizer.learning_rate": -0.001}, "il.optimizer.learning_rate"),
+        ({"run.epochs": 0}, "run.epochs"),
+        ({"run.seeds": [1, -2]}, "run.seeds[1]"),
+        ({"run.model.hidden": [16, 0]}, "run.model.hidden[1]"),
+        ({"run.optimizer.weight_decay": -0.01}, "run.optimizer.weight_decay"),
+        ({"ladder.convergence_tol": -1.0}, "ladder.convergence_tol"),
+        ({"ladder.optimizer.learning_rate": -1.0}, "ladder.optimizer.learning_rate"),
+        # a bool is not an int
+        ({"run.n_b": True}, "run.n_b"),
+        # a check of the section's own constructor
+        ({"run.policy": {"kind": "grad-norm-is", "temperature": 0}}, "run.policy.temperature"),
+        # checks across keys
+        ({"dataset.idx": {"images": "a", "labels": "b", "test_images": "c"}}, "dataset.idx.test_images"),
+        ({"run.policy.kind": "bald"}, "run.model.dropout"),
+        ({"sweep": {"grid": {"learning_rate": [0.001, -1.0]}}}, "sweep.grid cell 001"),
     ],
 )
-def test_config_errors_name_the_key_before_any_output(tmp_path, overrides, key):
+def test_config_errors_name_the_key_before_any_output(tmp_path, capsys, overrides, key):
     cfg_path = write_config(tmp_path, overrides)
     with pytest.raises(ConfigError, match=re.escape(key)):
         load_config(cfg_path)
     out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    for command in ("prepare", "run"):
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert key in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -146,6 +190,95 @@ def test_config_hash_excludes_seeds_and_output_dir(tmp_path):
 def test_original_mode_rejects_two_halves(tmp_path):
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, {"run.il_update_mode": "original", "il.scheme": "two-halves"}))
+
+
+# Policy settings are checked by SelectionPolicy for the kinds that use them;
+# these draws suit every kind.
+_POLICIES = st.fixed_dictionaries(
+    {"kind": st.sampled_from(ALL_KINDS)},
+    optional={
+        "mc_samples": st.integers(2, 8),
+        "temperature": st.floats(0, 10, exclude_min=True),
+        "keep_fraction": st.floats(0, 1, exclude_min=True),
+    },
+)
+
+
+def _in_range(typ, meta):
+    """Values of a config field inside its declared type, choices and bounds,
+    with open-ended ranges cut short to keep datasets and models small."""
+    if isinstance(typ, types.UnionType):
+        typ = typing.get_args(typ)[0]
+    if typ is SelectionPolicy:
+        return _POLICIES
+    if dataclasses.is_dataclass(typ):
+        return _in_range_section(typ)
+    if typing.get_origin(typ) is tuple:
+        return st.lists(_in_range(typing.get_args(typ)[0], meta), min_size=int(meta.get("nonempty", False)), max_size=3)
+    if meta.get("choices"):
+        return st.sampled_from(meta["choices"])
+    if typ is bool:
+        return st.booleans()
+    if typ is str:
+        return st.text(max_size=8)
+    bounds = meta.get("bounds") or "[-10, 10]"
+    lo, hi = (float(v) for v in bounds[1:-1].split(","))
+    open_lo, open_hi = bounds[0] == "(", bounds[-1] == ")"
+    if typ is int:
+        return st.integers(int(lo) + open_lo, int(lo) + open_lo + 7)
+    if hi == float("inf"):
+        hi, open_hi = lo + 10, False
+    # A closed end is where a declared range and the library most often disagree.
+    ends = [st.just(v) for v, is_open in ((lo, open_lo), (hi, open_hi)) if not is_open]
+    return st.one_of(st.floats(lo, hi, exclude_min=open_lo, exclude_max=open_hi), *ends)
+
+
+def _in_range_section(cls):
+    hints = typing.get_type_hints(cls)
+    required, optional = {}, {}
+    for f in dataclasses.fields(cls):
+        values = _in_range(hints[f.name], f.metadata)
+        (required if f.default is dataclasses.MISSING else optional)[f.name] = values
+    return st.fixed_dictionaries(required, optional=optional)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dataset=_in_range_section(DatasetSection),
+    il=_in_range_section(IlSection),
+    run=_in_range_section(RunSection),
+    ladder=_in_range_section(LadderConfig),
+)
+def test_any_config_inside_the_declared_ranges_parses_and_the_library_accepts_it(dataset, il, run, ladder):
+    dataset["kind"] = "synthetic"  # idx and csv read files; their blocks are still drawn and parsed
+    for section, cls in ((run, RunSection), (ladder, LadderConfig)):
+        section["n_b"] = min(section.get("n_b", cls.n_b), section.get("n_B", cls.n_B))
+    assume(not (run["policy"]["kind"] == "bald" and run.get("model", {}).get("dropout", 0.0) == 0))
+    assume(not (run.get("il_update_mode") == "original" and il.get("scheme") == "two-halves"))
+    assume(("test_images" in dataset.get("idx", {})) == ("test_labels" in dataset.get("idx", {})))
+    cfg = parse_config({"dataset": dataset, "il": il, "run": run, "ladder": ladder})
+
+    syn, split = cfg.dataset.synthetic, cfg.dataset.split
+    data.gen_synthetic(syn.classes, syn.per_class, syn.dim, syn.spread, seed=syn.seed, radius=syn.radius)
+    data.SplitSpec(split.test_fraction, seed=split.seed)
+    data.SplitSpec(split.holdout_fraction, seed=split.seed)
+    r = cfg.run
+    for seed in r.seeds:
+        RunConfig(
+            policy=r.policy, n_b=r.n_b, n_B=r.n_B, epochs=r.epochs, optimizer_kind=r.optimizer.kind,
+            learning_rate=r.optimizer.learning_rate, weight_decay=r.optimizer.weight_decay,
+            il_update_mode=r.il_update_mode, il_lr_scale=r.lr_scale, seed=seed, eval_every=r.eval_every,
+        )
+    # cfg.ladder is the LadderConfig that run_ladder takes; parsing ran its checks.
+    for hidden, dropout, batchnorm in (
+        (r.model.hidden, r.model.dropout, r.model.batchnorm),
+        (cfg.il.hidden, cfg.il.dropout, False),
+        (cfg.ladder.hidden, 0.0, False),
+        (cfg.ladder.small_hidden, 0.0, False),
+    ):
+        init_mlp((syn.dim, *hidden, syn.classes), seed=r.model.seed, dropout_rate=dropout, batchnorm=batchnorm)
+    for opt in (r.optimizer, cfg.il.optimizer, cfg.ladder.optimizer):
+        make_optimizer(opt.kind, opt.learning_rate, weight_decay=opt.weight_decay)
 
 
 def test_default_sweep_grid_is_3x3x3():
@@ -376,10 +509,16 @@ def test_sweep_emits_cell_configs_and_records(tmp_path):
 
 
 def test_sweep_default_grid_has_27_cells(tmp_path):
-    from rholoss.cli import _sweep_cells
-
     cfg = load_config(write_config(tmp_path, {"sweep": {"grid": {}}}))
-    assert len(_sweep_cells(cfg)) == 27
+    assert len(sweep_configs(cfg)) == 27
+
+
+def test_sweep_cells_fill_a_null_optimizer_block():
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    raw["run"]["optimizer"] = None
+    raw["sweep"] = {"grid": {"learning_rate": [0.01, "1e-1"]}}
+    cells = sweep_configs(parse_config(raw))
+    assert [c.run.optimizer.learning_rate for c in cells] == [0.01, 0.1]
 
 
 def test_out_dir_resolution_env_var(tmp_path, monkeypatch):
