@@ -106,10 +106,11 @@ def _loss(members, x, y) -> np.ndarray:
     return ensemble_cross_entropy(EnsembleModel([model for model, _ in members]), x, y)
 
 
-def _update(members, regime, seen_x, seen_y, x_sel, y_sel, cfg: LadderConfig, rng) -> None:
+def _update(members, regime, seen_x, seen_y, x_sel, y_sel, cfg: LadderConfig, rngs) -> None:
     """Update each (model, optimizer) member by its regime: retrain on
-    everything seen, take one step on the acquired batch, or stay frozen."""
-    for model, opt in members:
+    everything seen, take one step on the acquired batch, or stay frozen.
+    Member j draws from its own generator rngs[j]."""
+    for (model, opt), rng in zip(members, rngs, strict=True):
         if regime == "converged":
             train_to_convergence(
                 model, seen_x, seen_y, opt, cfg.convergence_epochs,
@@ -147,13 +148,12 @@ def run_ladder(pool: LabeledDataset, holdout: LabeledDataset, cfg: LadderConfig)
         "small": members([init_mlp(small_sizes, seed=int(init_seeds[1]))]),
         "ensemble": members(make_ensemble(sizes, cfg.ensemble_size, seed=int(init_seeds[2])).members),
     }
-    pre_rng = np.random.default_rng(ss[3])
-    for fitted in ils.values():
-        for model, opt in fitted:
-            train_to_convergence(
-                model, holdout.features, holdout.labels, opt, cfg.il_pretrain_epochs,
-                tol=cfg.convergence_tol, batch_size=cfg.batch_size, rng=pre_rng,
-            )
+    fitted = [member for ms in ils.values() for member in ms]
+    for (model, opt), seq in zip(fitted, ss[3].spawn(len(fitted))):
+        train_to_convergence(
+            model, holdout.features, holdout.labels, opt, cfg.il_pretrain_epochs,
+            tol=cfg.convergence_tol, batch_size=cfg.batch_size, rng=np.random.default_rng(seq),
+        )
     targets = {
         "single": members([init_mlp(sizes, seed=int(init_seeds[3]))]),
         "ensemble": members(make_ensemble(sizes, cfg.ensemble_size, seed=int(init_seeds[4])).members),
@@ -161,9 +161,11 @@ def run_ladder(pool: LabeledDataset, holdout: LabeledDataset, cfg: LadderConfig)
 
     scores: dict[str, list[np.ndarray]] = {}
     for index, (name, (target_src, il_src, regime, il_regime)) in enumerate(RUNGS.items()):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, index]))
         target = copy.deepcopy(targets[target_src])
         il = copy.deepcopy(ils[il_src])
+        # one stream per member: its shuffles never depend on another's early stop
+        rngs = [np.random.default_rng(seq) for seq in np.random.SeedSequence([cfg.seed, index]).spawn(len(target) + len(il))]
+        target_rngs, il_rngs = rngs[: len(target)], rngs[len(target) :]
         seen_x, seen_y = [], []
         per_step = []
         for chunk, tie_seed in zip(chunks, tie_seeds):
@@ -174,10 +176,10 @@ def run_ladder(pool: LabeledDataset, holdout: LabeledDataset, cfg: LadderConfig)
             seen_x.append(x[sel])
             seen_y.append(y[sel])
             ax, ay = np.concatenate(seen_x), np.concatenate(seen_y)
-            _update(target, regime, ax, ay, x[sel], y[sel], cfg, rng)
+            _update(target, regime, ax, ay, x[sel], y[sel], cfg, target_rngs)
             _update(
                 il, il_regime, np.concatenate([holdout.features, ax]), np.concatenate([holdout.labels, ay]),
-                x[sel], y[sel], cfg, rng,
+                x[sel], y[sel], cfg, il_rngs,
             )
         scores[name] = per_step
 

@@ -65,7 +65,7 @@ def test_train_to_convergence_ensemble_members_trained():
     members = [(m, make_optimizer("adamw", 1e-3)) for m in ens.members]
     before = [m.weights[0].copy() for m in ens.members]
     cfg = LadderConfig(convergence_epochs=2)
-    _update(members, "converged", x, y, x[:4], y[:4], cfg, np.random.default_rng(2))
+    _update(members, "converged", x, y, x[:4], y[:4], cfg, [np.random.default_rng(s) for s in (2, 3, 4)])
     for b, m in zip(before, ens.members):
         assert not np.array_equal(b, m.weights[0])
 
