@@ -36,16 +36,16 @@ from .ilmodel import (
 )
 from .ladder import LadderConfig, RungResult, run_ladder, train_to_convergence
 from .nn import (
-    EnsembleModel,
     MlpModel,
     backward,
     cross_entropy,
     forward,
     init_mlp,
-    make_ensemble,
     mc_dropout_predict,
     per_example_grad_norm,
     softmax,
+    stack_models,
+    unstack,
 )
 from .optim import OptimizerState, make_optimizer, optimizer_step
 from .records import (

@@ -16,6 +16,14 @@ performed, so later-step rank correlations partly reflect genuine state
 divergence. Per step, the rung's candidate scores are compared to approx0's
 by Spearman rank correlation.
 
+Each member list of the rung table, a single model or an ensemble of k, is
+one stacked model (`nn.stack_models`) with one optimizer. A converged update
+trains its members in lockstep, one forward/backward and one optimizer step
+per minibatch for all of them, while every member shuffles with its own
+random stream and stops early on its own; so each member ends exactly as it
+would trained alone. The holdout pre-fit trains the single IL model and the
+IL ensemble, which share an architecture and data, as one stack of k + 1.
+
 Reference correlations reported for the analogous large-scale ladder are
 kept alongside the results for orientation; they are not a pass/fail bound
 at this scale.
@@ -29,7 +37,7 @@ import numpy as np
 
 from .config import LadderConfig
 from .data import LabeledDataset
-from .nn import EnsembleModel, backward, cross_entropy, ensemble_cross_entropy, forward, init_mlp, make_ensemble
+from .nn import MlpModel, backward, cross_entropy, ensemble_cross_entropy, forward, init_mlp, stack_models, unstack
 from .optim import make_optimizer, optimizer_step, train_epoch
 from .selection import chunk_select_count, select_top_k
 from .stats import spearman
@@ -66,58 +74,68 @@ class RungResult:
     step_scores: list[np.ndarray] | None = None  # this rung's raw candidate scores
 
 
-def _mean_loss(model, x, y) -> float:
-    return float(cross_entropy(forward(model, x), y).mean())
+def _mean_losses(model, x, y, active) -> np.ndarray:
+    """Mean loss of each active member of a stacked model (0 for the rest),
+    one member at a time: x is the whole training set (see `nn.unstack`)."""
+    return np.array([cross_entropy(forward(m, x), y).mean() if on else 0.0 for m, on in zip(unstack(model), active)])
 
 
-def train_to_convergence(
-    model,
-    x,
-    y,
-    opt,
-    budget_epochs: int,
-    tol: float = 1e-3,
-    batch_size: int = 32,
-    rng: np.random.Generator | None = None,
-) -> None:
-    """Full shuffled passes until the relative loss improvement drops below
-    tol, capped at budget_epochs. A budget of 0 leaves the model untouched."""
+def train_to_convergence(model, x, y, opt, budget_epochs: int, tol: float, batch_size: int, rngs) -> None:
+    """Train the members of a stacked model in lockstep on full shuffled
+    passes over (x, y). Member j shuffles with its own generator rngs[j] and
+    stops once its relative loss improvement drops below tol, capped at
+    budget_epochs; a stopped member is masked out of every later step, so each
+    ends as it would trained alone. A budget of 0 leaves the model untouched."""
     if budget_epochs < 0:
         raise ValueError("budget must be >= 0")
+    if model.stack != (len(rngs),):
+        raise ValueError(f"need a stacked model and one generator per member, got stack {model.stack} and {len(rngs)}")
     if budget_epochs == 0 or np.asarray(x).shape[0] == 0:
         return
-    if rng is None:
-        rng = np.random.default_rng()
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    prev = _mean_loss(model, x, y)
+    active = np.ones(len(rngs), dtype=bool)
+    prev = _mean_losses(model, x, y, active)
     for _ in range(budget_epochs):
-        train_epoch(model, opt, x, y, batch_size, rng)
-        cur = _mean_loss(model, x, y)
-        if prev - cur < tol * max(prev, 1e-12):
+        train_epoch(model, opt, x, y, batch_size, rngs, active)
+        cur = _mean_losses(model, x, y, active)
+        active &= ~(prev - cur < tol * np.maximum(prev, 1e-12))
+        if not active.any():
             break
         prev = cur
 
 
-def _loss(members, x, y) -> np.ndarray:
-    """Per-example loss of one model, or of the mean prediction of several."""
-    if len(members) == 1:
-        return cross_entropy(forward(members[0][0], x), y)
-    return ensemble_cross_entropy(EnsembleModel([model for model, _ in members]), x, y)
+def _loss(model, x, y) -> np.ndarray:
+    """Per-example loss of a stack of one, or of the mean prediction of a larger stack."""
+    if model.stack == (1,):
+        return cross_entropy(forward(unstack(model)[0], x), y)
+    return ensemble_cross_entropy(model, x, y)
 
 
-def _update(members, regime, seen_x, seen_y, x_sel, y_sel, cfg: LadderConfig, rngs) -> None:
-    """Update each (model, optimizer) member by its regime: retrain on
-    everything seen, take one step on the acquired batch, or stay frozen.
-    Member j draws from its own generator rngs[j]."""
-    for (model, opt), rng in zip(members, rngs, strict=True):
-        if regime == "converged":
-            train_to_convergence(
-                model, seen_x, seen_y, opt, cfg.convergence_epochs,
-                tol=cfg.convergence_tol, batch_size=cfg.batch_size, rng=rng,
-            )
-        elif regime == "single-step":
-            optimizer_step(opt, model, backward(model, x_sel, y_sel, mode="train", bn_stat_source="batch", rng=rng))
+def _update(member, regime, seen_x, seen_y, x_sel, y_sel, cfg: LadderConfig, rngs) -> None:
+    """Update a (stacked model, optimizer) member list by its regime: retrain
+    on everything seen, take one step on the acquired batch, or stay frozen.
+    Member j shuffles with its own generator rngs[j]."""
+    model, opt = member
+    if regime == "converged":
+        train_to_convergence(
+            model, seen_x, seen_y, opt, cfg.convergence_epochs, cfg.convergence_tol, cfg.batch_size, rngs
+        )
+    elif regime == "single-step":
+        optimizer_step(opt, model, backward(model, x_sel, y_sel, mode="train", bn_stat_source="batch"))
+
+
+def _take(member, rows: slice):
+    """Members `rows` of a (stacked model, optimizer) member list, with their
+    moments and step counts, as a member list of their own."""
+    model, opt = copy.deepcopy(member)
+    part = MlpModel(model.layer_sizes, [w[rows] for w in model.weights], [b[rows] for b in model.biases])
+    if not isinstance(opt.step_count, int):  # counts are per member once the stack has stepped
+        opt.step_count = opt.step_count[rows]
+    if opt.layout is not None:
+        opt.layout = tuple((name, part.stack + shape[1:]) for name, shape in opt.layout)
+        opt.flat_exp_avg, opt.flat_exp_avg_sq = opt.flat_exp_avg[rows], opt.flat_exp_avg_sq[rows]
+    return part, opt
 
 
 def run_ladder(pool: LabeledDataset, holdout: LabeledDataset, cfg: LadderConfig) -> dict[str, RungResult]:
@@ -135,28 +153,33 @@ def run_ladder(pool: LabeledDataset, holdout: LabeledDataset, cfg: LadderConfig)
 
     sizes = (pool.dim, *cfg.hidden, pool.num_classes)
     small_sizes = (pool.dim, *cfg.small_hidden, pool.num_classes)
+    k = cfg.ensemble_size
 
-    def members(models):
-        """(model, fresh optimizer) pairs."""
+    def ensemble(seed):
+        """k models, initialised from the k seeds that SeedSequence(seed) generates."""
+        return [init_mlp(sizes, seed=int(s)) for s in np.random.SeedSequence(seed).generate_state(k)]
+
+    def member_list(models):
+        """The models as one stack, with a fresh optimizer."""
         opt = cfg.optimizer
-        return [(m, make_optimizer(opt.kind, opt.learning_rate, weight_decay=opt.weight_decay)) for m in models]
+        return stack_models(models), make_optimizer(opt.kind, opt.learning_rate, weight_decay=opt.weight_decay)
 
     # Holdout-fitted IL models. Every rung starts from a copy of one of these,
     # so rungs 1a/1b/2 differ only in how they update the same fitted model.
-    ils = {
-        "single": members([init_mlp(sizes, seed=int(init_seeds[0]))]),
-        "small": members([init_mlp(small_sizes, seed=int(init_seeds[1]))]),
-        "ensemble": members(make_ensemble(sizes, cfg.ensemble_size, seed=int(init_seeds[2])).members),
-    }
-    fitted = [member for ms in ils.values() for member in ms]
-    for (model, opt), seq in zip(fitted, ss[3].spawn(len(fitted))):
+    # The single model and the ensemble share an architecture and the data,
+    # so they fit as one stack of k + 1; every model has its own stream.
+    pre = [np.random.default_rng(seq) for seq in ss[3].spawn(k + 2)]
+    wide = member_list([init_mlp(sizes, seed=int(init_seeds[0])), *ensemble(int(init_seeds[2]))])
+    small = member_list([init_mlp(small_sizes, seed=int(init_seeds[1]))])
+    for (model, opt), rngs in ((wide, [pre[0], *pre[2:]]), (small, [pre[1]])):
         train_to_convergence(
-            model, holdout.features, holdout.labels, opt, cfg.il_pretrain_epochs,
-            tol=cfg.convergence_tol, batch_size=cfg.batch_size, rng=np.random.default_rng(seq),
+            model, holdout.features, holdout.labels, opt, cfg.il_pretrain_epochs, cfg.convergence_tol,
+            cfg.batch_size, rngs,
         )
+    ils = {"single": _take(wide, slice(0, 1)), "small": small, "ensemble": _take(wide, slice(1, None))}
     targets = {
-        "single": members([init_mlp(sizes, seed=int(init_seeds[3]))]),
-        "ensemble": members(make_ensemble(sizes, cfg.ensemble_size, seed=int(init_seeds[4])).members),
+        "single": member_list([init_mlp(sizes, seed=int(init_seeds[3]))]),
+        "ensemble": member_list(ensemble(int(init_seeds[4]))),
     }
 
     scores: dict[str, list[np.ndarray]] = {}
@@ -164,13 +187,14 @@ def run_ladder(pool: LabeledDataset, holdout: LabeledDataset, cfg: LadderConfig)
         target = copy.deepcopy(targets[target_src])
         il = copy.deepcopy(ils[il_src])
         # one stream per member: its shuffles never depend on another's early stop
-        rngs = [np.random.default_rng(seq) for seq in np.random.SeedSequence([cfg.seed, index]).spawn(len(target) + len(il))]
-        target_rngs, il_rngs = rngs[: len(target)], rngs[len(target) :]
+        n_target = target[0].stack[0]
+        rngs = [np.random.default_rng(seq) for seq in np.random.SeedSequence([cfg.seed, index]).spawn(n_target + il[0].stack[0])]
+        target_rngs, il_rngs = rngs[:n_target], rngs[n_target:]
         seen_x, seen_y = [], []
         per_step = []
         for chunk, tie_seed in zip(chunks, tie_seeds):
             x, y = pool.features[chunk], pool.labels[chunk]
-            s = _loss(target, x, y) - _loss(il, x, y)
+            s = _loss(target[0], x, y) - _loss(il[0], x, y)
             per_step.append(s)
             sel = select_top_k(s, chunk_select_count(chunk.size, cfg.n_b, cfg.n_B), tie_seed)
             seen_x.append(x[sel])

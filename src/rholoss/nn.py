@@ -6,12 +6,18 @@ dropout mode ("train"/"eval") from the batch-normalization statistics source
 ("batch"/"running"), because batch selection and model updates legitimately
 combine them differently: scoring a candidate batch wants deterministic
 activations but fresh batch statistics, while a training step wants both.
+
+A stacked model (`stack_models`) carries k same-shaped members along a
+leading axis of every parameter, so one call per layer op serves all of them.
+Its input is either one (n, d) batch shared by every member or a (k, b, d)
+batch per member, and member j computes, bit for bit, what the model it was
+stacked from computes on its slice.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,34 +31,48 @@ _MODES = ("train", "eval")
 _BN_SOURCES = ("batch", "running")
 
 
-def _as_batch(x, width: int, name: str = "x") -> Array:
+def _as_batch(x, width: int, stack: tuple[int, ...]) -> Array:
+    """A finite float batch: (n, width), or for a stack of k also (k, b, width)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != width:
-        raise ValueError(f"{name} must be 2-D with {width} columns, got shape {x.shape}")
+    if x.shape[-1:] != (width,) or not (x.ndim == 2 or (stack and x.ndim == 3 and x.shape[0] == stack[0])):
+        per_member = f" or 3-D with {stack[0]} members" if stack else ""
+        raise ValueError(f"x must be 2-D{per_member} with {width} columns, got shape {x.shape}")
     if not np.isfinite(x).all():
-        raise ValueError(f"{name} contains non-finite values")
+        raise ValueError("x contains non-finite values")
     return x
 
 
-def _as_labels(labels, n_classes: int) -> Array:
-    y = np.asarray(labels, dtype=np.int64).ravel()
+def _as_labels(labels, n_classes: int, rows: tuple[int, ...]) -> Array:
+    """Integer labels for logits whose leading shape is rows: (n,), or for a
+    stack (k, n) with labels of shape (n,) shared or (k, n) per member."""
+    y = np.asarray(labels, dtype=np.int64)
+    if len(rows) == 1:
+        y = y.ravel()
+    if y.shape != rows[-y.ndim :]:
+        raise ValueError(f"got {rows[-1]} examples but labels of shape {y.shape}")
     if y.size and (y.min() < 0 or y.max() >= n_classes):
         raise ValueError(f"labels must lie in [0, {n_classes}), got range [{y.min()}, {y.max()}]")
     return y
 
 
+def _at_labels(z: Array, y: Array) -> tuple:
+    """Index of each row's label entry in (n, c) or stacked (k, n, c) logits."""
+    rows = np.arange(z.shape[-2])
+    return (rows, y) if z.ndim == 2 else (np.arange(z.shape[0])[:, None], rows, y)
+
+
 def softmax(logits: Array) -> Array:
-    """Row-wise softmax, stable under large logits."""
+    """Row-wise softmax over the last axis, stable under large logits."""
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(logits: Array) -> Array:
     z = np.asarray(logits, dtype=np.float64)
-    m = z.max(axis=1, keepdims=True)
-    return z - m - np.log(np.exp(z - m).sum(axis=1, keepdims=True))
+    m = z.max(axis=-1, keepdims=True)
+    return z - m - np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
 
 
 def cross_entropy(logits: Array, labels) -> Array:
@@ -60,16 +80,15 @@ def cross_entropy(logits: Array, labels) -> Array:
 
     Computed as logsumexp(logits) - logits[label] with max subtraction, so the
     result is finite and nonnegative by construction for any finite logits.
+    Stacked (k, n, c) logits give a (k, n) result.
     """
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 2:
-        raise ValueError(f"logits must be 2-D, got shape {z.shape}")
-    y = _as_labels(labels, z.shape[1])
-    if y.size != z.shape[0]:
-        raise ValueError(f"got {z.shape[0]} logit rows but {y.size} labels")
-    m = z.max(axis=1)
-    lse = m + np.log(np.exp(z - m[:, None]).sum(axis=1))
-    return lse - z[np.arange(z.shape[0]), y]
+    if z.ndim not in (2, 3):
+        raise ValueError(f"logits must be 2-D, or 3-D for a stack, got shape {z.shape}")
+    y = _as_labels(labels, z.shape[-1], z.shape[:-1])
+    m = z.max(axis=-1)
+    lse = m + np.log(np.exp(z - m[..., None]).sum(axis=-1))
+    return lse - z[_at_labels(z, y)]
 
 
 @dataclass
@@ -109,6 +128,11 @@ class MlpModel:
     @property
     def n_layers(self) -> int:
         return len(self.weights)
+
+    @property
+    def stack(self) -> tuple[int, ...]:
+        """(k,) for a stack of k members, () for an ordinary model."""
+        return self.weights[0].shape[:-2]
 
 
 def init_mlp(
@@ -212,7 +236,7 @@ def _bn_backward(bn: BatchNormLayer, cache: dict, dout: Array):
 
 def _forward_cache(model, x, mode, bn_stat_source, rng, update_running):
     _check_mode(mode, bn_stat_source)
-    x = _as_batch(x, model.input_dim)
+    x = _as_batch(x, model.input_dim, model.stack)
     use_dropout = mode == "train" and model.dropout_rate > 0.0
     if use_dropout and rng is None:
         rng = np.random.default_rng()
@@ -220,7 +244,7 @@ def _forward_cache(model, x, mode, bn_stat_source, rng, update_running):
     cache = []
     last = model.n_layers - 1
     for l in range(model.n_layers):
-        z = a @ model.weights[l] + model.biases[l]
+        z = a @ model.weights[l] + model.biases[l][..., None, :]
         layer: dict = {"a_in": a}
         h = z
         if l < last:
@@ -282,10 +306,12 @@ def evaluate(model: MlpModel, test, batch_size: int = 1024) -> tuple[float, floa
 
 
 def _weight_grad(a_in: Array, d: Array) -> Array:
-    """a_in.T @ d. For one row this is the outer product, one rounded product
-    per element as in the K=1 GEMM (which differs only in giving +0 where the
-    product is -0), without the GEMM call's overhead."""
-    return a_in.T * d if a_in.shape[0] == 1 else a_in.T @ d
+    """a_in.T @ d, per member for a stack. For one row this is the outer
+    product, one rounded product per element as in the K=1 GEMM (which differs
+    only in giving +0 where the product is -0), without the GEMM call's
+    overhead."""
+    a_t = a_in.swapaxes(-1, -2)
+    return a_t * d if a_in.shape[-2] == 1 else a_t @ d
 
 
 def backward(
@@ -305,12 +331,10 @@ def backward(
     average to 1 so the gradient scale matches the unweighted mean).
     """
     logits, cache = _forward_cache(model, x, mode, bn_stat_source, rng, update_running)
-    y = _as_labels(labels, model.n_classes)
-    b = logits.shape[0]
-    if y.size != b:
-        raise ValueError(f"got {b} examples but {y.size} labels")
+    y = _as_labels(labels, model.n_classes, logits.shape[:-1])
+    b = logits.shape[-2]
     d = softmax(logits)
-    d[np.arange(b), y] -= 1.0
+    d[_at_labels(d, y)] -= 1.0
     if sample_weights is None:
         d /= b
     else:
@@ -330,9 +354,9 @@ def backward(
                 grads[f"bn{l}_gamma"] = dg
                 grads[f"bn{l}_beta"] = db
         grads[f"w{l}"] = _weight_grad(layer["a_in"], d)
-        grads[f"b{l}"] = d.sum(axis=0)
+        grads[f"b{l}"] = d.sum(axis=-2)
         if l > 0:
-            d = d @ model.weights[l].T
+            d = d @ model.weights[l].swapaxes(-1, -2)
     return grads
 
 
@@ -371,53 +395,54 @@ def mc_dropout_predict(
     )
 
 
-@dataclass
-class EnsembleModel:
-    """Bag of independently initialized MLPs sharing one architecture.
+def stack_models(models) -> MlpModel:
+    """One model holding `models` along a leading member axis, in order.
 
-    The predictive distribution is the arithmetic mean of the member softmax
-    outputs, which crudely stands in for averaging over a parameter posterior.
+    Batch normalization and dropout are rejected: a stack keeps no per-member
+    running statistics and draws no per-member dropout masks.
     """
-
-    members: list[MlpModel] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("ensemble needs at least one member")
-        sizes = self.members[0].layer_sizes
-        if any(m.layer_sizes != sizes for m in self.members):
-            raise ValueError("ensemble members must share layer sizes")
-
-    @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return self.members[0].layer_sizes
+    models = list(models)
+    if not models:
+        raise ValueError("a stack needs at least one model")
+    sizes = models[0].layer_sizes
+    if any(m.layer_sizes != sizes for m in models):
+        raise ValueError("stacked models must share layer sizes")
+    if any(m.batchnorm is not None or m.dropout_rate > 0.0 or m.stack for m in models):
+        raise ValueError("only ordinary models without batch normalization or dropout can be stacked")
+    weights = [np.stack([m.weights[l] for m in models]) for l in range(len(sizes) - 1)]
+    biases = [np.stack([m.biases[l] for m in models]) for l in range(len(sizes) - 1)]
+    return MlpModel(sizes, weights, biases)
 
 
-def make_ensemble(layer_sizes, k: int, seed: int = 0, **kwargs) -> EnsembleModel:
-    if k < 1:
-        raise ValueError(f"ensemble size must be >= 1, got {k}")
-    seeds = np.random.SeedSequence(seed).generate_state(k)
-    return EnsembleModel([init_mlp(layer_sizes, seed=int(s), **kwargs) for s in seeds])
+def unstack(model: MlpModel) -> list[MlpModel]:
+    """The members of a stacked model as ordinary models whose parameters are
+    views into the stack.
+
+    On a large shared batch, one forward per member is the faster choice: the
+    stacked temporaries are k times larger, and at a few MB each the allocator
+    hands them back to the system and page-faults them in again on every call.
+    """
+    if not model.stack:
+        raise ValueError("unstack needs a stacked model")
+    return [
+        MlpModel(model.layer_sizes, [w[j] for w in model.weights], [b[j] for b in model.biases])
+        for j in range(model.stack[0])
+    ]
 
 
-def ensemble_predict_proba(ens: EnsembleModel, x) -> Array:
-    """Exact arithmetic mean of member softmax outputs (eval mode)."""
-    probs = [softmax(forward(m, x)) for m in ens.members]
-    return sum(probs) / len(probs)
-
-
-def ensemble_cross_entropy(ens: EnsembleModel, x, labels) -> Array:
-    """-log of the mean member probability of the true class, computed stably.
+def ensemble_cross_entropy(model: MlpModel, x, labels) -> Array:
+    """-log of the mean member probability of the true class under a stacked
+    model, on the batch x shared by its members.
 
     Uses logsumexp over member log-probabilities so a single saturated member
     cannot underflow the mean to zero.
     """
-    y = _as_labels(labels, ens.members[0].n_classes)
-    logp = np.stack([log_softmax(forward(m, x)) for m in ens.members])
-    picked = logp[:, np.arange(logp.shape[1]), y]  # (k, batch)
+    members = unstack(model)
+    logp = np.stack([log_softmax(forward(m, x)) for m in members])
+    picked = logp[_at_labels(logp, _as_labels(labels, model.n_classes, logp.shape[1:-1]))]  # (k, batch)
     m = picked.max(axis=0)
     lse = m + np.log(np.exp(picked - m).sum(axis=0))
-    return math.log(len(ens.members)) - lse
+    return math.log(len(members)) - lse
 
 
 def save_model(model: MlpModel, path) -> None:

@@ -5,6 +5,10 @@ into one flat vector each, updates the parameter vector with whole-vector
 ufuncs, and copies it back into the parameter arrays. Every element goes
 through the same operations in the same order as a per-parameter update, so
 the result does not depend on how the parameters are split into arrays.
+
+For a stacked model (`nn.stack_models`) the flat vectors are member-major
+(k, P), and each member keeps its own step count, so a member left out of a
+step by the `active` mask resumes later exactly as if trained alone.
 """
 from __future__ import annotations
 
@@ -21,13 +25,24 @@ Layout = tuple[tuple[str, tuple[int, ...]], ...]
 
 
 def _views(flat: np.ndarray, layout: Layout) -> dict[str, np.ndarray]:
-    """Name-keyed views of a flat vector, each shaped like its parameter."""
+    """Name-keyed views of a flat (P,) or member-major (k, P) vector, each
+    shaped like its parameter."""
     views, start = {}, 0
     for name, shape in layout:
-        stop = start + math.prod(shape)
-        views[name] = flat[start:stop].reshape(shape)
+        stop = start + math.prod(shape[flat.ndim - 1 :])
+        views[name] = flat[..., start:stop].reshape(shape)
         start = stop
     return views
+
+
+def _bias_correction(beta: float, counts: list[int]) -> float | np.ndarray:
+    """1 - beta**t for the step counts of the stepping members: a float when
+    they agree, else a (k, 1) column. Each power is Python's float power of an
+    int, which numpy's array power does not match in the last bit for every
+    t."""
+    if min(counts) == max(counts):
+        return 1.0 - beta ** counts[0]
+    return np.array([1.0 - beta**t for t in counts])[:, None]
 
 
 @dataclass
@@ -36,7 +51,8 @@ class OptimizerState:
 
     The moments are flat vectors over the parameter layout (names and shapes,
     in `nn.parameters` order) they were built for; exp_avg and exp_avg_sq
-    give them back keyed by parameter name.
+    give them back keyed by parameter name. For a stacked model step_count
+    becomes a list of one count per member on the first step.
     """
 
     kind: str
@@ -45,7 +61,7 @@ class OptimizerState:
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.0
-    step_count: int = 0
+    step_count: int | list[int] = 0
     layout: Layout | None = None
     flat_exp_avg: np.ndarray | None = None
     flat_exp_avg_sq: np.ndarray | None = None
@@ -74,13 +90,15 @@ def make_optimizer(
     return OptimizerState(kind, learning_rate, beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay)
 
 
-def optimizer_step(state: OptimizerState, model: MlpModel, grads: dict[str, np.ndarray]):
+def optimizer_step(state: OptimizerState, model: MlpModel, grads: dict[str, np.ndarray], active=None):
     """Apply one update in place; returns (model, state) for chaining.
 
     SGD is the bare rule p <- p - lr * g. AdamW applies decoupled weight decay
     p <- p - lr * wd * p independently of the bias-corrected adaptive term.
     Moment vectors are allocated lazily on the first step; a later step on a
-    different parameter layout raises ValueError.
+    different parameter layout raises ValueError. For a stacked model, active
+    is an optional boolean mask over the members: the parameters, moments and
+    step count of a member outside it stay untouched.
     """
     params = parameters(model)
     for name, p in params.items():
@@ -93,23 +111,43 @@ def optimizer_step(state: OptimizerState, model: MlpModel, grads: dict[str, np.n
         layout = tuple((name, p.shape) for name, p in params.items())
         if state.layout is not None and layout != state.layout:
             raise ValueError(f"parameter layout {layout} differs from the one the moments were built for {state.layout}")
-    p = np.concatenate([q.ravel() for q in params.values()])
-    g = np.concatenate([grads[name].ravel() for name in params])
+    stack = model.stack
+    if active is not None and not stack:
+        raise ValueError("an active-member mask needs a stacked model")
+    if stack and isinstance(state.step_count, int):
+        state.step_count = [state.step_count] * stack[0]
+    # None when every member steps; else the stepping members, whose rows of
+    # the flat vectors are worked on as copies and scattered back.
+    rows = None if active is None or np.all(active) else np.flatnonzero(active)
+    if rows is not None and rows.size == 0:
+        return model, state
+    whole = np.concatenate([q.reshape(*stack, -1) for q in params.values()], axis=-1)
+    g = np.concatenate([grads[name].reshape(*stack, -1) for name in params], axis=-1)
+    if state.kind == "adamw" and state.layout is None:
+        state.layout = layout
+        state.flat_exp_avg = np.zeros_like(whole)
+        state.flat_exp_avg_sq = np.zeros_like(whole)
+    p = whole
+    if not stack:
+        state.step_count += 1
+    elif rows is None:
+        state.step_count = [t + 1 for t in state.step_count]
+    else:
+        p, g = whole[rows], g[rows]
+        for j in rows:
+            state.step_count[j] += 1
     s = np.empty_like(p)  # scratch; g becomes the second scratch once the moments are updated
     lr = state.learning_rate
-    state.step_count += 1
     if state.kind == "sgd":
         np.multiply(g, lr, out=s)
         p -= s
     else:
-        if state.layout is None:
-            state.layout = layout
-            state.flat_exp_avg = np.zeros_like(p)
-            state.flat_exp_avg_sq = np.zeros_like(p)
         m, v = state.flat_exp_avg, state.flat_exp_avg_sq
-        t = state.step_count
-        bc1 = 1.0 - state.beta1**t
-        bc2 = 1.0 - state.beta2**t
+        t = state.step_count if stack else [state.step_count]
+        if rows is not None:
+            m, v, t = m[rows], v[rows], [t[j] for j in rows]
+        bc1 = _bias_correction(state.beta1, t)
+        bc2 = _bias_correction(state.beta2, t)
         # m <- b1*m + (1-b1)*g;  v <- b2*v + ((1-b2)*g)*g
         m *= state.beta1
         np.multiply(g, 1.0 - state.beta1, out=s)
@@ -129,22 +167,39 @@ def optimizer_step(state: OptimizerState, model: MlpModel, grads: dict[str, np.n
         g += state.eps
         s /= g
         p -= s
+        if rows is not None:
+            state.flat_exp_avg[rows] = m
+            state.flat_exp_avg_sq[rows] = v
+    if rows is not None:
+        whole[rows] = p
+    members = stack[0] if stack else 1
     start = 0
-    for q in params.values():
-        stop = start + q.size
-        q[...] = p[start:stop].reshape(q.shape)
+    for q in params.values():  # a member left out writes back its unchanged values
+        stop = start + q.size // members
+        q[...] = whole[..., start:stop].reshape(q.shape)
         start = stop
     return model, state
 
 
-def train_epoch(model: MlpModel, opt: OptimizerState, x, y, batch_size: int, rng: np.random.Generator) -> None:
+def train_epoch(model: MlpModel, opt: OptimizerState, x, y, batch_size: int, rng, active=None) -> None:
     """One shuffled pass over (x, y) in minibatches, one optimizer step each.
 
     Train mode with batch statistics, which also update the running ones; rng
-    draws the permutation and any dropout masks.
+    draws the permutation and any dropout masks. A stacked model takes one
+    generator per member as rng, and the optional active mask of
+    `optimizer_step`: each active member shuffles with its own generator and
+    steps on its own minibatches, while the others draw nothing and stay
+    untouched.
     """
-    perm = rng.permutation(x.shape[0])
-    for start in range(0, x.shape[0], batch_size):
-        idx = perm[start : start + batch_size]
+    n = x.shape[0]
+    if model.stack:
+        on = np.ones(model.stack, dtype=bool) if active is None else active
+        perm = np.stack([r.permutation(n) if a else np.arange(n) for r, a in zip(rng, on, strict=True)])
+        rng = None  # a stack has no dropout
+        active = None if on.all() else on
+    else:
+        perm = rng.permutation(n)
+    for start in range(0, n, batch_size):
+        idx = perm[..., start : start + batch_size]
         grads = backward(model, x[idx], y[idx], mode="train", bn_stat_source="batch", rng=rng, update_running=True)
-        optimizer_step(opt, model, grads)
+        optimizer_step(opt, model, grads, active)

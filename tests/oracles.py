@@ -168,3 +168,28 @@ class LoopOptimizer:
             if self.weight_decay != 0.0:
                 p -= self.learning_rate * self.weight_decay * p
             p -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+def train_members_one_at_a_time(models, loop_opts, x, y, budget_epochs, tol, batch_size, rngs):
+    """Each ordinary model trained to convergence on its own, one after the
+    other, with its own `LoopOptimizer` and generator: what lockstep training
+    of their stack must reproduce. Full shuffled passes in minibatches until
+    the relative improvement of the mean loss drops below tol, capped at
+    budget_epochs."""
+    for model, opt, rng in zip(models, loop_opts, rngs):
+        if budget_epochs == 0 or len(x) == 0:
+            continue
+
+        def mean_loss():
+            return float(nn.cross_entropy(nn.forward(model, x), y).mean())
+
+        prev = mean_loss()
+        for _ in range(budget_epochs):
+            perm = rng.permutation(len(x))
+            for start in range(0, len(x), batch_size):
+                idx = perm[start : start + batch_size]
+                opt.step(model, nn.backward(model, x[idx], y[idx]))
+            cur = mean_loss()
+            if prev - cur < tol * max(prev, 1e-12):
+                break
+            prev = cur

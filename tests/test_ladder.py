@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rholoss import data, nn
 from rholoss.ladder import (
@@ -13,26 +15,32 @@ from rholoss.ladder import (
 from rholoss.optim import make_optimizer
 from rholoss.stats import spearman
 
+from oracles import LoopOptimizer, train_members_one_at_a_time
+
 
 def toy_xy(seed=0, n=60, dim=4, classes=3, spread=0.4):
     ds = data.gen_synthetic(classes, n // classes, dim, spread, seed=seed, radius=2.5)
     return ds.features, ds.labels
 
 
+def single_stack(sizes, seed):
+    return nn.stack_models([nn.init_mlp(sizes, seed=seed)])
+
+
 def test_train_to_convergence_zero_budget_noop():
     x, y = toy_xy()
-    model = nn.init_mlp((4, 8, 3), seed=1)
+    model = single_stack((4, 8, 3), seed=1)
     before = [w.copy() for w in model.weights]
-    train_to_convergence(model, x, y, make_optimizer("adamw", 1e-3), 0)
+    train_to_convergence(model, x, y, make_optimizer("adamw", 1e-3), 0, 1e-3, 32, [np.random.default_rng(0)])
     for a, b in zip(before, model.weights):
         assert np.array_equal(a, b)
 
 
 def test_train_to_convergence_fits_separable_toy():
     x, y = toy_xy(spread=0.15)
-    model = nn.init_mlp((4, 32, 3), seed=2)
+    model = single_stack((4, 32, 3), seed=2)
     opt = make_optimizer("adamw", 5e-3)
-    train_to_convergence(model, x, y, opt, 200, tol=1e-9, batch_size=16, rng=np.random.default_rng(0))
+    train_to_convergence(model, x, y, opt, 200, 1e-9, 16, [np.random.default_rng(0)])
     loss = float(nn.cross_entropy(nn.forward(model, x), y).mean())
     assert loss < 0.01
 
@@ -41,8 +49,8 @@ def test_train_to_convergence_deterministic():
     x, y = toy_xy()
 
     def run():
-        model = nn.init_mlp((4, 8, 3), seed=3)
-        train_to_convergence(model, x, y, make_optimizer("adamw", 1e-3), 3, rng=np.random.default_rng(5))
+        model = single_stack((4, 8, 3), seed=3)
+        train_to_convergence(model, x, y, make_optimizer("adamw", 1e-3), 3, 1e-3, 32, [np.random.default_rng(5)])
         return model
 
     a, b = run(), run()
@@ -52,22 +60,75 @@ def test_train_to_convergence_deterministic():
 
 def test_train_to_convergence_stops_on_plateau():
     x, y = toy_xy(spread=0.15)
-    model = nn.init_mlp((4, 32, 3), seed=4)
+    model = single_stack((4, 32, 3), seed=4)
     opt = make_optimizer("adamw", 5e-3)
     # huge budget but loose tolerance: must bail out early via the plateau check
-    train_to_convergence(model, x, y, opt, 10_000, tol=0.5, batch_size=16, rng=np.random.default_rng(1))
-    assert opt.step_count < 100
+    train_to_convergence(model, x, y, opt, 10_000, 0.5, 16, [np.random.default_rng(1)])
+    assert opt.step_count[0] < 100
 
 
 def test_train_to_convergence_ensemble_members_trained():
     x, y = toy_xy()
-    ens = nn.make_ensemble((4, 8, 3), 3, seed=5)
-    members = [(m, make_optimizer("adamw", 1e-3)) for m in ens.members]
-    before = [m.weights[0].copy() for m in ens.members]
+    stack = nn.stack_models(nn.init_mlp((4, 8, 3), seed=s) for s in (5, 6, 7))
+    before = stack.weights[0].copy()
     cfg = LadderConfig(convergence_epochs=2)
-    _update(members, "converged", x, y, x[:4], y[:4], cfg, [np.random.default_rng(s) for s in (2, 3, 4)])
-    for b, m in zip(before, ens.members):
-        assert not np.array_equal(b, m.weights[0])
+    rngs = [np.random.default_rng(s) for s in (2, 3, 4)]
+    _update((stack, make_optimizer("adamw", 1e-3)), "converged", x, y, x[:4], y[:4], cfg, rngs)
+    for j in range(3):
+        assert not np.array_equal(before[j], stack.weights[0][j])
+
+
+def test_train_to_convergence_needs_one_generator_per_member():
+    x, y = toy_xy()
+    for model, rngs in ((nn.init_mlp((4, 8, 3), seed=1), [np.random.default_rng(0)]), (single_stack((4, 8, 3), seed=1), [])):
+        with pytest.raises(ValueError, match="one generator per member"):
+            train_to_convergence(model, x, y, make_optimizer("adamw", 1e-3), 1, 1e-3, 32, rngs)
+
+
+def lockstep_against_one_at_a_time(k, n, batch_size, budget, tol, kind, seed):
+    """Train k members as one stack and, separately, one at a time from the
+    same init and streams; both must agree bit for bit. Returns the step
+    counts."""
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal((n, 3)), rng.integers(0, 3, n)
+    lr = 0.05 if kind == "adamw" else 0.2
+    models = [nn.init_mlp((3, 6, 3), seed=seed + j) for j in range(k)]
+    stack, opt = nn.stack_models(models), make_optimizer(kind, lr, weight_decay=0.01)
+    loops = [LoopOptimizer(kind, lr, weight_decay=0.01) for _ in models]
+    streams = np.random.SeedSequence(seed).spawn(k)
+    train_to_convergence(stack, x, y, opt, budget, tol, batch_size, [np.random.default_rng(s) for s in streams])
+    train_members_one_at_a_time(models, loops, x, y, budget, tol, batch_size, [np.random.default_rng(s) for s in streams])
+    counts = np.broadcast_to(opt.step_count, (k,))
+    for j, (model, loop) in enumerate(zip(models, loops)):
+        assert counts[j] == loop.step_count
+        for name, p in nn.parameters(model).items():
+            assert np.array_equal(nn.parameters(stack)[name][j], p), name
+            if loop.exp_avg:
+                assert np.array_equal(opt.exp_avg[name][j], loop.exp_avg[name]), name
+                assert np.array_equal(opt.exp_avg_sq[name][j], loop.exp_avg_sq[name]), name
+    return counts
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    n=st.integers(1, 24),
+    batch_size=st.integers(1, 8),
+    budget=st.integers(0, 6),
+    tol=st.sampled_from([0.0, 0.01, 0.05, 0.2]),
+    kind=st.sampled_from(["adamw", "sgd"]),
+    seed=st.integers(0, 2**16),
+)
+@example(k=3, n=9, batch_size=4, budget=0, tol=0.05, kind="adamw", seed=0)
+@example(k=4, n=13, batch_size=4, budget=6, tol=0.05, kind="adamw", seed=3)
+def test_lockstep_training_matches_members_trained_one_at_a_time(k, n, batch_size, budget, tol, kind, seed):
+    lockstep_against_one_at_a_time(k, n, batch_size, budget, tol, kind, seed)
+
+
+def test_lockstep_members_stop_at_different_epochs():
+    # 13 % 4 == 1: every epoch ends on a one-row minibatch
+    counts = lockstep_against_one_at_a_time(4, 13, 4, 6, 0.05, "adamw", 3)
+    assert len(set(counts.tolist())) > 1
 
 
 def ladder_task(seed=50):
@@ -132,6 +193,17 @@ def test_ladder_random_scores_uncorrelated_with_gold(ladder_results):
         [np.mean([spearman(null_rng.permutation(g), g) for g in gold]) for _ in range(300)]
     )
     assert abs(dummy_mean - null.mean()) < 3 * null.std() + 1e-9
+
+
+@pytest.mark.parametrize("pretrain, convergence", [(0, 0), (0, 2), (2, 0)])
+def test_ladder_runs_with_zero_training_budgets(pretrain, convergence):
+    pool, holdout = ladder_task()
+    cfg = LadderConfig(
+        n_b=4, n_B=40, ensemble_size=2, convergence_epochs=convergence, il_pretrain_epochs=pretrain,
+        hidden=(8,), small_hidden=(4,), batch_size=16, seed=3,
+    )
+    results = run_ladder(pool, holdout, cfg)
+    assert results["approx0"].mean_rho == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ladder_rejects_tiny_pool():

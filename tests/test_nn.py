@@ -229,11 +229,11 @@ def test_mc_dropout_mean_approaches_mask_enumeration():
 
 def test_ensemble_mean_is_exact_average():
     members = [nn.init_mlp((3, 4, 2), seed=s) for s in (1, 2)]
-    ens = nn.EnsembleModel(members)
+    stack = nn.stack_models(members)
     x = np.random.default_rng(5).standard_normal((6, 3))
     p0 = nn.softmax(nn.forward(members[0], x))
     p1 = nn.softmax(nn.forward(members[1], x))
-    probs = nn.ensemble_predict_proba(ens, x)
+    probs = nn.softmax(nn.forward(stack, x)).mean(axis=0)
     assert np.array_equal(probs, (p0 + p1) / 2)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
@@ -241,24 +241,66 @@ def test_ensemble_mean_is_exact_average():
 def test_ensemble_member_order_does_not_matter():
     members = [nn.init_mlp((3, 4, 2), seed=s) for s in (1, 2, 3)]
     x = np.random.default_rng(5).standard_normal((4, 3))
-    a = nn.ensemble_predict_proba(nn.EnsembleModel(members), x)
-    b = nn.ensemble_predict_proba(nn.EnsembleModel(members[::-1]), x)
+    a = nn.softmax(nn.forward(nn.stack_models(members), x)).mean(axis=0)
+    b = nn.softmax(nn.forward(nn.stack_models(members[::-1]), x)).mean(axis=0)
     assert np.allclose(a, b, atol=1e-14)
 
 
 def test_ensemble_cross_entropy_matches_mean_prob():
     members = [nn.init_mlp((3, 4, 5), seed=s) for s in (4, 5, 6)]
-    ens = nn.EnsembleModel(members)
+    stack = nn.stack_models(members)
     x = np.random.default_rng(8).standard_normal((7, 3))
     y = np.random.default_rng(9).integers(0, 5, 7)
-    probs = nn.ensemble_predict_proba(ens, x)
+    probs = nn.softmax(nn.forward(stack, x)).mean(axis=0)
     expected = -np.log(probs[np.arange(7), y])
-    assert np.allclose(nn.ensemble_cross_entropy(ens, x, y), expected, atol=1e-12)
+    assert np.allclose(nn.ensemble_cross_entropy(stack, x, y), expected, atol=1e-12)
 
 
 def test_ensemble_requires_matching_architectures():
     with pytest.raises(ValueError):
-        nn.EnsembleModel([nn.init_mlp((3, 4, 2), seed=1), nn.init_mlp((3, 5, 2), seed=2)])
+        nn.stack_models([nn.init_mlp((3, 4, 2), seed=1), nn.init_mlp((3, 5, 2), seed=2)])
+
+
+@pytest.mark.parametrize("kwargs", [{"batchnorm": True}, {"dropout_rate": 0.1}])
+def test_stack_rejects_batchnorm_and_dropout(kwargs):
+    with pytest.raises(ValueError):
+        nn.stack_models([nn.init_mlp((3, 4, 2), seed=1, **kwargs)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    sizes=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+    rows=st.integers(0, 5),
+    per_member=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_member_computes_what_its_model_computes_bitwise(k, sizes, rows, per_member, seed):
+    # one row takes the outer-product weight gradient, zero rows the empty GEMM
+    members = [nn.init_mlp(sizes, seed=seed + j) for j in range(k)]
+    stack = nn.stack_models(members)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((k, rows, sizes[0]) if per_member else (rows, sizes[0]))
+    y = rng.integers(0, sizes[-1], (k, rows) if per_member else rows)
+    logits = nn.forward(stack, x)
+    losses = nn.cross_entropy(logits, y)
+    grads = nn.backward(stack, x, y) if rows else {}
+    for j, m in enumerate(members):
+        xj, yj = (x[j], y[j]) if per_member else (x, y)
+        assert np.array_equal(logits[j], nn.forward(m, xj))
+        assert np.array_equal(losses[j], nn.cross_entropy(nn.forward(m, xj), yj))
+        for name, g in (nn.backward(m, xj, yj) if rows else {}).items():
+            assert np.array_equal(grads[name][j], g), name
+
+
+def test_stacked_inputs_and_labels_are_checked():
+    stack = nn.stack_models([nn.init_mlp((3, 4, 2), seed=s) for s in (1, 2)])
+    with pytest.raises(ValueError, match="3-D with 2 members"):
+        nn.forward(stack, np.zeros((3, 4, 3)))
+    with pytest.raises(ValueError, match="labels of shape"):
+        nn.backward(stack, np.zeros((2, 4, 3)), np.zeros((3, 4), dtype=int))
+    with pytest.raises(ValueError, match="stacked model"):
+        nn.ensemble_cross_entropy(nn.init_mlp((3, 4, 2), seed=1), np.zeros((4, 3)), np.zeros(4, dtype=int))
 
 
 def test_batchnorm_permutation_equivariance():

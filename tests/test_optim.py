@@ -164,3 +164,53 @@ def test_adamw_rejects_a_layout_other_than_its_moments():
             optimizer_step(opt, other, nn.backward(other, np.zeros((2, 3)), [0, 1]))
     assert opt.step_count == 1
     assert np.array_equal(opt.flat_exp_avg, before)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["sgd", "adamw"]),
+    k=st.integers(1, 4),
+    start=st.sampled_from([0, 6, 22, 999]),
+    beta2=st.sampled_from([0.999, 0.99, 0.5]),
+    weight_decay=st.sampled_from([0.0, 0.01]),
+    steps=st.integers(1, 10),
+    seed=st.integers(0, 2**16),
+)
+def test_masked_members_are_untouched_and_the_rest_step_as_if_alone(kind, k, start, beta2, weight_decay, steps, seed):
+    # at beta2 = 0.999, numpy's array power and Python's ** first disagree at t = 7
+    rng = np.random.default_rng(seed)
+    members = [nn.init_mlp((3, 4, 2), seed=seed + j) for j in range(k)]
+    stack = nn.stack_models(members)
+    opt = make_optimizer(kind, 0.01, weight_decay=weight_decay, beta2=beta2)
+    opt.step_count = [start] * k
+    loops = [LoopOptimizer(kind, 0.01, weight_decay=weight_decay, beta2=beta2) for _ in members]
+    for loop in loops:
+        loop.step_count = start
+    for _ in range(steps):
+        active = rng.random(k) < 0.6
+        grads = {name: rng.standard_normal(p.shape) for name, p in nn.parameters(stack).items()}
+        before_stack, before_opt = copy.deepcopy((stack, opt))
+        optimizer_step(opt, stack, grads, active=active)
+        for j in range(k):
+            if active[j]:
+                loops[j].step(members[j], {name: g[j] for name, g in grads.items()})
+                continue
+            assert opt.step_count[j] == before_opt.step_count[j]
+            for name, p in nn.parameters(stack).items():
+                assert np.array_equal(p[j], nn.parameters(before_stack)[name][j])
+                if before_opt.layout is not None:
+                    assert np.array_equal(opt.exp_avg[name][j], before_opt.exp_avg[name][j])
+                    assert np.array_equal(opt.exp_avg_sq[name][j], before_opt.exp_avg_sq[name][j])
+    for j, (member, loop) in enumerate(zip(members, loops)):
+        assert opt.step_count[j] == loop.step_count
+        for name, p in nn.parameters(member).items():
+            assert np.array_equal(nn.parameters(stack)[name][j], p)
+            if kind == "adamw" and loop.exp_avg:
+                assert np.array_equal(opt.exp_avg[name][j], loop.exp_avg[name])
+                assert np.array_equal(opt.exp_avg_sq[name][j], loop.exp_avg_sq[name])
+
+
+def test_active_mask_needs_a_stacked_model():
+    model = nn.init_mlp((3, 4, 2), seed=1)
+    with pytest.raises(ValueError, match="stacked"):
+        optimizer_step(make_optimizer("sgd", 0.1), model, nn.backward(model, np.zeros((2, 3)), [0, 1]), active=[True])
