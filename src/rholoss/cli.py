@@ -43,7 +43,7 @@ from .ilmodel import (
 )
 from .ladder import run_ladder
 from .nn import init_mlp, load_model, save_model
-from .records import RunRecord, epochs_to_target, load_run_record, save_run_record
+from .records import RunRecord, atomic_write, epochs_to_target, load_run_record, save_run_record
 from .selection import NEEDS_IL, SelectionPolicy, svp_offline_select
 from .trainer import RunConfig, run_original_selection, run_training
 
@@ -259,7 +259,7 @@ def _run_one(payload) -> str:
                      dropout_rate=run.model.dropout, batchnorm=run.model.batchnorm)
     il_model = load_model(out / "il" / "il_model.npz") if run.il_update_mode == "original" and policy.needs_il else None
     dump_path = out / "runs" / f"scores_{policy_kind}_seed{seed}.csv"
-    with open(dump_path, "w") if run.dump_scores else contextlib.nullcontext() as dump:
+    with atomic_write(dump_path) if run.dump_scores else contextlib.nullcontext() as dump:
         if dump is not None:
             dump.write(f"# rholoss-scores v1 config_hash={chash} seed={seed}\n")
         if il_model is not None:
@@ -409,7 +409,7 @@ def cmd_ladder(cfg: ExperimentConfig, out: Path) -> int:
     ldir = out / "ladder"
     ldir.mkdir(parents=True, exist_ok=True)
     path = ldir / "ladder.csv"
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         f.write(f"# rholoss-ladder v1 config_hash={config_hash(cfg)} seed={cfg.ladder.seed}\n")
         writer = csv.writer(f)
         writer.writerow(["rung", "step", "rho"])

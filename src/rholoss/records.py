@@ -15,6 +15,7 @@ the header.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import os
@@ -103,6 +104,21 @@ def weakest_final_accuracy(records: Mapping[str, RunRecord]) -> float:
     return min(r.final_accuracy() for r in records.values())
 
 
+@contextlib.contextmanager
+def atomic_write(path, newline: str | None = None):
+    """A text file that becomes path only once the block succeeds: it is
+    written as path.tmp and renamed over path, and removed on failure, so a
+    partial file never appears."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline=newline) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_run_record(record: RunRecord, path, generated_at: str | None = None) -> None:
     """Atomic write (tmp + rename) so partial files never appear."""
     if generated_at is None:
@@ -133,10 +149,8 @@ def save_run_record(record: RunRecord, path, generated_at: str | None = None) ->
                 repr(row.frac_already_correct),
             ]
         )
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         f.write(buf.getvalue())
-    os.replace(tmp, path)
 
 
 def parse_record_header(line: str) -> dict[str, str]:

@@ -126,9 +126,17 @@ def sample_grad_norm_is(scores, n_b: int, seed_or_rng, temperature: float = 1.0)
         raise ValueError("grad-norm importance sampling needs nonnegative scores")
     if n_b > s.size:
         raise ValueError(f"cannot sample {n_b} from {s.size} candidates")
+    if n_b == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
-    p = s ** (1.0 / temperature)
-    total = p.sum()
+    with np.errstate(over="ignore"):
+        p = s ** (1.0 / temperature)
+        total = p.sum()
+    if not np.isfinite(total):
+        # Scores near the float maximum overflow the powers or their sum;
+        # scaled by the largest score, every power and the sum stay finite.
+        p = (s / s.max()) ** (1.0 / temperature)
+        total = p.sum()
     if total > 0.0:
         p = p / total
     positive = p > 0.0

@@ -576,6 +576,21 @@ def test_dump_scores_via_cli_carries_provenance(tmp_path):
     assert main(["report", "--config", str(cfg_path), "--out", str(out)]) == 0
 
 
+def test_a_failed_run_leaves_no_partial_score_dump(tmp_path, monkeypatch):
+    cfg_path = write_config(tmp_path, {"run.dump_scores": True, "run.seeds": [1], "run.targets": []})
+    out = tmp_path / "out"
+    assert main(["prepare", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert main(["train-il", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+    def failing_run(*args, score_dump, **kwargs):
+        score_dump.write("0,1,0.5,1\n")
+        raise ValueError("training diverged")
+
+    monkeypatch.setattr(cli, "run_training", failing_run)
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert list((out / "runs").iterdir()) == []
+
+
 def test_stages_load_each_split_they_use_once(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path, {"run.seeds": [1, 2]})  # rho-loss + the uniform baseline: 4 runs
     out = tmp_path / "out"

@@ -197,6 +197,20 @@ def test_is_too_few_nonzero_takes_them_all_and_fills_uniformly():
     assert est == pytest.approx(g.mean(), abs=0.05)
 
 
+@pytest.mark.parametrize(
+    "scores, n_b, temperature, dominant",
+    [
+        ([1.7e308, 1.7e308, 0.0, 0.0], 3, 1.0, [0, 1]),  # the sum overflows
+        ([1e200, 1.0, 2.0], 2, 0.5, [0]),  # s ** (1/T) overflows
+    ],
+)
+def test_is_takes_the_dominant_candidates_when_the_powers_overflow(scores, n_b, temperature, dominant):
+    for seed in range(20):
+        idx, w = sample_grad_norm_is(scores, n_b, seed, temperature=temperature)
+        assert set(dominant) <= set(idx.tolist()) and idx.size == n_b
+        assert np.all(np.isfinite(w)) and w.mean() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_is_enough_nonzero_matches_sequential_draws_bitwise():
     scores = np.random.default_rng(5).uniform(0.0, 3.0, 64)
     scores[::4] = 0.0
