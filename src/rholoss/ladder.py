@@ -188,7 +188,8 @@ def run_ladder(pool: LabeledDataset, holdout: LabeledDataset, cfg: LadderConfig)
         il = copy.deepcopy(ils[il_src])
         # one stream per member: its shuffles never depend on another's early stop
         n_target = target[0].stack[0]
-        rngs = [np.random.default_rng(seq) for seq in np.random.SeedSequence([cfg.seed, index]).spawn(n_target + il[0].stack[0])]
+        streams = np.random.SeedSequence([cfg.seed, index]).spawn(n_target + il[0].stack[0])
+        rngs = [np.random.default_rng(seq) for seq in streams]
         target_rngs, il_rngs = rngs[:n_target], rngs[n_target:]
         seen_x, seen_y = [], []
         per_step = []

@@ -80,15 +80,16 @@ def test_train_to_convergence_ensemble_members_trained():
 
 def test_train_to_convergence_needs_one_generator_per_member():
     x, y = toy_xy()
-    for model, rngs in ((nn.init_mlp((4, 8, 3), seed=1), [np.random.default_rng(0)]), (single_stack((4, 8, 3), seed=1), [])):
+    plain, stack = nn.init_mlp((4, 8, 3), seed=1), single_stack((4, 8, 3), seed=1)
+    for model, rngs in ((plain, [np.random.default_rng(0)]), (stack, [])):
         with pytest.raises(ValueError, match="one generator per member"):
             train_to_convergence(model, x, y, make_optimizer("adamw", 1e-3), 1, 1e-3, 32, rngs)
 
 
 def lockstep_against_one_at_a_time(k, n, batch_size, budget, tol, kind, seed):
     """Train k members as one stack and, separately, one at a time from the
-    same init and streams; both must agree bit for bit. Returns the step
-    counts."""
+    same init and streams, in two calls as two acquisitions would; both must
+    agree bit for bit. Returns the step counts."""
     rng = np.random.default_rng(seed)
     x, y = rng.standard_normal((n, 3)), rng.integers(0, 3, n)
     lr = 0.05 if kind == "adamw" else 0.2
@@ -96,8 +97,10 @@ def lockstep_against_one_at_a_time(k, n, batch_size, budget, tol, kind, seed):
     stack, opt = nn.stack_models(models), make_optimizer(kind, lr, weight_decay=0.01)
     loops = [LoopOptimizer(kind, lr, weight_decay=0.01) for _ in models]
     streams = np.random.SeedSequence(seed).spawn(k)
-    train_to_convergence(stack, x, y, opt, budget, tol, batch_size, [np.random.default_rng(s) for s in streams])
-    train_members_one_at_a_time(models, loops, x, y, budget, tol, batch_size, [np.random.default_rng(s) for s in streams])
+    stack_rngs, loop_rngs = ([np.random.default_rng(s) for s in streams] for _ in range(2))
+    for _ in range(2):  # a member that stopped early in the first call must have drawn nothing more
+        train_to_convergence(stack, x, y, opt, budget, tol, batch_size, stack_rngs)
+        train_members_one_at_a_time(models, loops, x, y, budget, tol, batch_size, loop_rngs)
     counts = np.broadcast_to(opt.step_count, (k,))
     for j, (model, loop) in enumerate(zip(models, loops)):
         assert counts[j] == loop.step_count
