@@ -65,6 +65,6 @@ from .selection import (
     svp_offline_select,
 )
 from .stats import rankdata_average, spearman
-from .trainer import RunConfig, composition_metrics, evaluate, run_original_selection, run_training
+from .trainer import RunConfig, evaluate, run_original_selection, run_training
 
 __version__ = "0.1.0"

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import glob as globlib
 import json
 import math
@@ -43,7 +42,15 @@ from .ilmodel import (
 )
 from .ladder import run_ladder
 from .nn import init_mlp, load_model, save_model
-from .records import RunRecord, atomic_write, epochs_to_target, load_run_record, save_run_record
+from .records import (
+    RunRecord,
+    atomic_write,
+    epochs_to_target,
+    header_line,
+    load_run_record,
+    save_run_record,
+    write_table,
+)
 from .selection import NEEDS_IL, SelectionPolicy, svp_offline_select
 from .trainer import RunConfig, run_original_selection, run_training
 
@@ -137,7 +144,7 @@ def cmd_prepare(cfg: ExperimentConfig, out: Path) -> int:
         parts["holdout"] = holdout
     for name, ds in parts.items():
         path = ddir / f"{name}.csv"
-        datamod.save_dataset_csv(ds, path, provenance=f"config_hash={chash} seed={cfg.dataset.split.seed}")
+        datamod.save_dataset_csv(ds, path, config_hash=chash, seed=cfg.dataset.split.seed)
         manifest["files"][name] = {
             "path": str(path),
             "sha256": datamod.dataset_hash(ds),
@@ -145,7 +152,7 @@ def cmd_prepare(cfg: ExperimentConfig, out: Path) -> int:
             "d": ds.dim,
             "classes": ds.num_classes,
         }
-    with open(ddir / "manifest.json", "w") as f:
+    with atomic_write(ddir / "manifest.json") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
     print(f"prepared {', '.join(f'{k}={v.n}' for k, v in parts.items())} under {ddir}")
@@ -178,13 +185,15 @@ def _load_prepared(out: Path, cfg: ExperimentConfig, names: tuple[str, ...]) -> 
 
 
 def _save_checkpoint_log(log, path, chash: str, seed: int) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(f"# rholoss-checkpoint-log v1 config_hash={chash} seed={seed}\n")
-        writer = csv.writer(f)
-        writer.writerow(["epoch", "val_loss", "val_accuracy", "selected"])
-        best = log.selected_epoch
-        for e, (loss, acc) in enumerate(zip(log.val_losses, log.val_accuracies)):
-            writer.writerow([e + 1, repr(loss), repr(acc), int(e == best)])
+    best = log.selected_epoch
+    write_table(
+        path,
+        "checkpoint-log",
+        {"config_hash": chash, "seed": seed},
+        ["epoch", "val_loss", "val_accuracy", "selected"],
+        ([e + 1, repr(loss), repr(acc), int(e == best)]
+         for e, (loss, acc) in enumerate(zip(log.val_losses, log.val_accuracies))),
+    )
 
 
 def cmd_train_il(cfg: ExperimentConfig, out: Path) -> int:
@@ -261,7 +270,7 @@ def _run_one(payload) -> str:
     dump_path = out / "runs" / f"scores_{policy_kind}_seed{seed}.csv"
     with atomic_write(dump_path) if run.dump_scores else contextlib.nullcontext() as dump:
         if dump is not None:
-            dump.write(f"# rholoss-scores v1 config_hash={chash} seed={seed}\n")
+            dump.write(header_line("scores", {"config_hash": chash, "seed": seed}))
         if il_model is not None:
             record = run_original_selection(train_pool, test, il_model, run_cfg, model, score_dump=dump)
         else:
@@ -339,62 +348,44 @@ def cmd_report(cfg: ExperimentConfig, out: Path, records_glob: str | None = None
     rdir = out / "reports"
     rdir.mkdir(parents=True, exist_ok=True)
     targets = cfg.run.targets if cfg.run is not None else ()
-    seeds_str = ";".join(str(r.seed) for r in records)
+    meta = {"config_hash": chash, "seeds": ";".join(str(r.seed) for r in records)}
 
-    with open(rdir / "epochs_to_target.csv", "w", newline="") as f:
-        f.write(f"# rholoss-report v1 config_hash={chash} seeds={seeds_str} kind=epochs_to_target\n")
-        writer = csv.writer(f)
-        writer.writerow(["policy", "target", "median_epochs", "n_reached", "n_seeds", "mean_final_accuracy"])
-        for policy, recs in sorted(by_policy.items()):
-            finals = [r.final_accuracy() for r in recs]
-            for target in targets:
-                reached = [epochs_to_target(r, target) for r in recs]
-                writer.writerow(
-                    [
-                        policy,
-                        repr(float(target)),
-                        _aggregate_epochs(reached),
-                        sum(v is not None for v in reached),
-                        len(recs),
-                        repr(float(np.mean(finals))),
-                    ]
-                )
+    def write(kind: str, columns: list[str], rows) -> None:
+        write_table(rdir / f"{kind}.csv", "report", {**meta, "kind": kind}, columns, rows)
 
-    with open(rdir / "composition.csv", "w", newline="") as f:
-        f.write(f"# rholoss-report v1 config_hash={chash} seeds={seeds_str} kind=composition\n")
-        writer = csv.writer(f)
-        writer.writerow(["policy", "epoch", "frac_corrupted", "frac_low_relevance", "frac_already_correct"])
-        for policy, recs in sorted(by_policy.items()):
-            n_epochs = min(len(r.compositions) for r in recs)
-            for e in range(n_epochs):
-                rows = [r.compositions[e] for r in recs]
-                writer.writerow(
-                    [
-                        policy,
-                        rows[0].epoch,
-                        repr(float(np.mean([c.frac_corrupted for c in rows]))),
-                        repr(float(np.mean([c.frac_low_relevance for c in rows]))),
-                        repr(float(np.mean([c.frac_already_correct for c in rows]))),
-                    ]
-                )
+    def seed_mean(rows, *attrs) -> list[str]:
+        """The mean over seeds of each named field of rows (one row per seed)."""
+        return [repr(float(np.mean([getattr(row, attr) for row in rows]))) for attr in attrs]
 
-    with open(rdir / "accuracy.csv", "w", newline="") as f:
-        f.write(f"# rholoss-report v1 config_hash={chash} seeds={seeds_str} kind=accuracy\n")
-        writer = csv.writer(f)
-        writer.writerow(["policy", "step", "epoch", "accuracy", "mean_loss"])
-        for policy, recs in sorted(by_policy.items()):
-            n_evals = min(len(r.evals) for r in recs)
-            for i in range(n_evals):
-                rows = [r.evals[i] for r in recs]
-                writer.writerow(
-                    [
-                        policy,
-                        rows[0].step,
-                        rows[0].epoch,
-                        repr(float(np.mean([e.accuracy for e in rows]))),
-                        repr(float(np.mean([e.mean_loss for e in rows]))),
-                    ]
-                )
+    policies = sorted(by_policy.items())
+    rows = []
+    for policy, recs in policies:
+        mean_final = repr(float(np.mean([r.final_accuracy() for r in recs])))
+        for target in targets:
+            reached = [epochs_to_target(r, target) for r in recs]
+            rows.append([policy, repr(float(target)), _aggregate_epochs(reached),
+                         sum(v is not None for v in reached), len(recs), mean_final])
+    write("epochs_to_target",
+          ["policy", "target", "median_epochs", "n_reached", "n_seeds", "mean_final_accuracy"], rows)
+    fractions = ["frac_corrupted", "frac_low_relevance", "frac_already_correct"]
+    write(
+        "composition",
+        ["policy", "epoch", *fractions],
+        [
+            [policy, rows[0].epoch, *seed_mean(rows, *fractions)]
+            for policy, recs in policies
+            for rows in zip(*(r.compositions for r in recs))
+        ],
+    )
+    write(
+        "accuracy",
+        ["policy", "step", "epoch", "accuracy", "mean_loss"],
+        [
+            [policy, rows[0].step, rows[0].epoch, *seed_mean(rows, "accuracy", "mean_loss")]
+            for policy, recs in policies
+            for rows in zip(*(r.evals for r in recs))
+        ],
+    )
     print(f"wrote reports for {len(records)} records under {rdir}")
     return 0
 
@@ -409,18 +400,13 @@ def cmd_ladder(cfg: ExperimentConfig, out: Path) -> int:
     ldir = out / "ladder"
     ldir.mkdir(parents=True, exist_ok=True)
     path = ldir / "ladder.csv"
-    with atomic_write(path, newline="") as f:
-        f.write(f"# rholoss-ladder v1 config_hash={config_hash(cfg)} seed={cfg.ladder.seed}\n")
-        writer = csv.writer(f)
-        writer.writerow(["rung", "step", "rho"])
-        for name, res in results.items():
-            for t, rho in enumerate(res.step_rho):
-                writer.writerow([name, t, repr(rho)])
-        for name, res in results.items():
-            writer.writerow([name, "mean", repr(res.mean_rho)])
-            writer.writerow([name, "frac_positive", repr(res.frac_positive)])
-            if res.reference_rho is not None:
-                writer.writerow([name, "reference", repr(res.reference_rho)])
+    rows = [[name, t, repr(rho)] for name, res in results.items() for t, rho in enumerate(res.step_rho)]
+    for name, res in results.items():
+        rows += [[name, "mean", repr(res.mean_rho)], [name, "frac_positive", repr(res.frac_positive)]]
+        if res.reference_rho is not None:
+            rows.append([name, "reference", repr(res.reference_rho)])
+    write_table(path, "ladder", {"config_hash": config_hash(cfg), "seed": cfg.ladder.seed},
+                ["rung", "step", "rho"], rows)
     for name, res in results.items():
         ref = f" (reference {res.reference_rho})" if res.reference_rho is not None else ""
         print(f"{name}: mean rho {res.mean_rho:.3f}, positive at {res.frac_positive:.0%} of steps{ref}")

@@ -8,7 +8,6 @@ behaviour can be audited after the fact.
 """
 from __future__ import annotations
 
-import csv
 import gzip
 import hashlib
 import math
@@ -17,8 +16,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .records import read_table, write_table
+
 _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
+
+
+# The per-example arrays of a LabeledDataset, in field order.
+_PER_EXAMPLE = ("features", "labels", "ids", "original_labels", "corrupted", "low_relevance", "duplicate_of")
 
 
 class IdxFormatError(ValueError):
@@ -38,7 +43,7 @@ class LabeledDataset:
 
     def __post_init__(self):
         n = self.features.shape[0]
-        for name in ("labels", "ids", "original_labels", "corrupted", "low_relevance", "duplicate_of"):
+        for name in _PER_EXAMPLE[1:]:
             arr = getattr(self, name)
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
@@ -93,19 +98,15 @@ def make_dataset(features, labels, num_classes: int, ids=None) -> LabeledDataset
     )
 
 
+def _rows(ds: LabeledDataset, idx) -> dict[str, np.ndarray]:
+    """Every per-example array of ds at the positions idx, as copies."""
+    idx = np.asarray(idx, dtype=np.int64)
+    return {name: getattr(ds, name)[idx] for name in _PER_EXAMPLE}
+
+
 def take(ds: LabeledDataset, idx) -> LabeledDataset:
     """Row subset preserving ids and flags."""
-    idx = np.asarray(idx, dtype=np.int64)
-    return LabeledDataset(
-        features=ds.features[idx].copy(),
-        labels=ds.labels[idx].copy(),
-        num_classes=ds.num_classes,
-        ids=ds.ids[idx].copy(),
-        original_labels=ds.original_labels[idx].copy(),
-        corrupted=ds.corrupted[idx].copy(),
-        low_relevance=ds.low_relevance[idx].copy(),
-        duplicate_of=ds.duplicate_of[idx].copy(),
-    )
+    return replace(ds, **_rows(ds, idx))
 
 
 def _open_maybe_gzip(path):
@@ -258,16 +259,14 @@ def inject_structured_noise(
     if not 0.0 <= flip_prob <= 1.0:
         raise ValueError(f"flip probability must lie in [0, 1], got {flip_prob}")
     selected = most_confused_pairs(confusion, pairs)
-    target_for: dict[int, int] = {}
-    for src, tgt in selected:
-        target_for.setdefault(src, tgt)
+    target_for = np.full(max(ds.num_classes, np.shape(confusion)[0]), -1, dtype=np.int64)
+    for src, tgt in reversed(selected):  # the highest-ranked pair of a source wins
+        target_for[src] = tgt
     rng = np.random.default_rng(seed)
-    labels = ds.labels.copy()
     draws = rng.random(ds.n)
-    for i in range(ds.n):
-        tgt = target_for.get(int(labels[i]))
-        if tgt is not None and draws[i] < flip_prob:
-            labels[i] = tgt
+    targets = target_for[ds.labels]
+    flip = (targets >= 0) & (draws < flip_prob)
+    labels = np.where(flip, targets, ds.labels)
     return replace(
         ds,
         features=ds.features.copy(),
@@ -316,92 +315,59 @@ def duplicate(ds: LabeledDataset, factor: int) -> LabeledDataset:
     duplicate-of pointer back to the original."""
     if factor < 1 or int(factor) != factor:
         raise ValueError(f"duplication factor must be a positive integer, got {factor}")
-    factor = int(factor)
-    if factor == 1:
-        return take(ds, np.arange(ds.n))
-    copies = factor - 1
     next_id = int(ds.ids.max()) + 1 if ds.n else 0
-    rep = np.repeat(np.arange(ds.n), copies)
-    idx = np.concatenate([np.arange(ds.n), rep])
-    return LabeledDataset(
-        features=ds.features[idx].copy(),
-        labels=ds.labels[idx].copy(),
-        num_classes=ds.num_classes,
-        ids=np.concatenate([ds.ids, next_id + np.arange(rep.size, dtype=np.int64)]),
-        original_labels=ds.original_labels[idx].copy(),
-        corrupted=ds.corrupted[idx].copy(),
-        low_relevance=ds.low_relevance[idx].copy(),
-        duplicate_of=np.concatenate([ds.duplicate_of, ds.ids[rep]]),
-    )
+    rep = np.repeat(np.arange(ds.n), int(factor) - 1)
+    rows = _rows(ds, np.concatenate([np.arange(ds.n), rep]))
+    rows["ids"] = np.concatenate([ds.ids, next_id + np.arange(rep.size, dtype=np.int64)])
+    rows["duplicate_of"] = np.concatenate([ds.duplicate_of, ds.ids[rep]])
+    return replace(ds, **rows)
 
 
 def dataset_hash(ds: LabeledDataset) -> str:
     """Content hash used to key cached irreducible-loss tables."""
     h = hashlib.sha256()
     h.update(f"{ds.n},{ds.dim},{ds.num_classes}".encode())
-    for arr in (ds.features, ds.labels, ds.ids, ds.original_labels, ds.corrupted, ds.low_relevance, ds.duplicate_of):
-        h.update(np.ascontiguousarray(arr).tobytes())
+    for name in _PER_EXAMPLE:
+        h.update(np.ascontiguousarray(getattr(ds, name)).tobytes())
     return h.hexdigest()
 
 
-def save_dataset_csv(ds: LabeledDataset, path, provenance: str = "") -> None:
+_FLAG_COLUMNS = ("id", "label", "original_label", "corrupted", "low_relevance", "duplicate_of")
+
+
+def save_dataset_csv(ds: LabeledDataset, path, **provenance) -> None:
     """Cache format: one row per example,
     id,label,original_label,corrupted,low_relevance,duplicate_of,feature_0..d-1.
 
-    provenance, when given, is appended to the header line as extra
-    key=value fields (e.g. a config hash)."""
-    extra = f" {provenance}" if provenance else ""
-    with open(path, "w", newline="") as f:
-        f.write(f"# rholoss-dataset v1 classes={ds.num_classes} n={ds.n} d={ds.dim}{extra}\n")
-        writer = csv.writer(f)
-        writer.writerow(
-            ["id", "label", "original_label", "corrupted", "low_relevance", "duplicate_of"]
-            + [f"feature_{j}" for j in range(ds.dim)]
-        )
-        for i in range(ds.n):
-            writer.writerow(
-                [
-                    int(ds.ids[i]),
-                    int(ds.labels[i]),
-                    int(ds.original_labels[i]),
-                    int(ds.corrupted[i]),
-                    int(ds.low_relevance[i]),
-                    int(ds.duplicate_of[i]),
-                ]
-                + [repr(float(v)) for v in ds.features[i]]
-            )
+    provenance keywords (e.g. config_hash=..., seed=...) are appended to the
+    header line as extra key=value fields."""
+    flags = np.stack(
+        [ds.ids, ds.labels, ds.original_labels, ds.corrupted, ds.low_relevance, ds.duplicate_of], axis=1
+    ).astype(np.int64)
+    rows = (f + [repr(v) for v in x] for f, x in zip(flags.tolist(), ds.features.tolist()))
+    write_table(
+        path,
+        "dataset",
+        {"classes": ds.num_classes, "n": ds.n, "d": ds.dim, **provenance},
+        [*_FLAG_COLUMNS, *(f"feature_{j}" for j in range(ds.dim))],
+        rows,
+    )
 
 
 def load_dataset_csv(path) -> LabeledDataset:
-    with open(path, newline="") as f:
-        header = f.readline()
-        if not header.startswith("# rholoss-dataset"):
-            raise ValueError(f"{path}: not a dataset cache file")
-        meta = dict(part.split("=", 1) for part in header.split()[3:])
-        reader = csv.reader(f)
-        next(reader)  # column header
-        rows = list(reader)
+    meta, rows = read_table(path, "dataset")
     n, d = int(meta["n"]), int(meta["d"])
     if len(rows) != n:
         raise ValueError(f"{path}: expected {n} rows, found {len(rows)}")
-    ids = np.empty(n, dtype=np.int64)
-    labels = np.empty(n, dtype=np.int64)
-    original = np.empty(n, dtype=np.int64)
-    corrupted = np.empty(n, dtype=bool)
-    low = np.empty(n, dtype=bool)
-    dup = np.empty(n, dtype=np.int64)
-    features = np.empty((n, d), dtype=np.float64)
-    for i, row in enumerate(rows):
-        ids[i], labels[i], original[i] = int(row[0]), int(row[1]), int(row[2])
-        corrupted[i], low[i], dup[i] = bool(int(row[3])), bool(int(row[4])), int(row[5])
-        features[i] = [float(v) for v in row[6 : 6 + d]]
+    flags = np.array([row[:6] for row in rows], dtype=np.int64).reshape(n, 6)
+    features = np.array([row[6:] for row in rows], dtype=np.float64).reshape(n, d)
     return LabeledDataset(
         features=features,
-        labels=labels,
+        labels=flags[:, 1].copy(),
         num_classes=int(meta["classes"]),
-        ids=ids,
-        original_labels=original,
-        corrupted=corrupted,
-        low_relevance=low,
-        duplicate_of=dup,
+        ids=flags[:, 0].copy(),
+        original_labels=flags[:, 2].copy(),
+        corrupted=flags[:, 3].astype(bool),
+        low_relevance=flags[:, 4].astype(bool),
+        duplicate_of=flags[:, 5].copy(),
     )

@@ -10,15 +10,16 @@ negative, and nothing here clamps it.
 from __future__ import annotations
 
 import copy
-import csv
 import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import IlSection, OptimizerSettings, RunSection
 from .data import LabeledDataset, dataset_hash
 from .nn import MlpModel, backward, batched_logits, cross_entropy, evaluate, init_mlp, model_id
 from .optim import OptimizerState, make_optimizer, optimizer_step, train_epoch
+from .records import read_table, write_table
 
 
 @dataclass
@@ -64,14 +65,14 @@ class IrreducibleLossTable:
 def train_il_model(
     holdout: LabeledDataset,
     validation: LabeledDataset,
-    hidden=(128, 128),
-    epochs: int = 20,
-    optimizer_kind: str = "adamw",
-    learning_rate: float = 1e-3,
-    weight_decay: float = 0.01,
-    batch_size: int = 64,
-    dropout_rate: float = 0.0,
-    seed: int = 0,
+    hidden=IlSection.hidden,
+    epochs: int = IlSection.epochs,
+    optimizer_kind: str = OptimizerSettings.kind,
+    learning_rate: float = OptimizerSettings.learning_rate,
+    weight_decay: float = OptimizerSettings.weight_decay,
+    batch_size: int = IlSection.batch_size,
+    dropout_rate: float = IlSection.dropout,
+    seed: int = IlSection.seed,
 ) -> tuple[MlpModel, CheckpointLog]:
     """Train on the holdout set with uniform shuffled batches and return the
     checkpoint with the lowest loss on the validation set.
@@ -116,30 +117,14 @@ def compute_il_table(il_model: MlpModel, pool: LabeledDataset, batch_size: int =
     )
 
 
-def _two_halves_parts(
-    half_a: LabeledDataset,
-    half_b: LabeledDataset,
-    hidden=(128, 128),
-    epochs: int = 20,
-    optimizer_kind: str = "adamw",
-    learning_rate: float = 1e-3,
-    weight_decay: float = 0.01,
-    batch_size: int = 64,
-    seed: int = 0,
-):
+def _two_halves_parts(half_a: LabeledDataset, half_b: LabeledDataset, seed: int = 0, **train_kwargs):
+    """The merged table, both models and both checkpoint logs; train_kwargs
+    go to train_il_model."""
     if set(half_a.ids.tolist()) & set(half_b.ids.tolist()):
         raise ValueError("two-halves scheme requires disjoint halves")
     seeds = np.random.SeedSequence(seed).generate_state(2)
-    common = dict(
-        hidden=hidden,
-        epochs=epochs,
-        optimizer_kind=optimizer_kind,
-        learning_rate=learning_rate,
-        weight_decay=weight_decay,
-        batch_size=batch_size,
-    )
-    model_a, log_a = train_il_model(half_a, validation=half_b, seed=int(seeds[0]), **common)
-    model_b, log_b = train_il_model(half_b, validation=half_a, seed=int(seeds[1]), **common)
+    model_a, log_a = train_il_model(half_a, validation=half_b, seed=int(seeds[0]), **train_kwargs)
+    model_b, log_b = train_il_model(half_b, validation=half_a, seed=int(seeds[1]), **train_kwargs)
     table_b = compute_il_table(model_a, half_b)
     table_a = compute_il_table(model_b, half_a)
     id_a, id_b = model_id(model_a), model_id(model_b)
@@ -171,7 +156,7 @@ def update_il_model(
     opt_state: OptimizerState,
     x,
     labels,
-    lr_scale: float = 0.01,
+    lr_scale: float = RunSection.lr_scale,
     rng: np.random.Generator | None = None,
 ):
     """One optimizer step on an acquired batch at a scaled-down learning rate.
@@ -190,24 +175,20 @@ def update_il_model(
 
 
 def save_il_table(table: IrreducibleLossTable, path) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(f"# rholoss-il-table v1 provenance={table.content_hash()} scheme={table.scheme}\n")
-        writer = csv.writer(f)
-        writer.writerow(["id", "il_value"])
-        for ex_id in sorted(table.values):
-            writer.writerow([ex_id, repr(table.values[ex_id])])
+    write_table(
+        path,
+        "il-table",
+        {"provenance": table.content_hash(), "scheme": table.scheme},
+        ["id", "il_value"],
+        ([ex_id, repr(table.values[ex_id])] for ex_id in sorted(table.values)),
+    )
 
 
 def load_il_table(path) -> IrreducibleLossTable:
-    with open(path, newline="") as f:
-        header = f.readline()
-        if not header.startswith("# rholoss-il-table"):
-            raise ValueError(f"{path}: not an irreducible-loss table file")
-        meta = dict(part.split("=", 1) for part in header.split()[3:])
-        reader = csv.reader(f)
-        next(reader)
-        values = {int(row[0]): float(row[1]) for row in reader}
-    table = IrreducibleLossTable(values=values, scheme=meta.get("scheme", "holdout"), provenance="")
+    meta, rows = read_table(path, "il-table")
+    table = IrreducibleLossTable(
+        values={int(row[0]): float(row[1]) for row in rows}, scheme=meta.get("scheme", "holdout"), provenance=""
+    )
     stored = meta.get("provenance", "")
     if stored and stored != table.content_hash():
         raise ValueError(f"{path}: provenance hash mismatch, file may be corrupt")

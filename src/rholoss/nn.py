@@ -360,22 +360,15 @@ def backward(
     return grads
 
 
-def per_example_grad_norm(model: MlpModel, x, y, last_layer_only: bool = False) -> float:
+def per_example_grad_norm(model: MlpModel, x, y) -> float:
     """Euclidean norm of one example's loss gradient over the full parameter set.
 
     Deterministic by construction: evaluated in eval mode with running batch
-    statistics, so dropout and batch coupling never enter the score. The
-    last_layer_only variant is the cheap upper-bound proxy some selection
-    schemes use instead of the exact norm.
+    statistics, so dropout and batch coupling never enter the score.
     """
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     grads = backward(model, x, [int(y)], mode="eval", bn_stat_source="running")
-    if last_layer_only:
-        l = model.n_layers - 1
-        items = [grads[f"w{l}"], grads[f"b{l}"]]
-    else:
-        items = list(grads.values())
-    return math.sqrt(sum(float((g**2).sum()) for g in items))
+    return math.sqrt(sum(float((g**2).sum()) for g in grads.values()))
 
 
 def mc_dropout_predict(

@@ -1,4 +1,9 @@
-"""Run records: what a training run selected and achieved, plus CSV persistence.
+"""Run records, and the one owner of the file format every tool writes.
+
+Every file starts with a `# rholoss-<tag> v1 key=value ...` header line
+(header_line / read_header); plain tables follow it with a column row and
+csv rows (write_table / read_table), written atomically through
+atomic_write so a partial file never appears.
 
 A record file is a single CSV with three sections. Byte-for-byte determinism
 matters (it is how reproducibility is audited), so floats are written with
@@ -17,7 +22,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -119,49 +123,76 @@ def atomic_write(path, newline: str | None = None):
             os.remove(tmp)
 
 
+def header_line(tag: str, meta: Mapping[str, object]) -> str:
+    """The first line of every file the tools write:
+    `# rholoss-<tag> v1 key=value ...`, fields in meta's order."""
+    fields = "".join(f" {key}={value}" for key, value in meta.items())
+    return f"# rholoss-{tag} v1{fields}\n"
+
+
+def read_header(line: str, tag: str, what) -> dict[str, str]:
+    """The key=value fields of a header line; what (usually the path) names
+    the file in the error raised when the line does not carry tag."""
+    parts = line.split()
+    if parts[:3] != ["#", f"rholoss-{tag}", "v1"]:
+        raise ValueError(f"{what}: not a rholoss-{tag} v1 file")
+    return dict(part.split("=", 1) for part in parts[3:])
+
+
+def write_table(path, tag: str, meta: Mapping[str, object], columns, rows) -> None:
+    """A headed CSV, written atomically: the header line (ending in LF), the
+    column row, then one line per row (ending in csv's default CRLF)."""
+    with atomic_write(path, newline="") as f:
+        f.write(header_line(tag, meta))
+        writer = csv.writer(f)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def read_table(path, tag: str) -> tuple[dict[str, str], list[list[str]]]:
+    """(header fields, rows as lists of strings) of a file write_table wrote;
+    the column row is skipped."""
+    with open(path, newline="") as f:
+        meta = read_header(f.readline(), tag, path)
+        reader = csv.reader(f)
+        next(reader, None)
+        return meta, list(reader)
+
+
 def save_run_record(record: RunRecord, path, generated_at: str | None = None) -> None:
     """Atomic write (tmp + rename) so partial files never appear."""
     if generated_at is None:
         generated_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    buf = io.StringIO()
-    buf.write(
-        f"# rholoss-run-record v1 config_hash={record.config_hash} "
-        f"seed={record.seed} policy={record.policy} generated_at={generated_at}\n"
-    )
-    writer = csv.writer(buf, lineterminator="\n")
-    buf.write("[steps]\n")
-    writer.writerow(["step", "epoch", "selected_ids", "mean_score"])
-    for row in record.steps:
-        writer.writerow([row.step, row.epoch, ";".join(str(i) for i in row.selected_ids), repr(row.mean_score)])
-    buf.write("[evals]\n")
-    writer.writerow(["step", "epoch", "at_epoch_end", "accuracy", "mean_loss"])
-    for row in record.evals:
-        writer.writerow([row.step, row.epoch, int(row.at_epoch_end), repr(row.accuracy), repr(row.mean_loss)])
-    buf.write("[compositions]\n")
-    writer.writerow(["epoch", "n_selected", "frac_corrupted", "frac_low_relevance", "frac_already_correct"])
-    for row in record.compositions:
-        writer.writerow(
-            [
-                row.epoch,
-                row.n_selected,
-                repr(row.frac_corrupted),
-                repr(row.frac_low_relevance),
-                repr(row.frac_already_correct),
-            ]
-        )
+    meta = {"config_hash": record.config_hash, "seed": record.seed, "policy": record.policy,
+            "generated_at": generated_at}
     with atomic_write(path, newline="") as f:
-        f.write(buf.getvalue())
-
-
-def parse_record_header(line: str) -> dict[str, str]:
-    if not line.startswith("# rholoss-run-record"):
-        raise ValueError("not a run-record file")
-    return dict(part.split("=", 1) for part in line.split()[3:])
+        f.write(header_line("run-record", meta))
+        writer = csv.writer(f, lineterminator="\n")
+        f.write("[steps]\n")
+        writer.writerow(["step", "epoch", "selected_ids", "mean_score"])
+        for row in record.steps:
+            writer.writerow([row.step, row.epoch, ";".join(str(i) for i in row.selected_ids), repr(row.mean_score)])
+        f.write("[evals]\n")
+        writer.writerow(["step", "epoch", "at_epoch_end", "accuracy", "mean_loss"])
+        for row in record.evals:
+            writer.writerow([row.step, row.epoch, int(row.at_epoch_end), repr(row.accuracy), repr(row.mean_loss)])
+        f.write("[compositions]\n")
+        writer.writerow(["epoch", "n_selected", "frac_corrupted", "frac_low_relevance", "frac_already_correct"])
+        for row in record.compositions:
+            writer.writerow(
+                [
+                    row.epoch,
+                    row.n_selected,
+                    repr(row.frac_corrupted),
+                    repr(row.frac_low_relevance),
+                    repr(row.frac_already_correct),
+                ]
+            )
 
 
 def load_run_record(path) -> RunRecord:
     with open(path, newline="") as f:
-        meta = parse_record_header(f.readline())
+        meta = read_header(f.readline(), "run-record", path)
         record = RunRecord(policy=meta["policy"], seed=int(meta["seed"]), config_hash=meta["config_hash"])
         section = None
         reader = csv.reader(f)

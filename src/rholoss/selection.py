@@ -73,12 +73,10 @@ class ScoredBatch:
         return self.candidate_ids[self.selected_indices]
 
 
-def score_grad_norm(model: MlpModel, x, labels, last_layer_only: bool = False) -> np.ndarray:
+def score_grad_norm(model: MlpModel, x, labels) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    return np.array(
-        [per_example_grad_norm(model, x[i], y[i], last_layer_only=last_layer_only) for i in range(x.shape[0])]
-    )
+    return np.array([per_example_grad_norm(model, x[i], y[i]) for i in range(x.shape[0])])
 
 
 def chunk_select_count(chunk_size: int, n_b: int, n_B: int) -> int:

@@ -23,6 +23,7 @@ from typing import TextIO
 
 import numpy as np
 
+from .config import OptimizerSettings, RunSection
 from .data import LabeledDataset
 from .ilmodel import IrreducibleLossTable, update_il_model
 from .nn import MlpModel, NonFiniteLogitsError, backward, cross_entropy, evaluate, forward
@@ -35,22 +36,22 @@ from .selection import SelectionPolicy, chunk_select_count, score_and_select
 class RunConfig:
     """Knobs for one training run.
 
-    Defaults mirror the desk-scale reference setup: select 10% of each
+    Defaults are the run section's (config.RunSection): select 10% of each
     candidate chunk (n_b=32 of n_B=320) and train with AdamW at lr 1e-3,
     weight decay 0.01.
     """
 
     policy: SelectionPolicy
-    n_b: int = 32
-    n_B: int = 320
-    epochs: int = 10
-    optimizer_kind: str = "adamw"
-    learning_rate: float = 1e-3
-    weight_decay: float = 0.01
-    il_update_mode: str = "frozen"  # "frozen" | "original"
-    il_lr_scale: float = 0.01
+    n_b: int = RunSection.n_b
+    n_B: int = RunSection.n_B
+    epochs: int = RunSection.epochs
+    optimizer_kind: str = OptimizerSettings.kind
+    learning_rate: float = OptimizerSettings.learning_rate
+    weight_decay: float = OptimizerSettings.weight_decay
+    il_update_mode: str = RunSection.il_update_mode  # "frozen" | "original"
+    il_lr_scale: float = RunSection.lr_scale
     seed: int = 0
-    eval_every: int | None = None  # extra evaluations every this many steps
+    eval_every: int | None = RunSection.eval_every  # extra evaluations every this many steps
 
     def __post_init__(self):
         if self.n_b < 1:
@@ -63,30 +64,6 @@ class RunConfig:
             raise ValueError(f"unknown il_update_mode {self.il_update_mode!r}")
         if self.eval_every is not None and self.eval_every < 1:
             raise ValueError("eval_every must be >= 1 when given")
-
-
-def composition_metrics(selected_ids, dataset: LabeledDataset, model: MlpModel | None = None, predictions=None):
-    """Fractions of a selected set that are corrupted, low-relevance, and
-    already classified correctly.
-
-    Pass predictions (labels aligned with the dataset rows) to reuse a
-    snapshot's outputs; otherwise the model predicts fresh in eval mode.
-    """
-    pos_by_id = {int(ex_id): i for i, ex_id in enumerate(dataset.ids)}
-    idx = np.array([pos_by_id[int(i)] for i in selected_ids], dtype=np.int64)
-    if predictions is None:
-        if model is None:
-            raise ValueError("need either a model or precomputed predictions")
-        predictions = np.argmax(forward(model, dataset.features[idx]), axis=1)
-        correct = predictions == dataset.labels[idx]
-    else:
-        predictions = np.asarray(predictions)
-        correct = predictions[idx] == dataset.labels[idx]
-    return (
-        float(dataset.corrupted[idx].mean()),
-        float(dataset.low_relevance[idx].mean()),
-        float(correct.mean()),
-    )
 
 
 def _run(train, test, cfg, model, il_values_fn, il_after_step, dump) -> RunRecord:

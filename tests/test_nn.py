@@ -181,14 +181,6 @@ def test_per_example_grad_norm_saturated_is_tiny():
     assert nn.per_example_grad_norm(model, [1.0, 0.0], 0) < 1e-9
 
 
-def test_per_example_grad_norm_last_layer_bound():
-    model = nn.init_mlp((4, 6, 3), seed=10)
-    x = np.random.default_rng(10).standard_normal(4)
-    full = nn.per_example_grad_norm(model, x, 1)
-    last = nn.per_example_grad_norm(model, x, 1, last_layer_only=True)
-    assert 0.0 < last <= full + 1e-12
-
-
 def test_mc_dropout_zero_rate_identical_samples():
     model = nn.init_mlp((3, 4, 2), seed=1, dropout_rate=0.0)
     x = np.random.default_rng(2).standard_normal((5, 3))

@@ -1,0 +1,125 @@
+"""The headed-CSV format that every file shares, and run-record persistence."""
+import csv
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rholoss import cli, records
+from rholoss.config import parse_config
+from rholoss.data import load_dataset_csv
+from rholoss.ilmodel import IrreducibleLossTable, load_il_table, save_il_table
+from rholoss.records import (
+    CompositionRow,
+    EvalRow,
+    RunRecord,
+    StepRow,
+    load_run_record,
+    read_table,
+    save_run_record,
+    write_table,
+)
+
+# Header keys and values are whitespace-separated key=value tokens.
+_TOKEN = st.text("abcxyzABC0189_-.:;+", min_size=1, max_size=12)
+_FLOATS = st.floats(allow_nan=False)
+_CELL = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    meta=st.dictionaries(_TOKEN, st.one_of(_TOKEN, st.integers()), max_size=5),
+    columns=st.lists(_CELL, min_size=1, max_size=4),
+    rows=st.lists(st.lists(_CELL, min_size=1, max_size=4), max_size=8),
+)
+def test_write_table_roundtrips_any_meta_and_rows(tmp_path_factory, meta, columns, rows):
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    write_table(path, "thing", meta, columns, rows)
+    back_meta, back_rows = read_table(path, "thing")
+    assert back_meta == {key: str(value) for key, value in meta.items()}
+    assert back_rows == rows
+    assert not Path(f"{path}.tmp").exists()
+
+
+_RECORDS = st.builds(
+    RunRecord,
+    policy=st.sampled_from(["uniform", "rho-loss", "grad-norm-is", "bald"]),
+    seed=st.integers(0, 2**63),
+    config_hash=st.text("0123456789abcdef", min_size=1, max_size=16),
+    steps=st.lists(st.builds(StepRow, st.integers(0, 10**6), st.integers(1, 100),
+                             st.lists(st.integers(-(2**62), 2**62), max_size=6).map(tuple), _FLOATS), max_size=6),
+    evals=st.lists(st.builds(EvalRow, st.integers(0, 10**6), st.integers(1, 100), st.booleans(),
+                             _FLOATS, _FLOATS), max_size=6),
+    compositions=st.lists(st.builds(CompositionRow, st.integers(1, 100), st.integers(0, 10**6),
+                                    _FLOATS, _FLOATS, _FLOATS), max_size=6),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(record=_RECORDS)
+def test_run_record_roundtrips_through_its_file(tmp_path_factory, record):
+    path = tmp_path_factory.mktemp("record") / "record.csv"
+    save_run_record(record, path, generated_at="2000-01-01T00:00:00+00:00")
+    back = load_run_record(path)
+    assert back == record
+    again = path.with_name("again.csv")
+    save_run_record(back, again, generated_at="2000-01-01T00:00:00+00:00")
+    assert again.read_bytes() == path.read_bytes()
+
+
+def _fail_after_one_row(monkeypatch):
+    """From now on, the csv writers of records write the first row handed to
+    writerows, then raise."""
+    real_writer = csv.writer
+
+    class Failing:
+        def __init__(self, f, **kwargs):
+            self.inner = real_writer(f, **kwargs)
+
+        def writerow(self, row):
+            self.inner.writerow(row)
+
+        def writerows(self, rows):
+            for row in rows:
+                self.inner.writerow(row)
+                raise OSError("disk full")
+
+    monkeypatch.setattr(records.csv, "writer", Failing)
+
+
+def test_failed_il_table_write_leaves_no_file_and_no_tmp(tmp_path, monkeypatch):
+    kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+    save_il_table(IrreducibleLossTable(values={1: 0.5, 2: 0.25}), kept)
+    before = kept.read_bytes()
+    _fail_after_one_row(monkeypatch)
+    for path in (kept, fresh):
+        with pytest.raises(OSError, match="disk full"):
+            save_il_table(IrreducibleLossTable(values={1: 0.75, 2: 0.125, 3: 1.0}), path)
+        assert not Path(f"{path}.tmp").exists()
+    assert kept.read_bytes() == before
+    assert not fresh.exists()
+
+
+def test_failed_report_write_leaves_no_file_and_no_tmp(tmp_path, monkeypatch):
+    cfg = parse_config({"dataset": {"kind": "synthetic"},
+                        "run": {"policy": {"kind": "uniform"}, "targets": [0.5]}})
+    (tmp_path / "runs").mkdir()
+    for seed in (1, 2):
+        record = RunRecord("uniform", seed, "abc", evals=[EvalRow(10, 1, True, 0.25 * seed, 1.0)],
+                           compositions=[CompositionRow(1, 4, 0.25, 0.0, 0.5)])
+        save_run_record(record, tmp_path / "runs" / f"record_uniform_seed{seed}.csv")
+    _fail_after_one_row(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        cli.cmd_report(cfg, tmp_path)
+    assert list((tmp_path / "reports").iterdir()) == []
+
+
+def test_reading_a_file_with_the_wrong_tag_names_the_path(tmp_path):
+    path = tmp_path / "il_table.csv"
+    save_il_table(IrreducibleLossTable(values={1: 0.5}), path)
+    for load in (load_dataset_csv, load_run_record, lambda p: read_table(p, "ladder")):
+        with pytest.raises(ValueError, match="not a rholoss-") as info:
+            load(path)
+        assert str(path) in str(info.value)
+    assert load_il_table(path).values == {1: 0.5}

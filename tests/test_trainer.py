@@ -21,7 +21,6 @@ from rholoss.records import (
 from rholoss.selection import SelectionPolicy
 from rholoss.trainer import (
     RunConfig,
-    composition_metrics,
     evaluate,
     run_original_selection,
     run_training,
@@ -86,22 +85,29 @@ def test_evaluate_any_batch_size_matches_per_example_oracle(n, seed, extra):
     assert abs(loss - np.mean(per)) <= 1e-12
 
 
-# ---------------------------------------------------------------- composition metrics
+# ---------------------------------------------------------------- composition rows
+# The trainer counts each epoch's selections into one CompositionRow; these
+# crafted runs pin what those fractions read.
 
 
 def test_composition_no_flags_zero_fractions():
     ds = data.gen_synthetic(3, 10, 4, 1.0, seed=5)
     model = nn.init_mlp((4, 3), seed=0)
-    corrupted, low, _ = composition_metrics(ds.ids[:5], ds, model=model)
-    assert corrupted == 0.0 and low == 0.0
+    record = run_training(ds, ds, None, quick_cfg(n_b=2, n_B=10, epochs=2), model)
+    assert [c.epoch for c in record.compositions] == [1, 2]
+    for comp in record.compositions:
+        assert comp.n_selected == 6
+        assert comp.frac_corrupted == 0.0 and comp.frac_low_relevance == 0.0
 
 
 def test_composition_all_correct_crafted():
     ds = data.gen_synthetic(3, 20, 4, 0.2, seed=6, radius=3.0)
     model, _ = train_il_model(ds, validation=ds, hidden=(32,), epochs=60, learning_rate=5e-3,
                               weight_decay=0.0, seed=2)
-    _, _, already = composition_metrics(ds.ids, ds, model=model)
-    assert already == 1.0
+    assert evaluate(model, ds)[0] == 1.0
+    # learning rate 0 keeps the fitted model fixed, so every selection is already correct
+    record = run_training(ds, ds, None, quick_cfg(n_b=5, n_B=20, epochs=2, learning_rate=0.0), model)
+    assert [c.frac_already_correct for c in record.compositions] == [1.0, 1.0]
 
 
 def test_composition_random_model_chance_rate():
@@ -109,16 +115,11 @@ def test_composition_random_model_chance_rate():
     model = nn.init_mlp((4, 10), seed=1)
     model.weights[0][:] = 0.0
     model.biases[0][:] = 0.0
-    # uniform logits: argmax is class 0, balanced labels -> 10% correct
-    _, _, already = composition_metrics(ds.ids, ds, model=model)
-    assert abs(already - 0.1) < 3 * np.sqrt(0.1 * 0.9 / ds.n)
-
-
-def test_composition_accepts_precomputed_predictions():
-    ds = data.gen_synthetic(3, 10, 4, 1.0, seed=8)
-    preds = ds.labels.copy()
-    _, _, already = composition_metrics(ds.ids[:7], ds, predictions=preds)
-    assert already == 1.0
+    # uniform logits predict class 0 and stay so at learning rate 0; balanced labels -> 10% correct
+    record = run_training(ds, ds, None, quick_cfg(n_b=20, n_B=200, epochs=1, learning_rate=0.0), model)
+    (comp,) = record.compositions
+    assert comp.n_selected == 200
+    assert abs(comp.frac_already_correct - 0.1) < 3 * np.sqrt(0.1 * 0.9 / comp.n_selected)
 
 
 # ---------------------------------------------------------------- record analytics
