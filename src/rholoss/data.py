@@ -332,7 +332,15 @@ def dataset_hash(ds: LabeledDataset) -> str:
     return h.hexdigest()
 
 
-_FLAG_COLUMNS = ("id", "label", "original_label", "corrupted", "low_relevance", "duplicate_of")
+# (CSV column, LabeledDataset field, dtype) of the cache's leading integer columns
+_FLAG_COLUMNS = (
+    ("id", "ids", np.int64),
+    ("label", "labels", np.int64),
+    ("original_label", "original_labels", np.int64),
+    ("corrupted", "corrupted", bool),
+    ("low_relevance", "low_relevance", bool),
+    ("duplicate_of", "duplicate_of", np.int64),
+)
 
 
 def save_dataset_csv(ds: LabeledDataset, path, **provenance) -> None:
@@ -341,15 +349,13 @@ def save_dataset_csv(ds: LabeledDataset, path, **provenance) -> None:
 
     provenance keywords (e.g. config_hash=..., seed=...) are appended to the
     header line as extra key=value fields."""
-    flags = np.stack(
-        [ds.ids, ds.labels, ds.original_labels, ds.corrupted, ds.low_relevance, ds.duplicate_of], axis=1
-    ).astype(np.int64)
+    flags = np.stack([getattr(ds, field) for _, field, _ in _FLAG_COLUMNS], axis=1).astype(np.int64)
     rows = (f + [repr(v) for v in x] for f, x in zip(flags.tolist(), ds.features.tolist()))
     write_table(
         path,
         "dataset",
         {"classes": ds.num_classes, "n": ds.n, "d": ds.dim, **provenance},
-        [*_FLAG_COLUMNS, *(f"feature_{j}" for j in range(ds.dim))],
+        [*(column for column, _, _ in _FLAG_COLUMNS), *(f"feature_{j}" for j in range(ds.dim))],
         rows,
     )
 
@@ -359,15 +365,13 @@ def load_dataset_csv(path) -> LabeledDataset:
     n, d = int(meta["n"]), int(meta["d"])
     if len(rows) != n:
         raise ValueError(f"{path}: expected {n} rows, found {len(rows)}")
-    flags = np.array([row[:6] for row in rows], dtype=np.int64).reshape(n, 6)
-    features = np.array([row[6:] for row in rows], dtype=np.float64).reshape(n, d)
+    k = len(_FLAG_COLUMNS)
+    if any(len(row) != k + d for row in rows):
+        raise ValueError(f"{path}: expected {k + d} columns in every row")
+    flags = np.array([row[:k] for row in rows], dtype=np.int64).reshape(n, k)
+    features = np.array([row[k:] for row in rows], dtype=np.float64).reshape(n, d)
     return LabeledDataset(
         features=features,
-        labels=flags[:, 1].copy(),
         num_classes=int(meta["classes"]),
-        ids=flags[:, 0].copy(),
-        original_labels=flags[:, 2].copy(),
-        corrupted=flags[:, 3].astype(bool),
-        low_relevance=flags[:, 4].astype(bool),
-        duplicate_of=flags[:, 5].copy(),
+        **{field: flags[:, j].astype(dtype) for j, (_, field, dtype) in enumerate(_FLAG_COLUMNS)},
     )

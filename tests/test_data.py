@@ -308,3 +308,16 @@ def test_dataset_csv_roundtrip(tmp_path):
     assert np.array_equal(back.corrupted, ds.corrupted)
     assert np.array_equal(back.duplicate_of, ds.duplicate_of)
     assert data.dataset_hash(back) == data.dataset_hash(ds)
+
+
+@pytest.mark.parametrize("edit", ["drop", "extra"])
+def test_dataset_csv_row_of_wrong_width_names_the_path(tmp_path, edit):
+    ds = data.gen_synthetic(3, 4, 2, 1.0, seed=2)
+    path = tmp_path / "cache.csv"
+    data.save_dataset_csv(ds, path)
+    lines = path.read_text().splitlines(keepends=True)
+    last = lines[-1].rstrip("\r\n")
+    lines[-1] = (last.rsplit(",", 1)[0] if edit == "drop" else last + ",0.5") + "\r\n"
+    path.write_text("".join(lines), newline="")
+    with pytest.raises(ValueError, match=r"cache\.csv.*columns"):
+        data.load_dataset_csv(path)

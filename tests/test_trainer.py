@@ -115,11 +115,12 @@ def test_composition_random_model_chance_rate():
     model = nn.init_mlp((4, 10), seed=1)
     model.weights[0][:] = 0.0
     model.biases[0][:] = 0.0
-    # uniform logits predict class 0 and stay so at learning rate 0; balanced labels -> 10% correct
-    record = run_training(ds, ds, None, quick_cfg(n_b=20, n_B=200, epochs=1, learning_rate=0.0), model)
+    # uniform logits predict class 0 and stay so at learning rate 0; n_b == n_B selects every
+    # example once, and balanced labels -> 10% correct
+    record = run_training(ds, ds, None, quick_cfg(n_b=200, n_B=200, epochs=1, learning_rate=0.0), model)
     (comp,) = record.compositions
-    assert comp.n_selected == 200
-    assert abs(comp.frac_already_correct - 0.1) < 3 * np.sqrt(0.1 * 0.9 / comp.n_selected)
+    assert comp.n_selected == ds.n
+    assert abs(comp.frac_already_correct - 0.1) < 3 * np.sqrt(0.1 * 0.9 / ds.n)
 
 
 # ---------------------------------------------------------------- record analytics
