@@ -27,6 +27,7 @@ from . import data as datamod
 from .config import (
     ConfigError,
     ExperimentConfig,
+    as_dict,
     config_hash,
     dataset_config_hash,
     load_config,
@@ -348,7 +349,7 @@ def cmd_report(cfg: ExperimentConfig, out: Path, records_glob: str | None = None
     rdir = out / "reports"
     rdir.mkdir(parents=True, exist_ok=True)
     targets = cfg.run.targets if cfg.run is not None else ()
-    meta = {"config_hash": chash, "seeds": ";".join(str(r.seed) for r in records)}
+    meta = {"config_hash": chash, "seeds": ";".join(str(seed) for seed in sorted({r.seed for r in records}))}
 
     def write(kind: str, columns: list[str], rows) -> None:
         write_table(rdir / f"{kind}.csv", "report", {**meta, "kind": kind}, columns, rows)
@@ -422,8 +423,8 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = Fa
     for i, cell_cfg in enumerate(cell_cfgs):
         cell_out = out / "sweep" / f"cell_{i:03d}"
         cell_out.mkdir(parents=True, exist_ok=True)
-        with open(cell_out / "config.yaml", "w") as f:
-            yaml.safe_dump(cell_cfg.raw, f, sort_keys=True)
+        with atomic_write(cell_out / "config.yaml") as f:
+            yaml.safe_dump(as_dict(cell_cfg), f, sort_keys=True)
         if not (cell_out / "dataset" / "manifest.json").exists():
             cmd_prepare(cell_cfg, cell_out)
         if cell_cfg.run.policy.needs_il and not (cell_out / "il" / "il_table.csv").exists():
@@ -446,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the experiment YAML")
         p.add_argument("--out", default=None, help=f"output directory (default: config output_dir or ${OUT_ENV_VAR})")
-        p.add_argument("--seed-override", type=int, default=None, help="replace run.seeds with this single seed")
+        p.add_argument("--seed-override", type=int, default=None,
+                       help="replace run.seeds with this single seed (ignored without a run section)")
         p.add_argument("--jobs", type=int, default=1,
                        help="independent runs to execute concurrently (used by run and sweep only)")
         if name in ("run", "sweep"):
@@ -460,10 +462,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed_override is not None:
-            raw = json.loads(json.dumps(cfg.raw))
-            raw.setdefault("run", {})["seeds"] = [args.seed_override]
-            cfg = parse_config(raw)
+        if args.seed_override is not None and cfg.run is not None:
+            d = as_dict(cfg)
+            d["run"]["seeds"] = [args.seed_override]
+            cfg = parse_config(d)
         out = _resolve_out(args, cfg)
         if args.command == "prepare":
             return cmd_prepare(cfg, out)

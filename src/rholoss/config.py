@@ -1,16 +1,18 @@
 """Experiment configuration: a single YAML document, strictly validated.
 
-The section dataclasses below are the schema. Each field declares its key,
-type, default and allowed values once; `_field` records the allowed interval
-(bounds such as "[0, 1)", applied to each element of a list) and choices in
-the field's metadata. `_section` walks the fields to build a section from its
-mapping: it rejects unknown keys, fills in defaults, converts and checks every
-value, and starts every error with the dotted key. Checks that span keys are
-written out in parse_config, and the sweep grid is parsed by hand.
+The dataclasses below are the schema, from the root ExperimentConfig down.
+Each field declares its key, type, default and allowed values once; `_field`
+records the allowed interval (bounds such as "[0, 1)", applied to each
+element of a list) and choices in the field's metadata. `_section` walks the
+fields to build a dataclass from its mapping: it rejects unknown keys, fills
+in defaults, converts and checks every value, and starts every error with the
+dotted key. A check that spans keys lives in the __post_init__ of the
+narrowest dataclass that holds them.
 
-The config hash identifies an experiment for provenance headers; it covers
-every section except run.seeds (seeds vary within one experiment) and
-output_dir.
+The parsed config is the only form kept; `as_dict` writes it out as plain
+data. The config hash is taken over that form, so it reflects what a config
+means, not how it is written; it covers everything except run.seeds (seeds
+vary within one experiment) and output_dir.
 """
 from __future__ import annotations
 
@@ -103,6 +105,11 @@ class DatasetSection:
     relevance: RelevanceSpec | None = None
     duplicate_factor: int = _field(1, bounds="[1, inf)")
 
+    def __post_init__(self):
+        for kind, key in (("idx", "idx"), ("csv", "csv_path")):
+            if self.kind == kind and getattr(self, key) is None:
+                raise ValueError(f"missing required key {key!r} (dataset.kind is {kind})")
+
 
 @dataclass(frozen=True)
 class IlSection:
@@ -138,6 +145,13 @@ class RunSection:
     targets: tuple[float, ...] = ()
     dump_scores: bool = False
 
+    def __post_init__(self):
+        if self.n_b > self.n_B:
+            raise ValueError(f"n_b: need 1 <= n_b <= n_B, got n_b={self.n_b}, n_B={self.n_B}")
+        if self.policy.kind == "bald" and self.model.dropout == 0:
+            raise ValueError("policy.kind: bald needs run.model.dropout > 0; without dropout every "
+                             "Monte-Carlo sample is the same and the scores are rounding noise")
+
 
 @dataclass(frozen=True)
 class LadderConfig:
@@ -169,27 +183,41 @@ DEFAULT_SWEEP_GRID: dict[str, tuple] = {
     "weight_decay": (0.001, 0.01, 0.1),
 }
 
-# The keys a sweep grid may vary, with their types, in cell-numbering order.
-_SWEEP_KEYS = {"batch_size": int, "n_b": int, "n_B": int, "learning_rate": float, "weight_decay": float}
+
+@dataclass(frozen=True)
+class SweepGrid:
+    """The values each swept key takes, in cell-numbering order. A grid that
+    sets none of them means DEFAULT_SWEEP_GRID."""
+
+    batch_size: tuple[int, ...] | None = _field(None, nonempty=True)
+    n_b: tuple[int, ...] | None = _field(None, nonempty=True)
+    n_B: tuple[int, ...] | None = _field(None, nonempty=True)
+    learning_rate: tuple[float, ...] | None = _field(None, nonempty=True)
+    weight_decay: tuple[float, ...] | None = _field(None, nonempty=True)
 
 
 @dataclass(frozen=True)
 class SweepSection:
-    grid: dict[str, tuple]
+    grid: SweepGrid = SweepGrid()
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The root of the schema: one field per section."""
+
     dataset: DatasetSection
-    il: IlSection | None
-    run: RunSection | None
-    ladder: LadderConfig | None
-    sweep: SweepSection | None
-    output_dir: str | None
-    raw: dict
+    il: IlSection | None = None
+    run: RunSection | None = None
+    ladder: LadderConfig | None = None
+    sweep: SweepSection | None = None
+    output_dir: str | None = None
 
+    def __post_init__(self):
+        two_halves = self.il is not None and self.il.scheme == "two-halves"
+        if two_halves and self.run is not None and self.run.il_update_mode == "original":
+            raise ValueError("run.il_update_mode=original needs a single live model; "
+                             "two-halves tables cannot be updated")
 
-_SECTIONS = {"dataset": DatasetSection, "il": IlSection, "run": RunSection, "ladder": LadderConfig}
 
 # Exponent spellings such as 1e-3 or 2.5E4 are floats in YAML 1.2 but plain
 # strings to PyYAML's YAML 1.1 resolver, which wants a dot and a signed exponent.
@@ -198,12 +226,6 @@ _EXPONENT_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+"
 
 # Resolving the annotation strings costs more than the rest of a parse.
 _type_hints = functools.cache(typing.get_type_hints)
-
-
-def _check_keys(d: dict, allowed, path: str) -> None:
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
 def _within(value, bounds: str) -> bool:
@@ -239,100 +261,67 @@ def _value(typ, value, key: str, meta):
 
 
 def _section(cls, d, path: str):
-    """Build the dataclass cls from the mapping d at the dotted path. A key
-    that is absent or null takes the field's default."""
+    """Build the dataclass cls from the mapping d at the dotted path ("" for
+    the root). A key that is absent or null takes the field's default."""
+    where, prefix = (path, f"{path}.") if path else ("config", "")
     if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {type(d).__name__}")
+        raise ConfigError(f"{where}: expected a mapping, got {type(d).__name__}")
     fields = {f.name: f for f in dataclasses.fields(cls)}
-    _check_keys(d, fields, path)
+    unknown = set(d) - set(fields)
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}; allowed: {sorted(fields)}")
     hints = _type_hints(cls)
     kwargs = {}
     for name, f in fields.items():
         if d.get(name) is not None:
-            kwargs[name] = _value(hints[name], d[name], f"{path}.{name}", f.metadata)
+            kwargs[name] = _value(hints[name], d[name], prefix + name, f.metadata)
         elif f.default is dataclasses.MISSING:
-            raise ConfigError(f"{path}: missing required key {name!r}")
+            raise ConfigError(f"{where}: missing required key {name!r}")
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        # The library's own checks start their message with the field they reject.
-        first = str(exc).split(" ", 1)[0]
-        raise ConfigError(f"{path}.{exc}" if first in fields else f"{path}: {exc}") from exc
+        # A check names the field it rejects first, or the key path below it.
+        first = re.match(r"\w*", str(exc)).group()
+        raise ConfigError(f"{prefix}{exc}" if first in fields else f"{where}: {exc}") from exc
 
 
-def _sweep_section(d) -> SweepSection:
-    if not isinstance(d, dict):
-        raise ConfigError(f"sweep: expected a mapping, got {type(d).__name__}")
-    _check_keys(d, ("grid",), "sweep")
-    grid_d = d.get("grid") or {}
-    if not isinstance(grid_d, dict):
-        raise ConfigError(f"sweep.grid: expected a mapping, got {type(grid_d).__name__}")
-    _check_keys(grid_d, _SWEEP_KEYS, "sweep.grid")
-    grid = {
-        key: _value(tuple[typ, ...], grid_d[key], f"sweep.grid.{key}", {"nonempty": True})
-        for key, typ in _SWEEP_KEYS.items()
-        if key in grid_d
-    }
-    return SweepSection(grid=grid or dict(DEFAULT_SWEEP_GRID))
-
-
-def _parse(raw) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")
-    _check_keys(raw, (*_SECTIONS, "sweep", "output_dir"), "config")
-    if raw.get("dataset") is None:
-        raise ConfigError("config: missing required section 'dataset'")
-    sections = {name: _section(cls, raw[name], name) for name, cls in _SECTIONS.items() if raw.get(name) is not None}
-    dataset, il, run = sections["dataset"], sections.get("il"), sections.get("run")
-    for kind, key in (("idx", "idx"), ("csv", "csv_path")):
-        if dataset.kind == kind and getattr(dataset, key) is None:
-            raise ConfigError(f"dataset: missing required key {key!r} (dataset.kind is {kind})")
-    if run is not None:
-        if run.n_b > run.n_B:
-            raise ConfigError(f"run.n_b: need 1 <= n_b <= n_B, got n_b={run.n_b}, n_B={run.n_B}")
-        if run.policy.kind == "bald" and run.model.dropout == 0:
-            raise ConfigError("run.policy.kind: bald needs run.model.dropout > 0; without dropout every "
-                              "Monte-Carlo sample is the same and the scores are rounding noise")
-        if run.il_update_mode == "original" and il is not None and il.scheme == "two-halves":
-            raise ConfigError("run.il_update_mode=original needs a single live model; two-halves tables cannot be updated")
-    return ExperimentConfig(
-        dataset=dataset, il=il, run=run, ladder=sections.get("ladder"),
-        sweep=_sweep_section(raw["sweep"]) if raw.get("sweep") is not None else None,
-        output_dir=_value(str, raw["output_dir"], "output_dir", {}) if raw.get("output_dir") is not None else None,
-        raw=raw,
-    )
+def as_dict(cfg: ExperimentConfig) -> dict:
+    """The parsed config as plain data: every key written out, lists in place
+    of tuples. parse_config reads it back to an equal config."""
+    return json.loads(json.dumps(dataclasses.asdict(cfg)))
 
 
 def sweep_configs(cfg: ExperimentConfig) -> list[ExperimentConfig]:
     """The config of each cell of the sweep grid (the default grid when the
-    config has no sweep section), in cell order. A cell sets its values in
-    run; a batch_size cell sets n_b and keeps the ratio n_b/n_B. An invalid
-    cell raises a ConfigError naming it."""
-    grid = cfg.sweep.grid if cfg.sweep is not None else DEFAULT_SWEEP_GRID
+    config has no sweep section or its grid sets no key), in cell order. A
+    cell sets its values in run; a batch_size cell sets n_b and keeps the
+    ratio n_b/n_B. An invalid cell raises a ConfigError naming it."""
+    grid = vars(cfg.sweep.grid) if cfg.sweep is not None else {}
+    grid = {key: values for key, values in grid.items() if values is not None} or DEFAULT_SWEEP_GRID
     cells: list[dict] = [{}]
     for key, values in grid.items():
         cells = [dict(cell, **{key: value}) for cell in cells for value in values]
     ratio = cfg.run.n_b / cfg.run.n_B
     configs = []
     for i, cell in enumerate(cells):
-        raw = json.loads(json.dumps(cfg.raw))
-        run = raw["run"]
+        d = as_dict(cfg)
+        run = d["run"]
         for key, value in cell.items():
             if key == "batch_size":
                 run["n_b"], run["n_B"] = value, max(value, round(value / ratio))
             elif key in ("n_b", "n_B"):
                 run[key] = value
             else:
-                run["optimizer"] = {**(run.get("optimizer") or {}), key: value}
+                run["optimizer"][key] = value
         try:
-            configs.append(_parse(raw))
+            configs.append(_section(ExperimentConfig, d, ""))
         except ConfigError as exc:
             raise ConfigError(f"sweep.grid cell {i:03d} {cell}: {exc}") from exc
     return configs
 
 
-def parse_config(raw: dict) -> ExperimentConfig:
-    cfg = _parse(raw)
+def parse_config(d: dict) -> ExperimentConfig:
+    cfg = _section(ExperimentConfig, d, "")
     if cfg.sweep is not None and cfg.run is not None:
         sweep_configs(cfg)  # every cell is checked before any stage writes output
     return cfg
@@ -340,27 +329,26 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     with open(path) as f:
-        raw = yaml.safe_load(f)
-    return parse_config(raw if raw is not None else {})
+        d = yaml.safe_load(f)
+    return parse_config(d if d is not None else {})
+
+
+def _hash(d: dict) -> str:
+    canonical = json.dumps(d, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
     """Stable hash of the experiment, excluding seeds-of-record and output dir."""
-    raw = json.loads(json.dumps(cfg.raw))  # deep copy via round-trip
-    raw.pop("output_dir", None)
-    if isinstance(raw.get("run"), dict):
-        raw["run"].pop("seeds", None)
-    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    d = as_dict(cfg)
+    del d["output_dir"]
+    if d["run"] is not None:
+        del d["run"]["seeds"]
+    return _hash(d)
 
 
 def dataset_config_hash(cfg: ExperimentConfig) -> str:
     """Hash of everything the prepared dataset artifacts depend on: the
     dataset pipeline plus the holdout scheme (which decides whether a holdout
     split is carved at all)."""
-    subset = {
-        "dataset": cfg.raw.get("dataset"),
-        "scheme": cfg.il.scheme if cfg.il is not None else "holdout",
-    }
-    canonical = json.dumps(subset, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    return _hash({"dataset": as_dict(cfg)["dataset"], "scheme": cfg.il.scheme if cfg.il is not None else "holdout"})

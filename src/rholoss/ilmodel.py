@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import IlSection, OptimizerSettings, RunSection
-from .data import LabeledDataset, dataset_hash
+from .data import LabeledDataset
 from .nn import MlpModel, backward, batched_logits, cross_entropy, evaluate, init_mlp, model_id
 from .optim import OptimizerState, make_optimizer, optimizer_step, train_epoch
 from .records import read_table, write_table
@@ -41,7 +41,6 @@ class CheckpointLog:
 class IrreducibleLossTable:
     values: dict[int, float]
     scheme: str = "holdout"  # "holdout" | "two-halves"
-    provenance: str = ""
     producers: dict[int, str] | None = None  # two-halves: example id -> producing model id
 
     def lookup(self, ids) -> np.ndarray:
@@ -110,11 +109,7 @@ def compute_il_table(il_model: MlpModel, pool: LabeledDataset, batch_size: int =
     (un-augmented) inputs, so the table is deterministic for a given model.
     """
     losses = cross_entropy(batched_logits(il_model, pool.features, batch_size), pool.labels)
-    return IrreducibleLossTable(
-        values=dict(zip(pool.ids.tolist(), losses.tolist())),
-        scheme="holdout",
-        provenance=f"{model_id(il_model)}:{dataset_hash(pool)[:16]}",
-    )
+    return IrreducibleLossTable(values=dict(zip(pool.ids.tolist(), losses.tolist())), scheme="holdout")
 
 
 def _two_halves_parts(half_a: LabeledDataset, half_b: LabeledDataset, seed: int = 0, **train_kwargs):
@@ -131,12 +126,7 @@ def _two_halves_parts(half_a: LabeledDataset, half_b: LabeledDataset, seed: int 
     values = {**table_b.values, **table_a.values}
     producers = {ex_id: id_a for ex_id in table_b.values}
     producers.update({ex_id: id_b for ex_id in table_a.values})
-    merged = IrreducibleLossTable(
-        values=values,
-        scheme="two-halves",
-        provenance=f"{id_a}+{id_b}",
-        producers=producers,
-    )
+    merged = IrreducibleLossTable(values=values, scheme="two-halves", producers=producers)
     return merged, model_a, model_b, log_a, log_b
 
 
@@ -186,9 +176,8 @@ def save_il_table(table: IrreducibleLossTable, path) -> None:
 
 def load_il_table(path) -> IrreducibleLossTable:
     meta, rows = read_table(path, "il-table")
-    table = IrreducibleLossTable(
-        values={int(row[0]): float(row[1]) for row in rows}, scheme=meta.get("scheme", "holdout"), provenance=""
-    )
+    values = {int(row[0]): float(row[1]) for row in rows}
+    table = IrreducibleLossTable(values=values, scheme=meta.get("scheme", "holdout"))
     stored = meta.get("provenance", "")
     if stored and stored != table.content_hash():
         raise ValueError(f"{path}: provenance hash mismatch, file may be corrupt")

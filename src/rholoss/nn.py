@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .records import atomic_write
+
 Array = np.ndarray
 
 
@@ -454,7 +456,8 @@ def save_model(model: MlpModel, path) -> None:
             arrays[f"bn{l}_rvar"] = bn.running_var
         meta["bn_momentum"] = np.float64(model.batchnorm[0].momentum)
         meta["bn_eps"] = np.float64(model.batchnorm[0].eps)
-    np.savez(path, **arrays, **meta)
+    with atomic_write(path, binary=True) as f:
+        np.savez(f, **arrays, **meta)
 
 
 def load_model(path) -> MlpModel:

@@ -109,13 +109,13 @@ def weakest_final_accuracy(records: Mapping[str, RunRecord]) -> float:
 
 
 @contextlib.contextmanager
-def atomic_write(path, newline: str | None = None):
-    """A text file that becomes path only once the block succeeds: it is
-    written as path.tmp and renamed over path, and removed on failure, so a
-    partial file never appears."""
+def atomic_write(path, newline: str | None = None, binary: bool = False):
+    """A file (text, or bytes when binary) that becomes path only once the
+    block succeeds: it is written as path.tmp and renamed over path, and
+    removed on failure, so a partial file never appears."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", newline=newline) as f:
+        with open(tmp, "wb" if binary else "w", newline=newline) as f:
             yield f
         os.replace(tmp, path)
     finally:

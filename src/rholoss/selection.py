@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset
-from .nn import MlpModel, batched_logits, cross_entropy, forward, mc_dropout_predict, per_example_grad_norm, softmax
+from .nn import MlpModel, batched_logits, mc_dropout_predict, per_example_grad_norm, softmax
 
 LOSS_BASED_KINDS = ("rho-loss", "train-loss", "neg-il", "uniform")
 GRAD_KINDS = ("grad-norm", "grad-norm-is")
@@ -202,19 +202,16 @@ def score_al(
     kind: str,
     model: MlpModel,
     x,
-    labels=None,
+    losses=None,
     mc_samples: int = 16,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Monte-Carlo-dropout acquisition scores for a candidate batch."""
+    """Monte-Carlo-dropout acquisition scores for a candidate batch. losses
+    are the candidates' per-example losses under the scored snapshot; only
+    loss-minus-cond-entropy reads them."""
     if kind == "bald" and mc_samples < 2:
         raise ValueError("bald needs mc_samples >= 2")
     samples = mc_dropout_predict(model, x, mc_samples, rng=rng)
-    losses = None
-    if kind == "loss-minus-cond-entropy":
-        if labels is None:
-            raise ValueError("loss-minus-cond-entropy uses the label")
-        losses = cross_entropy(forward(model, x), labels)
     return al_scores_from_samples(kind, samples, losses=losses)
 
 
@@ -264,7 +261,7 @@ def score_candidates(
     if kind in GRAD_KINDS:
         return score_grad_norm(model, x, labels)
     if kind in AL_KINDS:
-        return score_al(kind, model, x, labels=labels, mc_samples=policy.mc_samples, rng=rng)
+        return score_al(kind, model, x, losses=losses, mc_samples=policy.mc_samples, rng=rng)
     raise ValueError(f"policy kind {kind!r} cannot be scored online (offline kinds pre-filter the pool)")
 
 

@@ -21,7 +21,9 @@ from rholoss.config import (
     IlSection,
     LadderConfig,
     RunSection,
+    as_dict,
     config_hash,
+    dataset_config_hash,
     load_config,
     parse_config,
     sweep_configs,
@@ -242,21 +244,29 @@ def _in_range_section(cls):
     return st.fixed_dictionaries(required, optional=optional)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
+_SECTIONS_IN_RANGE = dict(
     dataset=_in_range_section(DatasetSection),
     il=_in_range_section(IlSection),
     run=_in_range_section(RunSection),
     ladder=_in_range_section(LadderConfig),
 )
-def test_any_config_inside_the_declared_ranges_parses_and_the_library_accepts_it(dataset, il, run, ladder):
+
+
+def _parse_in_range(dataset, il, run, ladder):
+    """Parse drawn sections after making them meet the checks across keys."""
     dataset["kind"] = "synthetic"  # idx and csv read files; their blocks are still drawn and parsed
     for section, cls in ((run, RunSection), (ladder, LadderConfig)):
         section["n_b"] = min(section.get("n_b", cls.n_b), section.get("n_B", cls.n_B))
     assume(not (run["policy"]["kind"] == "bald" and run.get("model", {}).get("dropout", 0.0) == 0))
     assume(not (run.get("il_update_mode") == "original" and il.get("scheme") == "two-halves"))
     assume(("test_images" in dataset.get("idx", {})) == ("test_labels" in dataset.get("idx", {})))
-    cfg = parse_config({"dataset": dataset, "il": il, "run": run, "ladder": ladder})
+    return parse_config({"dataset": dataset, "il": il, "run": run, "ladder": ladder})
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_SECTIONS_IN_RANGE)
+def test_any_config_inside_the_declared_ranges_parses_and_the_library_accepts_it(dataset, il, run, ladder):
+    cfg = _parse_in_range(dataset, il, run, ladder)
 
     syn, split = cfg.dataset.synthetic, cfg.dataset.split
     data.gen_synthetic(syn.classes, syn.per_class, syn.dim, syn.spread, seed=syn.seed, radius=syn.radius)
@@ -279,6 +289,31 @@ def test_any_config_inside_the_declared_ranges_parses_and_the_library_accepts_it
         init_mlp((syn.dim, *hidden, syn.classes), seed=r.model.seed, dropout_rate=dropout, batchnorm=batchnorm)
     for opt in (r.optimizer, cfg.il.optimizer, cfg.ladder.optimizer):
         make_optimizer(opt.kind, opt.learning_rate, weight_decay=opt.weight_decay)
+
+
+def _respelled(draw, node):
+    """node with each mapping's keys in a drawn order and each float written
+    as it is, as an exponent string, or as an int when it is whole."""
+    if isinstance(node, dict):
+        return {key: _respelled(draw, node[key]) for key in draw(st.permutations(list(node)))}
+    if isinstance(node, list):
+        return [_respelled(draw, value) for value in node]
+    if isinstance(node, float):
+        whole = node.is_integer() and repr(node) != "-0.0"  # the int 0 means +0.0
+        return draw(st.sampled_from([node, f"{node:.16e}", *([int(node)] if whole else [])]))
+    return node
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_SECTIONS_IN_RANGE, data=st.data())
+def test_the_config_hash_follows_what_the_config_means_not_how_it_is_written(dataset, il, run, ladder, data):
+    cfg = _parse_in_range(dataset, il, run, ladder)
+    assert parse_config(as_dict(cfg)) == cfg
+    # every default written out, keys shuffled and floats respelled
+    other = parse_config(_respelled(data.draw, as_dict(cfg)))
+    assert other == cfg
+    assert config_hash(other) == config_hash(cfg)
+    assert dataset_config_hash(other) == dataset_config_hash(cfg)
 
 
 def test_default_sweep_grid_is_3x3x3():
@@ -421,6 +456,14 @@ def test_seed_override_replaces_seed_list(prepared):
     assert files == ["record_rho-loss_seed42.csv", "record_uniform_seed42.csv"]
 
 
+def test_seed_override_is_ignored_without_a_run_section(tmp_path):
+    cfg_path = write_config(tmp_path, {"run": None})
+    out = tmp_path / "out"
+    for command in ("prepare", "ladder"):
+        assert main([command, "--config", str(cfg_path), "--out", str(out), "--seed-override", "3"]) == 0
+    assert (out / "ladder" / "ladder.csv").exists()
+
+
 def test_report_aggregates_and_refuses_mixed_hashes(prepared, tmp_path):
     cfg_path, out = prepared
     assert main(["train-il", "--config", str(cfg_path), "--out", str(out)]) == 0
@@ -449,6 +492,16 @@ def test_report_aggregates_and_refuses_mixed_hashes(prepared, tmp_path):
 
     save_run_record(bad, out / "runs" / "record_uniform_seed1.csv")
     assert main(["report", "--config", str(cfg_path), "--out", str(out)]) == 1
+
+
+def test_report_headers_name_each_seed_once_in_ascending_order(tmp_path):
+    cfg_path = write_config(tmp_path, {"run.seeds": [10, 2], "run.epochs": 1, "run.policy.kind": "train-loss"})
+    out = tmp_path / "out"
+    for command in ("prepare", "run", "report"):
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+    for kind in ("epochs_to_target", "composition", "accuracy"):
+        header = (out / "reports" / f"{kind}.csv").read_text().splitlines()[0]
+        assert " seeds=2;10 " in header
 
 
 def test_report_propagates_nr(prepared):
@@ -506,6 +559,8 @@ def test_sweep_emits_cell_configs_and_records(tmp_path):
     # cell configs actually vary the grid values
     n_bs = {yaml.safe_load(open(c / "config.yaml"))["run"]["n_b"] for c in cells}
     assert n_bs == {2, 4}
+    # each cell's config.yaml is its full parsed config
+    assert [load_config(c / "config.yaml") for c in cells] == sweep_configs(load_config(cfg_path))
 
 
 def test_sweep_default_grid_has_27_cells(tmp_path):

@@ -1,12 +1,16 @@
 """The headed-CSV format that every file shares, and run-record persistence."""
+import ast
 import csv
+import itertools
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rholoss import cli, records
+import rholoss
+from rholoss import cli, nn, records
 from rholoss.config import parse_config
 from rholoss.data import load_dataset_csv
 from rholoss.ilmodel import IrreducibleLossTable, load_il_table, save_il_table
@@ -99,6 +103,68 @@ def test_failed_il_table_write_leaves_no_file_and_no_tmp(tmp_path, monkeypatch):
         assert not Path(f"{path}.tmp").exists()
     assert kept.read_bytes() == before
     assert not fresh.exists()
+
+
+def test_failed_model_save_leaves_no_file_and_no_tmp(tmp_path, monkeypatch):
+    kept, fresh = tmp_path / "kept.npz", tmp_path / "fresh.npz"
+    nn.save_model(nn.init_mlp((3, 4, 2), seed=0), kept)
+    before = kept.read_bytes()
+
+    real_write, calls = np.lib.format.write_array, itertools.count()
+
+    def write_one_array_then_fail(fid, array, **kwargs):
+        if next(calls) % 2:  # the second array of each save
+            raise OSError("disk full")
+        real_write(fid, array, **kwargs)
+
+    monkeypatch.setattr(np.lib.format, "write_array", write_one_array_then_fail)
+    for path in (kept, fresh):
+        with pytest.raises(OSError, match="disk full"):
+            nn.save_model(nn.init_mlp((3, 4, 2), seed=1), path)
+        assert not Path(f"{path}.tmp").exists()
+    assert kept.read_bytes() == before
+    assert not fresh.exists()
+
+
+def _file_writes(source: str) -> list[int]:
+    """Lines of source that write a file other than through a file object
+    that atomic_write yields: open with a write mode, np.savez to anything
+    else, and Path.write_text / write_bytes."""
+    tree = ast.parse(source)
+    atomic = {
+        item.optional_vars.id
+        for node in ast.walk(tree) if isinstance(node, ast.With)
+        for item in node.items
+        if isinstance(item.context_expr, ast.Call) and getattr(item.context_expr.func, "id", None) == "atomic_write"
+        and isinstance(item.optional_vars, ast.Name)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name == "open":
+            modes = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "mode")]
+            writes = any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax+") for m in modes)
+        elif name in ("savez", "savez_compressed"):
+            writes = not (node.args and isinstance(node.args[0], ast.Name) and node.args[0].id in atomic)
+        else:
+            writes = name in ("write_text", "write_bytes")
+        if writes:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_every_file_the_package_writes_goes_through_atomic_write():
+    assert _file_writes('with open(p, "w") as f: pass\nnp.savez(p, a=a)\np.write_text("x")\n') == [1, 2, 3]
+    assert _file_writes('with atomic_write(p, binary=True) as f:\n    np.savez(f, a=a)\nopen(p, "rb")\n') == []
+    package = Path(rholoss.__file__).parent
+    writes = {
+        path.name: lines
+        for path in sorted(package.glob("*.py"))
+        if path.name != "records.py" and (lines := _file_writes(path.read_text()))
+    }
+    assert writes == {}
 
 
 def test_failed_report_write_leaves_no_file_and_no_tmp(tmp_path, monkeypatch):

@@ -325,8 +325,8 @@ def test_loss_minus_cond_entropy_uses_labels():
     model = nn.init_mlp((3, 6, 4), seed=5, dropout_rate=0.3)
     x = np.random.default_rng(6).standard_normal((4, 3))
     y = [0, 1, 2, 3]
-    scores = score_al("loss-minus-cond-entropy", model, x, labels=y, mc_samples=16, rng=np.random.default_rng(2))
     losses = nn.cross_entropy(nn.forward(model, x), y)
+    scores = score_al("loss-minus-cond-entropy", model, x, losses=losses, mc_samples=16, rng=np.random.default_rng(2))
     cond = score_al("cond-entropy", model, x, mc_samples=16, rng=np.random.default_rng(2))
     assert np.allclose(scores, losses - cond, atol=1e-12)
     with pytest.raises(ValueError):
