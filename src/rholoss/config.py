@@ -151,6 +151,9 @@ class RunSection:
         if self.policy.kind == "bald" and self.model.dropout == 0:
             raise ValueError("policy.kind: bald needs run.model.dropout > 0; without dropout every "
                              "Monte-Carlo sample is the same and the scores are rounding noise")
+        if self.model.batchnorm and self.n_b < 2:
+            raise ValueError("model.batchnorm: batch normalization needs run.n_b >= 2, got run.n_b=1; "
+                             "a training step on one row has no batch statistics")
 
 
 @dataclass(frozen=True)

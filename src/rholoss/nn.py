@@ -12,6 +12,17 @@ leading axis of every parameter, so one call per layer op serves all of them.
 Its input is either one (n, d) batch shared by every member or a (k, b, d)
 batch per member, and member j computes, bit for bit, what the model it was
 stacked from computes on its slice.
+
+A forward pass that keeps no cache for a backward (`forward`, and everything
+built on it) writes its hidden layers into two float64 buffers that belong to
+the process, alternating between layers, instead of allocating them per
+call: at a few hundred KB and more, fresh arrays go back to the system
+between calls and are page-faulted in again on the next. The buffers only
+grow, no caller ever sees them (logits are a fresh array on every call), and
+the same GEMMs and ufuncs run into them, so results are bit for bit those of
+fresh arrays. They are not thread-safe: run concurrent passes in separate
+processes, as `rholoss run --jobs` does. `backward` keeps its activations
+and allocates them per call.
 """
 from __future__ import annotations
 
@@ -199,25 +210,28 @@ def _check_mode(mode: str, bn_stat_source: str) -> None:
         raise ValueError(f"bn_stat_source must be one of {_BN_SOURCES}, got {bn_stat_source!r}")
 
 
-def _bn_forward(bn: BatchNormLayer, z: Array, source: str, update_running: bool):
+def _bn_forward(bn: BatchNormLayer, z: Array, source: str, update_running: bool, in_place: bool):
+    """Normalize z; in place (into z) when in_place, which the cache-free pass
+    asks for, and into fresh arrays that the backward cache keeps otherwise."""
     if source == "batch":
         if z.shape[0] < 2:
             raise ValueError("batch statistics need a batch of size >= 2")
         mu = z.mean(axis=0)
         var = z.var(axis=0)
         inv = 1.0 / np.sqrt(var + bn.eps)
-        centered = z - mu
         if update_running:
             n = z.shape[0]
             bn.running_mean = (1.0 - bn.momentum) * bn.running_mean + bn.momentum * mu
             bn.running_var = (1.0 - bn.momentum) * bn.running_var + bn.momentum * var * n / (n - 1)
     else:
+        mu = bn.running_mean
         inv = 1.0 / np.sqrt(bn.running_var + bn.eps)
-        centered = z - bn.running_mean
-    xhat = centered * inv
-    out = bn.gamma * xhat + bn.beta
-    cache = {"source": source, "xhat": xhat, "inv": inv, "centered": centered}
-    return out, cache
+    out = z if in_place else None
+    centered = np.subtract(z, mu, out=out)
+    xhat = np.multiply(centered, inv, out=out)
+    h = np.multiply(bn.gamma, xhat, out=out)
+    h += bn.beta
+    return h, {"source": source, "xhat": xhat, "inv": inv, "centered": centered}
 
 
 def _bn_backward(bn: BatchNormLayer, cache: dict, dout: Array):
@@ -236,7 +250,24 @@ def _bn_backward(bn: BatchNormLayer, cache: dict, dout: Array):
     return dz, dgamma, dbeta
 
 
-def _forward_cache(model, x, mode, bn_stat_source, rng, update_running):
+_scratch = [np.empty(0), np.empty(0)]  # the cache-free pass's hidden-layer buffers
+
+
+def _scratch_view(i: int, shape: tuple[int, ...]) -> Array:
+    """A C-contiguous (shape) view of scratch buffer i, grown to fit."""
+    size = math.prod(shape)
+    if _scratch[i].size < size:
+        _scratch[i] = np.empty(size)
+    return _scratch[i][:size].reshape(shape)
+
+
+def _forward_cache(model, x, mode, bn_stat_source, rng, update_running, keep_cache=True):
+    """Logits, and the per-layer cache that backward needs when keep_cache.
+
+    Without a cache, hidden layer l is computed in place in scratch buffer
+    l % 2 and never leaves the call; the other buffer, which holds the
+    layer's input until its matmul is done, then takes the dropout draws.
+    """
     _check_mode(mode, bn_stat_source)
     x = _as_batch(x, model.input_dim, model.stack)
     use_dropout = mode == "train" and model.dropout_rate > 0.0
@@ -246,20 +277,25 @@ def _forward_cache(model, x, mode, bn_stat_source, rng, update_running):
     cache = []
     last = model.n_layers - 1
     for l in range(model.n_layers):
-        z = a @ model.weights[l] + model.biases[l][..., None, :]
+        w = model.weights[l]
+        out = None if keep_cache or l == last else _scratch_view(l % 2, (*w.shape[:-2], a.shape[-2], w.shape[-1]))
+        z = np.matmul(a, w, out=out)
+        z += model.biases[l][..., None, :]
         layer: dict = {"a_in": a}
         h = z
         if l < last:
             if model.batchnorm is not None:
-                h, layer["bn"] = _bn_forward(model.batchnorm[l], h, bn_stat_source, update_running)
+                h, layer["bn"] = _bn_forward(model.batchnorm[l], h, bn_stat_source, update_running, not keep_cache)
             layer["pre_act"] = h
-            h = np.maximum(h, 0.0)
+            h = np.maximum(h, 0.0, out=None if keep_cache else h)
             if use_dropout:
                 keep = 1.0 - model.dropout_rate
-                mask = (rng.random(h.shape) < keep) / keep
-                h = h * mask
+                out = None if keep_cache else _scratch_view((l + 1) % 2, h.shape)
+                mask = np.divide(np.less(rng.random(h.shape, out=out), keep, out=out), keep, out=out)
+                h = np.multiply(h, mask, out=None if keep_cache else h)
                 layer["mask"] = mask
-        cache.append(layer)
+        if keep_cache:
+            cache.append(layer)
         a = h
     if not np.isfinite(a).all():
         raise NonFiniteLogitsError("forward pass produced non-finite logits")
@@ -281,7 +317,7 @@ def forward(
     running ones. Running statistics are mutated only when update_running is
     set, so scoring passes never perturb the model.
     """
-    logits, _ = _forward_cache(model, x, mode, bn_stat_source, rng, update_running)
+    logits, _ = _forward_cache(model, x, mode, bn_stat_source, rng, update_running, keep_cache=False)
     return logits
 
 
@@ -414,8 +450,8 @@ def unstack(model: MlpModel) -> list[MlpModel]:
     views into the stack.
 
     On a large shared batch, one forward per member is the faster choice: the
-    stacked temporaries are k times larger, and at a few MB each the allocator
-    hands them back to the system and page-faults them in again on every call.
+    stacked hidden layers are k times larger, and at a few MB they no longer
+    stay in cache between a layer's matmul, bias, ReLU and the next matmul.
     """
     if not model.stack:
         raise ValueError("unstack needs a stacked model")

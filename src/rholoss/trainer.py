@@ -71,6 +71,13 @@ def _run(train, test, cfg, model, il_values_fn, il_after_step, dump) -> RunRecor
         raise ValueError("training set is empty")
     if cfg.policy.kind in ("svp-entropy",):
         raise ValueError("offline policies pre-filter the pool; run them as uniform on the filtered subset")
+    last = train.n % cfg.n_B or cfg.n_B  # rows in the last candidate chunk, which selects the fewest
+    fewest = chunk_select_count(last, cfg.n_b, cfg.n_B)
+    if model.batchnorm is not None and fewest < 2:
+        raise ValueError(
+            f"batch normalization needs >= 2 selected rows in every step, but n_b={cfg.n_b} of n_B={cfg.n_B} "
+            f"on a pool of {train.n} selects {fewest} from the last chunk of {last}"
+        )
     streams = np.random.SeedSequence(cfg.seed).spawn(5)
     perm_rng = np.random.default_rng(streams[0])
     tie_rng = np.random.default_rng(streams[1])

@@ -155,6 +155,7 @@ def test_config_rejects_bad_values(tmp_path):
         ({"dataset.idx": {"images": "a", "labels": "b", "test_images": "c"}}, "dataset.idx.test_images"),
         ({"run.policy.kind": "bald"}, "run.model.dropout"),
         ({"sweep": {"grid": {"learning_rate": [0.001, -1.0]}}}, "sweep.grid cell 001"),
+        ({"run.model.batchnorm": True, "run.n_b": 1}, "run.model.batchnorm"),
     ],
 )
 def test_config_errors_name_the_key_before_any_output(tmp_path, capsys, overrides, key):
@@ -258,6 +259,7 @@ def _parse_in_range(dataset, il, run, ladder):
     for section, cls in ((run, RunSection), (ladder, LadderConfig)):
         section["n_b"] = min(section.get("n_b", cls.n_b), section.get("n_B", cls.n_B))
     assume(not (run["policy"]["kind"] == "bald" and run.get("model", {}).get("dropout", 0.0) == 0))
+    assume(not (run.get("model", {}).get("batchnorm", False) and run["n_b"] == 1))
     assume(not (run.get("il_update_mode") == "original" and il.get("scheme") == "two-halves"))
     assume(("test_images" in dataset.get("idx", {})) == ("test_labels" in dataset.get("idx", {})))
     return parse_config({"dataset": dataset, "il": il, "run": run, "ladder": ladder})
@@ -643,6 +645,20 @@ def test_a_failed_run_leaves_no_partial_score_dump(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_training", failing_run)
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert list((out / "runs").iterdir()) == []
+
+
+def test_a_batchnorm_run_whose_last_chunk_selects_one_row_fails_before_any_record(tmp_path, capsys):
+    with pytest.raises(ConfigError, match=r"run\.model\.batchnorm: .*run\.n_b >= 2"):
+        load_config(write_config(tmp_path, {"run.model.batchnorm": True, "run.n_b": 1}))
+    cfg_path = write_config(tmp_path, {"run.model.batchnorm": True})  # n_b 4 of n_B 20
+    out = tmp_path / "out"
+    assert main(["prepare", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert main(["train-il", "--config", str(cfg_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    # the pool of 126 ends in a chunk of 6, of which a step would train on 1
+    assert "n_b=4 of n_B=20 on a pool of 126 selects 1" in capsys.readouterr().err
     assert list((out / "runs").iterdir()) == []
 
 

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rholoss import nn
@@ -283,6 +284,86 @@ def test_stacked_member_computes_what_its_model_computes_bitwise(k, sizes, rows,
         assert np.array_equal(losses[j], nn.cross_entropy(nn.forward(m, xj), yj))
         for name, g in (nn.backward(m, xj, yj) if rows else {}).items():
             assert np.array_equal(grads[name][j], g), name
+
+
+def _scratch_test_models(seed):
+    """Models sharing input width 5 and 4 classes, so one chunk feeds them all:
+    a batch-norm dropout model as the trainer trains, a live IL model with
+    dropout, a plain one and a stack of three."""
+    trainer = nn.init_mlp((5, 9, 7, 4), seed=seed, dropout_rate=0.2, batchnorm=True)
+    rng = np.random.default_rng(seed)
+    for bn in trainer.batchnorm:
+        bn.gamma, bn.beta = rng.uniform(0.5, 2.0, bn.gamma.size), rng.standard_normal(bn.beta.size)
+        bn.running_mean, bn.running_var = rng.standard_normal(bn.gamma.size), rng.uniform(0.5, 2.0, bn.gamma.size)
+    return {
+        "trainer": trainer,
+        "il": nn.init_mlp((5, 6, 4), seed=seed + 1, dropout_rate=0.3),
+        "plain": nn.init_mlp((5, 8, 3, 6, 4), seed=seed + 2),
+        "stack": nn.stack_models([nn.init_mlp((5, 8, 8, 4), seed=seed + 3 + j) for j in range(3)]),
+    }
+
+
+_call = st.tuples(
+    st.sampled_from(["trainer", "il", "plain", "stack"]),
+    st.one_of(st.integers(0, 9), st.sampled_from([320, 800, 1333, 2000])),
+    st.sampled_from(["eval", "train"]),
+    st.sampled_from(["batch", "running"]),
+    st.booleans(),  # same chunk as the previous call, when the widths allow
+    st.booleans(),  # per-member input for the stack
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(calls=st.lists(_call, min_size=1, max_size=6), seed=st.integers(0, 2**16))
+@example(  # one step of run_original_selection: candidate logits, the live IL model's on the chunk, the next chunk
+    calls=[("trainer", 320, "eval", "batch", False, False), ("il", 320, "eval", "running", True, False),
+           ("trainer", 320, "eval", "batch", False, False), ("stack", 2000, "eval", "running", False, True)],
+    seed=0,
+)
+def test_forward_is_the_cache_keeping_pass_bitwise_and_hands_out_no_buffer(calls, seed):
+    models = _scratch_test_models(seed)
+    data_rng = np.random.default_rng(seed)
+    kept = []  # (array a call returned or took, a copy made at the time)
+    x = None
+    for i, (name, rows, mode, source, same_chunk, per_member) in enumerate(calls):
+        model = models[name]
+        shape = (3, rows, 5) if name == "stack" and per_member else (rows, 5)
+        if not (same_chunk and x is not None and x.shape == shape):
+            x = data_rng.standard_normal(shape)
+        kwargs = dict(mode=mode, bn_stat_source=source)
+        if model.batchnorm is not None and source == "batch" and rows < 2:
+            with pytest.raises(ValueError, match="batch of size >= 2"):
+                nn.forward(model, x, **kwargs)
+            continue
+        logits = nn.forward(model, x, rng=np.random.default_rng(i), **kwargs)
+        cached, _ = nn._forward_cache(model, x, rng=np.random.default_rng(i), update_running=False, **kwargs)
+        assert logits.shape == cached.shape and logits.tobytes() == cached.tobytes()
+        if model.batchnorm is None and (mode == "eval" or model.dropout_rate == 0.0):
+            members = [(model.weights, model.biases)] if not model.stack else [
+                ([w[j] for w in model.weights], [b[j] for b in model.biases]) for j in range(model.stack[0])
+            ]
+            for j, (ws, bs) in enumerate(members):
+                xj, got = (x[j] if x.ndim == 3 else x), (logits[j] if model.stack else logits)
+                expected = explicit_forward([w.tolist() for w in ws], [b.tolist() for b in bs], xj[:40].tolist())
+                assert np.allclose(got[:40], expected.reshape(-1, 4), rtol=1e-12, atol=1e-12)
+        kept += [(logits, logits.copy()), (x, x.copy())]
+        for arr, copy in kept:
+            assert arr.tobytes() == copy.tobytes()
+
+
+def test_a_repeated_forward_allocates_no_hidden_layer():
+    # tracemalloc sees numpy's data buffers; one 800 x 128 hidden layer is 819 200 bytes
+    model = nn.init_mlp((32, 128, 128, 10), seed=0)
+    x = np.random.default_rng(0).standard_normal((800, 32))
+    first = nn.forward(model, x)
+    tracemalloc.start()
+    try:
+        second = nn.forward(model, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(first, second)
+    assert peak < 800 * 128 * 8
 
 
 def test_stacked_inputs_and_labels_are_checked():

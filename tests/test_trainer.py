@@ -1,4 +1,5 @@
 import copy
+import io
 
 import numpy as np
 import pytest
@@ -212,6 +213,37 @@ def test_partial_final_chunk_selects_proportional():
     model = nn.init_mlp((pool.dim, 6, pool.num_classes), seed=2)
     record = run_training(pool, test, None, cfg, model)
     assert [len(r.selected_ids) for r in record.steps] == [4, 1]
+
+
+def test_batchnorm_run_refuses_a_last_chunk_that_selects_one_row_before_step_0():
+    pool, _, test = make_task(per_class=80)
+    pool = data.take(pool, np.arange(144))  # chunks of 20 and a last one of 4, which selects 1 of n_b 4
+    model = nn.init_mlp((pool.dim, 8, pool.num_classes), seed=2, batchnorm=True)
+    before = copy.deepcopy(model)
+    dump = io.StringIO()
+    with pytest.raises(ValueError, match="n_b=4 of n_B=20 on a pool of 144 selects 1 from the last chunk of 4"):
+        run_training(pool, test, None, quick_cfg(epochs=1), model, score_dump=dump)
+    assert dump.getvalue() == ""
+    for name, p in nn.parameters(before).items():
+        assert np.array_equal(nn.parameters(model)[name], p), name
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 60), n_B=st.integers(1, 24), share=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+def test_batchnorm_runs_finish_or_refuse_before_step_0(n, n_B, share, seed):
+    pool, _, test = make_task()
+    pool = data.take(pool, np.arange(n))
+    n_b = 1 + round(share * (n_B - 1))
+    model = nn.init_mlp((pool.dim, 6, pool.num_classes), seed=seed, batchnorm=True)
+    before = copy.deepcopy(model)
+    try:
+        record = run_training(pool, test, None, quick_cfg(n_b=n_b, n_B=n_B, epochs=1, seed=seed), model)
+    except ValueError as exc:
+        assert "batch normalization needs >= 2 selected rows" in str(exc)
+        for name, p in nn.parameters(before).items():
+            assert np.array_equal(nn.parameters(model)[name], p), name
+    else:
+        assert min(len(r.selected_ids) for r in record.steps) >= 2
 
 
 def test_run_training_deterministic_bitwise():
