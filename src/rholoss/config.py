@@ -161,7 +161,7 @@ class LadderConfig:
     """The ladder section: the settings of ladder.run_ladder."""
 
     n_b: int = _field(6, bounds="[1, inf)")
-    n_B: int = _field(60, bounds="[1, inf)")
+    n_B: int = _field(60, bounds="[2, inf)")  # Spearman needs two candidates a step
     ensemble_size: int = _field(5, bounds="[1, inf)")
     convergence_epochs: int = _field(5, bounds="[0, inf)")  # per-acquisition training budget
     convergence_tol: float = _field(1e-3, bounds="[0, inf)")

@@ -143,6 +143,12 @@ def run_ladder(pool: LabeledDataset, holdout: LabeledDataset, cfg: LadderConfig)
     schedule and correlate each rung's per-step scores against approx0's."""
     if pool.n < cfg.n_B:
         raise ValueError(f"pool of {pool.n} examples is smaller than one candidate batch of {cfg.n_B}")
+    last = pool.n % cfg.n_B or cfg.n_B  # rows in the last candidate chunk
+    if last < 2:
+        raise ValueError(
+            f"ladder.n_B: n_B={cfg.n_B} on a pool of {pool.n} leaves a last candidate chunk of {last}, "
+            "and a rank correlation needs at least 2 candidates"
+        )
     ss = np.random.SeedSequence(cfg.seed).spawn(4)
     schedule_rng = np.random.default_rng(ss[0])
     tie_rng = np.random.default_rng(ss[1])

@@ -1,22 +1,22 @@
-"""Small statistics helpers: tie-aware ranks, Spearman correlation, paired tests."""
+"""Small statistics helpers: tie-aware ranks and Spearman correlation."""
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 
 def rankdata_average(x) -> np.ndarray:
-    """Fractional ranks (1-based); tied values share the average of their ranks."""
+    """Fractional ranks (1-based); tied values share the average of their ranks.
+
+    Each NaN compares unequal to everything, so it gets a rank of its own.
+    """
     a = np.asarray(x, dtype=np.float64).ravel()
     order = np.argsort(a, kind="stable")
+    s = a[order]
+    # runs of equal values in sorted order span positions first..last
+    first = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    last = np.append(first[1:], a.size) - 1
     ranks = np.empty(a.size, dtype=np.float64)
-    i = 0
-    while i < a.size:
-        j = i
-        while j + 1 < a.size and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     return ranks
 
 
@@ -45,21 +45,3 @@ def spearman(xs, ys) -> float | None:
     if a.size < 2:
         raise ValueError("need at least 2 observations")
     return pearson(rankdata_average(a), rankdata_average(b))
-
-
-def paired_one_sided_t(a, b) -> tuple[float, float]:
-    """One-sided paired t-test of the alternative mean(a) < mean(b).
-
-    Returns (t, p). With zero variance in the differences the p-value
-    degenerates to 0 or 1 depending on the sign of the mean difference.
-    """
-    d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-    n = d.size
-    if n < 2:
-        raise ValueError("need at least 2 pairs")
-    sd = d.std(ddof=1)
-    if sd == 0.0:
-        return (-np.inf if d.mean() < 0 else np.inf), (0.0 if d.mean() < 0 else 1.0)
-    t = d.mean() / (sd / np.sqrt(n))
-    p = float(_scipy_stats.t.cdf(t, df=n - 1))
-    return float(t), p

@@ -167,11 +167,17 @@ def run_training(
     """Frozen-table mode: irreducible losses are looked up, never recomputed.
 
     The table must cover every training id when the policy consumes it; the
-    table is read-only for the whole run. The model is trained in place.
-    score_dump, an open text stream, receives every candidate's score as
+    table is read-only for the whole run, so such a policy needs
+    il_update_mode "frozen". The model is trained in place. score_dump, an
+    open text stream, receives every candidate's score as
     step,id,score,selected rows under a column header; the caller owns it.
     """
     if cfg.policy.needs_il:
+        if cfg.il_update_mode != "frozen":
+            raise ValueError(
+                f"policy {cfg.policy.kind!r} with il_update_mode {cfg.il_update_mode!r} updates a live IL model; "
+                "run it with run_original_selection"
+            )
         if il_table is None:
             raise ValueError(f"policy {cfg.policy.kind!r} needs an irreducible-loss table")
         if not il_table.covers(train.ids):
@@ -197,8 +203,13 @@ def run_original_selection(
 
     With il_lr_scale=0 the IL model's parameters never move, so the selected
     sets coincide step-for-step with frozen-table mode under shared seeds.
-    score_dump is as in run_training.
+    cfg.il_update_mode must be "original". score_dump is as in run_training.
     """
+    if cfg.il_update_mode != "original":
+        raise ValueError(
+            f"run_original_selection updates a live IL model, but il_update_mode is {cfg.il_update_mode!r}; "
+            "run a frozen table with run_training"
+        )
     il_opt = make_optimizer(cfg.optimizer_kind, cfg.learning_rate, weight_decay=cfg.weight_decay)
 
     def il_values(ids, x, labels):

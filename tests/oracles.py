@@ -2,13 +2,15 @@
 
 Everything here is deliberately written with a different algorithm (explicit
 loops, brute-force sorting, numerical differentiation) than the code under
-test, so agreement is meaningful.
+test, so agreement is meaningful. The paired t-test is here because only the
+tests use it.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+from scipy import stats as _scipy_stats
 
 from rholoss import nn
 
@@ -100,6 +102,24 @@ def brute_spearman(xs, ys):
     if np.std(rx) == 0 or np.std(ry) == 0:
         return None
     return float(np.corrcoef(rx, ry)[0, 1])
+
+
+def paired_one_sided_t(a, b) -> tuple[float, float]:
+    """One-sided paired t-test of the alternative mean(a) < mean(b).
+
+    Returns (t, p). With zero variance in the differences the p-value
+    degenerates to 0 or 1 depending on the sign of the mean difference.
+    """
+    d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
+    n = d.size
+    if n < 2:
+        raise ValueError("need at least 2 pairs")
+    sd = d.std(ddof=1)
+    if sd == 0.0:
+        return (-np.inf if d.mean() < 0 else np.inf), (0.0 if d.mean() < 0 else 1.0)
+    t = d.mean() / (sd / np.sqrt(n))
+    p = float(_scipy_stats.t.cdf(t, df=n - 1))
+    return float(t), p
 
 
 def brute_top_k(scores, k, tie_seed):

@@ -23,10 +23,10 @@ from rholoss.records import (
     weakest_final_accuracy,
 )
 from rholoss.selection import SelectionPolicy, sample_grad_norm_is, score_grad_norm, select_top_k
-from rholoss.stats import paired_one_sided_t, spearman
+from rholoss.stats import spearman
 from rholoss.trainer import RunConfig, run_original_selection, run_training
 
-from oracles import brute_spearman, brute_top_k, fd_gradients, max_rel_error
+from oracles import brute_spearman, brute_top_k, fd_gradients, max_rel_error, paired_one_sided_t
 
 SEEDS = (1, 2, 3)
 

@@ -156,6 +156,8 @@ def test_config_rejects_bad_values(tmp_path):
         ({"run.policy.kind": "bald"}, "run.model.dropout"),
         ({"sweep": {"grid": {"learning_rate": [0.001, -1.0]}}}, "sweep.grid cell 001"),
         ({"run.model.batchnorm": True, "run.n_b": 1}, "run.model.batchnorm"),
+        # a ladder step on one candidate has no rank correlation
+        ({"ladder.n_b": 1, "ladder.n_B": 1}, "ladder.n_B"),
     ],
 )
 def test_config_errors_name_the_key_before_any_output(tmp_path, capsys, overrides, key):
@@ -660,6 +662,16 @@ def test_a_batchnorm_run_whose_last_chunk_selects_one_row_fails_before_any_recor
     # the pool of 126 ends in a chunk of 6, of which a step would train on 1
     assert "n_b=4 of n_B=20 on a pool of 126 selects 1" in capsys.readouterr().err
     assert list((out / "runs").iterdir()) == []
+
+
+def test_a_ladder_whose_last_chunk_holds_one_candidate_fails_before_writing(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, {"ladder.n_B": 125})  # the pool of 126 ends in a chunk of 1
+    out = tmp_path / "out"
+    assert main(["prepare", "--config", str(cfg_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["ladder", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ladder.n_B: n_B=125 on a pool of 126 ")
+    assert not (out / "ladder").exists()
 
 
 def test_stages_load_each_split_they_use_once(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rholoss import data, nn
+from rholoss import data, ladder, nn
 from rholoss.ladder import (
     REFERENCE_RANK_CORRELATION,
     RUNG_NAMES,
@@ -214,6 +214,15 @@ def test_ladder_rejects_tiny_pool():
     small = data.take(pool, np.arange(10))
     with pytest.raises(ValueError):
         run_ladder(small, holdout, LadderConfig(n_b=4, n_B=40))
+
+
+@pytest.mark.parametrize("one_row_chunk", ["every", "last"])
+def test_ladder_rejects_a_one_candidate_step_before_training(one_row_chunk, monkeypatch):
+    pool, holdout = ladder_task()
+    n_B = 1 if one_row_chunk == "every" else pool.n - 1
+    monkeypatch.setattr(ladder, "train_to_convergence", lambda *a, **k: pytest.fail("trained first"))
+    with pytest.raises(ValueError, match=rf"^ladder\.n_B: .* on a pool of {pool.n} leaves a last candidate chunk of 1,"):
+        run_ladder(pool, holdout, LadderConfig(n_b=1, n_B=n_B))
 
 
 def test_reference_table_complete():

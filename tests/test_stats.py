@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rholoss.stats import paired_one_sided_t, pearson, rankdata_average, spearman
+from rholoss.stats import pearson, rankdata_average, spearman
 
-from oracles import brute_ranks, brute_spearman
+from oracles import brute_ranks, brute_spearman, paired_one_sided_t
 
 
 def test_ranks_simple():
@@ -19,6 +21,23 @@ def test_ranks_match_pairwise_oracle():
     for _ in range(50):
         x = rng.integers(0, 6, size=rng.integers(2, 30)).astype(float)
         assert np.array_equal(rankdata_average(x), brute_ranks(x))
+
+
+# Half the draws come from a few values, signed zeros among them, so lists hold long runs of ties.
+_TIED_FLOATS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0**-1074, 1e300]) | st.floats(
+    allow_nan=False, allow_infinity=True
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_TIED_FLOATS, min_size=1, max_size=300))
+def test_ranks_are_bitwise_those_of_the_pairwise_oracle(values):
+    assert rankdata_average(values).tobytes() == brute_ranks(values).tobytes()
+
+
+def test_each_nan_gets_a_rank_of_its_own():
+    # NaN != NaN, so NaNs are never tied; a stable sort puts them last in input order
+    assert np.array_equal(rankdata_average([np.nan, 1.0, np.nan, 1.0]), [3.0, 1.5, 4.0, 1.5])
 
 
 def test_spearman_identical_and_reversed():

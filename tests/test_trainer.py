@@ -408,6 +408,25 @@ def test_original_mode_with_dropout_il_model_is_deterministic():
     assert nn.model_id(il_a) == nn.model_id(il_b) != nn.model_id(il_model)
 
 
+def test_run_training_refuses_a_needs_il_policy_in_original_mode():
+    pool, _, test = make_task()
+    table = compute_il_table(nn.init_mlp((pool.dim, 8, pool.num_classes), seed=18), pool)
+    model = nn.init_mlp((pool.dim, 8, pool.num_classes), seed=19)
+    with pytest.raises(ValueError, match="'rho-loss' with il_update_mode 'original'.*run_original_selection"):
+        run_training(pool, test, table, quick_cfg(kind="rho-loss", il_update_mode="original"), copy.deepcopy(model))
+    # a policy without an IL term has nothing to update, so it runs in either mode
+    record = run_training(pool, test, None, quick_cfg(kind="train-loss", il_update_mode="original"), model)
+    assert len(record.compositions) == 2
+
+
+def test_run_original_selection_refuses_frozen_mode():
+    pool, _, test = make_task()
+    il_model = nn.init_mlp((pool.dim, 8, pool.num_classes), seed=18)
+    model = nn.init_mlp((pool.dim, 8, pool.num_classes), seed=19)
+    with pytest.raises(ValueError, match="il_update_mode is 'frozen'.*run_training"):
+        run_original_selection(pool, test, il_model, quick_cfg(kind="rho-loss"), model)
+
+
 # ---------------------------------------------------------------- record CSV round trip
 
 
