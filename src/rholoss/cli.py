@@ -42,7 +42,7 @@ from .ilmodel import (
     train_il_model,
 )
 from .ladder import run_ladder
-from .nn import init_mlp, load_model, save_model
+from .nn import init_mlp, load_model, predict_labels, save_model
 from .records import (
     RunRecord,
     atomic_write,
@@ -123,8 +123,6 @@ def prepare_datasets(cfg: ExperimentConfig):
         if cfg.il is None:
             raise CliError("structured noise needs the il section (for the reference model)")
         ref_model, _ = train_il_model(pool, validation=pool, seed=cfg.il.seed + 101, **_il_train_kwargs(cfg.il))
-        from .nn import predict_labels
-
         confusion = datamod.confusion_counts(pool.labels, predict_labels(ref_model, pool.features), pool.num_classes)
         pool = datamod.inject_structured_noise(
             pool, confusion, ds_cfg.noise.pairs, ds_cfg.noise.flip_prob, seed=ds_cfg.noise.seed
@@ -144,10 +142,8 @@ def cmd_prepare(cfg: ExperimentConfig, out: Path) -> int:
     if holdout is not None:
         parts["holdout"] = holdout
     for name, ds in parts.items():
-        path = ddir / f"{name}.csv"
-        datamod.save_dataset_csv(ds, path, config_hash=chash, seed=cfg.dataset.split.seed)
+        datamod.save_dataset_csv(ds, ddir / f"{name}.csv", config_hash=chash, seed=cfg.dataset.split.seed)
         manifest["files"][name] = {
-            "path": str(path),
             "sha256": datamod.dataset_hash(ds),
             "n": ds.n,
             "d": ds.dim,

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import IlSection, OptimizerSettings, RunSection
+from .config import IlSection, OptimizerSettings
 from .data import LabeledDataset
-from .nn import MlpModel, backward, batched_logits, cross_entropy, evaluate, init_mlp, model_id
-from .optim import OptimizerState, make_optimizer, optimizer_step, train_epoch
+from .nn import MlpModel, batched_logits, cross_entropy, evaluate, init_mlp, model_id
+from .optim import OptimizerState, make_optimizer, train_epoch, train_step
 from .records import read_table, write_table
 
 
@@ -141,26 +141,14 @@ def compute_il_table_two_halves(half_a: LabeledDataset, half_b: LabeledDataset, 
     return table
 
 
-def update_il_model(
-    il_model: MlpModel,
-    opt_state: OptimizerState,
-    x,
-    labels,
-    lr_scale: float = RunSection.lr_scale,
-    rng: np.random.Generator | None = None,
-):
-    """One optimizer step on an acquired batch at a scaled-down learning rate.
+def update_il_model(il_model: MlpModel, opt_state: OptimizerState, x, labels, rng: np.random.Generator | None = None):
+    """One `train_step` of a live IL model on an acquired batch.
 
-    Used only when the selection score is recomputed from a live IL model; a
-    scale of 0 leaves the parameters untouched.
+    The scaled-down learning rate lives in opt_state, which the caller builds
+    at the target's rate times `run.lr_scale`; a rate of 0 leaves the
+    parameters untouched.
     """
-    grads = backward(il_model, x, labels, mode="train", bn_stat_source="batch", rng=rng, update_running=True)
-    base_lr = opt_state.learning_rate
-    opt_state.learning_rate = base_lr * lr_scale
-    try:
-        optimizer_step(opt_state, il_model, grads)
-    finally:
-        opt_state.learning_rate = base_lr
+    train_step(il_model, opt_state, x, labels, rng)
     return il_model, opt_state
 
 

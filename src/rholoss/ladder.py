@@ -10,8 +10,8 @@ acquired data after every step. Each cheaper rung strips one ingredient:
     approx2   the irreducible-loss model is frozen after holdout training
     approx3   the frozen irreducible-loss model is half-width
 
-All pipelines consume the same seeded candidate schedule over the first
-epoch, but each evolves under its own selections; no re-synchronization is
+All pipelines consume the trainer's seeded candidate schedule
+(`selection.candidate_chunks`) over the first epoch, but each evolves under its own selections; no re-synchronization is
 performed, so later-step rank correlations partly reflect genuine state
 divergence. Per step, the rung's candidate scores are compared to approx0's
 by Spearman rank correlation.
@@ -37,9 +37,9 @@ import numpy as np
 
 from .config import LadderConfig
 from .data import LabeledDataset
-from .nn import MlpModel, backward, cross_entropy, ensemble_cross_entropy, forward, init_mlp, stack_models, unstack
-from .optim import make_optimizer, optimizer_step, train_epoch
-from .selection import chunk_select_count, select_top_k
+from .nn import MlpModel, cross_entropy, ensemble_cross_entropy, forward, init_mlp, stack_models, unstack
+from .optim import make_optimizer, train_epoch, train_step
+from .selection import candidate_chunks, select_top_k
 from .stats import spearman
 
 # rung -> (target members, IL members, target regime, IL regime). A regime is
@@ -122,7 +122,7 @@ def _update(member, regime, seen_x, seen_y, x_sel, y_sel, cfg: LadderConfig, rng
             model, seen_x, seen_y, opt, cfg.convergence_epochs, cfg.convergence_tol, cfg.batch_size, rngs
         )
     elif regime == "single-step":
-        optimizer_step(opt, model, backward(model, x_sel, y_sel, mode="train", bn_stat_source="batch"))
+        train_step(model, opt, x_sel, y_sel)
 
 
 def _take(member, rows: slice):
@@ -150,12 +150,9 @@ def run_ladder(pool: LabeledDataset, holdout: LabeledDataset, cfg: LadderConfig)
             "and a rank correlation needs at least 2 candidates"
         )
     ss = np.random.SeedSequence(cfg.seed).spawn(4)
-    schedule_rng = np.random.default_rng(ss[0])
-    tie_rng = np.random.default_rng(ss[1])
+    perm_rng, tie_rng = (np.random.default_rng(seq) for seq in ss[:2])
+    schedule = list(candidate_chunks(pool.n, cfg.n_B, cfg.n_b, perm_rng, tie_rng))
     init_seeds = np.random.default_rng(ss[2]).integers(0, 2**31 - 1, size=8)
-    perm = schedule_rng.permutation(pool.n)
-    chunks = [perm[start : start + cfg.n_B] for start in range(0, pool.n, cfg.n_B)]
-    tie_seeds = [int(tie_rng.integers(0, 2**31 - 1)) for _ in chunks]
 
     sizes = (pool.dim, *cfg.hidden, pool.num_classes)
     small_sizes = (pool.dim, *cfg.small_hidden, pool.num_classes)
@@ -199,11 +196,11 @@ def run_ladder(pool: LabeledDataset, holdout: LabeledDataset, cfg: LadderConfig)
         target_rngs, il_rngs = rngs[:n_target], rngs[n_target:]
         seen_x, seen_y = [], []
         per_step = []
-        for chunk, tie_seed in zip(chunks, tie_seeds):
+        for chunk, n_sel, tie_seed in schedule:
             x, y = pool.features[chunk], pool.labels[chunk]
             s = _loss(target[0], x, y) - _loss(il[0], x, y)
             per_step.append(s)
-            sel = select_top_k(s, chunk_select_count(chunk.size, cfg.n_b, cfg.n_B), tie_seed)
+            sel = select_top_k(s, n_sel, tie_seed)
             seen_x.append(x[sel])
             seen_y.append(y[sel])
             ax, ay = np.concatenate(seen_x), np.concatenate(seen_y)

@@ -9,6 +9,9 @@ the result does not depend on how the parameters are split into arrays.
 For a stacked model (`nn.stack_models`) the flat vectors are member-major
 (k, P), and each member keeps its own step count, so a member left out of a
 step by the `active` mask resumes later exactly as if trained alone.
+
+`train_step` is the one training step: the trainer, the live IL model, the
+minibatch epoch and the ladder all take it.
 """
 from __future__ import annotations
 
@@ -181,11 +184,20 @@ def optimizer_step(state: OptimizerState, model: MlpModel, grads: dict[str, np.n
     return model, state
 
 
-def train_epoch(model: MlpModel, opt: OptimizerState, x, y, batch_size: int, rng, active=None) -> None:
-    """One shuffled pass over (x, y) in minibatches, one optimizer step each.
+def train_step(model: MlpModel, opt: OptimizerState, x, y, rng=None, sample_weights=None, active=None) -> None:
+    """The one training step: backward in train mode with batch statistics,
+    which also update the running ones, then `optimizer_step`. rng draws the
+    dropout masks; sample_weights and active are as in backward and optimizer_step."""
+    grads = backward(
+        model, x, y, mode="train", bn_stat_source="batch", rng=rng, update_running=True, sample_weights=sample_weights
+    )
+    optimizer_step(opt, model, grads, active)
 
-    Train mode with batch statistics, which also update the running ones; rng
-    draws the permutation and any dropout masks. A stacked model takes one
+
+def train_epoch(model: MlpModel, opt: OptimizerState, x, y, batch_size: int, rng, active=None) -> None:
+    """One shuffled pass over (x, y) in minibatches, one `train_step` each.
+
+    rng draws the permutation and any dropout masks. A stacked model takes one
     generator per member as rng, and the optional active mask of
     `optimizer_step`: each active member shuffles with its own generator and
     steps on its own minibatches, while the others draw nothing and stay
@@ -201,5 +213,4 @@ def train_epoch(model: MlpModel, opt: OptimizerState, x, y, batch_size: int, rng
         perm = rng.permutation(n)
     for start in range(0, n, batch_size):
         idx = perm[..., start : start + batch_size]
-        grads = backward(model, x[idx], y[idx], mode="train", bn_stat_source="batch", rng=rng, update_running=True)
-        optimizer_step(opt, model, grads, active)
+        train_step(model, opt, x[idx], y[idx], rng, active=active)

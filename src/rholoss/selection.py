@@ -87,6 +87,17 @@ def chunk_select_count(chunk_size: int, n_b: int, n_B: int) -> int:
     return max(1, int(round(n_b * chunk_size / n_B)))
 
 
+def candidate_chunks(n: int, n_B: int, n_b: int, perm_rng, tie_rng):
+    """One epoch's candidate schedule over a pool of n: yields (chunk,
+    select_count, tie_seed) for each n_B-sized chunk of a permutation drawn
+    from perm_rng, so every position appears in exactly one chunk. The tie
+    seed, one draw from tie_rng per chunk, seeds `select_top_k`."""
+    perm = perm_rng.permutation(n)
+    for start in range(0, n, n_B):
+        chunk = perm[start : start + n_B]
+        yield chunk, chunk_select_count(chunk.size, n_b, n_B), int(tie_rng.integers(0, 2**31 - 1))
+
+
 def select_top_k(scores, n_b: int, tie_seed: int) -> np.ndarray:
     """Positions of the n_b largest scores, ties broken uniformly at random.
 

@@ -1,9 +1,10 @@
 """Online batch-selection training loop.
 
 Each step pre-samples a large candidate batch from a per-epoch seeded
-permutation of the pool (so every example appears in exactly one candidate
-chunk per epoch), scores the candidates against the current parameters,
-trains on the top-ranked few, and logs what was selected. Scoring always
+permutation of the pool (`selection.candidate_chunks`, so every example
+appears in exactly one candidate chunk per epoch), scores the candidates
+against the current parameters, takes one `optim.train_step` on the
+top-ranked few, and logs what was selected. Scoring always
 sees the pre-update snapshot: candidate losses are computed before the
 gradient step, in eval mode (dropout off) with batch statistics taken over
 the candidate chunk when batch normalization is on; the training step then
@@ -26,10 +27,10 @@ import numpy as np
 from .config import OptimizerSettings, RunSection
 from .data import LabeledDataset
 from .ilmodel import IrreducibleLossTable, update_il_model
-from .nn import MlpModel, NonFiniteLogitsError, backward, cross_entropy, evaluate, forward
-from .optim import make_optimizer, optimizer_step
+from .nn import MlpModel, NonFiniteLogitsError, cross_entropy, evaluate, forward
+from .optim import make_optimizer, train_step
 from .records import CompositionRow, EvalRow, RunRecord, StepRow
-from .selection import SelectionPolicy, chunk_select_count, score_and_select
+from .selection import SelectionPolicy, candidate_chunks, chunk_select_count, score_and_select
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,8 @@ class RunConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.il_update_mode not in ("frozen", "original"):
             raise ValueError(f"unknown il_update_mode {self.il_update_mode!r}")
+        if not self.il_lr_scale >= 0:
+            raise ValueError(f"il_lr_scale must be >= 0, got {self.il_lr_scale}")
         if self.eval_every is not None and self.eval_every < 1:
             raise ValueError("eval_every must be >= 1 when given")
 
@@ -92,20 +95,16 @@ def _run(train, test, cfg, model, il_values_fn, il_after_step, dump) -> RunRecor
         dump.write("step,id,score,selected\n")
     try:
         for epoch in range(1, cfg.epochs + 1):
-            perm = perm_rng.permutation(train.n)
             sel_total = 0
             sel_corrupted = 0
             sel_lowrel = 0
             sel_correct = 0
-            for start in range(0, train.n, cfg.n_B):
-                chunk = perm[start : start + cfg.n_B]
+            for chunk, k, tie_seed in candidate_chunks(train.n, cfg.n_B, cfg.n_b, perm_rng, tie_rng):
                 x = train.features[chunk]
                 y = train.labels[chunk]
                 ids = train.ids[chunk]
-                tie_seed = int(tie_rng.integers(0, 2**31 - 1))
-                logits = forward(model, x, mode="eval", bn_stat_source="batch" if model.batchnorm else "running")
+                logits = forward(model, x, mode="eval", bn_stat_source="batch")
                 losses = cross_entropy(logits, y)
-                k = chunk_select_count(chunk.size, cfg.n_b, cfg.n_B)
                 scored = score_and_select(
                     cfg.policy, model, x, y, ids, losses, il_values_fn, k, tie_seed, policy_rng
                 )
@@ -115,17 +114,7 @@ def _run(train, test, cfg, model, il_values_fn, il_after_step, dump) -> RunRecor
                 sel_corrupted += int(train.corrupted[chunk[sel]].sum())
                 sel_lowrel += int(train.low_relevance[chunk[sel]].sum())
                 sel_correct += int((predictions[sel] == y[sel]).sum())
-                grads = backward(
-                    model,
-                    x[sel],
-                    y[sel],
-                    mode="train",
-                    bn_stat_source="batch" if model.batchnorm else "running",
-                    rng=dropout_rng,
-                    update_running=True,
-                    sample_weights=scored.weights,
-                )
-                optimizer_step(opt, model, grads)
+                train_step(model, opt, x[sel], y[sel], dropout_rng, sample_weights=scored.weights)
                 il_after_step(x[sel], y[sel], il_rng)
                 if dump is not None:
                     picked = set(sel.tolist())
@@ -199,7 +188,8 @@ def run_original_selection(
     score_dump: TextIO | None = None,
 ) -> RunRecord:
     """Live-model mode: the irreducible loss is recomputed each step from an
-    IL model that takes one scaled-lr gradient step on every acquired batch.
+    IL model that takes one gradient step on every acquired batch, with its
+    own optimizer at learning_rate * il_lr_scale.
 
     With il_lr_scale=0 the IL model's parameters never move, so the selected
     sets coincide step-for-step with frozen-table mode under shared seeds.
@@ -210,12 +200,12 @@ def run_original_selection(
             f"run_original_selection updates a live IL model, but il_update_mode is {cfg.il_update_mode!r}; "
             "run a frozen table with run_training"
         )
-    il_opt = make_optimizer(cfg.optimizer_kind, cfg.learning_rate, weight_decay=cfg.weight_decay)
+    il_opt = make_optimizer(cfg.optimizer_kind, cfg.learning_rate * cfg.il_lr_scale, weight_decay=cfg.weight_decay)
 
     def il_values(ids, x, labels):
         return cross_entropy(forward(il_model, x), labels)
 
     def after_step(x, labels, rng):
-        update_il_model(il_model, il_opt, x, labels, lr_scale=cfg.il_lr_scale, rng=rng)
+        update_il_model(il_model, il_opt, x, labels, rng=rng)
 
     return _run(train, test, cfg, model, il_values, after_step, score_dump)

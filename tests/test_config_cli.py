@@ -377,6 +377,15 @@ def test_prepare_is_idempotent(prepared):
     assert before == after
 
 
+def test_prepares_into_two_directories_write_the_same_manifest(prepared, tmp_path):
+    cfg_path, out = prepared
+    other = tmp_path / "elsewhere" / "out"
+    assert main(["prepare", "--config", str(cfg_path), "--out", str(other)]) == 0
+    manifest = (out / "dataset" / "manifest.json").read_bytes()
+    assert (other / "dataset" / "manifest.json").read_bytes() == manifest
+    assert str(out).encode() not in manifest
+
+
 def test_train_il_writes_table_and_log(prepared):
     cfg_path, out = prepared
     assert main(["train-il", "--config", str(cfg_path), "--out", str(out)]) == 0

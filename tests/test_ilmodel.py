@@ -16,7 +16,7 @@ from rholoss.ilmodel import (
     train_il_model,
     update_il_model,
 )
-from rholoss.optim import make_optimizer
+from rholoss.optim import make_optimizer, optimizer_step
 
 
 def small_task(seed=0, per_class=40):
@@ -144,9 +144,9 @@ def test_two_halves_symmetric_content_similar_means():
 def test_update_il_model_zero_scale_is_identity():
     pool, holdout = small_task()
     model, _ = train_il_model(holdout, validation=pool, hidden=(16,), epochs=2, seed=7)
-    opt = make_optimizer("adamw", 1e-3, weight_decay=0.01)
+    opt = make_optimizer("adamw", 1e-3 * 0.0, weight_decay=0.01)  # the IL optimizer of il_lr_scale 0
     before = [w.copy() for w in model.weights]
-    update_il_model(model, opt, pool.features[:8], pool.labels[:8], lr_scale=0.0)
+    update_il_model(model, opt, pool.features[:8], pool.labels[:8])
     for w0, w1 in zip(before, model.weights):
         assert np.array_equal(w0, w1)
 
@@ -155,16 +155,13 @@ def test_update_il_model_single_step_matches_manual():
     pool, holdout = small_task()
     model, _ = train_il_model(holdout, validation=pool, hidden=(16,), epochs=2, seed=8)
     twin = copy.deepcopy(model)
-    opt_a = make_optimizer("sgd", 1e-2)
+    opt_a = make_optimizer("sgd", 1e-2 * 0.5)  # the IL optimizer of il_lr_scale 0.5
     opt_b = make_optimizer("sgd", 1e-2 * 0.5)
     x, y = pool.features[:8], pool.labels[:8]
-    update_il_model(model, opt_a, x, y, lr_scale=0.5)
-    from rholoss.optim import optimizer_step
-
+    update_il_model(model, opt_a, x, y)
     optimizer_step(opt_b, twin, nn.backward(twin, x, y, mode="train", bn_stat_source="batch", update_running=True))
     for wa, wb in zip(model.weights, twin.weights):
         assert np.allclose(wa, wb, atol=1e-15)
-    assert opt_a.learning_rate == 1e-2  # restored after the scaled step
 
 
 def test_update_on_corrupted_points_degrades_holdout_accuracy():
@@ -172,14 +169,14 @@ def test_update_on_corrupted_points_degrades_holdout_accuracy():
     pool, holdout = small_task(per_class=80)
     model, _ = train_il_model(holdout, validation=pool, hidden=(32,), epochs=15, seed=9)
     noisy = data.inject_uniform_noise(pool, 1.0, seed=10)
-    opt = make_optimizer("adamw", 1e-3, weight_decay=0.01)
+    opt = make_optimizer("adamw", 1e-3 * 1.0, weight_decay=0.01)  # the IL optimizer of il_lr_scale 1
     def acc():
         return float((nn.predict_labels(model, holdout.features) == holdout.labels).mean())
     before = acc()
     rng = np.random.default_rng(11)
     for _ in range(60):
         idx = rng.integers(0, noisy.n, 16)
-        update_il_model(model, opt, noisy.features[idx], noisy.labels[idx], lr_scale=1.0)
+        update_il_model(model, opt, noisy.features[idx], noisy.labels[idx])
     assert acc() < before
 
 

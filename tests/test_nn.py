@@ -205,20 +205,27 @@ def test_mc_dropout_rejects_zero_samples():
 
 
 def test_mc_dropout_mean_approaches_mask_enumeration():
-    # 2 hidden units, dropout 0.5: enumerate all 4 masks exactly.
-    model = nn.init_mlp((2, 2, 2), seed=3, dropout_rate=0.5)
+    # 2 hidden units, dropout 0.5: enumerate all 4 masks exactly. At seed 6
+    # both units are live on x (pre-activations 0.764 and 0.068), so the four
+    # masks give four distinct softmaxes.
+    model = nn.init_mlp((2, 2, 2), seed=6, dropout_rate=0.5)
     x = np.array([[0.7, -0.2]])
     keep = 0.5
-    expected = np.zeros((1, 2))
     h = np.maximum(x @ model.weights[0] + model.biases[0], 0.0)
-    for m0 in (0.0, 1.0):
-        for m1 in (0.0, 1.0):
-            mask = np.array([m0, m1]) / keep
-            logits = (h * mask) @ model.weights[1] + model.biases[1]
-            expected += 0.25 * nn.softmax(logits)
+    assert (h > 0).all()
+    outcomes = np.array([
+        nn.softmax((h * np.array([m0, m1]) / keep) @ model.weights[1] + model.biases[1])[0]
+        for m0 in (0.0, 1.0)
+        for m1 in (0.0, 1.0)
+    ])
     # 200 000 independent masks: 100 samples over 2 000 copies of the row
     samples = nn.mc_dropout_predict(model, np.repeat(x, 2000, axis=0), 100, rng=np.random.default_rng(7))
-    assert np.allclose(samples.mean(axis=(0, 1)), expected, atol=5e-3)
+    distance = np.abs(samples.reshape(-1, 1, 2) - outcomes).max(axis=-1)
+    assert (distance.min(axis=1) <= 1e-12).all()  # every sample is one mask's softmax
+    share = np.bincount(distance.argmin(axis=1), minlength=4) / distance.shape[0]
+    assert np.allclose(share, 0.25, atol=0.01)
+    # the no-dropout prediction is ~0.005 away from this mean
+    assert np.allclose(samples.mean(axis=(0, 1)), outcomes.mean(axis=0), atol=1e-3)
 
 
 def test_ensemble_mean_is_exact_average():

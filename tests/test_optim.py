@@ -1,12 +1,15 @@
+import ast
 import copy
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rholoss
 from rholoss import nn
-from rholoss.optim import make_optimizer, optimizer_step
+from rholoss.optim import make_optimizer, optimizer_step, train_step
 
 from oracles import LoopOptimizer
 
@@ -214,3 +217,68 @@ def test_active_mask_needs_a_stacked_model():
     model = nn.init_mlp((3, 4, 2), seed=1)
     with pytest.raises(ValueError, match="stacked"):
         optimizer_step(make_optimizer("sgd", 0.1), model, nn.backward(model, np.zeros((2, 3)), [0, 1]), active=[True])
+
+
+def _hand_step(model, opt, x, y, rng=None, sample_weights=None, active=None):
+    grads = nn.backward(
+        model, x, y, mode="train", bn_stat_source="batch", rng=rng, update_running=True, sample_weights=sample_weights
+    )
+    optimizer_step(opt, model, grads, active)
+
+
+def _state_bytes(model, opt) -> bytes:
+    """Parameters, running statistics, moments and step counts, as bytes."""
+    arrays = list(nn.parameters(model).values())
+    for bn in model.batchnorm or ():
+        arrays += [bn.running_mean, bn.running_var]
+    arrays += [opt.flat_exp_avg, opt.flat_exp_avg_sq, np.asarray(opt.step_count)]
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays if a is not None)
+
+
+def test_train_step_is_a_train_mode_backward_then_an_optimizer_step_bitwise():
+    model = nn.init_mlp((4, 6, 5, 3), seed=2, dropout_rate=0.3, batchnorm=True)
+    start = copy.deepcopy(model)
+    twin = copy.deepcopy(model)
+    opt, twin_opt = (make_optimizer("adamw", 0.01, weight_decay=0.01) for _ in range(2))
+    rng, twin_rng = np.random.default_rng(4), np.random.default_rng(4)  # dropout masks
+    data_rng = np.random.default_rng(3)
+    for _ in range(3):
+        x, y = data_rng.standard_normal((8, 4)), data_rng.integers(0, 3, 8)
+        w = data_rng.random(8) + 0.5
+        w *= 8 / w.sum()
+        train_step(model, opt, x, y, rng, sample_weights=w)
+        _hand_step(twin, twin_opt, x, y, twin_rng, sample_weights=w)
+    assert _state_bytes(model, opt) == _state_bytes(twin, twin_opt)
+    assert not np.array_equal(model.batchnorm[0].running_mean, start.batchnorm[0].running_mean)
+
+
+def test_train_step_on_a_stack_honours_the_active_mask_bitwise():
+    stack = nn.stack_models([nn.init_mlp((3, 5, 2), seed=s) for s in range(3)])
+    twin = copy.deepcopy(stack)
+    opt, twin_opt = (make_optimizer("adamw", 0.01, weight_decay=0.01) for _ in range(2))
+    data_rng = np.random.default_rng(5)
+    for active in ([True, False, True], [False, True, True], [True, True, True]):
+        x, y = data_rng.standard_normal((3, 6, 3)), data_rng.integers(0, 2, (3, 6))
+        train_step(stack, opt, x, y, active=np.array(active))
+        _hand_step(twin, twin_opt, x, y, active=np.array(active))
+    assert opt.step_count == [2, 2, 3]
+    assert _state_bytes(stack, opt) == _state_bytes(twin, twin_opt)
+
+
+def _files_calling(name: str) -> set[str]:
+    """Modules of the package that call a function named name, bare or as an attribute."""
+    found = set()
+    for path in Path(rholoss.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                    found.add(path.name)
+    return found
+
+
+def test_only_optim_takes_a_training_step():
+    # every trainer steps through optim.train_step; nn.py's own backward call scores gradient norms
+    assert _files_calling("optimizer_step") == {"optim.py"}
+    callers = _files_calling("backward")
+    assert "optim.py" in callers and callers <= {"optim.py", "nn.py"}

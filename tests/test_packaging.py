@@ -1,7 +1,8 @@
 """The package's runtime dependencies are the stdlib, numpy and PyYAML.
 
 scipy and the other test tools are in the `test` extra of pyproject.toml and
-may be imported by the tests only.
+may be imported by the tests only. Every import of the package sits at module
+level, so importing a module loads everything it will use.
 """
 import ast
 import os
@@ -42,6 +43,29 @@ def test_the_package_imports_only_the_stdlib_numpy_and_yaml():
         if (found := _foreign_imports(path.read_text()))
     }
     assert foreign == {}
+
+
+def _imports_in_functions(source: str) -> list[int]:
+    """Lines of every import inside a function body, at any depth."""
+    return sorted({
+        inner.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    })
+
+
+def test_the_package_imports_at_module_level_only():
+    sample = "import os\ndef f():\n    if os:\n        from .nn import forward\n    def g():\n        import json\n"
+    assert _imports_in_functions(sample) == [4, 6]
+    package = Path(rholoss.__file__).parent
+    lazy = {
+        path.name: found
+        for path in sorted(package.rglob("*.py"))
+        if (found := _imports_in_functions(path.read_text()))
+    }
+    assert lazy == {}
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -11,6 +11,8 @@ from rholoss.ilmodel import IrreducibleLossTable
 from rholoss.selection import (
     SelectionPolicy,
     al_scores_from_samples,
+    candidate_chunks,
+    chunk_select_count,
     entropy,
     sample_grad_norm_is,
     score_al,
@@ -101,6 +103,26 @@ def test_grad_norm_saturated_candidates_near_zero():
     model.biases[0][:] = 0.0
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
     assert np.all(score_grad_norm(model, x, [0, 1]) < 1e-9)
+
+
+# ---------------------------------------------------------------- candidate schedule
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 300), n_B=st.integers(1, 64), share=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_candidate_chunks_cover_the_pool_once_with_the_select_counts_and_tie_draws_in_order(n, n_B, share, seed):
+    n_b = max(1, round(share * n_B))
+    perm_seq, tie_seq = np.random.SeedSequence(seed).spawn(2)
+    schedule = list(candidate_chunks(n, n_B, n_b, np.random.default_rng(perm_seq), np.random.default_rng(tie_seq)))
+    assert len(schedule) == math.ceil(n / n_B)
+    # the chunks cut one permutation from perm_rng in order, so each position appears once
+    positions = np.concatenate([chunk for chunk, _, _ in schedule])
+    assert np.array_equal(positions, np.random.default_rng(perm_seq).permutation(n))
+    assert all(chunk.size == n_B for chunk, _, _ in schedule[:-1])
+    tie_rng = np.random.default_rng(tie_seq)
+    for chunk, count, tie_seed in schedule:
+        assert count == chunk_select_count(chunk.size, n_b, n_B)
+        assert tie_seed == int(tie_rng.integers(0, 2**31 - 1))
 
 
 # ---------------------------------------------------------------- top-k

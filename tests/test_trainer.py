@@ -427,6 +427,14 @@ def test_run_original_selection_refuses_frozen_mode():
         run_original_selection(pool, test, il_model, quick_cfg(kind="rho-loss"), model)
 
 
+@pytest.mark.parametrize("scale", [-0.01, -np.inf, np.nan])
+def test_run_config_rejects_a_negative_il_lr_scale_by_name(scale):
+    # a negative rate would be gradient ascent on the live IL model
+    with pytest.raises(ValueError, match="il_lr_scale must be >= 0"):
+        RunConfig(policy=SelectionPolicy(kind="rho-loss"), il_update_mode="original", il_lr_scale=scale)
+    RunConfig(policy=SelectionPolicy(kind="rho-loss"), il_update_mode="original", il_lr_scale=0.0)
+
+
 # ---------------------------------------------------------------- record CSV round trip
 
 
