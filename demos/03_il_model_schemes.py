@@ -42,8 +42,6 @@ tables = {
 print(f"full-width checkpoint at epoch {log_full.selected_epoch + 1}, "
       f"half-width at epoch {log_small.selected_epoch + 1}")
 for name, table in tables.items():
-    vals = np.array(list(table.values.values()))
-    noisy_mask = pool.corrupted[np.argsort(pool.ids)]
     by_id = {int(i): v for i, v in zip(pool.ids, pool.corrupted)}
     noisy_vals = [table.values[i] for i in table.values if by_id[i]]
     clean_vals = [table.values[i] for i in table.values if not by_id[i]]

@@ -30,6 +30,7 @@ from .config import (
     as_dict,
     config_hash,
     dataset_config_hash,
+    il_config_hash,
     load_config,
     parse_config,
     sweep_configs,
@@ -49,6 +50,7 @@ from .records import (
     epochs_to_target,
     header_line,
     load_run_record,
+    read_header,
     save_run_record,
     write_table,
 )
@@ -201,11 +203,11 @@ def cmd_train_il(cfg: ExperimentConfig, out: Path) -> int:
     ildir.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
     il = cfg.il
-    kwargs = _il_train_kwargs(il)
+    kwargs = dict(_il_train_kwargs(il), dropout_rate=il.dropout)
     if il.scheme == "holdout":
         if holdout is None:
             raise CliError("holdout scheme needs a prepared holdout split")
-        model, log = train_il_model(holdout, validation=pool, seed=il.seed, dropout_rate=il.dropout, **kwargs)
+        model, log = train_il_model(holdout, validation=pool, seed=il.seed, **kwargs)
         table = compute_il_table(model, pool)
         save_model(model, ildir / "il_model.npz")
         _save_checkpoint_log(log, ildir / "checkpoint_log.csv", chash, il.seed)
@@ -216,9 +218,22 @@ def cmd_train_il(cfg: ExperimentConfig, out: Path) -> int:
         save_model(model_b, ildir / "il_model_b.npz")
         _save_checkpoint_log(log_a, ildir / "checkpoint_log_a.csv", chash, il.seed)
         _save_checkpoint_log(log_b, ildir / "checkpoint_log_b.csv", chash, il.seed)
-    save_il_table(table, ildir / "il_table.csv")
+    save_il_table(table, ildir / "il_table.csv", config_hash=chash, il_config_hash=il_config_hash(cfg))
     print(f"wrote {ildir / 'il_table.csv'} ({len(table.values)} entries, scheme={table.scheme})")
     return 0
+
+
+def _check_il_artifacts(out: Path, cfg: ExperimentConfig) -> None:
+    """Refuse the IL artifacts under out (the table, and the model beside it)
+    unless train-il built them from this config's dataset and il sections."""
+    path = out / "il" / "il_table.csv"
+    if not path.exists():
+        raise CliError(f"no IL table under {path.parent}; run `rholoss train-il` first")
+    with open(path) as f:
+        built_from = read_header(f.readline(), "il-table", path).get("il_config_hash")
+    if built_from != il_config_hash(cfg):
+        raise CliError(f"{path} was built from a different dataset or il config (hash mismatch); "
+                       "re-run `rholoss train-il`")
 
 
 def _record_path(out: Path, policy_kind: str, seed: int) -> Path:
@@ -282,7 +297,8 @@ def _run_one(payload) -> str:
 def cmd_run(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = False) -> int:
     """Train every queued (policy, seed) run. The prepared train and test
     splits, and the IL table when a frozen-mode policy needs it, are read
-    once here and handed to each run."""
+    once here and handed to each run. A policy that needs IL values first
+    checks that the IL artifacts were built from this config."""
     if cfg.run is None:
         raise CliError("config has no run section")
     policies = [cfg.run.policy.kind]
@@ -304,10 +320,12 @@ def cmd_run(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = Fals
     if not todo:
         return 0
     pool, test = _load_prepared(out, cfg, ("train", "test"))
-    (out / "runs").mkdir(parents=True, exist_ok=True)
     table = None
-    if cfg.run.il_update_mode == "frozen" and any(kind in NEEDS_IL for kind, _ in todo):
-        table = load_il_table(out / "il" / "il_table.csv")
+    if any(kind in NEEDS_IL for kind, _ in todo):
+        _check_il_artifacts(out, cfg)
+        if cfg.run.il_update_mode == "frozen":
+            table = load_il_table(out / "il" / "il_table.csv")
+    (out / "runs").mkdir(parents=True, exist_ok=True)
     payloads = [(cfg, str(out), kind, seed, pool, test, table if kind in NEEDS_IL else None) for kind, seed in todo]
     if jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as executor:

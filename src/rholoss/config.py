@@ -48,6 +48,13 @@ class OptimizerSettings:
     learning_rate: float = _field(1e-3, bounds="[0, inf)")
     weight_decay: float = _field(0.01, bounds="[0, inf)")
 
+    def __post_init__(self):
+        # Decoupled decay scales every parameter by 1 - learning_rate * weight_decay
+        # each step; at >= 1 that zeroes or flips the parameters and training diverges.
+        if self.kind == "adamw" and self.learning_rate * self.weight_decay >= 1:
+            raise ValueError(f"adamw needs learning_rate * weight_decay < 1, got learning_rate="
+                             f"{self.learning_rate} and weight_decay={self.weight_decay}")
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -355,3 +362,10 @@ def dataset_config_hash(cfg: ExperimentConfig) -> str:
     dataset pipeline plus the holdout scheme (which decides whether a holdout
     split is carved at all)."""
     return _hash({"dataset": as_dict(cfg)["dataset"], "scheme": cfg.il.scheme if cfg.il is not None else "holdout"})
+
+
+def il_config_hash(cfg: ExperimentConfig) -> str:
+    """Hash of everything the IL artifacts depend on: the prepared dataset
+    (as dataset_config_hash) plus the il section, so editing run or ladder
+    keeps them valid."""
+    return _hash({"dataset": dataset_config_hash(cfg), "il": as_dict(cfg)["il"]})

@@ -152,11 +152,13 @@ def update_il_model(il_model: MlpModel, opt_state: OptimizerState, x, labels, rn
     return il_model, opt_state
 
 
-def save_il_table(table: IrreducibleLossTable, path) -> None:
+def save_il_table(table: IrreducibleLossTable, path, **built_from: str) -> None:
+    """The table as a headed CSV; built_from (the hashes of the config that
+    built it) leads the header fields."""
     write_table(
         path,
         "il-table",
-        {"provenance": table.content_hash(), "scheme": table.scheme},
+        {**built_from, "provenance": table.content_hash(), "scheme": table.scheme},
         ["id", "il_value"],
         ([ex_id, repr(table.values[ex_id])] for ex_id in sorted(table.values)),
     )
@@ -164,9 +166,11 @@ def save_il_table(table: IrreducibleLossTable, path) -> None:
 
 def load_il_table(path) -> IrreducibleLossTable:
     meta, rows = read_table(path, "il-table")
+    missing = [key for key in ("provenance", "scheme") if key not in meta]
+    if missing:
+        raise ValueError(f"{path}: header lacks {' and '.join(missing)}")
     values = {int(row[0]): float(row[1]) for row in rows}
-    table = IrreducibleLossTable(values=values, scheme=meta.get("scheme", "holdout"))
-    stored = meta.get("provenance", "")
-    if stored and stored != table.content_hash():
+    table = IrreducibleLossTable(values=values, scheme=meta["scheme"])
+    if meta["provenance"] != table.content_hash():
         raise ValueError(f"{path}: provenance hash mismatch, file may be corrupt")
     return table

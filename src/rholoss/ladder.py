@@ -39,7 +39,7 @@ from .config import LadderConfig
 from .data import LabeledDataset
 from .nn import MlpModel, cross_entropy, ensemble_cross_entropy, forward, init_mlp, stack_models, unstack
 from .optim import make_optimizer, train_epoch, train_step
-from .selection import candidate_chunks, select_top_k
+from .selection import candidate_chunks, select_top_k, smallest_chunk
 from .stats import spearman
 
 # rung -> (target members, IL members, target regime, IL regime). A regime is
@@ -143,7 +143,7 @@ def run_ladder(pool: LabeledDataset, holdout: LabeledDataset, cfg: LadderConfig)
     schedule and correlate each rung's per-step scores against approx0's."""
     if pool.n < cfg.n_B:
         raise ValueError(f"pool of {pool.n} examples is smaller than one candidate batch of {cfg.n_B}")
-    last = pool.n % cfg.n_B or cfg.n_B  # rows in the last candidate chunk
+    last = smallest_chunk(pool.n, cfg.n_B)
     if last < 2:
         raise ValueError(
             f"ladder.n_B: n_B={cfg.n_B} on a pool of {pool.n} leaves a last candidate chunk of {last}, "

@@ -49,8 +49,8 @@ class SelectionPolicy:
                 raise ValueError(f"mc_samples must be >= 1 for Monte-Carlo acquisition, got {self.mc_samples}")
             if self.kind == "bald" and self.mc_samples < 2:
                 raise ValueError(f"mc_samples must be >= 2 for bald to decompose the entropy, got {self.mc_samples}")
-        if self.kind == "grad-norm-is" and self.temperature <= 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+        if self.kind == "grad-norm-is" and not 0 < self.temperature < np.inf:
+            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
         if self.kind in OFFLINE_KINDS and not 0.0 < self.keep_fraction <= 1.0:
             raise ValueError(f"keep_fraction must lie in (0, 1], got {self.keep_fraction}")
 
@@ -87,6 +87,12 @@ def chunk_select_count(chunk_size: int, n_b: int, n_B: int) -> int:
     return max(1, int(round(n_b * chunk_size / n_B)))
 
 
+def smallest_chunk(n: int, n_B: int) -> int:
+    """Rows in the last chunk of `candidate_chunks` over a pool of n: the
+    chunk with the fewest rows, which selects the fewest."""
+    return n % n_B or n_B
+
+
 def candidate_chunks(n: int, n_B: int, n_b: int, perm_rng, tie_rng):
     """One epoch's candidate schedule over a pool of n: yields (chunk,
     select_count, tie_seed) for each n_B-sized chunk of a permutation drawn
@@ -116,39 +122,37 @@ def select_top_k(scores, n_b: int, tie_seed: int) -> np.ndarray:
 
 
 def sample_grad_norm_is(scores, n_b: int, seed_or_rng, temperature: float = 1.0):
-    """Sample n_b candidates without replacement with probability ~ score,
-    and return de-biasing weights.
+    """Sample n_b candidates without replacement with probability ~
+    score**(1/temperature), and return de-biasing weights.
 
-    Probabilities are score**(1/temperature), renormalized after each draw.
-    Weights are proportional to the inverse of the *initial* inclusion-draw
-    probability and normalized to mean 1 within the selected set, so the
-    weighted selected-gradient estimator tracks the candidate-mean gradient.
+    One Gumbel-top-k draw (Kool et al. 2019, arXiv:1903.06059): the n_b
+    largest keys log p + Gumbel noise are distributed as n_b successive draws,
+    each renormalized over the candidates left. log p is taken relative to the
+    largest score, in log space, so no power or ratio under- or overflows.
+    Weights are the inverse of each pick's *initial* draw probability, taken
+    relative to the least likely pick so each lies in (0, 1], then normalized
+    to mean 1 within the selected set, so the weighted selected-gradient
+    estimator tracks the candidate-mean gradient.
 
-    When fewer than n_b candidates have nonzero probability, all of them are
-    taken (inclusion certain) and the rest of the batch is filled uniformly
-    from the zero-probability candidates; each pick is weighted by the
-    inverse of its inclusion probability. All-zero scores therefore reduce
-    to uniform sampling with unit weights.
+    When fewer than n_b candidates have log p above -inf (the rest have zero
+    scores, or relative probabilities that underflow even in log space, which
+    takes a temperature below about 1e-305), all of them are taken (inclusion
+    certain) and the rest of the batch is filled uniformly from the others;
+    each pick is weighted by the inverse of its inclusion probability.
+    All-zero scores therefore reduce to uniform sampling with unit weights.
     """
     s = np.asarray(scores, dtype=np.float64)
-    if np.any(s < 0):
-        raise ValueError("grad-norm importance sampling needs nonnegative scores")
+    if not np.all((s >= 0) & np.isfinite(s)):
+        raise ValueError("grad-norm importance sampling needs finite nonnegative scores")
     if n_b > s.size:
         raise ValueError(f"cannot sample {n_b} from {s.size} candidates")
     if n_b == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
-    with np.errstate(over="ignore"):
-        p = s ** (1.0 / temperature)
-        total = p.sum()
-    if not np.isfinite(total):
-        # Scores near the float maximum overflow the powers or their sum;
-        # scaled by the largest score, every power and the sum stay finite.
-        p = (s / s.max()) ** (1.0 / temperature)
-        total = p.sum()
-    if total > 0.0:
-        p = p / total
-    positive = p > 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        # All-zero scores subtract log 1, so every log p stays -inf.
+        logp = (np.log(s) - np.log(s.max() or 1.0)) / temperature
+    positive = logp > -np.inf
     n_sure = int(positive.sum())
     if n_sure < n_b:
         rest = np.flatnonzero(~positive)
@@ -158,22 +162,9 @@ def sample_grad_norm_is(scores, n_b: int, seed_or_rng, temperature: float = 1.0)
         # probability) for a certain one, so all-fill batches get exact ones.
         w = np.where(positive[idx], fill.size / rest.size, 1.0)
         return idx, w * (n_b / w.sum())
-    remaining = p.copy()
-    chosen: list[int] = []
-    for _ in range(n_b):
-        probs = remaining / remaining.sum()
-        pick = int(rng.choice(s.size, p=probs))
-        chosen.append(pick)
-        remaining[pick] = 0.0
-    idx = np.sort(np.asarray(chosen, dtype=np.int64))
-    with np.errstate(over="ignore"):
-        w = 1.0 / p[idx]
-        if not np.isfinite(w.sum()):
-            # Probabilities spanning more than the float range overflow 1/p;
-            # scaling by the smallest one keeps every relative weight in (0, 1].
-            w = p[idx].min() / p[idx]
-    w *= n_b / w.sum()
-    return idx, w
+    idx = np.sort(np.argsort(logp + rng.gumbel(size=s.size))[-n_b:])
+    w = np.exp(logp[idx].min() - logp[idx])
+    return idx, w * (n_b / w.sum())
 
 
 def entropy(probs) -> np.ndarray:

@@ -30,7 +30,7 @@ from .ilmodel import IrreducibleLossTable, update_il_model
 from .nn import MlpModel, NonFiniteLogitsError, cross_entropy, evaluate, forward
 from .optim import make_optimizer, train_step
 from .records import CompositionRow, EvalRow, RunRecord, StepRow
-from .selection import SelectionPolicy, candidate_chunks, chunk_select_count, score_and_select
+from .selection import SelectionPolicy, candidate_chunks, chunk_select_count, score_and_select, smallest_chunk
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def _run(train, test, cfg, model, il_values_fn, il_after_step, dump) -> RunRecor
         raise ValueError("training set is empty")
     if cfg.policy.kind in ("svp-entropy",):
         raise ValueError("offline policies pre-filter the pool; run them as uniform on the filtered subset")
-    last = train.n % cfg.n_B or cfg.n_B  # rows in the last candidate chunk, which selects the fewest
+    last = smallest_chunk(train.n, cfg.n_B)
     fewest = chunk_select_count(last, cfg.n_b, cfg.n_B)
     if model.batchnorm is not None and fewest < 2:
         raise ValueError(

@@ -7,6 +7,7 @@ tests use it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -132,20 +133,29 @@ def brute_top_k(scores, k, tie_seed):
     return set(keyed[:k])
 
 
-def sequential_is_draws(scores, n_b, rng, temperature=1.0):
-    """Importance sampling as n_b sequential rng.choice draws, renormalizing
-    after each pick; valid when at least n_b candidates have nonzero score."""
+def successive_sampling_set_probs(scores, n_b, temperature=1.0):
+    """Exact probability of each selected set (a sorted tuple) when n_b
+    candidates are drawn one at a time without replacement, each with
+    probability score**(1/T) renormalized over the candidates left; found by
+    enumerating every ordered sequence of draws."""
     p = np.asarray(scores, dtype=float) ** (1.0 / temperature)
-    p = p / p.sum()
-    remaining = p.copy()
-    chosen = []
-    for _ in range(n_b):
-        pick = int(rng.choice(p.size, p=remaining / remaining.sum()))
-        chosen.append(pick)
-        remaining[pick] = 0.0
-    idx = np.sort(np.array(chosen, dtype=np.int64))
-    w = 1.0 / p[idx]
-    return idx, w * (n_b / w.sum())
+    sets: dict[tuple, float] = {}
+    for order in itertools.permutations(range(p.size), n_b):
+        prob, left = 1.0, p.sum()
+        for i in order:
+            prob *= p[i] / left
+            left -= p[i]
+        key = tuple(sorted(order))
+        sets[key] = sets.get(key, 0.0) + prob
+    return sets
+
+
+def inverse_draw_weights(scores, idx, temperature=1.0):
+    """The de-biasing weights of a selected set: 1 / (initial draw
+    probability), normalized to mean 1."""
+    p = np.asarray(scores, dtype=float) ** (1.0 / temperature)
+    w = p.sum() / p[np.asarray(idx)]
+    return w * (len(w) / w.sum())
 
 
 class LoopOptimizer:

@@ -20,18 +20,20 @@ from rholoss.config import (
     DatasetSection,
     IlSection,
     LadderConfig,
+    OptimizerSettings,
     RunSection,
     as_dict,
     config_hash,
     dataset_config_hash,
+    il_config_hash,
     load_config,
     parse_config,
     sweep_configs,
 )
 from rholoss.ilmodel import load_il_table
-from rholoss.nn import init_mlp
+from rholoss.nn import init_mlp, load_model
 from rholoss.optim import make_optimizer
-from rholoss.records import load_run_record
+from rholoss.records import load_run_record, read_header
 from rholoss.selection import ALL_KINDS, SelectionPolicy
 from rholoss.trainer import RunConfig
 
@@ -158,6 +160,8 @@ def test_config_rejects_bad_values(tmp_path):
         ({"run.model.batchnorm": True, "run.n_b": 1}, "run.model.batchnorm"),
         # a ladder step on one candidate has no rank correlation
         ({"ladder.n_b": 1, "ladder.n_B": 1}, "ladder.n_B"),
+        # AdamW decay that flips the parameters every step
+        ({"ladder.optimizer": {"kind": "adamw", "learning_rate": 2.0, "weight_decay": 9.0}}, "ladder.optimizer"),
     ],
 )
 def test_config_errors_name_the_key_before_any_output(tmp_path, capsys, overrides, key):
@@ -264,6 +268,10 @@ def _parse_in_range(dataset, il, run, ladder):
     assume(not (run.get("model", {}).get("batchnorm", False) and run["n_b"] == 1))
     assume(not (run.get("il_update_mode") == "original" and il.get("scheme") == "two-halves"))
     assume(("test_images" in dataset.get("idx", {})) == ("test_labels" in dataset.get("idx", {})))
+    for opt in (section["optimizer"] for section in (il, run, ladder) if "optimizer" in section):
+        lr = opt.get("learning_rate", OptimizerSettings.learning_rate)
+        if opt.get("kind", OptimizerSettings.kind) == "adamw" and lr * opt.get("weight_decay", OptimizerSettings.weight_decay) >= 1:
+            opt["weight_decay"] = 0.5 / lr  # AdamW's decay must not flip the parameters
     return parse_config({"dataset": dataset, "il": il, "run": run, "ladder": ladder})
 
 
@@ -419,6 +427,44 @@ def test_train_il_two_halves_emits_merged_table(tmp_path):
     train = data.load_dataset_csv(out / "dataset" / "train.csv")
     assert set(table.values) == set(int(i) for i in train.ids)
     assert (out / "il" / "checkpoint_log_a.csv").exists() and (out / "il" / "checkpoint_log_b.csv").exists()
+
+
+def test_train_il_two_halves_models_carry_the_configured_dropout(tmp_path):
+    cfg_path = write_config(tmp_path, {"il.scheme": "two-halves", "il.dropout": 0.5})
+    out = tmp_path / "out"
+    for command in ("prepare", "train-il"):
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+    for half in ("a", "b"):
+        assert load_model(out / "il" / f"il_model_{half}.npz").dropout_rate == 0.5
+
+
+def _train_il_then_edit(tmp_path, mode, edits):
+    """prepare and train-il under the base config in il_update_mode mode,
+    then the path of a copy of that config with edits applied."""
+    cfg_path = write_config(tmp_path, {"run.il_update_mode": mode})
+    out = tmp_path / "out"
+    for command in ("prepare", "train-il"):
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+    return write_config(tmp_path, {"run.il_update_mode": mode, **edits}, name="edited.yaml"), out
+
+
+@pytest.mark.parametrize("mode", ["frozen", "original"])
+def test_run_refuses_il_artifacts_built_from_another_il_config(tmp_path, capsys, mode):
+    edited, out = _train_il_then_edit(tmp_path, mode, {"il.epochs": 4, "il.hidden": [8]})
+    assert main(["run", "--config", str(edited), "--out", str(out)]) == 1
+    assert "rholoss train-il" in capsys.readouterr().err
+    assert not (out / "runs").exists()
+
+
+def test_run_accepts_il_artifacts_after_a_run_edit(tmp_path):
+    edited, out = _train_il_then_edit(tmp_path, "frozen", {"run.epochs": 2})
+    path = out / "il" / "il_table.csv"
+    meta = read_header(path.read_text().splitlines()[0], "il-table", path)
+    trained, cfg = load_config(tmp_path / "config.yaml"), load_config(edited)
+    assert meta["config_hash"] == config_hash(trained) != config_hash(cfg)
+    assert meta["il_config_hash"] == il_config_hash(trained) == il_config_hash(cfg)
+    assert main(["run", "--config", str(edited), "--out", str(out)]) == 0
+    assert len(load_run_record(out / "runs" / "record_rho-loss_seed1.csv").epoch_accuracies()) == 2
 
 
 def test_run_emits_record_per_policy_and_seed(prepared):

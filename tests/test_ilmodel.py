@@ -197,6 +197,17 @@ def test_il_table_csv_roundtrip_and_provenance(tmp_path):
         load_il_table(path)
 
 
+@pytest.mark.parametrize("dropped", ["provenance", "scheme"])
+def test_il_table_header_must_carry_provenance_and_scheme(tmp_path, dropped):
+    path = tmp_path / "table.csv"
+    save_il_table(IrreducibleLossTable(values={1: 0.5, 2: 0.25}), path)
+    header, rest = path.read_bytes().split(b"\n", 1)
+    kept = [field for field in header.split() if not field.startswith(f"{dropped}=".encode())]
+    path.write_bytes(b" ".join(kept) + b"\n" + rest)
+    with pytest.raises(ValueError, match=f"header lacks {dropped}"):
+        load_il_table(path)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     values=st.dictionaries(

@@ -19,10 +19,11 @@ from rholoss.selection import (
     score_candidates,
     score_grad_norm,
     select_top_k,
+    smallest_chunk,
     svp_offline_select,
 )
 
-from oracles import brute_top_k, sequential_is_draws
+from oracles import brute_top_k, inverse_draw_weights, successive_sampling_set_probs
 
 
 def table_from(ids, values):
@@ -119,6 +120,7 @@ def test_candidate_chunks_cover_the_pool_once_with_the_select_counts_and_tie_dra
     positions = np.concatenate([chunk for chunk, _, _ in schedule])
     assert np.array_equal(positions, np.random.default_rng(perm_seq).permutation(n))
     assert all(chunk.size == n_B for chunk, _, _ in schedule[:-1])
+    assert schedule[-1][0].size == smallest_chunk(n, n_B) == min(chunk.size for chunk, _, _ in schedule)
     tie_rng = np.random.default_rng(tie_seq)
     for chunk, count, tie_seed in schedule:
         assert count == chunk_select_count(chunk.size, n_b, n_B)
@@ -233,15 +235,34 @@ def test_is_takes_the_dominant_candidates_when_the_powers_overflow(scores, n_b, 
         assert np.all(np.isfinite(w)) and w.mean() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_is_enough_nonzero_matches_sequential_draws_bitwise():
-    scores = np.random.default_rng(5).uniform(0.0, 3.0, 64)
-    scores[::4] = 0.0
-    for temperature in (1.0, 0.5):
-        rng_a, rng_b = np.random.default_rng(6), np.random.default_rng(6)
-        for _ in range(20):
-            idx, w = sample_grad_norm_is(scores, 16, rng_a, temperature=temperature)
-            ref_idx, ref_w = sequential_is_draws(scores, 16, rng_b, temperature=temperature)
-            assert np.array_equal(idx, ref_idx) and np.array_equal(w, ref_w)
+@pytest.mark.parametrize("temperature", [1.0, 0.5])
+def test_is_set_frequencies_match_exact_successive_sampling(temperature):
+    # 6 candidates, one with zero score, n_b=3: 20 000 draws against the
+    # exact probability of each of the 10 reachable sets
+    scores = np.array([0.5, 1.0, 0.0, 2.0, 3.0, 1.5])
+    exact = successive_sampling_set_probs(scores, 3, temperature)
+    rng = np.random.default_rng(6)
+    draws = 20_000
+    counts = dict.fromkeys(exact, 0)
+    for _ in range(draws):
+        idx, w = sample_grad_norm_is(scores, 3, rng, temperature=temperature)
+        key = tuple(idx.tolist())
+        counts[key] += 1
+        assert np.allclose(w, inverse_draw_weights(scores, idx, temperature), rtol=1e-12)
+    reachable = [key for key, prob in exact.items() if prob > 0]
+    assert len(reachable) == 10 and all(counts[key] == 0 for key in exact if exact[key] == 0)
+    _, p = chisquare([counts[key] for key in reachable], [draws * exact[key] for key in reachable])
+    assert p > 1e-3
+
+
+def test_is_keeps_the_odds_of_scores_whose_powers_underflow():
+    # at T=0.01 the three small scores' powers underflow to 0 in linear
+    # space, yet candidate 2 is (3/2)**100 ~ 4e17 times likelier than 1
+    scores = [1e-4, 2e-4, 3e-4, 5.0, 6.0]
+    for seed in range(2000):
+        idx, w = sample_grad_norm_is(scores, 3, seed, temperature=0.01)
+        assert idx.tolist() == [2, 3, 4]
+        assert np.all(np.isfinite(w)) and w.mean() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_is_weights_mean_one():
@@ -256,6 +277,12 @@ def test_is_weights_mean_one():
 def test_is_rejects_negative_scores():
     with pytest.raises(ValueError):
         sample_grad_norm_is([-1.0, 2.0], 1, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_is_rejects_non_finite_scores(bad):
+    with pytest.raises(ValueError, match="finite nonnegative"):
+        sample_grad_norm_is([bad, 2.0], 1, 0)
 
 
 def test_is_equal_scores_reduce_to_uniform_unit_weights():
@@ -291,15 +318,20 @@ def test_is_debias_expectation_tracks_candidate_mean_gradient():
     scores=st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
     frac=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
+    # any temperature the config accepts, tiny and subnormal ones included
+    temperature=st.one_of(
+        st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+        st.sampled_from([5e-324, 1e-310, 1e-300, 1e-3]),
+    ),
 )
-def test_top_k_and_is_give_distinct_sorted_indices_and_mean_one_weights(scores, frac, seed):
+def test_top_k_and_is_give_distinct_sorted_indices_and_mean_one_weights(scores, frac, seed, temperature):
     n_b = int(round(frac * len(scores)))
-    for idx in (select_top_k(scores, n_b, seed), sample_grad_norm_is(scores, n_b, seed)[0]):
+    for idx in (select_top_k(scores, n_b, seed), sample_grad_norm_is(scores, n_b, seed, temperature)[0]):
         assert idx.size == n_b
         assert np.all(np.diff(idx) > 0)
         assert n_b == 0 or 0 <= idx[0] <= idx[-1] < len(scores)
     if n_b:
-        _, w = sample_grad_norm_is(scores, n_b, seed)
+        _, w = sample_grad_norm_is(scores, n_b, seed, temperature)
         assert np.all(np.isfinite(w)) and np.all(w >= 0)
         assert w.mean() == pytest.approx(1.0, rel=1e-12)
 
@@ -390,8 +422,9 @@ def test_svp_ranks_match_entropy_oracle():
 def test_policy_validation():
     with pytest.raises(ValueError):
         SelectionPolicy(kind="mystery")
-    with pytest.raises(ValueError):
-        SelectionPolicy(kind="grad-norm-is", temperature=0.0)
+    for temperature in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            SelectionPolicy(kind="grad-norm-is", temperature=temperature)
     with pytest.raises(ValueError):
         SelectionPolicy(kind="svp-entropy", keep_fraction=0.0)
     assert SelectionPolicy(kind="rho-loss").needs_il
