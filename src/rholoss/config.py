@@ -20,6 +20,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import re
 import types
 import typing
@@ -116,6 +117,13 @@ class DatasetSection:
         for kind, key in (("idx", "idx"), ("csv", "csv_path")):
             if self.kind == kind and getattr(self, key) is None:
                 raise ValueError(f"missing required key {key!r} (dataset.kind is {kind})")
+        # data.make_relevance_skew keeps round(keep_frac * count) of each class
+        # outside the high_frac share, and an emptied class is an error.
+        syn, rel = self.synthetic, self.relevance
+        if self.kind == "synthetic" and rel is not None and math.ceil(rel.high_frac * syn.classes) < syn.classes:
+            if int(round(rel.keep_frac * syn.per_class)) < 1:
+                raise ValueError(f"relevance.keep_frac: keep_frac={rel.keep_frac} keeps none of the "
+                                 f"synthetic.per_class={syn.per_class} examples of a subsampled class")
 
 
 @dataclass(frozen=True)

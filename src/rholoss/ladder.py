@@ -14,7 +14,9 @@ All pipelines consume the trainer's seeded candidate schedule
 (`selection.candidate_chunks`) over the first epoch, but each evolves under its own selections; no re-synchronization is
 performed, so later-step rank correlations partly reflect genuine state
 divergence. Per step, the rung's candidate scores are compared to approx0's
-by Spearman rank correlation.
+by Spearman rank correlation. A forward pass that diverges is re-raised
+naming the IL pre-fit, or the rung, the step and the stage (scoring, target
+update or IL update) where it happened.
 
 Each member list of the rung table, a single model or an ensemble of k, is
 one stacked model (`nn.stack_models`) with one optimizer. A converged update
@@ -31,13 +33,23 @@ at this scale.
 from __future__ import annotations
 
 import copy
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import LadderConfig
 from .data import LabeledDataset
-from .nn import MlpModel, cross_entropy, ensemble_cross_entropy, forward, init_mlp, stack_models, unstack
+from .nn import (
+    MlpModel,
+    NonFiniteLogitsError,
+    cross_entropy,
+    ensemble_cross_entropy,
+    forward,
+    init_mlp,
+    stack_models,
+    unstack,
+)
 from .optim import make_optimizer, train_epoch, train_step
 from .selection import candidate_chunks, select_top_k, smallest_chunk
 from .stats import spearman
@@ -138,6 +150,16 @@ def _take(member, rows: slice):
     return part, opt
 
 
+@contextmanager
+def _at(place: str):
+    """Name the place in the ladder (rung, step and stage) where a forward
+    pass diverges."""
+    try:
+        yield
+    except NonFiniteLogitsError as exc:
+        raise NonFiniteLogitsError(f"ladder {place}: {exc}") from exc
+
+
 def run_ladder(pool: LabeledDataset, holdout: LabeledDataset, cfg: LadderConfig) -> dict[str, RungResult]:
     """Run every pipeline over the first epoch of the shared candidate
     schedule and correlate each rung's per-step scores against approx0's."""
@@ -175,10 +197,11 @@ def run_ladder(pool: LabeledDataset, holdout: LabeledDataset, cfg: LadderConfig)
     wide = member_list([init_mlp(sizes, seed=int(init_seeds[0])), *ensemble(int(init_seeds[2]))])
     small = member_list([init_mlp(small_sizes, seed=int(init_seeds[1]))])
     for (model, opt), rngs in ((wide, [pre[0], *pre[2:]]), (small, [pre[1]])):
-        train_to_convergence(
-            model, holdout.features, holdout.labels, opt, cfg.il_pretrain_epochs, cfg.convergence_tol,
-            cfg.batch_size, rngs,
-        )
+        with _at("IL pre-fit"):
+            train_to_convergence(
+                model, holdout.features, holdout.labels, opt, cfg.il_pretrain_epochs, cfg.convergence_tol,
+                cfg.batch_size, rngs,
+            )
     ils = {"single": _take(wide, slice(0, 1)), "small": small, "ensemble": _take(wide, slice(1, None))}
     targets = {
         "single": member_list([init_mlp(sizes, seed=int(init_seeds[3]))]),
@@ -196,19 +219,22 @@ def run_ladder(pool: LabeledDataset, holdout: LabeledDataset, cfg: LadderConfig)
         target_rngs, il_rngs = rngs[:n_target], rngs[n_target:]
         seen_x, seen_y = [], []
         per_step = []
-        for chunk, n_sel, tie_seed in schedule:
+        for step, (chunk, n_sel, tie_seed) in enumerate(schedule):
             x, y = pool.features[chunk], pool.labels[chunk]
-            s = _loss(target[0], x, y) - _loss(il[0], x, y)
+            with _at(f"rung {name} step {step} (scoring)"):
+                s = _loss(target[0], x, y) - _loss(il[0], x, y)
             per_step.append(s)
             sel = select_top_k(s, n_sel, tie_seed)
             seen_x.append(x[sel])
             seen_y.append(y[sel])
             ax, ay = np.concatenate(seen_x), np.concatenate(seen_y)
-            _update(target, regime, ax, ay, x[sel], y[sel], cfg, target_rngs)
-            _update(
-                il, il_regime, np.concatenate([holdout.features, ax]), np.concatenate([holdout.labels, ay]),
-                x[sel], y[sel], cfg, il_rngs,
-            )
+            with _at(f"rung {name} step {step} (target update)"):
+                _update(target, regime, ax, ay, x[sel], y[sel], cfg, target_rngs)
+            with _at(f"rung {name} step {step} (IL update)"):
+                _update(
+                    il, il_regime, np.concatenate([holdout.features, ax]), np.concatenate([holdout.labels, ay]),
+                    x[sel], y[sel], cfg, il_rngs,
+                )
         scores[name] = per_step
 
     results: dict[str, RungResult] = {}

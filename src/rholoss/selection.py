@@ -25,6 +25,7 @@ OFFLINE_KINDS = ("svp-entropy",)
 ALL_KINDS = LOSS_BASED_KINDS + GRAD_KINDS + AL_KINDS + OFFLINE_KINDS
 
 NEEDS_IL = ("rho-loss", "neg-il")
+READS_LOSSES = ("rho-loss", "train-loss", "loss-minus-cond-entropy")
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,11 @@ class SelectionPolicy:
     @property
     def needs_il(self) -> bool:
         return self.kind in NEEDS_IL
+
+    @property
+    def reads_losses(self) -> bool:
+        """Whether scoring reads the candidates' losses under the snapshot."""
+        return self.kind in READS_LOSSES
 
 
 @dataclass
@@ -246,12 +252,15 @@ def score_candidates(
 ) -> np.ndarray:
     """Dispatch a policy to its per-candidate scores.
 
-    losses are the precomputed per-candidate cross-entropies of the snapshot;
+    losses are the precomputed per-candidate cross-entropies of the snapshot,
+    required when the policy reads them and None allowed otherwise;
     il_values_fn(ids, x, labels) supplies irreducible losses when the policy
     needs them (table lookup in the frozen scheme, a live model otherwise).
     rho-loss is training loss minus irreducible loss and may be negative.
     """
     kind = policy.kind
+    if policy.reads_losses and losses is None:
+        raise ValueError(f"policy {kind!r} scores candidate losses, but none were given")
     if kind == "uniform":
         return np.zeros(len(candidate_ids))
     if kind == "train-loss":

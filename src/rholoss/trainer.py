@@ -10,6 +10,13 @@ gradient step, in eval mode (dropout off) with batch statistics taken over
 the candidate chunk when batch normalization is on; the training step then
 recomputes statistics over the selected batch only.
 
+The eval forward over the whole chunk runs only on steps that need it: for
+policies that read candidate losses (`SelectionPolicy.reads_losses`), and
+for models with batch normalization, whose composition predictions use the
+chunk's statistics. Any other step forwards just the selected rows, after
+selection, to count the already-correct ones: without batch norm a row's
+eval logits do not depend on the other rows (up to the last bit of a GEMM).
+
 Randomness is split into five independent streams spawned from the run seed,
 in this order: epoch permutations, tie-breaks, policy-internal draws
 (importance sampling, Monte-Carlo dropout), dropout masks, and the live IL
@@ -89,6 +96,8 @@ def _run(train, test, cfg, model, il_values_fn, il_after_step, dump) -> RunRecor
     il_rng = np.random.default_rng(streams[4])
     opt = make_optimizer(cfg.optimizer_kind, cfg.learning_rate, weight_decay=cfg.weight_decay)
     record = RunRecord(policy=cfg.policy.kind, seed=cfg.seed)
+    # Composition predictions with batch norm use the whole chunk's statistics.
+    chunk_forward = cfg.policy.reads_losses or model.batchnorm is not None
     step = 0
     epoch = 0
     if dump is not None:
@@ -103,19 +112,20 @@ def _run(train, test, cfg, model, il_values_fn, il_after_step, dump) -> RunRecor
                 x = train.features[chunk]
                 y = train.labels[chunk]
                 ids = train.ids[chunk]
-                logits = forward(model, x, mode="eval", bn_stat_source="batch")
-                losses = cross_entropy(logits, y)
+                logits = forward(model, x, mode="eval", bn_stat_source="batch") if chunk_forward else None
+                losses = cross_entropy(logits, y) if cfg.policy.reads_losses else None
                 scored = score_and_select(
                     cfg.policy, model, x, y, ids, losses, il_values_fn, k, tie_seed, policy_rng
                 )
                 sel = scored.selected_indices
-                predictions = np.argmax(logits, axis=1)
+                x_sel, y_sel = x[sel], y[sel]
+                sel_logits = logits[sel] if chunk_forward else forward(model, x_sel, mode="eval", bn_stat_source="batch")
                 sel_total += sel.size
                 sel_corrupted += int(train.corrupted[chunk[sel]].sum())
                 sel_lowrel += int(train.low_relevance[chunk[sel]].sum())
-                sel_correct += int((predictions[sel] == y[sel]).sum())
-                train_step(model, opt, x[sel], y[sel], dropout_rng, sample_weights=scored.weights)
-                il_after_step(x[sel], y[sel], il_rng)
+                sel_correct += int((np.argmax(sel_logits, axis=1) == y_sel).sum())
+                train_step(model, opt, x_sel, y_sel, dropout_rng, sample_weights=scored.weights)
+                il_after_step(x_sel, y_sel, il_rng)
                 if dump is not None:
                     picked = set(sel.tolist())
                     for j, ex_id in enumerate(ids):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import shutil
 import types
@@ -21,7 +22,9 @@ from rholoss.config import (
     IlSection,
     LadderConfig,
     OptimizerSettings,
+    RelevanceSpec,
     RunSection,
+    SyntheticSpec,
     as_dict,
     config_hash,
     dataset_config_hash,
@@ -162,6 +165,8 @@ def test_config_rejects_bad_values(tmp_path):
         ({"ladder.n_b": 1, "ladder.n_B": 1}, "ladder.n_B"),
         # AdamW decay that flips the parameters every step
         ({"ladder.optimizer": {"kind": "adamw", "learning_rate": 2.0, "weight_decay": 9.0}}, "ladder.optimizer"),
+        # round(0.06 * 4) keeps none of a subsampled class
+        ({"dataset.synthetic.per_class": 4, "dataset.relevance": {"keep_frac": 0.06}}, "dataset.relevance.keep_frac"),
     ],
 )
 def test_config_errors_name_the_key_before_any_output(tmp_path, capsys, overrides, key):
@@ -272,6 +277,13 @@ def _parse_in_range(dataset, il, run, ladder):
         lr = opt.get("learning_rate", OptimizerSettings.learning_rate)
         if opt.get("kind", OptimizerSettings.kind) == "adamw" and lr * opt.get("weight_decay", OptimizerSettings.weight_decay) >= 1:
             opt["weight_decay"] = 0.5 / lr  # AdamW's decay must not flip the parameters
+    if "relevance" in dataset:
+        syn, rel = dataset.get("synthetic", {}), dataset["relevance"]
+        classes = syn.get("classes", SyntheticSpec.classes)
+        subsampled = math.ceil(rel.get("high_frac", RelevanceSpec.high_frac) * classes) < classes
+        kept = round(rel.get("keep_frac", RelevanceSpec.keep_frac) * syn.get("per_class", SyntheticSpec.per_class))
+        if subsampled and kept < 1:
+            rel["keep_frac"] = 1.0  # the relevance skew must keep a row of every class
     return parse_config({"dataset": dataset, "il": il, "run": run, "ladder": ladder})
 
 
@@ -281,7 +293,9 @@ def test_any_config_inside_the_declared_ranges_parses_and_the_library_accepts_it
     cfg = _parse_in_range(dataset, il, run, ladder)
 
     syn, split = cfg.dataset.synthetic, cfg.dataset.split
-    data.gen_synthetic(syn.classes, syn.per_class, syn.dim, syn.spread, seed=syn.seed, radius=syn.radius)
+    base = data.gen_synthetic(syn.classes, syn.per_class, syn.dim, syn.spread, seed=syn.seed, radius=syn.radius)
+    if (rel := cfg.dataset.relevance) is not None:
+        data.make_relevance_skew(base, high_frac=rel.high_frac, keep_frac=rel.keep_frac, seed=rel.seed)
     data.SplitSpec(split.test_fraction, seed=split.seed)
     data.SplitSpec(split.holdout_fraction, seed=split.seed)
     r = cfg.run
@@ -727,6 +741,23 @@ def test_a_ladder_whose_last_chunk_holds_one_candidate_fails_before_writing(tmp_
     assert main(["ladder", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ladder.n_B: n_B=125 on a pool of 126 ")
     assert not (out / "ladder").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize(
+    "pretrain_epochs, place",
+    # the IL pre-fit diverges first; without one, approx0's first target update does
+    [(5, "ladder IL pre-fit: "), (0, "ladder rung approx0 step 0 (target update): ")],
+)
+def test_a_diverging_ladder_names_where_and_writes_nothing(tmp_path, capsys, pretrain_epochs, place):
+    sgd = {"kind": "sgd", "learning_rate": 1e300}
+    cfg_path = write_config(tmp_path, {"ladder.optimizer": sgd, "ladder.il_pretrain_epochs": pretrain_epochs})
+    out = tmp_path / "out"
+    assert main(["prepare", "--config", str(cfg_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["ladder", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {place}forward pass produced non-finite logits\n"
+    assert not (out / "ladder" / "ladder.csv").exists()
 
 
 def test_stages_load_each_split_they_use_once(tmp_path, monkeypatch):

@@ -87,6 +87,19 @@ def test_neg_il_reverses_table_order():
     assert np.array_equal(np.argsort(scores), np.argsort([0.1, 2.0, 1.0])[::-1])
 
 
+@pytest.mark.parametrize("kind", ["rho-loss", "train-loss", "loss-minus-cond-entropy"])
+def test_a_policy_that_reads_losses_refuses_none_by_name(kind):
+    # np.asarray(None, dtype=float) is NaN, which used to score every candidate NaN and still select
+    model = nn.init_mlp((3, 6, 4), seed=1, dropout_rate=0.3)
+    x = np.random.default_rng(2).standard_normal((10, 3))
+    ids = np.arange(10)
+    il = table_from(ids, np.ones(10))
+    assert SelectionPolicy(kind=kind).reads_losses
+    with pytest.raises(ValueError, match=f"policy '{kind}' scores candidate losses, but none were given"):
+        score_candidates(SelectionPolicy(kind=kind), model, x, ids % 4, ids, None,
+                         lambda ids, x, y: il.lookup(ids), np.random.default_rng(3))
+
+
 def test_grad_norm_scores_match_norm_oracle():
     model = nn.init_mlp((4, 6, 3), seed=1)
     rng = np.random.default_rng(2)

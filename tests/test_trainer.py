@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rholoss import data, nn
+from rholoss import data, nn, trainer
 from rholoss.ilmodel import compute_il_table, train_il_model
 from rholoss.optim import make_optimizer, optimizer_step
 from rholoss.records import (
@@ -19,7 +19,7 @@ from rholoss.records import (
     save_run_record,
     weakest_final_accuracy,
 )
-from rholoss.selection import SelectionPolicy
+from rholoss.selection import ALL_KINDS, NEEDS_IL, OFFLINE_KINDS, SelectionPolicy
 from rholoss.trainer import (
     RunConfig,
     evaluate,
@@ -260,6 +260,61 @@ def test_run_training_deterministic_bitwise():
     assert a.steps == b.steps
     assert a.evals == b.evals
     assert a.compositions == b.compositions
+
+
+ONLINE_RUNS = [(kind, "frozen") for kind in ALL_KINDS if kind not in OFFLINE_KINDS]
+ONLINE_RUNS += [(kind, "original") for kind in NEEDS_IL]
+MODELS = {"plain": {}, "dropout": {"dropout_rate": 0.1}, "batchnorm": {"batchnorm": True}}
+
+
+@pytest.fixture(scope="module")
+def task_with_il():
+    pool, holdout, test = make_task()
+    il_model, _ = train_il_model(holdout, validation=pool, hidden=(8,), epochs=2, seed=4)
+    return pool, test, il_model, compute_il_table(il_model, pool)
+
+
+@pytest.mark.parametrize("model_kind", MODELS)
+@pytest.mark.parametrize("kind, il_update_mode", ONLINE_RUNS)
+def test_the_chunk_forward_runs_only_when_needed_and_changes_no_record(
+    task_with_il, monkeypatch, tmp_path, kind, model_kind, il_update_mode
+):
+    pool, test, il_model, table = task_with_il
+    policy = SelectionPolicy(kind=kind, mc_samples=4)
+    # 84 candidates: four chunks of 20 that select 8 and a last chunk of 4 that selects 2
+    cfg = RunConfig(policy=policy, n_b=8, n_B=20, epochs=2, seed=3, il_update_mode=il_update_mode)
+    real_forward = trainer.forward
+
+    def run(name):
+        """The record, written to name, and the rows of each forward of the trained model."""
+        model = nn.init_mlp((pool.dim, 8, pool.num_classes), seed=5, **MODELS[model_kind])
+        rows = []
+
+        def counting_forward(m, x, *args, **kwargs):
+            if m is model:  # not the live IL model
+                rows.append(len(x))
+            return real_forward(m, x, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(trainer, "forward", counting_forward)
+            if il_update_mode == "original":
+                record = run_original_selection(pool, test, copy.deepcopy(il_model), cfg, model)
+            else:
+                record = run_training(pool, test, table, cfg, model)
+        save_run_record(record, tmp_path / name, generated_at="2000-01-01T00:00:00+00:00")
+        return record, rows
+
+    record, rows = run("lean.csv")
+    with monkeypatch.context() as patch:
+        patch.setattr(SelectionPolicy, "reads_losses", property(lambda self: True))
+        _, forced_rows = run("forced.csv")
+    assert (tmp_path / "lean.csv").read_bytes() == (tmp_path / "forced.csv").read_bytes()
+    chunk_rows = [20, 20, 20, 20, 4] * cfg.epochs
+    assert forced_rows == chunk_rows
+    if policy.reads_losses or model_kind == "batchnorm":
+        assert rows == chunk_rows
+    else:
+        assert rows == [len(step.selected_ids) for step in record.steps] == [8, 8, 8, 8, 2] * cfg.epochs
 
 
 def test_run_training_requires_coverage():
