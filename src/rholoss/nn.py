@@ -23,6 +23,16 @@ the same GEMMs and ufuncs run into them, so results are bit for bit those of
 fresh arrays. They are not thread-safe: run concurrent passes in separate
 processes, as `rholoss run --jobs` does. `backward` keeps its activations
 and allocates them per call.
+
+`backward` and `per_example_grad_norm` share one walk down the cached
+layers (`_backprop`). The norm is the grad-norm policies' score, and it
+needs no gradient array: for one row, a dense layer's weight gradient is
+the outer product of its input a_in and its delta d, so its squared norm is
+||a_in||^2 * ||d||^2, and the bias adds ||d||^2; a batch-norm layer adds
+||dout * xhat||^2 for gamma and ||dout||^2 for beta (Goodfellow 2015,
+arXiv:1510.01799). That holds row by row only while every row passes
+through the network alone, so the norms are taken in eval mode (no dropout
+masks) with running statistics (no batch coupling).
 """
 from __future__ import annotations
 
@@ -234,9 +244,9 @@ def _bn_forward(bn: BatchNormLayer, z: Array, source: str, update_running: bool,
     return h, {"source": source, "xhat": xhat, "inv": inv, "centered": centered}
 
 
-def _bn_backward(bn: BatchNormLayer, cache: dict, dout: Array):
-    dgamma = (dout * cache["xhat"]).sum(axis=0)
-    dbeta = dout.sum(axis=0)
+def _bn_backward(bn: BatchNormLayer, cache: dict, dout: Array) -> Array:
+    """The gradient w.r.t. the normalized layer's input, given dout w.r.t.
+    its output."""
     dxhat = dout * bn.gamma
     inv = cache["inv"]
     if cache["source"] == "batch":
@@ -247,7 +257,7 @@ def _bn_backward(bn: BatchNormLayer, cache: dict, dout: Array):
         dz = dxhat * inv + dvar * 2.0 * centered / b + dmu / b
     else:
         dz = dxhat * inv
-    return dz, dgamma, dbeta
+    return dz
 
 
 _scratch = [np.empty(0), np.empty(0)]  # the cache-free pass's hidden-layer buffers
@@ -352,6 +362,36 @@ def _weight_grad(a_in: Array, d: Array) -> Array:
     return a_t * d if a_in.shape[-2] == 1 else a_t @ d
 
 
+def _output_delta(logits: Array, y: Array) -> Array:
+    """softmax(logits) minus the one-hot labels: each row's loss gradient
+    w.r.t. its logits."""
+    d = softmax(logits)
+    d[_at_labels(d, y)] -= 1.0
+    return d
+
+
+def _backprop(model: MlpModel, cache: list, d: Array):
+    """Walk the cached layers from the top, starting from d, the gradient
+    w.r.t. the logits. Yields (l, a_in, d, bn) for each layer l, last first:
+    the layer's input, the gradient w.r.t. its linear output a_in @ w + b,
+    and for a batch-normalized layer the pair (gradient w.r.t. the normalized
+    output, xhat), else None. Layer l's parameter gradients are a_in.T @ d,
+    the row sum of d and, from bn, the row sums of dout * xhat and dout."""
+    for l in reversed(range(model.n_layers)):
+        layer = cache[l]
+        bn = None
+        if l < model.n_layers - 1:
+            if "mask" in layer:
+                d = d * layer["mask"]
+            d = d * (layer["pre_act"] > 0)
+            if "bn" in layer:
+                bn = (d, layer["bn"]["xhat"])
+                d = _bn_backward(model.batchnorm[l], layer["bn"], d)
+        yield l, layer["a_in"], d, bn
+        if l > 0:
+            d = d @ model.weights[l].swapaxes(-1, -2)
+
+
 def backward(
     model: MlpModel,
     x,
@@ -369,10 +409,8 @@ def backward(
     average to 1 so the gradient scale matches the unweighted mean).
     """
     logits, cache = _forward_cache(model, x, mode, bn_stat_source, rng, update_running)
-    y = _as_labels(labels, model.n_classes, logits.shape[:-1])
     b = logits.shape[-2]
-    d = softmax(logits)
-    d[_at_labels(d, y)] -= 1.0
+    d = _output_delta(logits, _as_labels(labels, model.n_classes, logits.shape[:-1]))
     if sample_weights is None:
         d /= b
     else:
@@ -381,32 +419,43 @@ def backward(
             raise ValueError(f"got {b} examples but {w.size} sample weights")
         d *= (w / b)[:, None]
     grads: dict[str, Array] = {}
-    for l in reversed(range(model.n_layers)):
-        layer = cache[l]
-        if l < model.n_layers - 1:
-            if "mask" in layer:
-                d = d * layer["mask"]
-            d = d * (layer["pre_act"] > 0)
-            if "bn" in layer:
-                d, dg, db = _bn_backward(model.batchnorm[l], layer["bn"], d)
-                grads[f"bn{l}_gamma"] = dg
-                grads[f"bn{l}_beta"] = db
-        grads[f"w{l}"] = _weight_grad(layer["a_in"], d)
+    for l, a_in, d, bn in _backprop(model, cache, d):
+        if bn is not None:
+            dout, xhat = bn
+            grads[f"bn{l}_gamma"] = (dout * xhat).sum(axis=0)
+            grads[f"bn{l}_beta"] = dout.sum(axis=0)
+        grads[f"w{l}"] = _weight_grad(a_in, d)
         grads[f"b{l}"] = d.sum(axis=-2)
-        if l > 0:
-            d = d @ model.weights[l].swapaxes(-1, -2)
     return grads
 
 
-def per_example_grad_norm(model: MlpModel, x, y) -> float:
-    """Euclidean norm of one example's loss gradient over the full parameter set.
+def per_example_grad_norm(model: MlpModel, x, y) -> float | Array:
+    """Euclidean norm of an example's loss gradient over the full parameter set.
 
-    Deterministic by construction: evaluated in eval mode with running batch
-    statistics, so dropout and batch coupling never enter the score.
+    x is one example (a float comes back) or a 2-D batch with one label per
+    row (an array of per-row norms comes back). Deterministic by
+    construction: evaluated in eval mode with running batch statistics, so
+    dropout and batch coupling never enter the score, and summed in closed
+    form from the deltas of one backprop (see the module docstring).
     """
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    grads = backward(model, x, [int(y)], mode="eval", bn_stat_source="running")
-    return math.sqrt(sum(float((g**2).sum()) for g in grads.values()))
+    if model.stack:
+        raise ValueError("per_example_grad_norm takes one model; split a stack with nn.unstack")
+    x = np.asarray(x, dtype=np.float64)
+    logits, cache = _forward_cache(model, x.reshape(1, -1) if x.ndim == 1 else x, "eval", "running", None, False)
+    d = _output_delta(logits, _as_labels(y, model.n_classes, logits.shape[:-1]))
+    a_sq = np.empty((len(logits), model.n_layers))  # ||a_in||^2 per row and layer
+    d_sq = np.empty_like(a_sq)  # ||d||^2
+    bn_sq = np.zeros(len(logits))
+    for l, a_in, d, bn in _backprop(model, cache, d):
+        a_sq[:, l] = np.vecdot(a_in, a_in)
+        d_sq[:, l] = np.vecdot(d, d)
+        if bn is not None:
+            dout, xhat = bn
+            g = dout * xhat
+            bn_sq += np.vecdot(g, g) + np.vecdot(dout, dout)
+    a_sq[d_sq == 0.0] = 0.0  # a zero delta zeroes the weight gradient even where ||a_in||^2 overflowed
+    norms = np.sqrt(np.vecdot(a_sq + 1.0, d_sq) + bn_sq)
+    return float(norms[0]) if x.ndim == 1 else norms
 
 
 def mc_dropout_predict(

@@ -58,6 +58,15 @@ def max_rel_error(analytic: dict, numeric: dict, floor=1e-6) -> float:
     return worst
 
 
+def grad_norm_oracle(model, x, y):
+    """One example's gradient norm the long way: the full gradient dict from
+    `nn.backward` on that row, in eval mode with running statistics, squared
+    entry by entry."""
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    grads = nn.backward(model, x, [int(y)], mode="eval", bn_stat_source="running")
+    return math.sqrt(sum(float((g**2).sum()) for g in grads.values()))
+
+
 def explicit_forward(weights, biases, x):
     """Plain-python MLP forward: nested loops, ReLU between hidden layers."""
     batch = [list(row) for row in x]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rholoss import nn
 from rholoss.optim import make_optimizer, optimizer_step
 
-from oracles import direct_cross_entropy, explicit_forward, fd_gradients, max_rel_error
+from oracles import direct_cross_entropy, explicit_forward, fd_gradients, grad_norm_oracle, max_rel_error
 
 
 def test_zero_weight_model_gives_uniform_softmax():
@@ -180,6 +180,67 @@ def test_per_example_grad_norm_saturated_is_tiny():
     model.weights[0][:] = np.array([[80.0, -80.0], [-80.0, 80.0]])
     model.biases[0][:] = 0.0
     assert nn.per_example_grad_norm(model, [1.0, 0.0], 0) < 1e-9
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    hidden=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    n_in=st.integers(1, 8),
+    n_classes=st.integers(2, 6),
+    batchnorm=st.booleans(),
+    dropout=st.floats(0.05, 0.9),
+    logit_scale=st.sampled_from([1.0, 40.0, 1e3]),
+    x_scale=st.sampled_from([1.0, 30.0, 1e3]),
+    seed=st.integers(0, 2**16),
+)
+def test_closed_form_grad_norm_matches_the_gradient_dict(hidden, n_in, n_classes, batchnorm, dropout, logit_scale, x_scale, seed):
+    # eval mode ignores the dropout rate; running statistics, gamma and beta
+    # are far from their init so batch norm is not the identity
+    rng = np.random.default_rng(seed)
+    model = nn.init_mlp((n_in, *hidden, n_classes), seed=seed, dropout_rate=dropout, batchnorm=batchnorm)
+    for bn in model.batchnorm or []:
+        bn.running_mean = rng.normal(0.0, 2.0, bn.gamma.shape)
+        bn.running_var = rng.uniform(0.05, 4.0, bn.gamma.shape)
+        bn.gamma = rng.uniform(-2.0, 2.0, bn.gamma.shape)
+        bn.beta = rng.normal(0.0, 1.0, bn.gamma.shape)
+    model.weights[-1] *= logit_scale  # large scales saturate the softmax
+    x = rng.uniform(-x_scale, x_scale, (4, n_in))
+    y = rng.integers(0, n_classes, 4)
+    for i in range(4):
+        got = nn.per_example_grad_norm(model, x[i], y[i])
+        assert got >= 0.0  # also false for NaN
+        # below ~1e-140 the squares of both forms fall into subnormals, where neither keeps relative precision
+        assert got == pytest.approx(grad_norm_oracle(model, x[i], y[i]), rel=1e-12, abs=1e-140)
+
+
+def test_per_example_grad_norm_of_a_batch_is_each_rows_norm():
+    model = nn.init_mlp((4, 7, 5, 3), seed=3, batchnorm=True)
+    rng = np.random.default_rng(4)
+    for bn in model.batchnorm:
+        bn.running_mean = rng.normal(0.0, 1.0, bn.gamma.shape)
+        bn.gamma = rng.uniform(0.5, 2.0, bn.gamma.shape)
+    x = rng.standard_normal((6, 4))
+    y = rng.integers(0, 3, 6)
+    norms = nn.per_example_grad_norm(model, x, y)
+    assert norms.shape == (6,)
+    for i in range(6):
+        assert norms[i] == pytest.approx(grad_norm_oracle(model, x[i], y[i]), rel=1e-12)
+    with pytest.raises(ValueError, match=r"got 6 examples but labels of shape \(5,\)"):
+        nn.per_example_grad_norm(model, x, y[:5])
+
+
+def test_per_example_grad_norm_overflowed_input_norm_times_zero_delta_is_zero():
+    # ||x||^2 overflows to inf, and the saturated softmax makes the delta exactly 0
+    model = nn.init_mlp((2, 2), seed=0)
+    model.weights[0][:] = np.array([[80.0, -80.0], [-80.0, 80.0]])
+    with np.errstate(over="ignore"):
+        assert nn.per_example_grad_norm(model, [1e200, 0.0], 0) == 0.0 == grad_norm_oracle(model, [1e200, 0.0], 0)
+
+
+def test_per_example_grad_norm_refuses_a_stack():
+    stack = nn.stack_models([nn.init_mlp((4, 5, 3), seed=s) for s in (1, 2)])
+    with pytest.raises(ValueError, match=r"nn\.unstack"):
+        nn.per_example_grad_norm(stack, np.ones(4), 1)
 
 
 def test_mc_dropout_zero_rate_identical_samples():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from rholoss import data, nn
+from rholoss import data, nn, selection
 from rholoss.ilmodel import IrreducibleLossTable
 from rholoss.selection import (
     SelectionPolicy,
@@ -109,6 +109,32 @@ def test_grad_norm_scores_match_norm_oracle():
     for i in range(5):
         assert scores[i] == pytest.approx(nn.per_example_grad_norm(model, x[i], y[i]), abs=1e-12)
     assert np.all(scores >= 0)
+
+
+@pytest.mark.parametrize("n_labels", [6, 3])
+def test_grad_norm_needs_one_label_per_candidate(n_labels):
+    model = nn.init_mlp((4, 6, 3), seed=1)
+    x = np.random.default_rng(2).standard_normal((5, 4))
+    with pytest.raises(ValueError, match=rf"got 5 examples but labels of shape \({n_labels},\)"):
+        score_grad_norm(model, x, np.zeros(n_labels, dtype=int))
+
+
+def test_grad_norm_makes_one_kernel_call_per_candidate(monkeypatch):
+    # the benchmark's tracer wraps selection.per_example_grad_norm and checks one call per candidate
+    calls = []
+
+    def counted(model, x, y):
+        calls.append(np.shape(x))
+        return nn.per_example_grad_norm(model, x, y)
+
+    monkeypatch.setattr(selection, "per_example_grad_norm", counted)
+    model = nn.init_mlp((4, 6, 3), seed=1)
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((7, 4))
+    y = rng.integers(0, 3, 7)
+    scores = score_grad_norm(model, x, y)
+    assert calls == [(4,)] * 7
+    assert np.array_equal(scores, [nn.per_example_grad_norm(model, x[i], y[i]) for i in range(7)])
 
 
 def test_grad_norm_saturated_candidates_near_zero():
