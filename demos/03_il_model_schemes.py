@@ -42,9 +42,8 @@ tables = {
 print(f"full-width checkpoint at epoch {log_full.selected_epoch + 1}, "
       f"half-width at epoch {log_small.selected_epoch + 1}")
 for name, table in tables.items():
-    by_id = {int(i): v for i, v in zip(pool.ids, pool.corrupted)}
-    noisy_vals = [table.values[i] for i in table.values if by_id[i]]
-    clean_vals = [table.values[i] for i in table.values if not by_id[i]]
+    il = table.lookup(pool.ids)
+    noisy_vals, clean_vals = il[pool.corrupted], il[~pool.corrupted]
     print(f"  {name:16s} scheme={table.scheme:10s} mean IL clean {np.mean(clean_vals):.2f} "
           f"vs corrupted {np.mean(noisy_vals):.2f}")
 

@@ -219,7 +219,7 @@ def cmd_train_il(cfg: ExperimentConfig, out: Path) -> int:
         _save_checkpoint_log(log_a, ildir / "checkpoint_log_a.csv", chash, il.seed)
         _save_checkpoint_log(log_b, ildir / "checkpoint_log_b.csv", chash, il.seed)
     save_il_table(table, ildir / "il_table.csv", config_hash=chash, il_config_hash=il_config_hash(cfg))
-    print(f"wrote {ildir / 'il_table.csv'} ({len(table.values)} entries, scheme={table.scheme})")
+    print(f"wrote {ildir / 'il_table.csv'} ({table.ids.size} entries, scheme={table.scheme})")
     return 0
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .records import read_table, write_table
+from .records import read_numeric_header, read_numeric_rows, write_numeric_table
 
 _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
@@ -341,6 +341,7 @@ _FLAG_COLUMNS = (
     ("low_relevance", "low_relevance", bool),
     ("duplicate_of", "duplicate_of", np.int64),
 )
+_COUNTS = ("classes", "n", "d")  # the cache header's own fields
 
 
 def save_dataset_csv(ds: LabeledDataset, path, **provenance) -> None:
@@ -349,29 +350,36 @@ def save_dataset_csv(ds: LabeledDataset, path, **provenance) -> None:
 
     provenance keywords (e.g. config_hash=..., seed=...) are appended to the
     header line as extra key=value fields."""
-    flags = np.stack([getattr(ds, field) for _, field, _ in _FLAG_COLUMNS], axis=1).astype(np.int64)
-    rows = (f + [repr(v) for v in x] for f, x in zip(flags.tolist(), ds.features.tolist()))
-    write_table(
+    write_numeric_table(
         path,
         "dataset",
         {"classes": ds.num_classes, "n": ds.n, "d": ds.dim, **provenance},
         [*(column for column, _, _ in _FLAG_COLUMNS), *(f"feature_{j}" for j in range(ds.dim))],
-        rows,
+        np.stack([getattr(ds, field) for _, field, _ in _FLAG_COLUMNS], axis=1, dtype=np.int64),
+        ds.features,
     )
 
 
 def load_dataset_csv(path) -> LabeledDataset:
-    meta, rows = read_table(path, "dataset")
-    n, d = int(meta["n"]), int(meta["d"])
-    if len(rows) != n:
-        raise ValueError(f"{path}: expected {n} rows, found {len(rows)}")
-    k = len(_FLAG_COLUMNS)
-    if any(len(row) != k + d for row in rows):
-        raise ValueError(f"{path}: expected {k + d} columns in every row")
-    flags = np.array([row[:k] for row in rows], dtype=np.int64).reshape(n, k)
-    features = np.array([row[k:] for row in rows], dtype=np.float64).reshape(n, d)
+    """A dataset from a file save_dataset_csv wrote, or any file in its
+    format. Refused, naming the file: another tag, a header without classes,
+    n or d (or with a non-integer one), a row that is not 6 integers then d
+    floats, a row count other than n, and a non-finite feature."""
+    with open(path, "rb") as f:
+        counts = dict(zip(_COUNTS, read_numeric_header(f, "dataset", path, *_COUNTS)))
+        bad = [f"{key}={value}" for key, value in counts.items() if not (value.isascii() and value.isdigit())]
+        if bad:
+            raise ValueError(f"{path}: header counts must be non-negative integers, got {' '.join(bad)}")
+        classes, n, d = map(int, counts.values())
+        flags, features = read_numeric_rows(f, path, len(_FLAG_COLUMNS), d)
+    if len(flags) != n:
+        raise ValueError(f"{path}: expected {n} rows, found {len(flags)}")
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"{path}: row {row + 1} (id {flags[row, 0]}) has a non-finite feature")
     return LabeledDataset(
         features=features,
-        num_classes=int(meta["classes"]),
+        num_classes=classes,
         **{field: flags[:, j].astype(dtype) for j, (_, field, dtype) in enumerate(_FLAG_COLUMNS)},
     )

@@ -19,7 +19,7 @@ from .config import IlSection, OptimizerSettings
 from .data import LabeledDataset
 from .nn import MlpModel, batched_logits, cross_entropy, evaluate, init_mlp, model_id
 from .optim import OptimizerState, make_optimizer, train_epoch, train_step
-from .records import read_table, write_table
+from .records import read_numeric_header, read_numeric_rows, write_numeric_table
 
 
 @dataclass
@@ -39,26 +39,45 @@ class CheckpointLog:
 
 @dataclass
 class IrreducibleLossTable:
-    values: dict[int, float]
+    """The irreducible loss values[i] of example ids[i]. Construction sorts
+    the pairs by id, so lookups are binary searches over ids."""
+
+    ids: np.ndarray  # (n,) int64, ascending and unique
+    values: np.ndarray  # (n,) float64
     scheme: str = "holdout"  # "holdout" | "two-halves"
     producers: dict[int, str] | None = None  # two-halves: example id -> producing model id
 
+    def __post_init__(self):
+        ids = np.asarray(self.ids, dtype=np.int64)
+        values = np.asarray(self.values, dtype=np.float64)
+        if ids.ndim != 1 or values.shape != ids.shape:
+            raise ValueError(f"ids and values must be matching 1-D arrays, got {ids.shape} and {values.shape}")
+        order = np.argsort(ids, kind="stable")
+        self.ids, self.values = ids[order], values[order]
+        repeated = self.ids[1:][self.ids[1:] == self.ids[:-1]]
+        if repeated.size:
+            raise ValueError(f"example id {repeated[0]} appears twice in the irreducible-loss table")
+
+    def _positions(self, ids) -> tuple[np.ndarray, np.ndarray]:
+        """(where each of ids sits in self.ids, whether it is there)."""
+        ids = np.asarray(ids)
+        at = np.searchsorted(self.ids, ids)
+        if not self.ids.size:
+            return at, np.zeros(ids.shape, dtype=bool)
+        return at, self.ids.take(at, mode="clip") == ids
+
     def lookup(self, ids) -> np.ndarray:
-        values = self.values
-        try:
-            return np.array([values[i] for i in np.asarray(ids).tolist()], dtype=np.float64)
-        except KeyError as exc:
-            raise KeyError(f"example id {exc.args[0]} missing from irreducible-loss table") from None
+        at, found = self._positions(ids)
+        if not found.all():
+            raise KeyError(f"example id {np.asarray(ids)[~found][0]} missing from irreducible-loss table")
+        return self.values[at]
 
     def covers(self, ids) -> bool:
-        return self.values.keys() >= set(np.asarray(ids).tolist())
+        return bool(self._positions(ids)[1].all())
 
     def content_hash(self) -> str:
-        h = hashlib.sha256()
-        for ex_id in sorted(self.values):
-            h.update(f"{ex_id}:{self.values[ex_id]!r};".encode())
-        h.update(self.scheme.encode())
-        return h.hexdigest()
+        rows = "".join(map("%d:%r;".__mod__, zip(self.ids.tolist(), self.values.tolist())))
+        return hashlib.sha256((rows + self.scheme).encode()).hexdigest()
 
 
 def train_il_model(
@@ -109,7 +128,7 @@ def compute_il_table(il_model: MlpModel, pool: LabeledDataset, batch_size: int =
     (un-augmented) inputs, so the table is deterministic for a given model.
     """
     losses = cross_entropy(batched_logits(il_model, pool.features, batch_size), pool.labels)
-    return IrreducibleLossTable(values=dict(zip(pool.ids.tolist(), losses.tolist())), scheme="holdout")
+    return IrreducibleLossTable(pool.ids, losses, scheme="holdout")
 
 
 def _two_halves_parts(half_a: LabeledDataset, half_b: LabeledDataset, seed: int = 0, **train_kwargs):
@@ -123,10 +142,12 @@ def _two_halves_parts(half_a: LabeledDataset, half_b: LabeledDataset, seed: int 
     table_b = compute_il_table(model_a, half_b)
     table_a = compute_il_table(model_b, half_a)
     id_a, id_b = model_id(model_a), model_id(model_b)
-    values = {**table_b.values, **table_a.values}
-    producers = {ex_id: id_a for ex_id in table_b.values}
-    producers.update({ex_id: id_b for ex_id in table_a.values})
-    merged = IrreducibleLossTable(values=values, scheme="two-halves", producers=producers)
+    merged = IrreducibleLossTable(
+        np.concatenate([table_b.ids, table_a.ids]),
+        np.concatenate([table_b.values, table_a.values]),
+        scheme="two-halves",
+        producers={**dict.fromkeys(table_b.ids.tolist(), id_a), **dict.fromkeys(table_a.ids.tolist(), id_b)},
+    )
     return merged, model_a, model_b, log_a, log_b
 
 
@@ -153,24 +174,24 @@ def update_il_model(il_model: MlpModel, opt_state: OptimizerState, x, labels, rn
 
 
 def save_il_table(table: IrreducibleLossTable, path, **built_from: str) -> None:
-    """The table as a headed CSV; built_from (the hashes of the config that
-    built it) leads the header fields."""
-    write_table(
+    """The table as a headed CSV, one id,il_value row per id in ascending
+    order; built_from (the hashes of the config that built it) leads the
+    header fields."""
+    write_numeric_table(
         path,
         "il-table",
         {**built_from, "provenance": table.content_hash(), "scheme": table.scheme},
         ["id", "il_value"],
-        ([ex_id, repr(table.values[ex_id])] for ex_id in sorted(table.values)),
+        table.ids[:, None],
+        table.values[:, None],
     )
 
 
 def load_il_table(path) -> IrreducibleLossTable:
-    meta, rows = read_table(path, "il-table")
-    missing = [key for key in ("provenance", "scheme") if key not in meta]
-    if missing:
-        raise ValueError(f"{path}: header lacks {' and '.join(missing)}")
-    values = {int(row[0]): float(row[1]) for row in rows}
-    table = IrreducibleLossTable(values=values, scheme=meta["scheme"])
-    if meta["provenance"] != table.content_hash():
+    with open(path, "rb") as f:
+        provenance, scheme = read_numeric_header(f, "il-table", path, "provenance", "scheme")
+        ids, values = read_numeric_rows(f, path, 1, 1)
+    table = IrreducibleLossTable(ids[:, 0], values[:, 0], scheme=scheme)
+    if provenance != table.content_hash():
         raise ValueError(f"{path}: provenance hash mismatch, file may be corrupt")
     return table

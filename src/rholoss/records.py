@@ -3,7 +3,11 @@
 Every file starts with a `# rholoss-<tag> v1 key=value ...` header line
 (header_line / read_header); plain tables follow it with a column row and
 csv rows (write_table / read_table), written atomically through
-atomic_write so a partial file never appears.
+atomic_write so a partial file never appears. Tables of numbers only (the
+dataset cache and the IL table) take the same bytes through
+write_numeric_table / read_numeric_header and read_numeric_rows, which
+format one row with one `%` and parse the whole body with one np.loadtxt
+pass.
 
 A record file is a single CSV with three sections. Byte-for-byte determinism
 matters (it is how reproducibility is audited), so floats are written with
@@ -26,6 +30,8 @@ import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Mapping
+
+import numpy as np
 
 
 @dataclass
@@ -157,6 +163,50 @@ def read_table(path, tag: str) -> tuple[dict[str, str], list[list[str]]]:
         reader = csv.reader(f)
         next(reader, None)
         return meta, list(reader)
+
+
+def write_numeric_table(path, tag: str, meta: Mapping[str, object], columns, ints, floats) -> None:
+    """A headed table of numbers, written atomically with the bytes
+    write_table gives the same cells: row i holds the ints of ints[i] (%d)
+    then the floats of floats[i] (%r, which is repr, so they round-trip
+    exactly). Rows are formatted one % at a time and streamed, so no
+    file-sized string is built."""
+    row = ",".join(["%d"] * ints.shape[1] + ["%r"] * floats.shape[1]) + "\r\n"
+    with atomic_write(path, newline="") as f:
+        f.write(header_line(tag, meta))
+        f.write(",".join(columns) + "\r\n")
+        f.writelines(row % (*i, *x) for i, x in zip(ints.tolist(), floats.tolist()))
+
+
+def read_numeric_header(f, tag: str, what, *keys: str) -> list[str]:
+    """The values of keys, in order, in the header line of a file
+    write_numeric_table wrote, from f opened "rb" at its start. Another tag,
+    or a header that lacks any of keys, raises a ValueError naming what
+    (usually the path) and every missing key."""
+    meta = read_header(f.readline().decode("ascii", "replace"), tag, what)
+    missing = [key for key in keys if key not in meta]
+    if missing:
+        raise ValueError(f"{what}: header lacks {' and '.join(missing)}")
+    return [meta[key] for key in keys]
+
+
+def read_numeric_rows(f, what, ints: int, floats: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, ints) int64 and (rows, floats) float64 arrays of a file
+    write_numeric_table wrote, from f read past its header line by
+    read_numeric_header; the column row is skipped. Integer cells are
+    parsed strictly (no "3.0"), floats with correct rounding, and no string
+    is built per cell. A row that is not ints integers then floats floats
+    raises a ValueError naming what (usually the path)."""
+    f.readline()
+    dtype = np.dtype([("ints", np.int64, (ints,)), ("floats", np.float64, (floats,))])
+    try:  # loadtxt warns on an empty body, so an empty body skips it
+        rows = np.loadtxt(f, dtype, delimiter=",", comments=None, ndmin=1) if f.peek(1) else np.empty(0, dtype)
+    except ValueError as exc:
+        reason = str(exc).split(";")[0]  # drop loadtxt's advice to pass usecols
+        raise ValueError(
+            f"{what}: expected {ints} integer then {floats} float columns in every row; {reason}"
+        ) from None
+    return rows["ints"].copy(), rows["floats"].copy()
 
 
 def save_run_record(record: RunRecord, path, generated_at: str | None = None) -> None:

@@ -180,7 +180,7 @@ def run_training(
         if il_table is None:
             raise ValueError(f"policy {cfg.policy.kind!r} needs an irreducible-loss table")
         if not il_table.covers(train.ids):
-            missing = [int(i) for i in train.ids if int(i) not in il_table.values][:5]
+            missing = train.ids[~np.isin(train.ids, il_table.ids)][:5].tolist()
             raise ValueError(f"irreducible-loss table does not cover the pool (e.g. ids {missing})")
 
     def il_values(ids, x, labels):

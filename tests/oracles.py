@@ -3,10 +3,13 @@
 Everything here is deliberately written with a different algorithm (explicit
 loops, brute-force sorting, numerical differentiation) than the code under
 test, so agreement is meaningful. The paired t-test is here because only the
-tests use it.
+tests use it. The dataset-cache and IL-table writers and readers here go
+through the `csv` module with one `repr` per value, as the library did
+before it moved those two formats to one `%` per row and `np.loadtxt`.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
@@ -14,6 +17,8 @@ import numpy as np
 from scipy import stats as _scipy_stats
 
 from rholoss import nn
+from rholoss.data import LabeledDataset
+from rholoss.records import read_table, write_table
 
 
 def fd_gradients(model, x, y, mode="eval", bn_stat_source="running", seed=1234, h=1e-5):
@@ -232,3 +237,61 @@ def train_members_one_at_a_time(models, loop_opts, x, y, budget_epochs, tol, bat
             if prev - cur < tol * max(prev, 1e-12):
                 break
             prev = cur
+
+
+# (CSV column, LabeledDataset field, dtype) of the dataset cache's integer columns
+_CACHE_FLAGS = (
+    ("id", "ids", np.int64),
+    ("label", "labels", np.int64),
+    ("original_label", "original_labels", np.int64),
+    ("corrupted", "corrupted", bool),
+    ("low_relevance", "low_relevance", bool),
+    ("duplicate_of", "duplicate_of", np.int64),
+)
+
+
+def save_dataset_csv_oracle(ds, path, **provenance):
+    """The dataset cache through csv.writer, one repr per feature."""
+    flags = np.stack([getattr(ds, field) for _, field, _ in _CACHE_FLAGS], axis=1).astype(np.int64)
+    rows = (f + [repr(v) for v in x] for f, x in zip(flags.tolist(), ds.features.tolist()))
+    write_table(
+        path,
+        "dataset",
+        {"classes": ds.num_classes, "n": ds.n, "d": ds.dim, **provenance},
+        [*(column for column, _, _ in _CACHE_FLAGS), *(f"feature_{j}" for j in range(ds.dim))],
+        rows,
+    )
+
+
+def load_dataset_csv_oracle(path):
+    """The dataset cache through csv.reader, one string per cell."""
+    meta, rows = read_table(path, "dataset")
+    n, d, k = int(meta["n"]), int(meta["d"]), len(_CACHE_FLAGS)
+    assert len(rows) == n and all(len(row) == k + d for row in rows)
+    flags = np.array([row[:k] for row in rows], dtype=np.int64).reshape(n, k)
+    features = np.array([row[k:] for row in rows], dtype=np.float64).reshape(n, d)
+    return LabeledDataset(
+        features=features,
+        num_classes=int(meta["classes"]),
+        **{field: flags[:, j].astype(dtype) for j, (_, field, dtype) in enumerate(_CACHE_FLAGS)},
+    )
+
+
+def il_content_hash_oracle(values: dict, scheme: str) -> str:
+    """The IL table's provenance hash over an id -> value dict, one update per id."""
+    h = hashlib.sha256()
+    for ex_id in sorted(values):
+        h.update(f"{ex_id}:{values[ex_id]!r};".encode())
+    h.update(scheme.encode())
+    return h.hexdigest()
+
+
+def save_il_table_oracle(values: dict, scheme: str, path, **built_from):
+    """The IL table of an id -> value dict through csv.writer."""
+    write_table(
+        path,
+        "il-table",
+        {**built_from, "provenance": il_content_hash_oracle(values, scheme), "scheme": scheme},
+        ["id", "il_value"],
+        ([ex_id, repr(values[ex_id])] for ex_id in sorted(values)),
+    )

@@ -5,7 +5,6 @@ import re
 import shutil
 import types
 import typing
-from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -391,6 +390,31 @@ def test_run_refuses_a_changed_dataset_cache(prepared, capsys):
     assert not (out / "runs").exists()
 
 
+@pytest.mark.parametrize(
+    "header, row_edit, reason",
+    [
+        ("# rholoss-dataset v1 classes=3 d=4", None, "header lacks n"),
+        ("# rholoss-dataset v1 d=4", None, "header lacks classes and n"),
+        ("# rholoss-dataset v1 classes=3 n=abc d=4", None, "n=abc"),
+        ("# rholoss-dataset v1 classes=3 n=60 d=4", lambda row: row.rsplit(",", 1)[0] + ",nan", "has a non-finite"),
+    ],
+)
+def test_prepare_refuses_a_malformed_csv_input_before_writing(tmp_path, capsys, header, row_edit, reason):
+    source = tmp_path / "input.csv"
+    data.save_dataset_csv(data.gen_synthetic(3, 20, 4, 1.0, seed=1), source)
+    lines = source.read_bytes().decode().split("\r\n")
+    lines[0] = header + "\n" + lines[0].split("\n", 1)[1]
+    if row_edit is not None:
+        lines[5] = row_edit(lines[5])
+    source.write_bytes("\r\n".join(lines).encode())
+    cfg_path = write_config(tmp_path, {"dataset.kind": "csv", "dataset.csv_path": str(source)})
+    out = tmp_path / "out"
+    assert main(["prepare", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {source}: ") and reason in err
+    assert not (out / "dataset").exists()
+
+
 def test_prepare_is_idempotent(prepared):
     cfg_path, out = prepared
     before = json.loads((out / "dataset" / "manifest.json").read_text())
@@ -413,7 +437,7 @@ def test_train_il_writes_table_and_log(prepared):
     assert main(["train-il", "--config", str(cfg_path), "--out", str(out)]) == 0
     table = load_il_table(out / "il" / "il_table.csv")
     train = data.load_dataset_csv(out / "dataset" / "train.csv")
-    assert set(table.values) == set(int(i) for i in train.ids)
+    assert set(table.ids) == set(int(i) for i in train.ids)
     log_lines = (out / "il" / "checkpoint_log.csv").read_text().splitlines()
     rows = [line.split(",") for line in log_lines[2:]]
     losses = [float(r[1]) for r in rows]
@@ -424,10 +448,10 @@ def test_train_il_writes_table_and_log(prepared):
 
     il_model = load_model(out / "il" / "il_model.npz")
     pos = {int(i): k for k, i in enumerate(train.ids)}
-    for ex_id in list(table.values)[:10]:
+    for ex_id, value in zip(table.ids[:10].tolist(), table.values[:10].tolist()):
         k = pos[ex_id]
         expected = float(cross_entropy(forward(il_model, train.features[k : k + 1]), [train.labels[k]])[0])
-        assert table.values[ex_id] == pytest.approx(expected, abs=1e-12)
+        assert value == pytest.approx(expected, abs=1e-12)
 
 
 def test_train_il_two_halves_emits_merged_table(tmp_path):
@@ -439,7 +463,7 @@ def test_train_il_two_halves_emits_merged_table(tmp_path):
     table = load_il_table(out / "il" / "il_table.csv")
     assert table.scheme == "two-halves"
     train = data.load_dataset_csv(out / "dataset" / "train.csv")
-    assert set(table.values) == set(int(i) for i in train.ids)
+    assert set(table.ids) == set(int(i) for i in train.ids)
     assert (out / "il" / "checkpoint_log_a.csv").exists() and (out / "il" / "checkpoint_log_b.csv").exists()
 
 
@@ -778,7 +802,7 @@ def test_stages_load_each_split_they_use_once(tmp_path, monkeypatch):
     def load_table(path):
         table = real_table(path)
         loads.append(path.name)
-        table.values = MappingProxyType(table.values)
+        table.ids.flags.writeable = table.values.flags.writeable = False
         return table
 
     monkeypatch.setattr(data, "load_dataset_csv", load_csv)

@@ -1,11 +1,15 @@
 import gzip
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
+from oracles import load_dataset_csv_oracle, save_dataset_csv_oracle
 from rholoss import data
 
 
@@ -321,3 +325,111 @@ def test_dataset_csv_row_of_wrong_width_names_the_path(tmp_path, edit):
     path.write_text("".join(lines), newline="")
     with pytest.raises(ValueError, match=r"cache\.csv.*columns"):
         data.load_dataset_csv(path)
+
+
+# Values whose repr or parse is easy to get wrong: signed zeros, subnormals,
+# the largest finite doubles, integral floats, and both repr notations' edges.
+_AWKWARD_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.5e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
+                   -1.79e308, 3.0, -7.0, 1e16, 1e-5, 1e-4, 1e22, 0.1]
+
+
+@st.composite
+def _datasets(draw):
+    n, d, classes = draw(st.integers(0, 8)), draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    label = st.integers(0, classes - 1)
+    labels = np.array(draw(st.lists(label, min_size=n, max_size=n)), dtype=np.int64)
+    original = np.array(draw(st.lists(label, min_size=n, max_size=n)), dtype=np.int64)
+    big = st.integers(-(2**62), 2**62)
+    feature = st.one_of(st.sampled_from(_AWKWARD_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+    return data.LabeledDataset(
+        features=np.array(draw(st.lists(feature, min_size=n * d, max_size=n * d)), dtype=np.float64).reshape(n, d),
+        labels=labels,
+        num_classes=classes,
+        ids=np.array(draw(st.lists(big, min_size=n, max_size=n, unique=True)), dtype=np.int64),
+        original_labels=original,
+        corrupted=labels != original,
+        low_relevance=np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool),
+        duplicate_of=np.array(draw(st.lists(big, min_size=n, max_size=n)), dtype=np.int64),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(ds=_datasets())
+def test_dataset_cache_matches_the_csv_module_oracle(tmp_path_factory, ds):
+    folder = tmp_path_factory.mktemp("cache")
+    path, oracle_path = folder / "cache.csv", folder / "oracle.csv"
+    data.save_dataset_csv(ds, path, config_hash="0123abcd", seed=7)
+    save_dataset_csv_oracle(ds, oracle_path, config_hash="0123abcd", seed=7)
+    assert path.read_bytes() == oracle_path.read_bytes()
+    back, oracle = data.load_dataset_csv(path), load_dataset_csv_oracle(path)
+    assert back.num_classes == oracle.num_classes
+    for name in data._PER_EXAMPLE:
+        got, want = getattr(back, name), getattr(oracle, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
+    assert data.dataset_hash(back) == data.dataset_hash(oracle) == data.dataset_hash(ds)
+
+
+def _edit_cache(path, edit):
+    """Apply edit to the cache's lines (header, column row, then data rows,
+    each with its line ending) and write them back."""
+    lines = path.read_bytes().decode().splitlines(keepends=True)
+    path.write_bytes("".join(edit(lines)).encode())
+
+
+def _set_first_id(value):
+    return lambda lines: [*lines[:2], value + lines[2][lines[2].index(","):], *lines[3:]]
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        pytest.param(_set_first_id("3.0"), "could not convert string '3.0' to int64", id="id-3.0"),
+        pytest.param(_set_first_id("x"), "could not convert string 'x' to int64", id="id-x"),
+        pytest.param(_set_first_id("9223372036854775808"), "to int64", id="id-2**63"),
+        pytest.param(lambda lines: lines[:-1], "expected 12 rows, found 11", id="row-dropped"),
+        pytest.param(lambda lines: [*lines, lines[-1]], "expected 12 rows, found 13", id="row-repeated"),
+        pytest.param(lambda lines: [lines[0].replace(" n=12", ""), *lines[1:]], "header lacks n", id="no-n"),
+        pytest.param(lambda lines: [lines[0].replace(" n=12", "").replace(" d=2", ""), *lines[1:]],
+                     "header lacks n and d", id="no-n-no-d"),
+        pytest.param(lambda lines: [lines[0].replace(" n=12", " n=abc"), *lines[1:]], "n=abc", id="n=abc"),
+        pytest.param(lambda lines: [lines[0].replace(" d=2", " d=-2"), *lines[1:]], "d=-2", id="d=-2"),
+        pytest.param(lambda lines: [*lines[:3], lines[3].rsplit(",", 1)[0] + ",nan\r\n", *lines[4:]],
+                     "row 2 (id 1) has a non-finite", id="nan-feature"),
+        pytest.param(lambda lines: [*lines[:-1], lines[-1].rsplit(",", 1)[0] + ",-inf\r\n"],
+                     "row 12 (id 11) has a non-finite", id="inf-feature"),
+    ],
+)
+def test_a_malformed_dataset_cache_is_refused_naming_the_file(tmp_path, edit, reason):
+    path = tmp_path / "cache.csv"
+    data.save_dataset_csv(data.gen_synthetic(3, 4, 2, 1.0, seed=2), path)
+    _edit_cache(path, edit)
+    with pytest.raises(ValueError) as info:
+        data.load_dataset_csv(path)
+    assert str(info.value).startswith(f"{path}: ") and reason in str(info.value)
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+@pytest.mark.parametrize("column_row", [True, False])
+def test_an_empty_dataset_cache_loads_without_a_warning(tmp_path, column_row):
+    path = tmp_path / "cache.csv"
+    data.save_dataset_csv(data.take(data.gen_synthetic(3, 4, 2, 1.0, seed=2), []), path)
+    if not column_row:
+        _edit_cache(path, lambda lines: lines[:1])
+    back = data.load_dataset_csv(path)
+    assert back.n == 0 and back.features.shape == (0, 2) and back.num_classes == 3
+
+
+def test_loading_a_dataset_cache_holds_no_string_per_cell(tmp_path):
+    # the csv-module reader peaked at ~11x the loaded arrays' bytes
+    ds = data.make_dataset(np.random.default_rng(0).standard_normal((2000, 32)), np.arange(2000) % 5, 5)
+    path = tmp_path / "cache.csv"
+    data.save_dataset_csv(ds, path)
+    first = data.load_dataset_csv(path)
+    tracemalloc.start()
+    try:
+        second = data.load_dataset_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.dataset_hash(first) == data.dataset_hash(second) == data.dataset_hash(ds)
+    assert peak < 3 * sum(getattr(second, name).nbytes for name in data._PER_EXAMPLE)

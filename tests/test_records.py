@@ -1,6 +1,5 @@
 """The headed-CSV format that every file shares, and run-record persistence."""
 import ast
-import csv
 import itertools
 from pathlib import Path
 
@@ -72,34 +71,47 @@ def test_run_record_roundtrips_through_its_file(tmp_path_factory, record):
     assert again.read_bytes() == path.read_bytes()
 
 
-def _fail_after_one_row(monkeypatch):
-    """From now on, the csv writers of records write the first row handed to
-    writerows, then raise."""
-    real_writer = csv.writer
+def _fill_the_disk_after_two_writes(monkeypatch):
+    """From now on, a file that records opens for writing takes two writes
+    (a table's header line and column row) and then raises, as a full disk
+    would, whichever writer fills it."""
+    real_open = open
 
     class Failing:
-        def __init__(self, f, **kwargs):
-            self.inner = real_writer(f, **kwargs)
+        def __init__(self, f):
+            self.f, self.writes = f, 0
 
-        def writerow(self, row):
-            self.inner.writerow(row)
+        def __enter__(self):
+            return self
 
-        def writerows(self, rows):
-            for row in rows:
-                self.inner.writerow(row)
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, text):
+            if self.writes == 2:
                 raise OSError("disk full")
+            self.writes += 1
+            return self.f.write(text)
 
-    monkeypatch.setattr(records.csv, "writer", Failing)
+        def writelines(self, lines):
+            for line in lines:
+                self.write(line)
+
+    def failing_open(path, mode="r", **kwargs):
+        f = real_open(path, mode, **kwargs)
+        return Failing(f) if "w" in mode else f
+
+    monkeypatch.setattr(records, "open", failing_open, raising=False)
 
 
 def test_failed_il_table_write_leaves_no_file_and_no_tmp(tmp_path, monkeypatch):
     kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
-    save_il_table(IrreducibleLossTable(values={1: 0.5, 2: 0.25}), kept)
+    save_il_table(IrreducibleLossTable([1, 2], [0.5, 0.25]), kept)
     before = kept.read_bytes()
-    _fail_after_one_row(monkeypatch)
+    _fill_the_disk_after_two_writes(monkeypatch)
     for path in (kept, fresh):
         with pytest.raises(OSError, match="disk full"):
-            save_il_table(IrreducibleLossTable(values={1: 0.75, 2: 0.125, 3: 1.0}), path)
+            save_il_table(IrreducibleLossTable([1, 2, 3], [0.75, 0.125, 1.0]), path)
         assert not Path(f"{path}.tmp").exists()
     assert kept.read_bytes() == before
     assert not fresh.exists()
@@ -175,7 +187,7 @@ def test_failed_report_write_leaves_no_file_and_no_tmp(tmp_path, monkeypatch):
         record = RunRecord("uniform", seed, "abc", evals=[EvalRow(10, 1, True, 0.25 * seed, 1.0)],
                            compositions=[CompositionRow(1, 4, 0.25, 0.0, 0.5)])
         save_run_record(record, tmp_path / "runs" / f"record_uniform_seed{seed}.csv")
-    _fail_after_one_row(monkeypatch)
+    _fill_the_disk_after_two_writes(monkeypatch)
     with pytest.raises(OSError, match="disk full"):
         cli.cmd_report(cfg, tmp_path)
     assert list((tmp_path / "reports").iterdir()) == []
@@ -183,9 +195,10 @@ def test_failed_report_write_leaves_no_file_and_no_tmp(tmp_path, monkeypatch):
 
 def test_reading_a_file_with_the_wrong_tag_names_the_path(tmp_path):
     path = tmp_path / "il_table.csv"
-    save_il_table(IrreducibleLossTable(values={1: 0.5}), path)
+    save_il_table(IrreducibleLossTable([1], [0.5]), path)
     for load in (load_dataset_csv, load_run_record, lambda p: read_table(p, "ladder")):
         with pytest.raises(ValueError, match="not a rholoss-") as info:
             load(path)
         assert str(path) in str(info.value)
-    assert load_il_table(path).values == {1: 0.5}
+    table = load_il_table(path)
+    assert (table.ids.tolist(), table.values.tolist()) == ([1], [0.5])

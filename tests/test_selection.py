@@ -27,7 +27,7 @@ from oracles import brute_top_k, inverse_draw_weights, successive_sampling_set_p
 
 
 def table_from(ids, values):
-    return IrreducibleLossTable(values={int(i): float(v) for i, v in zip(ids, values)})
+    return IrreducibleLossTable(ids, values)
 
 
 def score_from_table(kind, losses, ids, table):
