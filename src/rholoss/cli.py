@@ -3,9 +3,10 @@
 Subcommands: prepare, train-il, run, report, ladder, sweep. Each takes a
 YAML config (--config); outputs land under --out, the config's output_dir,
 or $RHOLOSS_OUT_DIR, in that order of precedence. Every emitted file carries
-the config hash (and seed where applicable) in its header line, and report
-refuses to aggregate records from mixed hashes. Any validation failure exits
-nonzero before partial output is written.
+built_from, the hash of the config slice it was built from (config.built_from),
+and a stage that reads an artifact refuses one built from another slice,
+naming the stage to re-run. Any validation failure exits nonzero before
+partial output is written.
 """
 from __future__ import annotations
 
@@ -28,9 +29,7 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     as_dict,
-    config_hash,
-    dataset_config_hash,
-    il_config_hash,
+    built_from,
     load_config,
     parse_config,
     sweep_configs,
@@ -62,6 +61,15 @@ OUT_ENV_VAR = "RHOLOSS_OUT_DIR"
 
 class CliError(RuntimeError):
     pass
+
+
+def _check_built_from(path, found: str | None, cfg: ExperimentConfig, artifact: str) -> None:
+    """Refuse the artifact at path unless found, its built_from (None if absent), is built_from(cfg, artifact)."""
+    if found != built_from(cfg, artifact):
+        why = "carries no built_from" if found is None else f"was built from another config (built_from={found})"
+        redo = {"dataset": "re-run `rholoss prepare`", "il": "re-run `rholoss train-il`",
+                "run": "remove it and re-run `rholoss run`"}[artifact]
+        raise CliError(f"{path} {why}; {redo}")
 
 
 def _resolve_out(args, cfg: ExperimentConfig) -> Path:
@@ -138,13 +146,13 @@ def cmd_prepare(cfg: ExperimentConfig, out: Path) -> int:
     pool, holdout, test = prepare_datasets(cfg)
     ddir = out / "dataset"
     ddir.mkdir(parents=True, exist_ok=True)
-    chash = config_hash(cfg)
-    manifest = {"config_hash": chash, "dataset_config_hash": dataset_config_hash(cfg), "files": {}}
+    dhash = built_from(cfg, "dataset")
+    manifest = {"built_from": dhash, "files": {}}
     parts = {"train": pool, "test": test}
     if holdout is not None:
         parts["holdout"] = holdout
     for name, ds in parts.items():
-        datamod.save_dataset_csv(ds, ddir / f"{name}.csv", config_hash=chash, seed=cfg.dataset.split.seed)
+        datamod.save_dataset_csv(ds, ddir / f"{name}.csv", built_from=dhash, seed=cfg.dataset.split.seed)
         manifest["files"][name] = {
             "sha256": datamod.dataset_hash(ds),
             "n": ds.n,
@@ -169,8 +177,7 @@ def _load_prepared(out: Path, cfg: ExperimentConfig, names: tuple[str, ...]) -> 
         raise CliError(f"no prepared dataset under {ddir}; run `rholoss prepare` first")
     with open(manifest_path) as f:
         manifest = json.load(f)
-    if manifest["dataset_config_hash"] != dataset_config_hash(cfg):
-        raise CliError("prepared dataset was built from a different dataset config (hash mismatch); re-run prepare")
+    _check_built_from(manifest_path, manifest.get("built_from"), cfg, "dataset")
     splits = []
     for name in names:
         if name not in manifest["files"]:
@@ -188,7 +195,7 @@ def _save_checkpoint_log(log, path, chash: str, seed: int) -> None:
     write_table(
         path,
         "checkpoint-log",
-        {"config_hash": chash, "seed": seed},
+        {"built_from": chash, "seed": seed},
         ["epoch", "val_loss", "val_accuracy", "selected"],
         ([e + 1, repr(loss), repr(acc), int(e == best)]
          for e, (loss, acc) in enumerate(zip(log.val_losses, log.val_accuracies))),
@@ -201,7 +208,7 @@ def cmd_train_il(cfg: ExperimentConfig, out: Path) -> int:
     pool, holdout = _load_prepared(out, cfg, ("train", "holdout"))
     ildir = out / "il"
     ildir.mkdir(parents=True, exist_ok=True)
-    chash = config_hash(cfg)
+    chash = built_from(cfg, "il")
     il = cfg.il
     kwargs = dict(_il_train_kwargs(il), dropout_rate=il.dropout)
     if il.scheme == "holdout":
@@ -218,22 +225,9 @@ def cmd_train_il(cfg: ExperimentConfig, out: Path) -> int:
         save_model(model_b, ildir / "il_model_b.npz")
         _save_checkpoint_log(log_a, ildir / "checkpoint_log_a.csv", chash, il.seed)
         _save_checkpoint_log(log_b, ildir / "checkpoint_log_b.csv", chash, il.seed)
-    save_il_table(table, ildir / "il_table.csv", config_hash=chash, il_config_hash=il_config_hash(cfg))
+    save_il_table(table, ildir / "il_table.csv", built_from=chash)
     print(f"wrote {ildir / 'il_table.csv'} ({table.ids.size} entries, scheme={table.scheme})")
     return 0
-
-
-def _check_il_artifacts(out: Path, cfg: ExperimentConfig) -> None:
-    """Refuse the IL artifacts under out (the table, and the model beside it)
-    unless train-il built them from this config's dataset and il sections."""
-    path = out / "il" / "il_table.csv"
-    if not path.exists():
-        raise CliError(f"no IL table under {path.parent}; run `rholoss train-il` first")
-    with open(path) as f:
-        built_from = read_header(f.readline(), "il-table", path).get("il_config_hash")
-    if built_from != il_config_hash(cfg):
-        raise CliError(f"{path} was built from a different dataset or il config (hash mismatch); "
-                       "re-run `rholoss train-il`")
 
 
 def _record_path(out: Path, policy_kind: str, seed: int) -> Path:
@@ -249,7 +243,7 @@ def _run_one(payload) -> str:
     cfg, out_dir, policy_kind, seed, pool, test, table = payload
     out = Path(out_dir)
     run = cfg.run
-    chash = config_hash(cfg)
+    chash = built_from(cfg, "run")
     policy = replace(run.policy, kind=policy_kind) if policy_kind != run.policy.kind else run.policy
     train_pool = pool
     if policy_kind == "svp-entropy":
@@ -282,13 +276,13 @@ def _run_one(payload) -> str:
     dump_path = out / "runs" / f"scores_{policy_kind}_seed{seed}.csv"
     with atomic_write(dump_path) if run.dump_scores else contextlib.nullcontext() as dump:
         if dump is not None:
-            dump.write(header_line("scores", {"config_hash": chash, "seed": seed}))
+            dump.write(header_line("scores", {"built_from": chash, "seed": seed}))
         if il_model is not None:
             record = run_original_selection(train_pool, test, il_model, run_cfg, model, score_dump=dump)
         else:
             record = run_training(train_pool, test, table, run_cfg, model, score_dump=dump)
     record.policy = policy_kind
-    record.config_hash = chash
+    record.built_from = chash
     path = _record_path(out, policy_kind, seed)
     save_run_record(record, path)
     return str(path)
@@ -297,8 +291,8 @@ def _run_one(payload) -> str:
 def cmd_run(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = False) -> int:
     """Train every queued (policy, seed) run. The prepared train and test
     splits, and the IL table when a frozen-mode policy needs it, are read
-    once here and handed to each run. A policy that needs IL values first
-    checks that the IL artifacts were built from this config."""
+    once here and handed to each run. The records --resume skips, and the
+    IL table of a policy that needs IL values, must carry its built_from."""
     if cfg.run is None:
         raise CliError("config has no run section")
     policies = [cfg.run.policy.kind]
@@ -312,19 +306,24 @@ def cmd_run(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = Fals
                 if not resume:
                     raise CliError(f"{path} already exists; pass --resume to skip completed runs")
                 try:
-                    load_run_record(path)
-                    continue  # complete record, skip
+                    found = load_run_record(path).built_from
                 except Exception as exc:
                     raise CliError(f"{path} exists but cannot be parsed ({exc}); remove it manually") from exc
+                _check_built_from(path, found, cfg, "run")
+                continue  # complete record, skip
             todo.append((kind, seed))
     if not todo:
         return 0
     pool, test = _load_prepared(out, cfg, ("train", "test"))
     table = None
     if any(kind in NEEDS_IL for kind, _ in todo):
-        _check_il_artifacts(out, cfg)
+        path = out / "il" / "il_table.csv"
+        if not path.exists():
+            raise CliError(f"no IL table under {path.parent}; run `rholoss train-il` first")
+        with open(path) as f:
+            _check_built_from(path, read_header(f.readline(), "il-table", path).get("built_from"), cfg, "il")
         if cfg.run.il_update_mode == "frozen":
-            table = load_il_table(out / "il" / "il_table.csv")
+            table = load_il_table(path)
     (out / "runs").mkdir(parents=True, exist_ok=True)
     payloads = [(cfg, str(out), kind, seed, pool, test, table if kind in NEEDS_IL else None) for kind, seed in todo]
     if jobs > 1 and len(payloads) > 1:
@@ -346,15 +345,15 @@ def _aggregate_epochs(values: list[int | None]) -> str:
 
 
 def cmd_report(cfg: ExperimentConfig, out: Path, records_glob: str | None = None) -> int:
+    if cfg.run is None:
+        raise CliError("config has no run section")
     pattern = records_glob or str(out / "runs" / "record_*.csv")
     paths = sorted(globlib.glob(pattern))
     if not paths:
         raise CliError(f"no run records match {pattern!r}")
     records = [load_run_record(p) for p in paths]
-    hashes = {r.config_hash for r in records}
-    if len(hashes) > 1:
-        raise CliError(f"refusing to mix records from different configs: {sorted(hashes)}")
-    chash = hashes.pop()
+    for path, record in zip(paths, records):
+        _check_built_from(path, record.built_from, cfg, "run")
     by_policy: dict[str, list[RunRecord]] = {}
     for r in records:
         by_policy.setdefault(r.policy, []).append(r)
@@ -362,8 +361,8 @@ def cmd_report(cfg: ExperimentConfig, out: Path, records_glob: str | None = None
         recs.sort(key=lambda r: r.seed)
     rdir = out / "reports"
     rdir.mkdir(parents=True, exist_ok=True)
-    targets = cfg.run.targets if cfg.run is not None else ()
-    meta = {"config_hash": chash, "seeds": ";".join(str(seed) for seed in sorted({r.seed for r in records}))}
+    seeds = ";".join(str(seed) for seed in sorted({r.seed for r in records}))
+    meta = {"built_from": built_from(cfg, "run"), "seeds": seeds}
 
     def write(kind: str, columns: list[str], rows) -> None:
         write_table(rdir / f"{kind}.csv", "report", {**meta, "kind": kind}, columns, rows)
@@ -376,7 +375,7 @@ def cmd_report(cfg: ExperimentConfig, out: Path, records_glob: str | None = None
     rows = []
     for policy, recs in policies:
         mean_final = repr(float(np.mean([r.final_accuracy() for r in recs])))
-        for target in targets:
+        for target in cfg.run.targets:
             reached = [epochs_to_target(r, target) for r in recs]
             rows.append([policy, repr(float(target)), _aggregate_epochs(reached),
                          sum(v is not None for v in reached), len(recs), mean_final])
@@ -420,7 +419,7 @@ def cmd_ladder(cfg: ExperimentConfig, out: Path) -> int:
         rows += [[name, "mean", repr(res.mean_rho)], [name, "frac_positive", repr(res.frac_positive)]]
         if res.reference_rho is not None:
             rows.append([name, "reference", repr(res.reference_rho)])
-    write_table(path, "ladder", {"config_hash": config_hash(cfg), "seed": cfg.ladder.seed},
+    write_table(path, "ladder", {"built_from": built_from(cfg, "ladder"), "seed": cfg.ladder.seed},
                 ["rung", "step", "rho"], rows)
     for name, res in results.items():
         ref = f" (reference {res.reference_rho})" if res.reference_rho is not None else ""

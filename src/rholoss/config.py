@@ -10,9 +10,8 @@ dotted key. A check that spans keys lives in the __post_init__ of the
 narrowest dataclass that holds them.
 
 The parsed config is the only form kept; `as_dict` writes it out as plain
-data. The config hash is taken over that form, so it reflects what a config
-means, not how it is written; it covers everything except run.seeds (seeds
-vary within one experiment) and output_dir.
+data. built_from hashes the slice of that form an artifact is built from, so
+it reflects what a config means, not how it is written.
 """
 from __future__ import annotations
 
@@ -63,7 +62,7 @@ class SyntheticSpec:
     per_class: int = _field(100, bounds="[1, inf)")
     dim: int = _field(32, bounds="[1, inf)")
     spread: float = _field(1.0, bounds="(0, inf)")
-    radius: float = 3.0
+    radius: float = _field(3.0, bounds="[0, inf)")
     seed: int = _field(0, bounds="[0, inf)")
 
 
@@ -356,24 +355,20 @@ def _hash(d: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def config_hash(cfg: ExperimentConfig) -> str:
-    """Stable hash of the experiment, excluding seeds-of-record and output dir."""
+def built_from(cfg: ExperimentConfig, artifact: str) -> str:
+    """The hash of the config slice that artifacts of one kind are built
+    from: dataset (the dataset section and il.scheme), il (that and il), run
+    (that and run without seeds, targets and dump_scores, and il when the
+    policy reads IL values or trains svp-entropy's proxy) or ladder (that
+    and ladder). An edit outside the slice keeps the artifact valid."""
     d = as_dict(cfg)
-    del d["output_dir"]
-    if d["run"] is not None:
-        del d["run"]["seeds"]
-    return _hash(d)
-
-
-def dataset_config_hash(cfg: ExperimentConfig) -> str:
-    """Hash of everything the prepared dataset artifacts depend on: the
-    dataset pipeline plus the holdout scheme (which decides whether a holdout
-    split is carved at all)."""
-    return _hash({"dataset": as_dict(cfg)["dataset"], "scheme": cfg.il.scheme if cfg.il is not None else "holdout"})
-
-
-def il_config_hash(cfg: ExperimentConfig) -> str:
-    """Hash of everything the IL artifacts depend on: the prepared dataset
-    (as dataset_config_hash) plus the il section, so editing run or ladder
-    keeps them valid."""
-    return _hash({"dataset": dataset_config_hash(cfg), "il": as_dict(cfg)["il"]})
+    dataset = _hash({"dataset": d["dataset"], "scheme": cfg.il.scheme if cfg.il is not None else "holdout"})
+    if artifact == "dataset":
+        return dataset
+    part = {"dataset": dataset, artifact: d[artifact]}
+    if artifact == "run" and cfg.run is not None:
+        for key in ("seeds", "targets", "dump_scores"):
+            del part["run"][key]
+        if cfg.run.policy.needs_il or cfg.run.policy.kind == "svp-entropy":
+            part["il"] = d["il"]
+    return _hash(part)

@@ -348,8 +348,8 @@ def save_dataset_csv(ds: LabeledDataset, path, **provenance) -> None:
     """Cache format: one row per example,
     id,label,original_label,corrupted,low_relevance,duplicate_of,feature_0..d-1.
 
-    provenance keywords (e.g. config_hash=..., seed=...) are appended to the
-    header line as extra key=value fields."""
+    provenance keywords (prepare passes built_from=... and seed=...) are
+    appended to the header line as extra key=value fields."""
     write_numeric_table(
         path,
         "dataset",

@@ -19,7 +19,7 @@ from .config import IlSection, OptimizerSettings
 from .data import LabeledDataset
 from .nn import MlpModel, batched_logits, cross_entropy, evaluate, init_mlp, model_id
 from .optim import OptimizerState, make_optimizer, train_epoch, train_step
-from .records import read_numeric_header, read_numeric_rows, write_numeric_table
+from .records import read_numeric_header, read_numeric_rows, write_table
 
 
 @dataclass
@@ -76,7 +76,11 @@ class IrreducibleLossTable:
         return bool(self._positions(ids)[1].all())
 
     def content_hash(self) -> str:
-        rows = "".join(map("%d:%r;".__mod__, zip(self.ids.tolist(), self.values.tolist())))
+        return self._content_hash(map(repr, self.values.tolist()))
+
+    def _content_hash(self, reprs) -> str:
+        """content_hash from reprs, the values' reprs in order."""
+        rows = "".join(map("%d:%s;".__mod__, zip(self.ids.tolist(), reprs)))
         return hashlib.sha256((rows + self.scheme).encode()).hexdigest()
 
 
@@ -173,17 +177,18 @@ def update_il_model(il_model: MlpModel, opt_state: OptimizerState, x, labels, rn
     return il_model, opt_state
 
 
-def save_il_table(table: IrreducibleLossTable, path, **built_from: str) -> None:
+def save_il_table(table: IrreducibleLossTable, path, **provenance: str) -> None:
     """The table as a headed CSV, one id,il_value row per id in ascending
-    order; built_from (the hashes of the config that built it) leads the
-    header fields."""
-    write_numeric_table(
+    order; provenance (train-il passes built_from=...) leads the header
+    fields. Each value is formatted once, for both the rows and the
+    content hash."""
+    reprs = list(map(repr, table.values.tolist()))
+    write_table(
         path,
         "il-table",
-        {**built_from, "provenance": table.content_hash(), "scheme": table.scheme},
+        {**provenance, "provenance": table._content_hash(reprs), "scheme": table.scheme},
         ["id", "il_value"],
-        table.ids[:, None],
-        table.values[:, None],
+        zip(table.ids.tolist(), reprs),
     )
 
 

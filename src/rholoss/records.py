@@ -3,18 +3,17 @@
 Every file starts with a `# rholoss-<tag> v1 key=value ...` header line
 (header_line / read_header); plain tables follow it with a column row and
 csv rows (write_table / read_table), written atomically through
-atomic_write so a partial file never appears. Tables of numbers only (the
-dataset cache and the IL table) take the same bytes through
-write_numeric_table / read_numeric_header and read_numeric_rows, which
-format one row with one `%` and parse the whole body with one np.loadtxt
-pass.
+atomic_write so a partial file never appears. The dataset cache takes the
+same bytes through write_numeric_table, which formats one row with one `%`;
+it and the IL table are read through read_numeric_header and
+read_numeric_rows, which parse the whole body with one np.loadtxt pass.
 
 A record file is a single CSV with three sections. Byte-for-byte determinism
 matters (it is how reproducibility is audited), so floats are written with
 repr and the only run-to-run variable field is the generated_at timestamp in
 the header.
 
-    # rholoss-run-record v1 config_hash=<hex> seed=<int> policy=<kind> generated_at=<iso>
+    # rholoss-run-record v1 built_from=<hex> seed=<int> policy=<kind> generated_at=<iso>
     [steps]
     step,epoch,selected_ids,mean_score
     [evals]
@@ -64,7 +63,7 @@ class CompositionRow:
 class RunRecord:
     policy: str
     seed: int
-    config_hash: str = "-"
+    built_from: str | None = "-"  # None when read from a file whose header has none
     steps: list[StepRow] = field(default_factory=list)
     evals: list[EvalRow] = field(default_factory=list)
     compositions: list[CompositionRow] = field(default_factory=list)
@@ -213,7 +212,7 @@ def save_run_record(record: RunRecord, path, generated_at: str | None = None) ->
     """Atomic write (tmp + rename) so partial files never appear."""
     if generated_at is None:
         generated_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    meta = {"config_hash": record.config_hash, "seed": record.seed, "policy": record.policy,
+    meta = {"built_from": record.built_from, "seed": record.seed, "policy": record.policy,
             "generated_at": generated_at}
     with atomic_write(path, newline="") as f:
         f.write(header_line("run-record", meta))
@@ -243,7 +242,7 @@ def save_run_record(record: RunRecord, path, generated_at: str | None = None) ->
 def load_run_record(path) -> RunRecord:
     with open(path, newline="") as f:
         meta = read_header(f.readline(), "run-record", path)
-        record = RunRecord(policy=meta["policy"], seed=int(meta["seed"]), config_hash=meta["config_hash"])
+        record = RunRecord(policy=meta["policy"], seed=int(meta["seed"]), built_from=meta.get("built_from"))
         section = None
         reader = csv.reader(f)
         for row in reader:

@@ -395,7 +395,7 @@ def test_criterion_15_determinism(tmp_path):
         model = nn.init_mlp((pool.dim, 32, pool.num_classes), seed=4001)
         cfg = RunConfig(policy=SelectionPolicy(kind="rho-loss"), n_b=8, n_B=80, epochs=3, seed=5)
         record = run_training(pool, test, table, cfg, model)
-        record.config_hash = "fixed"
+        record.built_from = "fixed"
         save_run_record(record, path)
 
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

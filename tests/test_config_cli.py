@@ -5,6 +5,7 @@ import re
 import shutil
 import types
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,9 +26,7 @@ from rholoss.config import (
     RunSection,
     SyntheticSpec,
     as_dict,
-    config_hash,
-    dataset_config_hash,
-    il_config_hash,
+    built_from,
     load_config,
     parse_config,
     sweep_configs,
@@ -166,6 +165,10 @@ def test_config_rejects_bad_values(tmp_path):
         ({"ladder.optimizer": {"kind": "adamw", "learning_rate": 2.0, "weight_decay": 9.0}}, "ladder.optimizer"),
         # round(0.06 * 4) keeps none of a subsampled class
         ({"dataset.synthetic.per_class": 4, "dataset.relevance": {"keep_frac": 0.06}}, "dataset.relevance.keep_frac"),
+        # an infinite radius would scale the class means to non-finite features
+        ({"dataset.synthetic.radius": math.inf}, "dataset.synthetic.radius"),
+        ({"dataset.synthetic.radius": math.nan}, "dataset.synthetic.radius"),
+        ({"dataset.synthetic.radius": -1.0}, "dataset.synthetic.radius"),
     ],
 )
 def test_config_errors_name_the_key_before_any_output(tmp_path, capsys, overrides, key):
@@ -192,12 +195,27 @@ def test_config_accepts_yaml_exponent_floats(tmp_path):
             load_config(write_config(tmp_path, {"run.optimizer.learning_rate": bad}))
 
 
-def test_config_hash_excludes_seeds_and_output_dir(tmp_path):
-    a = load_config(write_config(tmp_path, name="a.yaml"))
-    b = load_config(write_config(tmp_path, {"run.seeds": [7, 8, 9], "output_dir": "/elsewhere"}, name="b.yaml"))
-    c = load_config(write_config(tmp_path, {"run.n_b": 5}, name="c.yaml"))
-    assert config_hash(a) == config_hash(b)
-    assert config_hash(a) != config_hash(c)
+ARTIFACTS = ("dataset", "il", "run", "ladder")
+
+
+@pytest.mark.parametrize(
+    "base, edit, changed",
+    [
+        ({}, {"output_dir": "/elsewhere", "run.seeds": [7, 8, 9], "run.targets": [], "run.dump_scores": True}, ()),
+        ({}, {"dataset.noise.p": 0.2}, ARTIFACTS),
+        ({}, {"il.scheme": "two-halves"}, ARTIFACTS),  # the scheme decides whether a holdout is carved
+        ({}, {"il.epochs": 4}, ("il", "run")),  # rho-loss reads IL values
+        ({"run.policy.kind": "uniform"}, {"il.epochs": 4}, ("il",)),
+        ({"run.policy.kind": "svp-entropy"}, {"il.epochs": 4}, ("il", "run")),  # the proxy is trained as il says
+        ({}, {"run.n_b": 5}, ("run",)),
+        ({}, {"run.eval_every": 5}, ("run",)),
+        ({}, {"ladder.n_B": 40}, ("ladder",)),
+    ],
+)
+def test_built_from_changes_only_with_the_slice_of_its_artifact(tmp_path, base, edit, changed):
+    a = load_config(write_config(tmp_path, base, name="a.yaml"))
+    b = load_config(write_config(tmp_path, {**base, **edit}, name="b.yaml"))
+    assert [kind for kind in ARTIFACTS if built_from(a, kind) != built_from(b, kind)] == list(changed)
 
 
 def test_original_mode_rejects_two_halves(tmp_path):
@@ -261,6 +279,12 @@ _SECTIONS_IN_RANGE = dict(
     run=_in_range_section(RunSection),
     ladder=_in_range_section(LadderConfig),
 )
+
+# The run keys that vary, or only add output, within one experiment.
+_RUN_EXTRAS = st.fixed_dictionaries({
+    f.name: _in_range(typing.get_type_hints(RunSection)[f.name], f.metadata)
+    for f in dataclasses.fields(RunSection) if f.name in ("seeds", "targets", "dump_scores")
+})
 
 
 def _parse_in_range(dataset, il, run, ladder):
@@ -331,14 +355,26 @@ def _respelled(draw, node):
 
 @settings(max_examples=100, deadline=None)
 @given(**_SECTIONS_IN_RANGE, data=st.data())
-def test_the_config_hash_follows_what_the_config_means_not_how_it_is_written(dataset, il, run, ladder, data):
+def test_built_from_follows_what_the_config_means_not_how_it_is_written(dataset, il, run, ladder, data):
     cfg = _parse_in_range(dataset, il, run, ladder)
     assert parse_config(as_dict(cfg)) == cfg
     # every default written out, keys shuffled and floats respelled
     other = parse_config(_respelled(data.draw, as_dict(cfg)))
     assert other == cfg
-    assert config_hash(other) == config_hash(cfg)
-    assert dataset_config_hash(other) == dataset_config_hash(cfg)
+    for kind in ARTIFACTS:
+        assert built_from(other, kind) == built_from(cfg, kind)
+    # a run's slice leaves out its seeds, targets and score dump, and the ladder
+    edited = _parse_in_range(dataset, il, {**run, **data.draw(_RUN_EXTRAS)}, data.draw(_SECTIONS_IN_RANGE["ladder"]))
+    for kind in ("dataset", "il", "run"):
+        assert built_from(edited, kind) == built_from(cfg, kind)
+    # and keeps eval_every, and il under a policy that reads IL values
+    d = as_dict(cfg)
+    d["run"]["eval_every"] = (cfg.run.eval_every or 0) + 1
+    assert built_from(parse_config(d), "run") != built_from(cfg, "run")
+    rho = {**run, "policy": {"kind": "rho-loss"}}
+    a = _parse_in_range(dataset, il, rho, ladder)
+    b = _parse_in_range(dataset, data.draw(_SECTIONS_IN_RANGE["il"]), rho, ladder)
+    assert (built_from(a, "run") == built_from(b, "run")) == (a.il == b.il)
 
 
 def test_default_sweep_grid_is_3x3x3():
@@ -373,7 +409,7 @@ def test_prepare_writes_dataset_and_manifest(prepared):
     assert abs(count - 0.1 * train.n) < 3 * np.sqrt(train.n * 0.1 * 0.9)
     # header carries provenance
     header = open(ddir / "train.csv").readline()
-    assert "config_hash=" in header
+    assert f" built_from={manifest['built_from']} " in header
 
 
 def test_run_refuses_a_changed_dataset_cache(prepared, capsys):
@@ -499,10 +535,140 @@ def test_run_accepts_il_artifacts_after_a_run_edit(tmp_path):
     path = out / "il" / "il_table.csv"
     meta = read_header(path.read_text().splitlines()[0], "il-table", path)
     trained, cfg = load_config(tmp_path / "config.yaml"), load_config(edited)
-    assert meta["config_hash"] == config_hash(trained) != config_hash(cfg)
-    assert meta["il_config_hash"] == il_config_hash(trained) == il_config_hash(cfg)
+    assert meta["built_from"] == built_from(trained, "il") == built_from(cfg, "il")
+    assert built_from(trained, "run") != built_from(cfg, "run")
     assert main(["run", "--config", str(edited), "--out", str(out)]) == 0
     assert len(load_run_record(out / "runs" / "record_rho-loss_seed1.csv").epoch_accuracies()) == 2
+
+
+# The artifact kind of config.built_from behind each header tag.
+_KIND_OF_TAG = {"dataset": "dataset", "il-table": "il", "checkpoint-log": "il", "run-record": "run",
+                "scores": "run", "report": "run", "ladder": "ladder"}
+
+
+def test_every_artifact_carries_the_built_from_of_its_slice(tmp_path):
+    cfg_path = write_config(tmp_path, {"run.dump_scores": True})
+    out = tmp_path / "out"
+    for command in ("prepare", "train-il", "run", "report", "ladder"):
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+    cfg = load_config(cfg_path)
+    tags = set()
+    for path in sorted(p for p in out.rglob("*") if p.is_file() and p.suffix == ".csv"):
+        line = path.read_text().splitlines()[0]
+        tag = line.split()[1].removeprefix("rholoss-")
+        meta = read_header(line, tag, path)
+        assert meta["built_from"] == built_from(cfg, _KIND_OF_TAG[tag]), path
+        assert not [key for key in meta if "config_hash" in key], path
+        tags.add(tag)
+    assert tags == set(_KIND_OF_TAG)
+    manifest = json.loads((out / "dataset" / "manifest.json").read_text())
+    assert sorted(manifest) == ["built_from", "files"]
+    assert manifest["built_from"] == built_from(cfg, "dataset")
+
+
+EXAMPLE_CONFIG = Path(__file__).parent.parent / "configs" / "noisy_synthetic.yaml"
+
+
+@pytest.fixture(scope="module")
+def example_built(tmp_path_factory):
+    """The example config with seeds [1], after prepare, train-il and run."""
+    root = tmp_path_factory.mktemp("example")
+    raw = yaml.safe_load(EXAMPLE_CONFIG.read_text())
+    raw["run"]["seeds"] = [1]
+    (root / "config.yaml").write_text(yaml.safe_dump(raw))
+    for command in ("prepare", "train-il", "run"):
+        assert main([command, "--config", str(root / "config.yaml"), "--out", str(root / "out")]) == 0
+    return raw, root / "out"
+
+
+@pytest.fixture()
+def example(example_built, tmp_path):
+    """A copy of the built example: (a function that writes the example
+    config with an edit applied and returns its path, the copied output dir)."""
+    raw, built = example_built
+    out = tmp_path / "out"
+    shutil.copytree(built, out)
+
+    def edited(edit=lambda raw: None):
+        copy = json.loads(json.dumps(raw))
+        edit(copy)
+        path = tmp_path / "edited.yaml"
+        path.write_text(yaml.safe_dump(copy))
+        return str(path)
+
+    return edited, out
+
+
+def _raise_every_learning_rate(raw):
+    for section in ("il", "run", "ladder"):
+        raw[section]["optimizer"]["learning_rate"] = 0.002
+
+
+def _tree(path):
+    return {p.relative_to(path): p.read_bytes() for p in sorted(path.rglob("*")) if p.is_file()}
+
+
+def test_run_resume_refuses_a_record_built_from_another_run_config(example, capsys):
+    edited, out = example
+    runs = _tree(out / "runs")
+    capsys.readouterr()
+    assert main(["run", "--config", edited(_raise_every_learning_rate), "--out", str(out), "--resume"]) == 1
+    err = capsys.readouterr().err
+    assert "runs/record_rho-loss_seed1.csv" in err and "`rholoss run`" in err
+    assert _tree(out / "runs") == runs
+
+
+def test_report_refuses_records_built_from_another_run_config(example, capsys):
+    edited, out = example
+    assert main(["report", "--config", edited(_raise_every_learning_rate), "--out", str(out)]) == 1
+    assert "`rholoss run`" in capsys.readouterr().err
+    assert not (out / "reports").exists()
+
+
+def test_a_ladder_edit_keeps_the_run_records_valid(example):
+    edited, out = example
+
+    def edit(raw):
+        raw["ladder"]["n_B"] = 200
+        raw["run"]["seeds"] = [1, 2]
+
+    cfg_path = edited(edit)
+    assert main(["run", "--config", cfg_path, "--out", str(out), "--resume"]) == 0
+    assert main(["report", "--config", cfg_path, "--out", str(out)]) == 0
+    assert " seeds=1;2 " in (out / "reports" / "accuracy.csv").read_text().splitlines()[0]
+    first, second = (load_run_record(out / "runs" / f"record_rho-loss_seed{seed}.csv") for seed in (1, 2))
+    assert second.built_from == first.built_from == built_from(load_config(cfg_path), "run")
+
+
+def _without_built_from(path):
+    """Rewrite the artifact at path as a writer that predates built_from did,
+    with the config hashes it used in its place."""
+    if path.suffix == ".json":
+        manifest = json.loads(path.read_text())
+        if "built_from" in manifest:
+            h = manifest.pop("built_from")
+            path.write_text(json.dumps({"config_hash": h, "dataset_config_hash": h, **manifest}))
+        return
+    old = r" config_hash=\1 il_config_hash=\1" if path.name == "il_table.csv" else r" config_hash=\1"
+    path.write_bytes(re.sub(rb" built_from=(\w+)", old.encode(), path.read_bytes(), count=1))
+
+
+@pytest.mark.parametrize(
+    "artifact, command, stage",
+    [
+        ("runs/record_rho-loss_seed1.csv", ["run", "--resume"], "run"),
+        ("runs/record_uniform_seed1.csv", ["report"], "run"),
+        ("dataset/manifest.json", ["train-il"], "prepare"),
+        ("il/il_table.csv", ["run", "--seed-override", "2"], "train-il"),
+    ],
+)
+def test_an_artifact_without_built_from_is_refused_naming_the_stage_to_re_run(example, capsys, artifact, command, stage):
+    edited, out = example
+    _without_built_from(out / artifact)
+    capsys.readouterr()
+    assert main([command[0], "--config", edited(), "--out", str(out), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert f"{out / artifact} carries no built_from" in err and f"`rholoss {stage}`" in err
 
 
 def test_run_emits_record_per_policy_and_seed(prepared):
@@ -520,7 +686,7 @@ def test_run_emits_record_per_policy_and_seed(prepared):
     rec = load_run_record(out / "runs" / "record_rho-loss_seed1.csv")
     assert rec.policy == "rho-loss" and rec.seed == 1
     cfg = load_config(cfg_path)
-    assert rec.config_hash == config_hash(cfg)
+    assert rec.built_from == built_from(cfg, "run")
 
 
 def test_run_three_seeds_three_records(tmp_path):
@@ -584,7 +750,7 @@ def test_report_aggregates_and_refuses_mixed_hashes(prepared, tmp_path):
     assert float(last_rho.split(",")[3]) == pytest.approx(expected, abs=1e-12)
     # wrong-hash record is rejected
     bad = load_run_record(out / "runs" / "record_uniform_seed1.csv")
-    bad.config_hash = "deadbeef"
+    bad.built_from = "deadbeef"
     from rholoss.records import save_run_record
 
     save_run_record(bad, out / "runs" / "record_uniform_seed1.csv")
@@ -717,7 +883,7 @@ def test_dump_scores_via_cli_carries_provenance(tmp_path):
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
     lines = (out / "runs" / "scores_rho-loss_seed1.csv").read_text().splitlines()
     cfg = load_config(cfg_path)
-    assert lines[0] == f"# rholoss-scores v1 config_hash={config_hash(cfg)} seed=1"
+    assert lines[0] == f"# rholoss-scores v1 built_from={built_from(cfg, 'run')} seed=1"
     assert lines[1] == "step,id,score,selected"
     rec = load_run_record(out / "runs" / "record_rho-loss_seed1.csv")
     train = data.load_dataset_csv(out / "dataset" / "train.csv")

@@ -358,8 +358,8 @@ def _datasets(draw):
 def test_dataset_cache_matches_the_csv_module_oracle(tmp_path_factory, ds):
     folder = tmp_path_factory.mktemp("cache")
     path, oracle_path = folder / "cache.csv", folder / "oracle.csv"
-    data.save_dataset_csv(ds, path, config_hash="0123abcd", seed=7)
-    save_dataset_csv_oracle(ds, oracle_path, config_hash="0123abcd", seed=7)
+    data.save_dataset_csv(ds, path, built_from="0123abcd", seed=7)
+    save_dataset_csv_oracle(ds, oracle_path, built_from="0123abcd", seed=7)
     assert path.read_bytes() == oracle_path.read_bytes()
     back, oracle = data.load_dataset_csv(path), load_dataset_csv_oracle(path)
     assert back.num_classes == oracle.num_classes

@@ -243,8 +243,8 @@ def test_il_table_roundtrips_any_ids_and_values(tmp_path_factory, values, scheme
     folder = tmp_path_factory.mktemp("table")
     path, oracle_path = folder / "table.csv", folder / "oracle.csv"
     table = IrreducibleLossTable(list(values), list(values.values()), scheme=scheme)
-    save_il_table(table, path, il_config_hash="00ff")
-    save_il_table_oracle(values, scheme, oracle_path, il_config_hash="00ff")
+    save_il_table(table, path, built_from="00ff")
+    save_il_table_oracle(values, scheme, oracle_path, built_from="00ff")
     assert path.read_bytes() == oracle_path.read_bytes()
     assert table.content_hash() == il_content_hash_oracle(values, scheme)
     back = load_il_table(path)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import rholoss
 from rholoss import cli, nn, records
-from rholoss.config import parse_config
+from rholoss.config import built_from, parse_config
 from rholoss.data import load_dataset_csv
 from rholoss.ilmodel import IrreducibleLossTable, load_il_table, save_il_table
 from rholoss.records import (
@@ -49,7 +49,7 @@ _RECORDS = st.builds(
     RunRecord,
     policy=st.sampled_from(["uniform", "rho-loss", "grad-norm-is", "bald"]),
     seed=st.integers(0, 2**63),
-    config_hash=st.text("0123456789abcdef", min_size=1, max_size=16),
+    built_from=st.text("0123456789abcdef", min_size=1, max_size=16),
     steps=st.lists(st.builds(StepRow, st.integers(0, 10**6), st.integers(1, 100),
                              st.lists(st.integers(-(2**62), 2**62), max_size=6).map(tuple), _FLOATS), max_size=6),
     evals=st.lists(st.builds(EvalRow, st.integers(0, 10**6), st.integers(1, 100), st.booleans(),
@@ -184,7 +184,7 @@ def test_failed_report_write_leaves_no_file_and_no_tmp(tmp_path, monkeypatch):
                         "run": {"policy": {"kind": "uniform"}, "targets": [0.5]}})
     (tmp_path / "runs").mkdir()
     for seed in (1, 2):
-        record = RunRecord("uniform", seed, "abc", evals=[EvalRow(10, 1, True, 0.25 * seed, 1.0)],
+        record = RunRecord("uniform", seed, built_from(cfg, "run"), evals=[EvalRow(10, 1, True, 0.25 * seed, 1.0)],
                            compositions=[CompositionRow(1, 4, 0.25, 0.0, 0.5)])
         save_run_record(record, tmp_path / "runs" / f"record_uniform_seed{seed}.csv")
     _fill_the_disk_after_two_writes(monkeypatch)

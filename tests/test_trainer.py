@@ -498,13 +498,13 @@ def test_run_record_csv_roundtrip(tmp_path):
     cfg = quick_cfg(epochs=2, eval_every=3, seed=28)
     model = nn.init_mlp((pool.dim, 8, pool.num_classes), seed=16)
     record = run_training(pool, test, None, cfg, model)
-    record.config_hash = "abc123"
+    record.built_from = "abc123"
     path = tmp_path / "record.csv"
     save_run_record(record, path)
     back = load_run_record(path)
     assert back.policy == record.policy
     assert back.seed == record.seed
-    assert back.config_hash == "abc123"
+    assert back.built_from == "abc123"
     assert back.steps == record.steps
     assert back.evals == record.evals
     assert back.compositions == record.compositions
