@@ -14,7 +14,6 @@ from rholoss import (
     RunConfig,
     SelectionPolicy,
     compute_il_table,
-    compute_il_table_two_halves,
     epochs_to_target,
     gen_synthetic,
     init_mlp,
@@ -22,6 +21,7 @@ from rholoss import (
     run_training,
     split,
     train_il_model,
+    train_il_two_halves,
 )
 from rholoss.data import SplitSpec
 
@@ -37,7 +37,7 @@ half_a, half_b = split(pool, SplitSpec(seed=99, mode="two-halves"))
 tables = {
     "full holdout IL": compute_il_table(full, pool),
     "half-width IL": compute_il_table(small, pool),
-    "two-halves IL": compute_il_table_two_halves(half_a, half_b, hidden=(64, 64), epochs=30, seed=2),
+    "two-halves IL": train_il_two_halves(half_a, half_b, hidden=(64, 64), epochs=30, seed=2)[0],
 }
 print(f"full-width checkpoint at epoch {log_full.selected_epoch + 1}, "
       f"half-width at epoch {log_small.selected_epoch + 1}")

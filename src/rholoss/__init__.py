@@ -28,10 +28,10 @@ from .ilmodel import (
     CheckpointLog,
     IrreducibleLossTable,
     compute_il_table,
-    compute_il_table_two_halves,
     load_il_table,
     save_il_table,
     train_il_model,
+    train_il_two_halves,
     update_il_model,
 )
 from .ladder import LadderConfig, RungResult, run_ladder, train_to_convergence

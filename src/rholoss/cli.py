@@ -34,13 +34,7 @@ from .config import (
     parse_config,
     sweep_configs,
 )
-from .ilmodel import (
-    _two_halves_parts,
-    compute_il_table,
-    load_il_table,
-    save_il_table,
-    train_il_model,
-)
+from .ilmodel import compute_il_table, load_il_table, save_il_table, train_il_model, train_il_two_halves
 from .ladder import run_ladder
 from .nn import init_mlp, load_model, predict_labels, save_model
 from .records import (
@@ -130,8 +124,6 @@ def prepare_datasets(cfg: ExperimentConfig):
     if ds_cfg.noise.kind == "uniform":
         pool = datamod.inject_uniform_noise(pool, ds_cfg.noise.p, seed=ds_cfg.noise.seed)
     elif ds_cfg.noise.kind == "structured":
-        if cfg.il is None:
-            raise CliError("structured noise needs the il section (for the reference model)")
         ref_model, _ = train_il_model(pool, validation=pool, seed=cfg.il.seed + 101, **_il_train_kwargs(cfg.il))
         confusion = datamod.confusion_counts(pool.labels, predict_labels(ref_model, pool.features), pool.num_classes)
         pool = datamod.inject_structured_noise(
@@ -166,12 +158,12 @@ def cmd_prepare(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _load_prepared(out: Path, cfg: ExperimentConfig, names: tuple[str, ...]) -> list:
-    """Check the manifest against the config, then load the named splits
-    ("train", "holdout", "test"), in that order, and check each against the
-    manifest's content hash. A split the manifest does not list (holdout
-    under the two-halves scheme) comes back as None."""
-    ddir = out / "dataset"
+def _load_prepared(data_dir: Path, cfg: ExperimentConfig, names: tuple[str, ...]) -> list:
+    """Check the manifest under data_dir against the config, then load the
+    named splits ("train", "holdout", "test"), in that order, and check each
+    against the manifest's content hash. A split the manifest does not list
+    (holdout under the two-halves scheme) comes back as None."""
+    ddir = data_dir / "dataset"
     manifest_path = ddir / "manifest.json"
     if not manifest_path.exists():
         raise CliError(f"no prepared dataset under {ddir}; run `rholoss prepare` first")
@@ -220,7 +212,7 @@ def cmd_train_il(cfg: ExperimentConfig, out: Path) -> int:
         _save_checkpoint_log(log, ildir / "checkpoint_log.csv", chash, il.seed)
     else:
         half_a, half_b = datamod.split(pool, datamod.SplitSpec(0.5, seed=il.seed, mode="two-halves"))
-        table, model_a, model_b, log_a, log_b = _two_halves_parts(half_a, half_b, seed=il.seed, **kwargs)
+        table, model_a, model_b, log_a, log_b = train_il_two_halves(half_a, half_b, seed=il.seed, **kwargs)
         save_model(model_a, ildir / "il_model_a.npz")
         save_model(model_b, ildir / "il_model_b.npz")
         _save_checkpoint_log(log_a, ildir / "checkpoint_log_a.csv", chash, il.seed)
@@ -239,22 +231,18 @@ def _run_one(payload) -> str:
 
     pool, test and table are loaded once by cmd_run and shared read-only by
     every run; the live IL model of original mode is trained in place, so
-    each run loads its own."""
-    cfg, out_dir, policy_kind, seed, pool, test, table = payload
-    out = Path(out_dir)
+    each run loads its own from data_dir. The record goes under out."""
+    cfg, out, data_dir, policy_kind, seed, pool, test, table = payload
     run = cfg.run
     chash = built_from(cfg, "run")
     policy = replace(run.policy, kind=policy_kind) if policy_kind != run.policy.kind else run.policy
     train_pool = pool
     if policy_kind == "svp-entropy":
-        if cfg.il is None:
-            raise CliError("svp-entropy needs the il section to define the proxy model")
         proxy, _ = train_il_model(
             pool, validation=pool, seed=_model_seed(cfg.il.seed + 7, seed), **_il_train_kwargs(cfg.il)
         )
         kept = svp_offline_select(proxy, pool, run.policy.keep_fraction, seed=seed)
-        pos = {int(i): k for k, i in enumerate(pool.ids)}
-        train_pool = datamod.take(pool, np.sort([pos[int(i)] for i in kept]))
+        train_pool = datamod.take(pool, np.flatnonzero(np.isin(pool.ids, kept)))
         policy = SelectionPolicy(kind="uniform")
     run_cfg = RunConfig(
         policy=policy,
@@ -272,7 +260,8 @@ def _run_one(payload) -> str:
     sizes = (train_pool.dim, *run.model.hidden, train_pool.num_classes)
     model = init_mlp(sizes, seed=_model_seed(run.model.seed, seed),
                      dropout_rate=run.model.dropout, batchnorm=run.model.batchnorm)
-    il_model = load_model(out / "il" / "il_model.npz") if run.il_update_mode == "original" and policy.needs_il else None
+    il_model = (load_model(data_dir / "il" / "il_model.npz")
+                if run.il_update_mode == "original" and policy.needs_il else None)
     dump_path = out / "runs" / f"scores_{policy_kind}_seed{seed}.csv"
     with atomic_write(dump_path) if run.dump_scores else contextlib.nullcontext() as dump:
         if dump is not None:
@@ -288,11 +277,12 @@ def _run_one(payload) -> str:
     return str(path)
 
 
-def cmd_run(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = False) -> int:
-    """Train every queued (policy, seed) run. The prepared train and test
-    splits, and the IL table when a frozen-mode policy needs it, are read
-    once here and handed to each run. The records --resume skips, and the
-    IL table of a policy that needs IL values, must carry its built_from."""
+def cmd_run(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = False, data_dir: Path | None = None) -> int:
+    """Train every queued (policy, seed) run into out/runs. The prepared
+    splits, and the IL table when a frozen-mode policy needs it, are read once
+    from data_dir (default out) and handed to each run. The records --resume
+    skips, and the IL table of a policy that needs it, must carry built_from."""
+    data_dir = data_dir or out
     if cfg.run is None:
         raise CliError("config has no run section")
     policies = [cfg.run.policy.kind]
@@ -314,10 +304,10 @@ def cmd_run(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = Fals
             todo.append((kind, seed))
     if not todo:
         return 0
-    pool, test = _load_prepared(out, cfg, ("train", "test"))
+    pool, test = _load_prepared(data_dir, cfg, ("train", "test"))
     table = None
     if any(kind in NEEDS_IL for kind, _ in todo):
-        path = out / "il" / "il_table.csv"
+        path = data_dir / "il" / "il_table.csv"
         if not path.exists():
             raise CliError(f"no IL table under {path.parent}; run `rholoss train-il` first")
         with open(path) as f:
@@ -325,7 +315,7 @@ def cmd_run(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = Fals
         if cfg.run.il_update_mode == "frozen":
             table = load_il_table(path)
     (out / "runs").mkdir(parents=True, exist_ok=True)
-    payloads = [(cfg, str(out), kind, seed, pool, test, table if kind in NEEDS_IL else None) for kind, seed in todo]
+    payloads = [(cfg, out, data_dir, kind, seed, pool, test, table if kind in NEEDS_IL else None) for kind, seed in todo]
     if jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as executor:
             for path in executor.map(_run_one, payloads):
@@ -429,20 +419,24 @@ def cmd_ladder(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = False) -> int:
+    """Run every grid cell on one dataset and IL fit under out/sweep; each
+    cell's cmd_run reads them through its built_from checks."""
     if cfg.run is None:
         raise CliError("config has no run section")
     cell_cfgs = sweep_configs(cfg)  # all built, so a bad cell fails before any cell runs
     print(f"sweeping {len(cell_cfgs)} cells")
+    shared = out / "sweep"
+    if not (shared / "dataset" / "manifest.json").exists():
+        cmd_prepare(cfg, shared)
+    _load_prepared(shared, cfg, ())  # refuses a stale dataset before any cell's records are checked
+    if cfg.run.policy.needs_il and not (shared / "il" / "il_table.csv").exists():
+        cmd_train_il(cfg, shared)
     for i, cell_cfg in enumerate(cell_cfgs):
-        cell_out = out / "sweep" / f"cell_{i:03d}"
+        cell_out = shared / f"cell_{i:03d}"
         cell_out.mkdir(parents=True, exist_ok=True)
         with atomic_write(cell_out / "config.yaml") as f:
             yaml.safe_dump(as_dict(cell_cfg), f, sort_keys=True)
-        if not (cell_out / "dataset" / "manifest.json").exists():
-            cmd_prepare(cell_cfg, cell_out)
-        if cell_cfg.run.policy.needs_il and not (cell_out / "il" / "il_table.csv").exists():
-            cmd_train_il(cell_cfg, cell_out)
-        cmd_run(cell_cfg, cell_out, jobs=jobs, resume=resume)
+        cmd_run(cell_cfg, cell_out, jobs=jobs, resume=resume, data_dir=shared)
     return 0
 
 

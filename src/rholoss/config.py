@@ -234,6 +234,10 @@ class ExperimentConfig:
         if two_halves and self.run is not None and self.run.il_update_mode == "original":
             raise ValueError("run.il_update_mode=original needs a single live model; "
                              "two-halves tables cannot be updated")
+        if self.il is None and self.run is not None and self.run.policy.kind == "svp-entropy":
+            raise ValueError("run.policy.kind: svp-entropy needs the il section, which defines its proxy model")
+        if self.il is None and self.dataset.noise.kind == "structured":
+            raise ValueError("dataset.noise.kind: structured noise needs the il section for its reference model")
 
 
 # Exponent spellings such as 1e-3 or 2.5E4 are floats in YAML 1.2 but plain

@@ -135,9 +135,14 @@ def compute_il_table(il_model: MlpModel, pool: LabeledDataset, batch_size: int =
     return IrreducibleLossTable(pool.ids, losses, scheme="holdout")
 
 
-def _two_halves_parts(half_a: LabeledDataset, half_b: LabeledDataset, seed: int = 0, **train_kwargs):
-    """The merged table, both models and both checkpoint logs; train_kwargs
-    go to train_il_model."""
+def train_il_two_halves(half_a: LabeledDataset, half_b: LabeledDataset, seed: int = 0, **train_kwargs):
+    """No-holdout scheme: each half is scored by the model trained on the other.
+
+    Returns (table, model_a, model_b, log_a, log_b), where model_a trained on
+    half_a; train_kwargs go to train_il_model. The merged table covers the
+    union of both halves, and its producers map records which model scored
+    each id (no example is ever scored by the model trained on its own half).
+    """
     if set(half_a.ids.tolist()) & set(half_b.ids.tolist()):
         raise ValueError("two-halves scheme requires disjoint halves")
     seeds = np.random.SeedSequence(seed).generate_state(2)
@@ -153,17 +158,6 @@ def _two_halves_parts(half_a: LabeledDataset, half_b: LabeledDataset, seed: int 
         producers={**dict.fromkeys(table_b.ids.tolist(), id_a), **dict.fromkeys(table_a.ids.tolist(), id_b)},
     )
     return merged, model_a, model_b, log_a, log_b
-
-
-def compute_il_table_two_halves(half_a: LabeledDataset, half_b: LabeledDataset, **kwargs) -> IrreducibleLossTable:
-    """No-holdout scheme: each half is scored by the model trained on the other.
-
-    The merged table covers the union of both halves, and its producers map
-    records which model scored each id (no example is ever scored by the
-    model trained on its own half).
-    """
-    table, *_ = _two_halves_parts(half_a, half_b, **kwargs)
-    return table
 
 
 def update_il_model(il_model: MlpModel, opt_state: OptimizerState, x, labels, rng: np.random.Generator | None = None):

@@ -37,7 +37,14 @@ from .ilmodel import IrreducibleLossTable, update_il_model
 from .nn import MlpModel, NonFiniteLogitsError, cross_entropy, evaluate, forward
 from .optim import make_optimizer, train_step
 from .records import CompositionRow, EvalRow, RunRecord, StepRow
-from .selection import SelectionPolicy, candidate_chunks, chunk_select_count, score_and_select, smallest_chunk
+from .selection import (
+    OFFLINE_KINDS,
+    SelectionPolicy,
+    candidate_chunks,
+    chunk_select_count,
+    score_and_select,
+    smallest_chunk,
+)
 
 
 @dataclass(frozen=True)
@@ -79,7 +86,7 @@ class RunConfig:
 def _run(train, test, cfg, model, il_values_fn, il_after_step, dump) -> RunRecord:
     if train.n == 0:
         raise ValueError("training set is empty")
-    if cfg.policy.kind in ("svp-entropy",):
+    if cfg.policy.kind in OFFLINE_KINDS:
         raise ValueError("offline policies pre-filter the pool; run them as uniform on the filtered subset")
     last = smallest_chunk(train.n, cfg.n_B)
     fewest = chunk_select_count(last, cfg.n_b, cfg.n_B)

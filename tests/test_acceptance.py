@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from rholoss import data, nn
-from rholoss.ilmodel import compute_il_table, compute_il_table_two_halves, train_il_model
+from rholoss.ilmodel import compute_il_table, train_il_model, train_il_two_halves
 from rholoss.ladder import LadderConfig, run_ladder
 from rholoss.optim import make_optimizer, optimizer_step
 from rholoss.records import (
@@ -187,7 +187,7 @@ def noisy_bundle():
     il_small, _ = train_il_model(holdout, hidden=(64, 64), **il_kw)
     table_small = compute_il_table(il_small, pool)
     half_a, half_b = data.split(pool, data.SplitSpec(seed=99, mode="two-halves"))
-    table_two = compute_il_table_two_halves(half_a, half_b, hidden=(64, 64), epochs=30, seed=2)
+    table_two, *_ = train_il_two_halves(half_a, half_b, hidden=(64, 64), epochs=30, seed=2)
     records = {
         kind: {s: _run_policy(pool, test, table_full, kind, s) for s in SEEDS}
         for kind in ("rho-loss", "train-loss", "uniform")

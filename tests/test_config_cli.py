@@ -159,6 +159,9 @@ def test_config_rejects_bad_values(tmp_path):
         ({"run.policy.kind": "bald"}, "run.model.dropout"),
         ({"sweep": {"grid": {"learning_rate": [0.001, -1.0]}}}, "sweep.grid cell 001"),
         ({"run.model.batchnorm": True, "run.n_b": 1}, "run.model.batchnorm"),
+        # the models that the il section defines
+        ({"run.policy.kind": "svp-entropy", "il": None}, "run.policy.kind"),
+        ({"dataset.noise.kind": "structured", "il": None}, "dataset.noise.kind"),
         # a ladder step on one candidate has no rank correlation
         ({"ladder.n_b": 1, "ladder.n_B": 1}, "ladder.n_B"),
         # AdamW decay that flips the parameters every step
@@ -824,6 +827,88 @@ def test_sweep_emits_cell_configs_and_records(tmp_path):
     assert n_bs == {2, 4}
     # each cell's config.yaml is its full parsed config
     assert [load_config(c / "config.yaml") for c in cells] == sweep_configs(load_config(cfg_path))
+    # the cells read one shared dataset and keep no copy of their own
+    assert (out / "sweep" / "dataset" / "manifest.json").exists()
+    assert not [p for cell in cells for p in (cell / "dataset", cell / "il") if p.exists()]
+
+
+def _calls(monkeypatch, *names):
+    """Count the calls of the named cli globals, passing each call through."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    return counts
+
+
+def _tree(root):
+    """Every file under root, as {relative path: bytes}."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+SWEEP_2X2 = {
+    "run.seeds": [1],
+    "run.targets": [],
+    "run.epochs": 1,
+    "sweep": {"grid": {"n_b": [2, 4], "learning_rate": [0.001, 0.01]}},
+}
+
+
+@pytest.fixture(scope="module")
+def swept(tmp_path_factory):
+    """A finished 2x2 rho-loss sweep, and its calls of the stages' builders."""
+    tmp_path = tmp_path_factory.mktemp("swept")
+    cfg_path = write_config(tmp_path, SWEEP_2X2)
+    out = tmp_path / "out"
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _calls(monkeypatch, "prepare_datasets", "train_il_model")
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    return cfg_path, out, calls
+
+
+def test_a_sweep_prepares_and_fits_il_once_for_every_cell(swept):
+    _, out, calls = swept
+    assert calls == {"prepare_datasets": 1, "train_il_model": 1}
+    cells = sorted((out / "sweep").glob("cell_*"))
+    assert len(cells) == 4
+    assert {p.name for p in (out / "sweep").iterdir()} == {"dataset", "il", *(c.name for c in cells)}
+    for cell in cells:
+        assert sorted(p.relative_to(cell).as_posix() for p in cell.rglob("*") if p.is_file()) == [
+            "config.yaml", "runs/record_rho-loss_seed1.csv"]
+
+
+def test_sweep_cells_match_runs_on_their_own_prepared_data(swept, tmp_path):
+    _, out, _ = swept
+    for cell in sorted((out / "sweep").glob("cell_*")):
+        alone = tmp_path / cell.name
+        for stage in ("prepare", "train-il", "run"):
+            assert main([stage, "--config", str(cell / "config.yaml"), "--out", str(alone)]) == 0
+        record = "runs/record_rho-loss_seed1.csv"
+        a, b = ((d / record).read_text() for d in (cell, alone))
+        assert re.sub(r"generated_at=\S+", "", a) == re.sub(r"generated_at=\S+", "", b)
+
+
+def test_sweep_resume_over_a_finished_sweep_writes_nothing(swept, tmp_path, monkeypatch):
+    cfg_path, finished, _ = swept
+    out = tmp_path / "out"
+    shutil.copytree(finished, out)
+    calls = _calls(monkeypatch, "prepare_datasets", "train_il_model", "run_training")
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out), "--resume"]) == 0
+    assert calls == {"prepare_datasets": 0, "train_il_model": 0, "run_training": 0}
+    assert _tree(out) == _tree(finished)
+
+
+def test_sweep_resume_refuses_a_shared_dataset_built_from_another_seed(swept, tmp_path, capsys):
+    _, finished, _ = swept
+    out = tmp_path / "out"
+    shutil.copytree(finished, out)
+    edited = write_config(tmp_path, {**SWEEP_2X2, "dataset.split.seed": 61})
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(edited), "--out", str(out), "--resume"]) == 1
+    assert str(out / "sweep" / "dataset" / "manifest.json") in capsys.readouterr().err
+    assert _tree(out) == _tree(finished)
 
 
 def test_sweep_default_grid_has_27_cells(tmp_path):
@@ -873,6 +958,22 @@ def test_svp_policy_runs_via_offline_filter(tmp_path):
     train = data.load_dataset_csv(out / "dataset" / "train.csv")
     seen = {i for row in rec.steps for i in row.selected_ids}
     assert len(seen) <= round(0.6 * train.n)
+
+
+def test_a_missing_il_section_is_refused_at_parse_before_any_run_is_queued(tmp_path, capsys):
+    for overrides, key in (({"run.policy.kind": "svp-entropy"}, "run.policy.kind"),
+                           ({"dataset.noise.kind": "structured"}, "dataset.noise.kind")):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+            load_config(write_config(tmp_path, {**overrides, "il": None}))
+    # svp-entropy with targets also queues uniform runs, which a late refusal left written
+    out = tmp_path / "out"
+    svp = {"run.policy.kind": "svp-entropy", "run.targets": [0.5], "run.seeds": [1, 2]}
+    assert main(["prepare", "--config", str(write_config(tmp_path, svp)), "--out", str(out)]) == 0
+    capsys.readouterr()
+    no_il = write_config(tmp_path, {**svp, "il": None}, name="no_il.yaml")
+    assert main(["run", "--config", str(no_il), "--out", str(out), "--jobs", "2"]) == 1
+    assert capsys.readouterr().err.startswith("error: run.policy.kind: svp-entropy needs the il section")
+    assert not (out / "runs").exists()
 
 
 def test_dump_scores_via_cli_carries_provenance(tmp_path):

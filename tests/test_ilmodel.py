@@ -10,10 +10,10 @@ from rholoss.ilmodel import (
     CheckpointLog,
     IrreducibleLossTable,
     compute_il_table,
-    compute_il_table_two_halves,
     load_il_table,
     save_il_table,
     train_il_model,
+    train_il_two_halves,
     update_il_model,
 )
 from rholoss.optim import make_optimizer, optimizer_step
@@ -127,7 +127,7 @@ def test_il_table_refuses_a_repeated_id():
 def test_two_halves_covers_union_and_scheme():
     pool, _ = small_task(per_class=30)
     half_a, half_b = data.split(pool, data.SplitSpec(seed=9, mode="two-halves"))
-    table = compute_il_table_two_halves(half_a, half_b, hidden=(16,), epochs=3, seed=5)
+    table, *_ = train_il_two_halves(half_a, half_b, hidden=(16,), epochs=3, seed=5)
     assert table.scheme == "two-halves"
     assert set(table.ids) == set(half_a.ids) | set(half_b.ids)
 
@@ -135,17 +135,17 @@ def test_two_halves_covers_union_and_scheme():
 def test_two_halves_no_self_scoring():
     pool, _ = small_task(per_class=30)
     half_a, half_b = data.split(pool, data.SplitSpec(seed=9, mode="two-halves"))
-    table = compute_il_table_two_halves(half_a, half_b, hidden=(16,), epochs=3, seed=5)
-    producers_a = {table.producers[int(i)] for i in half_a.ids}
-    producers_b = {table.producers[int(i)] for i in half_b.ids}
-    assert len(producers_a) == 1 and len(producers_b) == 1
-    assert producers_a != producers_b  # each half scored by exactly one model, and not the same one
+    table, model_a, model_b, _, _ = train_il_two_halves(half_a, half_b, hidden=(16,), epochs=3, seed=5)
+    # each half is scored by the one model trained on the other half
+    assert {table.producers[int(i)] for i in half_a.ids} == {nn.model_id(model_b)}
+    assert {table.producers[int(i)] for i in half_b.ids} == {nn.model_id(model_a)}
+    assert nn.model_id(model_a) != nn.model_id(model_b)
 
 
 def test_two_halves_rejects_overlap():
     pool, _ = small_task()
     with pytest.raises(ValueError):
-        compute_il_table_two_halves(pool, pool, hidden=(8,), epochs=1)
+        train_il_two_halves(pool, pool, hidden=(8,), epochs=1)
 
 
 def test_two_halves_symmetric_content_similar_means():
@@ -154,7 +154,7 @@ def test_two_halves_symmetric_content_similar_means():
     rng = np.random.default_rng(12)
     base = data.gen_synthetic(3, 200, 4, 1.0, seed=12, radius=2.5)
     half_a, half_b = data.split(base, data.SplitSpec(seed=13, mode="two-halves"))
-    table = compute_il_table_two_halves(half_a, half_b, hidden=(32,), epochs=10, seed=6)
+    table, *_ = train_il_two_halves(half_a, half_b, hidden=(32,), epochs=10, seed=6)
     vals_a = table.lookup(half_a.ids)
     vals_b = table.lookup(half_b.ids)
     pooled = np.concatenate([vals_a, vals_b])
