@@ -126,9 +126,12 @@ def prepare_datasets(cfg: ExperimentConfig):
     elif ds_cfg.noise.kind == "structured":
         ref_model, _ = train_il_model(pool, validation=pool, seed=cfg.il.seed + 101, **_il_train_kwargs(cfg.il))
         confusion = datamod.confusion_counts(pool.labels, predict_labels(ref_model, pool.features), pool.num_classes)
-        pool = datamod.inject_structured_noise(
-            pool, confusion, ds_cfg.noise.pairs, ds_cfg.noise.flip_prob, seed=ds_cfg.noise.seed
-        )
+        try:  # the pairs on offer depend on the fitted model, so parsing cannot check them
+            pool = datamod.inject_structured_noise(
+                pool, confusion, ds_cfg.noise.pairs, ds_cfg.noise.flip_prob, seed=ds_cfg.noise.seed
+            )
+        except ValueError as exc:
+            raise CliError(f"dataset.noise.pairs: {exc} in the reference model's confusion counts") from exc
     if ds_cfg.duplicate_factor > 1:
         pool = datamod.duplicate(pool, ds_cfg.duplicate_factor)
     return pool, holdout, test
@@ -277,14 +280,10 @@ def _run_one(payload) -> str:
     return str(path)
 
 
-def cmd_run(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = False, data_dir: Path | None = None) -> int:
-    """Train every queued (policy, seed) run into out/runs. The prepared
-    splits, and the IL table when a frozen-mode policy needs it, are read once
-    from data_dir (default out) and handed to each run. The records --resume
-    skips, and the IL table of a policy that needs it, must carry built_from."""
-    data_dir = data_dir or out
-    if cfg.run is None:
-        raise CliError("config has no run section")
+def _queued_runs(cfg: ExperimentConfig, out: Path, resume: bool) -> list[tuple[str, int]]:
+    """The (policy, seed) runs with no record under out/runs yet. An existing
+    record is refused unless resume is set and it parses and carries the
+    run's built_from."""
     policies = [cfg.run.policy.kind]
     if cfg.run.targets and "uniform" not in policies:
         policies.append("uniform")  # baseline needed to anchor epoch-to-target comparisons
@@ -302,6 +301,18 @@ def cmd_run(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = Fals
                 _check_built_from(path, found, cfg, "run")
                 continue  # complete record, skip
             todo.append((kind, seed))
+    return todo
+
+
+def cmd_run(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = False, data_dir: Path | None = None) -> int:
+    """Train every queued (policy, seed) run into out/runs. The prepared
+    splits, and the IL table when a frozen-mode policy needs it, are read once
+    from data_dir (default out) and handed to each run. The records --resume
+    skips, and the IL table of a policy that needs it, must carry built_from."""
+    data_dir = data_dir or out
+    if cfg.run is None:
+        raise CliError("config has no run section")
+    todo = _queued_runs(cfg, out, resume)
     if not todo:
         return 0
     pool, test = _load_prepared(data_dir, cfg, ("train", "test"))
@@ -429,10 +440,12 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = Fa
     if not (shared / "dataset" / "manifest.json").exists():
         cmd_prepare(cfg, shared)
     _load_prepared(shared, cfg, ())  # refuses a stale dataset before any cell's records are checked
+    cell_outs = [shared / f"cell_{i:03d}" for i in range(len(cell_cfgs))]
+    for cell_cfg, cell_out in zip(cell_cfgs, cell_outs):
+        _queued_runs(cell_cfg, cell_out, resume)  # a refused record stops the sweep before any cell is written
     if cfg.run.policy.needs_il and not (shared / "il" / "il_table.csv").exists():
         cmd_train_il(cfg, shared)
-    for i, cell_cfg in enumerate(cell_cfgs):
-        cell_out = shared / f"cell_{i:03d}"
+    for cell_cfg, cell_out in zip(cell_cfgs, cell_outs):
         cell_out.mkdir(parents=True, exist_ok=True)
         with atomic_write(cell_out / "config.yaml") as f:
             yaml.safe_dump(as_dict(cell_cfg), f, sort_keys=True)

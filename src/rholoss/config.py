@@ -361,12 +361,16 @@ def _hash(d: dict) -> str:
 
 def built_from(cfg: ExperimentConfig, artifact: str) -> str:
     """The hash of the config slice that artifacts of one kind are built
-    from: dataset (the dataset section and il.scheme), il (that and il), run
-    (that and run without seeds, targets and dump_scores, and il when the
-    policy reads IL values or trains svp-entropy's proxy) or ladder (that
-    and ladder). An edit outside the slice keeps the artifact valid."""
+    from: dataset (the dataset section and il.scheme, and under structured
+    noise the il keys its reference model is trained from), il (that and
+    il), run (that and run without seeds, targets and dump_scores, and il
+    when the policy reads IL values or trains svp-entropy's proxy) or ladder
+    (that and ladder). An edit outside the slice keeps the artifact valid."""
     d = as_dict(cfg)
-    dataset = _hash({"dataset": d["dataset"], "scheme": cfg.il.scheme if cfg.il is not None else "holdout"})
+    sliced = {"dataset": d["dataset"], "scheme": cfg.il.scheme if cfg.il is not None else "holdout"}
+    if cfg.dataset.noise.kind == "structured":  # prepare fits its reference model from these
+        sliced["reference"] = {key: d["il"][key] for key in ("hidden", "epochs", "batch_size", "optimizer", "seed")}
+    dataset = _hash(sliced)
     if artifact == "dataset":
         return dataset
     part = {"dataset": dataset, artifact: d[artifact]}

@@ -4,9 +4,10 @@ Every file starts with a `# rholoss-<tag> v1 key=value ...` header line
 (header_line / read_header); plain tables follow it with a column row and
 csv rows (write_table / read_table), written atomically through
 atomic_write so a partial file never appears. The dataset cache takes the
-same bytes through write_numeric_table, which formats one row with one `%`;
-it and the IL table are read through read_numeric_header and
-read_numeric_rows, which parse the whole body with one np.loadtxt pass.
+same bytes through write_numeric_table, which formats one row with one `%`
+and holds one block of rows as Python objects at a time; it and the IL
+table are read through read_numeric_header and read_numeric_rows, which
+parse the whole body with one np.loadtxt pass.
 
 A record file is a single CSV with three sections. Byte-for-byte determinism
 matters (it is how reproducibility is audited), so floats are written with
@@ -31,6 +32,8 @@ from datetime import datetime, timezone
 from typing import Mapping
 
 import numpy as np
+
+_BLOCK_VALUES = 8192  # cells write_numeric_table turns into Python numbers at once
 
 
 @dataclass
@@ -168,13 +171,17 @@ def write_numeric_table(path, tag: str, meta: Mapping[str, object], columns, int
     """A headed table of numbers, written atomically with the bytes
     write_table gives the same cells: row i holds the ints of ints[i] (%d)
     then the floats of floats[i] (%r, which is repr, so they round-trip
-    exactly). Rows are formatted one % at a time and streamed, so no
-    file-sized string is built."""
+    exactly). Rows become Python numbers one block of about _BLOCK_VALUES
+    cells (at least one row) at a time, are formatted one % per row and
+    streamed, so the writer holds one block whatever the table's length."""
     row = ",".join(["%d"] * ints.shape[1] + ["%r"] * floats.shape[1]) + "\r\n"
+    block = max(1, _BLOCK_VALUES // max(1, ints.shape[1] + floats.shape[1]))
     with atomic_write(path, newline="") as f:
         f.write(header_line(tag, meta))
         f.write(",".join(columns) + "\r\n")
-        f.writelines(row % (*i, *x) for i, x in zip(ints.tolist(), floats.tolist()))
+        for start in range(0, len(ints), block):
+            stop = start + block
+            f.writelines(row % (*i, *x) for i, x in zip(ints[start:stop].tolist(), floats[start:stop].tolist()))
 
 
 def read_numeric_header(f, tag: str, what, *keys: str) -> list[str]:

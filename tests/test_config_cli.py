@@ -199,6 +199,7 @@ def test_config_accepts_yaml_exponent_floats(tmp_path):
 
 
 ARTIFACTS = ("dataset", "il", "run", "ladder")
+STRUCTURED = {"kind": "structured", "pairs": 2, "flip_prob": 0.5, "seed": 7}
 
 
 @pytest.mark.parametrize(
@@ -213,12 +214,51 @@ ARTIFACTS = ("dataset", "il", "run", "ladder")
         ({}, {"run.n_b": 5}, ("run",)),
         ({}, {"run.eval_every": 5}, ("run",)),
         ({}, {"ladder.n_B": 40}, ("ladder",)),
+        # structured noise's reference model is fitted from il, without its dropout
+        ({"dataset.noise": STRUCTURED}, {"il.hidden": [8]}, ARTIFACTS),
+        ({"dataset.noise": STRUCTURED}, {"il.seed": 9}, ARTIFACTS),
+        ({"dataset.noise": STRUCTURED}, {"il.dropout": 0.2}, ("il", "run")),
+        ({"dataset.noise": STRUCTURED, "run.policy.kind": "uniform"}, {"il.epochs": 4}, ARTIFACTS),
     ],
 )
 def test_built_from_changes_only_with_the_slice_of_its_artifact(tmp_path, base, edit, changed):
     a = load_config(write_config(tmp_path, base, name="a.yaml"))
     b = load_config(write_config(tmp_path, {**base, **edit}, name="b.yaml"))
     assert [kind for kind in ARTIFACTS if built_from(a, kind) != built_from(b, kind)] == list(changed)
+
+
+@pytest.mark.parametrize(
+    "noise, want",
+    [
+        ({"kind": "uniform", "p": 0.1, "seed": 7},
+         ["01939171ad75ed1f", "9e6b90708540994e", "c63e14ce353e401a", "3fe1c76b55412791"]),
+        ({"kind": "none"}, ["518262c4b8427203", "70c1cb0e161bfe6c", "9d99c46de2ff8de0", "1fe1fc5ba48a23f9"]),
+    ],
+)
+def test_built_from_without_structured_noise_keeps_the_hashes_prepared_outputs_carry(tmp_path, noise, want):
+    # outputs prepared before the dataset slice took structured noise's reference keys stay valid
+    cfg = load_config(write_config(tmp_path, {"dataset.noise": noise}))
+    assert [built_from(cfg, kind) for kind in ARTIFACTS] == want
+
+
+def test_train_il_refuses_a_structured_noise_dataset_whose_reference_model_changed(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, {"dataset.noise": STRUCTURED})
+    assert main(["prepare", "--config", str(cfg_path), "--out", str(out)]) == 0
+    edited = write_config(tmp_path, {"dataset.noise": STRUCTURED, "il.hidden": [8]}, name="edited.yaml")
+    capsys.readouterr()
+    assert main(["train-il", "--config", str(edited), "--out", str(out)]) == 1
+    assert f"{out / 'dataset' / 'manifest.json'} was built from another config" in capsys.readouterr().err
+    assert not (out / "il").exists()
+
+
+def test_a_shortage_of_confused_pairs_names_the_pairs_key_and_writes_no_dataset(tmp_path, capsys):
+    few_pairs = {"dataset.noise": {**STRUCTURED, "pairs": 4}, "il.hidden": [2], "il.epochs": 1}
+    cfg_path = write_config(tmp_path, few_pairs)
+    out = tmp_path / "out"
+    assert main(["prepare", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: dataset.noise.pairs: asked for 4 confused pairs")
+    assert not (out / "dataset").exists()
 
 
 def test_original_mode_rejects_two_halves(tmp_path):
@@ -909,6 +949,18 @@ def test_sweep_resume_refuses_a_shared_dataset_built_from_another_seed(swept, tm
     assert main(["sweep", "--config", str(edited), "--out", str(out), "--resume"]) == 1
     assert str(out / "sweep" / "dataset" / "manifest.json") in capsys.readouterr().err
     assert _tree(out) == _tree(finished)
+
+
+def test_a_refused_sweep_resume_rewrites_no_cell(swept, tmp_path, capsys):
+    _, finished, _ = swept
+    out = tmp_path / "out"
+    shutil.copytree(finished, out)
+    edited = write_config(tmp_path, {**SWEEP_2X2, "run.epochs": 2})
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(edited), "--out", str(out), "--resume"]) == 1
+    record = out / "sweep" / "cell_000" / "runs" / "record_rho-loss_seed1.csv"
+    assert f"{record} was built from another config" in capsys.readouterr().err
+    assert _tree(out) == _tree(finished)  # every cell's config.yaml included
 
 
 def test_sweep_default_grid_has_27_cells(tmp_path):

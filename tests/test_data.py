@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from oracles import load_dataset_csv_oracle, save_dataset_csv_oracle
-from rholoss import data
+from rholoss import data, records
 
 
 def write_idx_pair(tmp_path, pixels, labels, rows=2, cols=2, image_count=None, label_count=None, gz=False):
@@ -353,10 +353,7 @@ def _datasets(draw):
     )
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(ds=_datasets())
-def test_dataset_cache_matches_the_csv_module_oracle(tmp_path_factory, ds):
-    folder = tmp_path_factory.mktemp("cache")
+def _assert_cache_matches_the_oracle(folder, ds):
     path, oracle_path = folder / "cache.csv", folder / "oracle.csv"
     data.save_dataset_csv(ds, path, built_from="0123abcd", seed=7)
     save_dataset_csv_oracle(ds, oracle_path, built_from="0123abcd", seed=7)
@@ -367,6 +364,25 @@ def test_dataset_cache_matches_the_csv_module_oracle(tmp_path_factory, ds):
         got, want = getattr(back, name), getattr(oracle, name)
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
     assert data.dataset_hash(back) == data.dataset_hash(oracle) == data.dataset_hash(ds)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(ds=_datasets())
+def test_dataset_cache_matches_the_csv_module_oracle(tmp_path_factory, ds):
+    _assert_cache_matches_the_oracle(tmp_path_factory.mktemp("cache"), ds)
+
+
+_BLOCK_ROWS = records._BLOCK_VALUES // (6 + 32)  # rows the writer converts at once for 32 features
+
+
+@pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1])
+def test_a_dataset_cache_of_several_blocks_matches_the_csv_module_oracle(tmp_path, n):
+    rng = np.random.default_rng(n)
+    features = rng.standard_normal((n, 32)) * 10.0 ** rng.integers(-300, 300, (n, 32))
+    features.flat[rng.choice(features.size, len(_AWKWARD_FLOATS), replace=False)] = _AWKWARD_FLOATS
+    ds = data.make_dataset(features, np.arange(n) % 7, 7, ids=np.arange(n) * 2**52 - 2**62)
+    ds = data.inject_uniform_noise(ds, 0.3, seed=n)
+    _assert_cache_matches_the_oracle(tmp_path, ds)
 
 
 def _edit_cache(path, edit):
@@ -433,3 +449,26 @@ def test_loading_a_dataset_cache_holds_no_string_per_cell(tmp_path):
         tracemalloc.stop()
     assert data.dataset_hash(first) == data.dataset_hash(second) == data.dataset_hash(ds)
     assert peak < 3 * sum(getattr(second, name).nbytes for name in data._PER_EXAMPLE)
+
+
+def _writer_peak(path, n):
+    """(traced peak of write_numeric_table, bytes of its arrays) on an n-row
+    table of 6 integer and 32 float columns."""
+    rng = np.random.default_rng(n)
+    ints, floats = rng.integers(-(2**62), 2**62, (n, 6)), rng.standard_normal((n, 32))
+    columns = [f"c{j}" for j in range(38)]
+    tracemalloc.start()
+    try:
+        records.write_numeric_table(path, "dataset", {"n": n}, columns, ints, floats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, ints.nbytes + floats.nbytes
+
+
+def test_the_cache_writer_holds_one_block_of_rows_not_the_table(tmp_path):
+    # the whole-table writer peaked at 4.4x the arrays' bytes, growing with the rows
+    small, _ = _writer_peak(tmp_path / "small.csv", 2000)
+    large, arrays = _writer_peak(tmp_path / "large.csv", 8000)
+    assert large < 1.25 * small
+    assert large < arrays / 4
