@@ -17,9 +17,9 @@ import numpy as np
 
 from .config import IlSection, OptimizerSettings
 from .data import LabeledDataset
-from .nn import MlpModel, batched_logits, cross_entropy, evaluate, init_mlp, model_id
+from .nn import MlpModel, batched_logits, cross_entropy, evaluate, init_mlp
 from .optim import OptimizerState, make_optimizer, train_epoch, train_step
-from .records import read_numeric_header, read_numeric_rows, write_table
+from .records import read_numeric_header, read_numeric_rows, write_numeric_table
 
 
 @dataclass
@@ -45,7 +45,6 @@ class IrreducibleLossTable:
     ids: np.ndarray  # (n,) int64, ascending and unique
     values: np.ndarray  # (n,) float64
     scheme: str = "holdout"  # "holdout" | "two-halves"
-    producers: dict[int, str] | None = None  # two-halves: example id -> producing model id
 
     def __post_init__(self):
         ids = np.asarray(self.ids, dtype=np.int64)
@@ -76,11 +75,7 @@ class IrreducibleLossTable:
         return bool(self._positions(ids)[1].all())
 
     def content_hash(self) -> str:
-        return self._content_hash(map(repr, self.values.tolist()))
-
-    def _content_hash(self, reprs) -> str:
-        """content_hash from reprs, the values' reprs in order."""
-        rows = "".join(map("%d:%s;".__mod__, zip(self.ids.tolist(), reprs)))
+        rows = "".join(map("%d:%r;".__mod__, zip(self.ids.tolist(), self.values.tolist())))
         return hashlib.sha256((rows + self.scheme).encode()).hexdigest()
 
 
@@ -140,8 +135,8 @@ def train_il_two_halves(half_a: LabeledDataset, half_b: LabeledDataset, seed: in
 
     Returns (table, model_a, model_b, log_a, log_b), where model_a trained on
     half_a; train_kwargs go to train_il_model. The merged table covers the
-    union of both halves, and its producers map records which model scored
-    each id (no example is ever scored by the model trained on its own half).
+    union of both halves, and no example is ever scored by the model trained
+    on its own half.
     """
     if set(half_a.ids.tolist()) & set(half_b.ids.tolist()):
         raise ValueError("two-halves scheme requires disjoint halves")
@@ -150,12 +145,10 @@ def train_il_two_halves(half_a: LabeledDataset, half_b: LabeledDataset, seed: in
     model_b, log_b = train_il_model(half_b, validation=half_a, seed=int(seeds[1]), **train_kwargs)
     table_b = compute_il_table(model_a, half_b)
     table_a = compute_il_table(model_b, half_a)
-    id_a, id_b = model_id(model_a), model_id(model_b)
     merged = IrreducibleLossTable(
         np.concatenate([table_b.ids, table_a.ids]),
         np.concatenate([table_b.values, table_a.values]),
         scheme="two-halves",
-        producers={**dict.fromkeys(table_b.ids.tolist(), id_a), **dict.fromkeys(table_a.ids.tolist(), id_b)},
     )
     return merged, model_a, model_b, log_a, log_b
 
@@ -172,18 +165,11 @@ def update_il_model(il_model: MlpModel, opt_state: OptimizerState, x, labels, rn
 
 
 def save_il_table(table: IrreducibleLossTable, path, **provenance: str) -> None:
-    """The table as a headed CSV, one id,il_value row per id in ascending
-    order; provenance (train-il passes built_from=...) leads the header
-    fields. Each value is formatted once, for both the rows and the
-    content hash."""
-    reprs = list(map(repr, table.values.tolist()))
-    write_table(
-        path,
-        "il-table",
-        {**provenance, "provenance": table._content_hash(reprs), "scheme": table.scheme},
-        ["id", "il_value"],
-        zip(table.ids.tolist(), reprs),
-    )
+    """The table as a headed table of numbers, one id,il_value row per id in
+    ascending order; provenance (train-il passes built_from=...) leads the
+    header fields."""
+    meta = {**provenance, "provenance": table.content_hash(), "scheme": table.scheme}
+    write_numeric_table(path, "il-table", meta, ["id", "il_value"], table.ids[:, None], table.values[:, None])
 
 
 def load_il_table(path) -> IrreducibleLossTable:

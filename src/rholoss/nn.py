@@ -353,15 +353,6 @@ def evaluate(model: MlpModel, test, batch_size: int = 1024) -> tuple[float, floa
     return correct / test.n, float(cross_entropy(logits, test.labels).mean())
 
 
-def _weight_grad(a_in: Array, d: Array) -> Array:
-    """a_in.T @ d, per member for a stack. For one row this is the outer
-    product, one rounded product per element as in the K=1 GEMM (which differs
-    only in giving +0 where the product is -0), without the GEMM call's
-    overhead."""
-    a_t = a_in.swapaxes(-1, -2)
-    return a_t * d if a_in.shape[-2] == 1 else a_t @ d
-
-
 def _output_delta(logits: Array, y: Array) -> Array:
     """softmax(logits) minus the one-hot labels: each row's loss gradient
     w.r.t. its logits."""
@@ -424,7 +415,7 @@ def backward(
             dout, xhat = bn
             grads[f"bn{l}_gamma"] = (dout * xhat).sum(axis=0)
             grads[f"bn{l}_beta"] = dout.sum(axis=0)
-        grads[f"w{l}"] = _weight_grad(a_in, d)
+        grads[f"w{l}"] = a_in.swapaxes(-1, -2) @ d
         grads[f"b{l}"] = d.sum(axis=-2)
     return grads
 

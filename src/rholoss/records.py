@@ -3,31 +3,27 @@
 Every file starts with a `# rholoss-<tag> v1 key=value ...` header line
 (header_line / read_header); plain tables follow it with a column row and
 csv rows (write_table / read_table), written atomically through
-atomic_write so a partial file never appears. The dataset cache takes the
-same bytes through write_numeric_table, which formats one row with one `%`
-and holds one block of rows as Python objects at a time; it and the IL
-table are read through read_numeric_header and read_numeric_rows, which
-parse the whole body with one np.loadtxt pass.
+atomic_write so a partial file never appears. The two tables of numbers,
+the dataset cache and the IL table, take the same bytes through
+write_numeric_table, which formats one row with one `%` and holds one block
+of rows as Python objects at a time, and are read through
+read_numeric_header and read_numeric_rows, which parse the whole body with
+one np.loadtxt pass.
 
-A record file is a single CSV with three sections. Byte-for-byte determinism
-matters (it is how reproducibility is audited), so floats are written with
-repr and the only run-to-run variable field is the generated_at timestamp in
-the header.
-
-    # rholoss-run-record v1 built_from=<hex> seed=<int> policy=<kind> generated_at=<iso>
-    [steps]
-    step,epoch,selected_ids,mean_score
-    [evals]
-    step,epoch,at_epoch_end,accuracy,mean_loss
-    [compositions]
-    epoch,n_selected,frac_corrupted,frac_low_relevance,frac_already_correct
+A record file is a single CSV with three sections, [steps], [evals] and
+[compositions] (docs/file-formats.md shows the layout). Each section's
+columns are the fields of its row type (StepRow, EvalRow, CompositionRow),
+and each field's annotation picks how its cells are written and read
+(_CELL_FORMATS). Byte-for-byte determinism matters (it is how
+reproducibility is audited), so floats are written with repr and the only
+run-to-run variable field is the generated_at timestamp in the header.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from typing import Mapping
 
@@ -60,6 +56,22 @@ class CompositionRow:
     frac_corrupted: float
     frac_low_relevance: float
     frac_already_correct: float
+
+
+# How a run-record cell is written and read back, by its field's annotation.
+_CELL_FORMATS = {
+    "int": (str, int),
+    "bool": (lambda v: str(int(v)), lambda s: bool(("0", "1").index(s))),
+    "float": (repr, float),
+    "tuple[int, ...]": (lambda v: ";".join(map(str, v)), lambda s: tuple(map(int, s.split(";"))) if s else ()),
+}
+
+# Each section of a run record, in file order: the RunRecord field it fills,
+# its row type, and per field of that type (column, annotation, format, parser).
+_SECTIONS = {
+    section: (row_type, [(f.name, f.type, *_CELL_FORMATS[f.type]) for f in fields(row_type)])
+    for section, row_type in (("steps", StepRow), ("evals", EvalRow), ("compositions", CompositionRow))
+}
 
 
 @dataclass
@@ -144,6 +156,9 @@ def read_header(line: str, tag: str, what) -> dict[str, str]:
     parts = line.split()
     if parts[:3] != ["#", f"rholoss-{tag}", "v1"]:
         raise ValueError(f"{what}: not a rholoss-{tag} v1 file")
+    for part in parts[3:]:
+        if "=" not in part:
+            raise ValueError(f"{what}: header field {part!r} is not key=value")
     return dict(part.split("=", 1) for part in parts[3:])
 
 
@@ -224,48 +239,52 @@ def save_run_record(record: RunRecord, path, generated_at: str | None = None) ->
     with atomic_write(path, newline="") as f:
         f.write(header_line("run-record", meta))
         writer = csv.writer(f, lineterminator="\n")
-        f.write("[steps]\n")
-        writer.writerow(["step", "epoch", "selected_ids", "mean_score"])
-        for row in record.steps:
-            writer.writerow([row.step, row.epoch, ";".join(str(i) for i in row.selected_ids), repr(row.mean_score)])
-        f.write("[evals]\n")
-        writer.writerow(["step", "epoch", "at_epoch_end", "accuracy", "mean_loss"])
-        for row in record.evals:
-            writer.writerow([row.step, row.epoch, int(row.at_epoch_end), repr(row.accuracy), repr(row.mean_loss)])
-        f.write("[compositions]\n")
-        writer.writerow(["epoch", "n_selected", "frac_corrupted", "frac_low_relevance", "frac_already_correct"])
-        for row in record.compositions:
-            writer.writerow(
-                [
-                    row.epoch,
-                    row.n_selected,
-                    repr(row.frac_corrupted),
-                    repr(row.frac_low_relevance),
-                    repr(row.frac_already_correct),
-                ]
-            )
+        for section, (_, cells) in _SECTIONS.items():
+            f.write(f"[{section}]\n")
+            writer.writerow(column for column, *_ in cells)
+            for row in getattr(record, section):
+                writer.writerow([fmt(getattr(row, column)) for column, _, fmt, _ in cells])
 
 
 def load_run_record(path) -> RunRecord:
+    """The record save_run_record wrote to path. A header without policy or
+    an integer seed, an unknown section, a column row other than its row
+    type's fields, a row before any section, or a row with the wrong number
+    of cells or a cell its column cannot parse raises a ValueError naming
+    path and the line."""
     with open(path, newline="") as f:
         meta = read_header(f.readline(), "run-record", path)
+        if "policy" not in meta or not meta.get("seed", "").isdecimal():
+            raise ValueError(f"{path}: line 1: the header needs policy=<kind> and seed=<int>")
         record = RunRecord(policy=meta["policy"], seed=int(meta["seed"]), built_from=meta.get("built_from"))
-        section = None
         reader = csv.reader(f)
+
+        def refused(reason: str) -> ValueError:
+            return ValueError(f"{path}: line {reader.line_num + 1}: {reason}")
+
+        rows = None
         for row in reader:
             if not row:
                 continue
             if row[0].startswith("["):
-                section = row[0].strip("[]")
-                next(reader, None)  # column header
-                continue
-            if section == "steps":
-                ids = tuple(int(v) for v in row[2].split(";")) if row[2] else ()
-                record.steps.append(StepRow(int(row[0]), int(row[1]), ids, float(row[3])))
-            elif section == "evals":
-                record.evals.append(EvalRow(int(row[0]), int(row[1]), bool(int(row[2])), float(row[3]), float(row[4])))
-            elif section == "compositions":
-                record.compositions.append(
-                    CompositionRow(int(row[0]), int(row[1]), float(row[2]), float(row[3]), float(row[4]))
-                )
+                section = row[0][1:-1]
+                if row != [f"[{section}]"] or section not in _SECTIONS:
+                    raise refused(f"unknown section {','.join(row)}")
+                row_type, cells = _SECTIONS[section]
+                columns = [column for column, *_ in cells]
+                if next(reader, None) != columns:
+                    raise refused(f"[{section}] needs the column row {','.join(columns)}")
+                rows = getattr(record, section)
+            elif rows is None:
+                raise refused("a row before any section")
+            elif len(row) != len(cells):
+                raise refused(f"expected {len(cells)} cells ({','.join(columns)}), got {len(row)}")
+            else:
+                values = []
+                for cell, (column, annotation, _, parse) in zip(row, cells):
+                    try:
+                        values.append(parse(cell))
+                    except ValueError:
+                        raise refused(f"{column}={cell!r} is not {annotation}") from None
+                rows.append(row_type(*values))
     return record

@@ -137,9 +137,9 @@ def test_two_halves_no_self_scoring():
     half_a, half_b = data.split(pool, data.SplitSpec(seed=9, mode="two-halves"))
     table, model_a, model_b, _, _ = train_il_two_halves(half_a, half_b, hidden=(16,), epochs=3, seed=5)
     # each half is scored by the one model trained on the other half
-    assert {table.producers[int(i)] for i in half_a.ids} == {nn.model_id(model_b)}
-    assert {table.producers[int(i)] for i in half_b.ids} == {nn.model_id(model_a)}
-    assert nn.model_id(model_a) != nn.model_id(model_b)
+    assert np.array_equal(table.lookup(half_a.ids), compute_il_table(model_b, half_a).values)
+    assert np.array_equal(table.lookup(half_b.ids), compute_il_table(model_a, half_b).values)
+    assert not np.array_equal(table.lookup(half_a.ids), compute_il_table(model_a, half_a).values)
 
 
 def test_two_halves_rejects_overlap():

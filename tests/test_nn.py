@@ -131,28 +131,6 @@ def test_backward_duplicated_batch_equals_single_point():
         assert np.allclose(g1[name], g4[name], atol=1e-12)
 
 
-@settings(max_examples=200, deadline=None)
-@given(n_in=st.integers(1, 40), n_out=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-def test_one_row_weight_grad_equals_gemm(n_in, n_out, seed):
-    # Values span exponents of +-300 with signed zeros, so products underflow
-    # and overflow; the outer product must give every element the GEMM's value
-    # (array_equal counts -0 equal to +0, the one place the two differ).
-    rng = np.random.default_rng(seed)
-
-    def draw(shape):
-        v = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
-        v[rng.random(shape) < 0.2] = 0.0
-        v[rng.random(shape) < 0.1] = -0.0
-        return v
-
-    a, d = draw((1, n_in)), draw((1, n_out))
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        got = nn._weight_grad(a, d)
-        want = a.T @ d
-    assert got.shape == want.shape == (n_in, n_out)
-    assert np.array_equal(got, want, equal_nan=True)
-
-
 def test_backward_sample_weights_scale_gradient():
     model = nn.init_mlp((3, 4, 2), seed=5)
     rng = np.random.default_rng(6)

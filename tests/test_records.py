@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,6 +70,91 @@ def test_run_record_roundtrips_through_its_file(tmp_path_factory, record):
     again = path.with_name("again.csv")
     save_run_record(back, again, generated_at="2000-01-01T00:00:00+00:00")
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_run_record_bytes_are_pinned(tmp_path):
+    record = RunRecord(
+        "rho-loss", 7, "abc123",
+        steps=[StepRow(0, 1, (), 0.1), StepRow(3, 1, (5, -2, 9), -0.0), StepRow(6, 2, (4,), float("nan"))],
+        evals=[EvalRow(3, 1, False, 1e-300, float("inf")), EvalRow(6, 2, True, 0.30000000000000004, 5e-324)],
+        compositions=[CompositionRow(1, 2, 1 / 3, 0.0, 1.0)],
+    )
+    path = tmp_path / "record.csv"
+    save_run_record(record, path, generated_at="2000-01-01T00:00:00+00:00")
+    assert path.read_bytes() == (
+        b"# rholoss-run-record v1 built_from=abc123 seed=7 policy=rho-loss generated_at=2000-01-01T00:00:00+00:00\n"
+        b"[steps]\n"
+        b"step,epoch,selected_ids,mean_score\n"
+        b"0,1,,0.1\n"
+        b"3,1,5;-2;9,-0.0\n"
+        b"6,2,4,nan\n"
+        b"[evals]\n"
+        b"step,epoch,at_epoch_end,accuracy,mean_loss\n"
+        b"3,1,0,1e-300,inf\n"
+        b"6,2,1,0.30000000000000004,5e-324\n"
+        b"[compositions]\n"
+        b"epoch,n_selected,frac_corrupted,frac_low_relevance,frac_already_correct\n"
+        b"1,2,0.3333333333333333,0.0,1.0\n"
+    )
+
+
+_GOOD_RECORD = [
+    "# rholoss-run-record v1 built_from=abc seed=1 policy=uniform generated_at=2000-01-01T00:00:00+00:00",
+    "[steps]",
+    "step,epoch,selected_ids,mean_score",
+    "0,1,3;4,0.5",
+    "[evals]",
+    "step,epoch,at_epoch_end,accuracy,mean_loss",
+    "1,1,1,0.5,1.0",
+    "[compositions]",
+    "epoch,n_selected,frac_corrupted,frac_low_relevance,frac_already_correct",
+    "1,2,0.0,0.0,0.5",
+]
+
+
+@pytest.mark.parametrize(
+    "line, text, reason",
+    [
+        (1, "# rholoss-run-record v1 built_from=abc seed=1", "needs policy=<kind> and seed=<int>"),
+        (1, "# rholoss-run-record v1 policy=uniform seed=one", "needs policy=<kind> and seed=<int>"),
+        (4, "0,1", "expected 4 cells"),
+        (4, "0,1,3;4,0.5,9", "expected 4 cells"),
+        (4, "0,1,3;x,0.5", "selected_ids='3;x' is not tuple[int, ...]"),
+        (4, "0.0,1,3;4,0.5", "step='0.0' is not int"),
+        (7, "1,1,2,0.5,1.0", "at_epoch_end='2' is not bool"),
+        (7, "1,1,1,half,1.0", "accuracy='half' is not float"),
+        (5, "[weights]", "unknown section [weights]"),
+        (5, "[evals],x", "unknown section [evals],x"),
+        (6, "step,epoch,at_end,accuracy,mean_loss", "[evals] needs the column row"),
+        (2, "0,1,3;4,0.5", "a row before any section"),
+    ],
+)
+def test_a_malformed_run_record_is_refused_naming_path_and_line(tmp_path, line, text, reason):
+    lines = list(_GOOD_RECORD)
+    lines[line - 1] = text
+    path = tmp_path / "record.csv"
+    path.write_bytes("".join(f"{row}\n" for row in lines).encode())
+    with pytest.raises(ValueError) as info:
+        load_run_record(path)
+    assert str(info.value).startswith(f"{path}: line {line}: ")
+    assert reason in str(info.value)
+
+
+def test_report_refuses_a_truncated_steps_row_by_name(tmp_path, capsys):
+    raw = {"dataset": {"kind": "synthetic"}, "run": {"policy": {"kind": "uniform"}, "targets": [0.5]}}
+    cfg_path = tmp_path / "config.yaml"
+    cfg_path.write_bytes(yaml.safe_dump(raw).encode())
+    record = RunRecord("uniform", 1, built_from(parse_config(raw), "run"), steps=[StepRow(0, 1, (3, 4), 0.5)],
+                       evals=[EvalRow(1, 1, True, 0.5, 1.0)], compositions=[CompositionRow(1, 2, 0.0, 0.0, 0.5)])
+    path = tmp_path / "out" / "runs" / "record_uniform_seed1.csv"
+    path.parent.mkdir(parents=True)
+    save_run_record(record, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[3] = b"0,1\n"  # the one steps row, cut short
+    path.write_bytes(b"".join(lines))
+    assert cli.main(["report", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert f"{path}: line 4: expected 4 cells" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "reports").exists()
 
 
 def _fill_the_disk_after_two_writes(monkeypatch):
@@ -191,6 +277,16 @@ def test_failed_report_write_leaves_no_file_and_no_tmp(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         cli.cmd_report(cfg, tmp_path)
     assert list((tmp_path / "reports").iterdir()) == []
+
+
+@pytest.mark.parametrize("tag, load", [("run-record", load_run_record), ("il-table", load_il_table),
+                                       ("dataset", load_dataset_csv)])
+def test_a_header_field_without_a_value_is_refused_naming_the_path(tmp_path, tag, load):
+    path = tmp_path / "t.csv"
+    path.write_bytes(f"# rholoss-{tag} v1 built_from=abc seed\n".encode())
+    with pytest.raises(ValueError, match="header field 'seed' is not key=value") as info:
+        load(path)
+    assert str(path) in str(info.value)
 
 
 def test_reading_a_file_with_the_wrong_tag_names_the_path(tmp_path):
