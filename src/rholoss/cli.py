@@ -36,7 +36,7 @@ from .config import (
 )
 from .ilmodel import compute_il_table, load_il_table, save_il_table, train_il_model, train_il_two_halves
 from .ladder import run_ladder
-from .nn import init_mlp, load_model, predict_labels, save_model
+from .nn import diverging_at, init_mlp, load_model, predict_labels, save_model
 from .records import (
     RunRecord,
     atomic_write,
@@ -124,7 +124,8 @@ def prepare_datasets(cfg: ExperimentConfig):
     if ds_cfg.noise.kind == "uniform":
         pool = datamod.inject_uniform_noise(pool, ds_cfg.noise.p, seed=ds_cfg.noise.seed)
     elif ds_cfg.noise.kind == "structured":
-        ref_model, _ = train_il_model(pool, validation=pool, seed=cfg.il.seed + 101, **_il_train_kwargs(cfg.il))
+        with diverging_at("prepare structured-noise reference model"):
+            ref_model, _ = train_il_model(pool, validation=pool, seed=cfg.il.seed + 101, **_il_train_kwargs(cfg.il))
         confusion = datamod.confusion_counts(pool.labels, predict_labels(ref_model, pool.features), pool.num_classes)
         try:  # the pairs on offer depend on the fitted model, so parsing cannot check them
             pool = datamod.inject_structured_noise(
@@ -202,24 +203,24 @@ def cmd_train_il(cfg: ExperimentConfig, out: Path) -> int:
         raise CliError("config has no il section")
     pool, holdout = _load_prepared(out, cfg, ("train", "holdout"))
     ildir = out / "il"
-    ildir.mkdir(parents=True, exist_ok=True)
     chash = built_from(cfg, "il")
     il = cfg.il
     kwargs = dict(_il_train_kwargs(il), dropout_rate=il.dropout)
-    if il.scheme == "holdout":
-        if holdout is None:
-            raise CliError("holdout scheme needs a prepared holdout split")
-        model, log = train_il_model(holdout, validation=pool, seed=il.seed, **kwargs)
-        table = compute_il_table(model, pool)
-        save_model(model, ildir / "il_model.npz")
-        _save_checkpoint_log(log, ildir / "checkpoint_log.csv", chash, il.seed)
-    else:
-        half_a, half_b = datamod.split(pool, datamod.SplitSpec(0.5, seed=il.seed, mode="two-halves"))
-        table, model_a, model_b, log_a, log_b = train_il_two_halves(half_a, half_b, seed=il.seed, **kwargs)
-        save_model(model_a, ildir / "il_model_a.npz")
-        save_model(model_b, ildir / "il_model_b.npz")
-        _save_checkpoint_log(log_a, ildir / "checkpoint_log_a.csv", chash, il.seed)
-        _save_checkpoint_log(log_b, ildir / "checkpoint_log_b.csv", chash, il.seed)
+    with diverging_at("train-il IL fit"):
+        if il.scheme == "holdout":
+            if holdout is None:
+                raise CliError("holdout scheme needs a prepared holdout split")
+            model, log = train_il_model(holdout, validation=pool, seed=il.seed, **kwargs)
+            table = compute_il_table(model, pool)
+            fits = {"": (model, log)}
+        else:
+            half_a, half_b = datamod.split(pool, datamod.SplitSpec(0.5, seed=il.seed, mode="two-halves"))
+            table, model_a, model_b, log_a, log_b = train_il_two_halves(half_a, half_b, seed=il.seed, **kwargs)
+            fits = {"_a": (model_a, log_a), "_b": (model_b, log_b)}
+    ildir.mkdir(parents=True, exist_ok=True)  # only now, so a fit that fails leaves no il/ behind
+    for suffix, (model, log) in fits.items():
+        save_model(model, ildir / f"il_model{suffix}.npz")
+        _save_checkpoint_log(log, ildir / f"checkpoint_log{suffix}.csv", chash, il.seed)
     save_il_table(table, ildir / "il_table.csv", built_from=chash)
     print(f"wrote {ildir / 'il_table.csv'} ({table.ids.size} entries, scheme={table.scheme})")
     return 0
@@ -241,9 +242,10 @@ def _run_one(payload) -> str:
     policy = replace(run.policy, kind=policy_kind) if policy_kind != run.policy.kind else run.policy
     train_pool = pool
     if policy_kind == "svp-entropy":
-        proxy, _ = train_il_model(
-            pool, validation=pool, seed=_model_seed(cfg.il.seed + 7, seed), **_il_train_kwargs(cfg.il)
-        )
+        with diverging_at(f"run svp-entropy proxy for seed {seed}"):
+            proxy, _ = train_il_model(
+                pool, validation=pool, seed=_model_seed(cfg.il.seed + 7, seed), **_il_train_kwargs(cfg.il)
+            )
         kept = svp_offline_select(proxy, pool, run.policy.keep_fraction, seed=seed)
         train_pool = datamod.take(pool, np.flatnonzero(np.isin(pool.ids, kept)))
         policy = SelectionPolicy(kind="uniform")

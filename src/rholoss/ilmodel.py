@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import IlSection, OptimizerSettings
 from .data import LabeledDataset
-from .nn import MlpModel, batched_logits, cross_entropy, evaluate, init_mlp
+from .nn import MlpModel, batched_logits, cross_entropy, diverging_at, evaluate, init_mlp
 from .optim import OptimizerState, make_optimizer, train_epoch, train_step
 from .records import read_numeric_header, read_numeric_rows, write_numeric_table
 
@@ -95,7 +95,8 @@ def train_il_model(
     checkpoint with the lowest loss on the validation set.
 
     The validation set should be the pool whose irreducible losses will be
-    computed, and the minimum-loss (not maximum-accuracy) epoch is kept.
+    computed, and the minimum-loss (not maximum-accuracy) epoch is kept. A
+    fit that diverges names its epoch (1-based) in the error.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -108,9 +109,10 @@ def train_il_model(
     log = CheckpointLog()
     best: MlpModel | None = None
     best_loss = np.inf
-    for _ in range(epochs):
-        train_epoch(model, opt, holdout.features, holdout.labels, batch_size, rng)
-        val_acc, val_loss = evaluate(model, validation)
+    for epoch in range(1, epochs + 1):
+        with diverging_at(f"epoch {epoch}"):
+            train_epoch(model, opt, holdout.features, holdout.labels, batch_size, rng)
+            val_acc, val_loss = evaluate(model, validation)
         log.val_losses.append(val_loss)
         log.val_accuracies.append(val_acc)
         if val_loss < best_loss:
@@ -141,8 +143,10 @@ def train_il_two_halves(half_a: LabeledDataset, half_b: LabeledDataset, seed: in
     if set(half_a.ids.tolist()) & set(half_b.ids.tolist()):
         raise ValueError("two-halves scheme requires disjoint halves")
     seeds = np.random.SeedSequence(seed).generate_state(2)
-    model_a, log_a = train_il_model(half_a, validation=half_b, seed=int(seeds[0]), **train_kwargs)
-    model_b, log_b = train_il_model(half_b, validation=half_a, seed=int(seeds[1]), **train_kwargs)
+    with diverging_at("half a"):
+        model_a, log_a = train_il_model(half_a, validation=half_b, seed=int(seeds[0]), **train_kwargs)
+    with diverging_at("half b"):
+        model_b, log_b = train_il_model(half_b, validation=half_a, seed=int(seeds[1]), **train_kwargs)
     table_b = compute_il_table(model_a, half_b)
     table_a = compute_il_table(model_b, half_a)
     merged = IrreducibleLossTable(

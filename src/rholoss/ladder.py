@@ -33,7 +33,6 @@ at this scale.
 from __future__ import annotations
 
 import copy
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +41,8 @@ from .config import LadderConfig
 from .data import LabeledDataset
 from .nn import (
     MlpModel,
-    NonFiniteLogitsError,
     cross_entropy,
+    diverging_at,
     ensemble_cross_entropy,
     forward,
     init_mlp,
@@ -141,30 +140,20 @@ def _take(member, rows: slice):
     """Members `rows` of a (stacked model, optimizer) member list, with their
     moments and step counts, as a member list of their own."""
     model, opt = copy.deepcopy(member)
-    part = MlpModel(model.layer_sizes, [w[rows] for w in model.weights], [b[rows] for b in model.biases])
+    part = MlpModel(model.layer_sizes, model.params[rows])
     if not isinstance(opt.step_count, int):  # counts are per member once the stack has stepped
         opt.step_count = opt.step_count[rows]
     if opt.layout is not None:
-        opt.layout = tuple((name, part.stack + shape[1:]) for name, shape in opt.layout)
+        opt.layout = (*opt.layout[:2], part.params.shape)
         opt.flat_exp_avg, opt.flat_exp_avg_sq = opt.flat_exp_avg[rows], opt.flat_exp_avg_sq[rows]
     return part, opt
-
-
-@contextmanager
-def _at(place: str):
-    """Name the place in the ladder (rung, step and stage) where a forward
-    pass diverges."""
-    try:
-        yield
-    except NonFiniteLogitsError as exc:
-        raise NonFiniteLogitsError(f"ladder {place}: {exc}") from exc
 
 
 def run_ladder(pool: LabeledDataset, holdout: LabeledDataset, cfg: LadderConfig) -> dict[str, RungResult]:
     """Run every pipeline over the first epoch of the shared candidate
     schedule and correlate each rung's per-step scores against approx0's."""
     if pool.n < cfg.n_B:
-        raise ValueError(f"pool of {pool.n} examples is smaller than one candidate batch of {cfg.n_B}")
+        raise ValueError(f"ladder.n_B: pool of {pool.n} examples is smaller than one candidate batch of {cfg.n_B}")
     last = smallest_chunk(pool.n, cfg.n_B)
     if last < 2:
         raise ValueError(
@@ -197,7 +186,7 @@ def run_ladder(pool: LabeledDataset, holdout: LabeledDataset, cfg: LadderConfig)
     wide = member_list([init_mlp(sizes, seed=int(init_seeds[0])), *ensemble(int(init_seeds[2]))])
     small = member_list([init_mlp(small_sizes, seed=int(init_seeds[1]))])
     for (model, opt), rngs in ((wide, [pre[0], *pre[2:]]), (small, [pre[1]])):
-        with _at("IL pre-fit"):
+        with diverging_at("ladder IL pre-fit"):
             train_to_convergence(
                 model, holdout.features, holdout.labels, opt, cfg.il_pretrain_epochs, cfg.convergence_tol,
                 cfg.batch_size, rngs,
@@ -221,16 +210,16 @@ def run_ladder(pool: LabeledDataset, holdout: LabeledDataset, cfg: LadderConfig)
         per_step = []
         for step, (chunk, n_sel, tie_seed) in enumerate(schedule):
             x, y = pool.features[chunk], pool.labels[chunk]
-            with _at(f"rung {name} step {step} (scoring)"):
+            with diverging_at(f"ladder rung {name} step {step} (scoring)"):
                 s = _loss(target[0], x, y) - _loss(il[0], x, y)
             per_step.append(s)
             sel = select_top_k(s, n_sel, tie_seed)
             seen_x.append(x[sel])
             seen_y.append(y[sel])
             ax, ay = np.concatenate(seen_x), np.concatenate(seen_y)
-            with _at(f"rung {name} step {step} (target update)"):
+            with diverging_at(f"ladder rung {name} step {step} (target update)"):
                 _update(target, regime, ax, ay, x[sel], y[sel], cfg, target_rngs)
-            with _at(f"rung {name} step {step} (IL update)"):
+            with diverging_at(f"ladder rung {name} step {step} (IL update)"):
                 _update(
                     il, il_regime, np.concatenate([holdout.features, ax]), np.concatenate([holdout.labels, ay]),
                     x[sel], y[sel], cfg, il_rngs,

@@ -1,14 +1,20 @@
 """Dense multilayer perceptrons on float64 numpy arrays, with hand-written backprop.
 
-A model is a plain dataclass of parameter arrays; gradients are dicts keyed by
-parameter name and shaped like the parameters. Forward passes distinguish the
+A model keeps its trainable parameters in one flat float64 vector, `params`,
+in `parameters` order; its weights, biases and batch-norm gamma/beta are
+views of that vector, and running statistics are arrays of their own.
+`backward` writes its gradients into one fresh vector of the same layout and
+returns them keyed by parameter name, as views of that vector (`Gradients`,
+whose `flat` is the vector), so an optimizer updates `params` in place from
+it without gathering or scattering. Forward passes distinguish the
 dropout mode ("train"/"eval") from the batch-normalization statistics source
 ("batch"/"running"), because batch selection and model updates legitimately
 combine them differently: scoring a candidate batch wants deterministic
 activations but fresh batch statistics, while a training step wants both.
 
 A stacked model (`stack_models`) carries k same-shaped members along a
-leading axis of every parameter, so one call per layer op serves all of them.
+leading axis of every parameter (`params` is member-major, (k, P)), so one
+call per layer op serves all of them.
 Its input is either one (n, d) batch shared by every member or a (k, b, d)
 batch per member, and member j computes, bit for bit, what the model it was
 stacked from computes on its slice.
@@ -36,9 +42,10 @@ masks) with running statistics (no batch coupling).
 """
 from __future__ import annotations
 
-import hashlib
+import functools
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +56,17 @@ Array = np.ndarray
 
 class NonFiniteLogitsError(ValueError):
     """A forward pass produced NaN or infinite logits, as when training diverges."""
+
+
+@contextmanager
+def diverging_at(place: str):
+    """Name the place (a fit, an epoch, a ladder step) in the message of a
+    NonFiniteLogitsError raised inside; nested places read outermost first."""
+    try:
+        yield
+    except NonFiniteLogitsError as exc:
+        raise NonFiniteLogitsError(f"{place}: {exc}") from exc
+
 
 _MODES = ("train", "eval")
 _BN_SOURCES = ("batch", "running")
@@ -116,14 +134,34 @@ def cross_entropy(logits: Array, labels) -> Array:
 
 @dataclass
 class BatchNormLayer:
-    """Per-feature affine normalization with running statistics."""
+    """Per-feature affine normalization with running statistics. gamma and
+    beta are views of the owning model's `params`, bound by `MlpModel`."""
 
-    gamma: Array
-    beta: Array
     running_mean: Array
     running_var: Array
     momentum: float = 0.1
     eps: float = 1e-5
+    gamma: Array = field(init=False, repr=False)
+    beta: Array = field(init=False, repr=False)
+
+
+@functools.cache
+def _layout(sizes: tuple[int, ...], batchnorm: bool) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
+    """(name, start, stop, shape) of every trainable array in a flat vector,
+    in `parameters` order: w0, b0, w1, b1, ..., then each batch-norm layer's
+    gamma and beta."""
+    shapes = [
+        (f"{kind}{l}", shape)
+        for l, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:]))
+        for kind, shape in (("w", (fan_in, fan_out)), ("b", (fan_out,)))
+    ]
+    if batchnorm:
+        shapes += [(f"bn{l}_{kind}", (width,)) for l, width in enumerate(sizes[1:-1]) for kind in ("gamma", "beta")]
+    layout, start = [], 0
+    for name, shape in shapes:
+        layout.append((name, start, start + math.prod(shape), shape))
+        start += math.prod(shape)
+    return tuple(layout)
 
 
 @dataclass
@@ -131,14 +169,37 @@ class MlpModel:
     """Fully connected rectifier network; the last layer emits raw logits.
 
     Hidden layers apply, in order: linear, optional batch normalization,
-    ReLU, optional dropout. The output layer is purely linear.
+    ReLU, optional dropout. The output layer is purely linear. params holds
+    every trainable value; weights, biases and the batch-norm layers' gamma
+    and beta are views of it, bound at construction and again for a copy or
+    an unpickled model, so write through them in place.
     """
 
     layer_sizes: tuple[int, ...]
-    weights: list[Array]
-    biases: list[Array]
+    params: Array
     dropout_rate: float = 0.0
     batchnorm: list[BatchNormLayer] | None = None
+    weights: list[Array] = field(init=False, repr=False)
+    biases: list[Array] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        size = _layout(self.layer_sizes, self.batchnorm is not None)[-1][2]  # where the last array stops
+        p = self.params
+        if p.dtype != np.float64 or p.ndim not in (1, 2) or p.shape[-1] != size:
+            raise ValueError(f"params must be float64 of shape ({size},) or (k, {size}), got {p.dtype} {p.shape}")
+        views = parameters(self)
+        self.weights = [views[f"w{l}"] for l in range(self.n_layers)]
+        self.biases = [views[f"b{l}"] for l in range(self.n_layers)]
+        for l, bn in enumerate(self.batchnorm or ()):
+            bn.gamma, bn.beta = views[f"bn{l}_gamma"], views[f"bn{l}_beta"]
+
+    def __getstate__(self):
+        """Copies and pickles carry params; the views are bound anew from it."""
+        return {key: value for key, value in self.__dict__.items() if key not in ("weights", "biases")}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.__post_init__()
 
     @property
     def input_dim(self) -> int:
@@ -150,12 +211,12 @@ class MlpModel:
 
     @property
     def n_layers(self) -> int:
-        return len(self.weights)
+        return len(self.layer_sizes) - 1
 
     @property
     def stack(self) -> tuple[int, ...]:
         """(k,) for a stack of k members, () for an ordinary model."""
-        return self.weights[0].shape[:-2]
+        return self.params.shape[:-1]
 
 
 def init_mlp(
@@ -164,53 +225,48 @@ def init_mlp(
     dropout_rate: float = 0.0,
     batchnorm: bool = False,
 ) -> MlpModel:
-    """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] for weights and biases."""
+    """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] for weights
+    and biases; batch-norm gamma starts at 1 and beta at 0."""
     sizes = tuple(int(s) for s in layer_sizes)
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ValueError(f"layer_sizes needs >= 2 positive widths, got {sizes}")
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
+    bn = [BatchNormLayer(np.zeros(w), np.ones(w)) for w in sizes[1:-1]] if batchnorm else None
+    size = _layout(sizes, bn is not None)[-1][2]  # where the last array stops
+    model = MlpModel(sizes, np.zeros(size), dropout_rate=dropout_rate, batchnorm=bn)
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = 1.0 / math.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(rng.uniform(-bound, bound, size=fan_out))
-    bn = None
-    if batchnorm:
-        bn = [
-            BatchNormLayer(
-                gamma=np.ones(w),
-                beta=np.zeros(w),
-                running_mean=np.zeros(w),
-                running_var=np.ones(w),
-            )
-            for w in sizes[1:-1]
-        ]
-    return MlpModel(sizes, weights, biases, dropout_rate=dropout_rate, batchnorm=bn)
+    for w, b in zip(model.weights, model.biases):
+        bound = 1.0 / math.sqrt(w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+        b[...] = rng.uniform(-bound, bound, size=b.shape)
+    for layer in bn or ():
+        layer.gamma[...] = 1.0
+    return model
+
+
+def param_views(model: MlpModel, flat: Array) -> dict[str, Array]:
+    """Views of flat, a vector laid out like model.params ((P,), or (k, P)
+    for a stack), keyed by parameter name and shaped like the parameters,
+    in `parameters` order. An optimizer's moment vectors read the same way."""
+    lead = flat.shape[:-1]
+    return {
+        name: flat[..., start:stop].reshape(*lead, *shape)
+        for name, start, stop, shape in _layout(model.layer_sizes, model.batchnorm is not None)
+    }
 
 
 def parameters(model: MlpModel) -> dict[str, Array]:
     """Live views of every trainable array, in a stable order."""
-    params: dict[str, Array] = {}
-    for l in range(model.n_layers):
-        params[f"w{l}"] = model.weights[l]
-        params[f"b{l}"] = model.biases[l]
-    if model.batchnorm is not None:
-        for l, bn in enumerate(model.batchnorm):
-            params[f"bn{l}_gamma"] = bn.gamma
-            params[f"bn{l}_beta"] = bn.beta
-    return params
+    return param_views(model, model.params)
 
 
-def model_id(model: MlpModel) -> str:
-    """Content hash of the parameters; identifies a model snapshot on disk."""
-    h = hashlib.sha256()
-    h.update(repr(model.layer_sizes).encode())
-    h.update(repr(model.dropout_rate).encode())
-    for _, p in sorted(parameters(model).items()):
-        h.update(np.ascontiguousarray(p).tobytes())
-    return h.hexdigest()[:16]
+class Gradients(dict):
+    """Gradients keyed by parameter name, each a view of one flat vector,
+    `flat`, laid out like the model's params. Edit them in place: an entry
+    bound to a new array is no longer part of `flat`."""
+
+    flat: Array
 
 
 def _check_mode(mode: str, bn_stat_source: str) -> None:
@@ -392,8 +448,9 @@ def backward(
     rng: np.random.Generator | None = None,
     update_running: bool = False,
     sample_weights=None,
-) -> dict[str, Array]:
-    """Gradient of the mean cross-entropy over the batch w.r.t. every parameter.
+) -> Gradients:
+    """Gradient of the mean cross-entropy over the batch w.r.t. every parameter,
+    keyed by name, as views of one flat vector laid out like model.params.
 
     sample_weights, when given, reweight the per-example losses inside the
     mean (used by importance-sampling policies; weights are expected to
@@ -409,14 +466,16 @@ def backward(
         if w.size != b:
             raise ValueError(f"got {b} examples but {w.size} sample weights")
         d *= (w / b)[:, None]
-    grads: dict[str, Array] = {}
+    flat = np.empty_like(model.params)
+    grads = Gradients(param_views(model, flat))
+    grads.flat = flat
     for l, a_in, d, bn in _backprop(model, cache, d):
         if bn is not None:
             dout, xhat = bn
-            grads[f"bn{l}_gamma"] = (dout * xhat).sum(axis=0)
-            grads[f"bn{l}_beta"] = dout.sum(axis=0)
-        grads[f"w{l}"] = a_in.swapaxes(-1, -2) @ d
-        grads[f"b{l}"] = d.sum(axis=-2)
+            np.multiply(dout, xhat).sum(axis=0, out=grads[f"bn{l}_gamma"])
+            dout.sum(axis=0, out=grads[f"bn{l}_beta"])
+        np.matmul(a_in.swapaxes(-1, -2), d, out=grads[f"w{l}"])
+        d.sum(axis=-2, out=grads[f"b{l}"])
     return grads
 
 
@@ -480,14 +539,12 @@ def stack_models(models) -> MlpModel:
         raise ValueError("stacked models must share layer sizes")
     if any(m.batchnorm is not None or m.dropout_rate > 0.0 or m.stack for m in models):
         raise ValueError("only ordinary models without batch normalization or dropout can be stacked")
-    weights = [np.stack([m.weights[l] for m in models]) for l in range(len(sizes) - 1)]
-    biases = [np.stack([m.biases[l] for m in models]) for l in range(len(sizes) - 1)]
-    return MlpModel(sizes, weights, biases)
+    return MlpModel(sizes, np.stack([m.params for m in models]))
 
 
 def unstack(model: MlpModel) -> list[MlpModel]:
-    """The members of a stacked model as ordinary models whose parameters are
-    views into the stack.
+    """The members of a stacked model as ordinary models whose params are
+    row views of the stack's.
 
     On a large shared batch, one forward per member is the faster choice: the
     stacked hidden layers are k times larger, and at a few MB they no longer
@@ -495,10 +552,7 @@ def unstack(model: MlpModel) -> list[MlpModel]:
     """
     if not model.stack:
         raise ValueError("unstack needs a stacked model")
-    return [
-        MlpModel(model.layer_sizes, [w[j] for w in model.weights], [b[j] for b in model.biases])
-        for j in range(model.stack[0])
-    ]
+    return [MlpModel(model.layer_sizes, row) for row in model.params]
 
 
 def ensemble_cross_entropy(model: MlpModel, x, labels) -> Array:
@@ -539,20 +593,13 @@ def save_model(model: MlpModel, path) -> None:
 def load_model(path) -> MlpModel:
     with np.load(path) as z:
         sizes = tuple(int(s) for s in z["layer_sizes"])
-        n_layers = len(sizes) - 1
-        weights = [z[f"w{l}"].copy() for l in range(n_layers)]
-        biases = [z[f"b{l}"].copy() for l in range(n_layers)]
         bn = None
         if int(z["has_bn"]):
             bn = [
                 BatchNormLayer(
-                    z[f"bn{l}_gamma"].copy(),
-                    z[f"bn{l}_beta"].copy(),
-                    z[f"bn{l}_rmean"].copy(),
-                    z[f"bn{l}_rvar"].copy(),
-                    momentum=float(z["bn_momentum"]),
-                    eps=float(z["bn_eps"]),
+                    z[f"bn{l}_rmean"], z[f"bn{l}_rvar"], momentum=float(z["bn_momentum"]), eps=float(z["bn_eps"])
                 )
-                for l in range(n_layers - 1)
+                for l in range(len(sizes) - 2)
             ]
-        return MlpModel(sizes, weights, biases, dropout_rate=float(z["dropout_rate"]), batchnorm=bn)
+        params = np.concatenate([z[name].ravel() for name, *_ in _layout(sizes, bn is not None)])
+        return MlpModel(sizes, params, dropout_rate=float(z["dropout_rate"]), batchnorm=bn)

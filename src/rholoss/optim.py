@@ -1,12 +1,14 @@
-"""SGD and AdamW (decoupled weight decay) over named parameter dicts.
+"""SGD and AdamW (decoupled weight decay) on a model's flat parameter vector.
 
-One step gathers the gradients and the parameters, in `nn.parameters` order,
-into one flat vector each, updates the parameter vector with whole-vector
-ufuncs, and copies it back into the parameter arrays. Every element goes
-through the same operations in the same order as a per-parameter update, so
-the result does not depend on how the parameters are split into arrays.
+A model keeps its parameters in one flat vector, `params`, and `backward`
+returns its gradients as views of one vector of the same layout
+(`nn.Gradients`). A step updates `params` in place from that vector with
+whole-vector ufuncs; a name-keyed mapping of gradient arrays without the
+vector is checked and gathered into one first. Every element goes through
+the same operations in the same order as a per-parameter update, so the
+result does not depend on how the parameters are split into arrays.
 
-For a stacked model (`nn.stack_models`) the flat vectors are member-major
+For a stacked model (`nn.stack_models`) the vectors are member-major
 (k, P), and each member keeps its own step count, so a member left out of a
 step by the `active` mask resumes later exactly as if trained alone.
 
@@ -15,27 +17,17 @@ minibatch epoch and the ladder all take it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import MlpModel, backward, parameters
+from .nn import Gradients, MlpModel, backward, parameters
 
 OPTIMIZER_KINDS = ("sgd", "adamw")
 
-Layout = tuple[tuple[str, tuple[int, ...]], ...]
-
-
-def _views(flat: np.ndarray, layout: Layout) -> dict[str, np.ndarray]:
-    """Name-keyed views of a flat (P,) or member-major (k, P) vector, each
-    shaped like its parameter."""
-    views, start = {}, 0
-    for name, shape in layout:
-        stop = start + math.prod(shape[flat.ndim - 1 :])
-        views[name] = flat[..., start:stop].reshape(shape)
-        start = stop
-    return views
+# The layer sizes, the batch-norm flag and the shape of params: what fixes
+# the layout of a model's flat vector.
+Layout = tuple[tuple[int, ...], bool, tuple[int, ...]]
 
 
 def _bias_correction(beta: float, counts: list[int]) -> float | np.ndarray:
@@ -52,10 +44,10 @@ def _bias_correction(beta: float, counts: list[int]) -> float | np.ndarray:
 class OptimizerState:
     """Hyperparameters, step count and, for AdamW, the moment vectors.
 
-    The moments are flat vectors over the parameter layout (names and shapes,
-    in `nn.parameters` order) they were built for; exp_avg and exp_avg_sq
-    give them back keyed by parameter name. For a stacked model step_count
-    becomes a list of one count per member on the first step.
+    The moments are flat vectors laid out like the params of the model they
+    were built for (`layout`); `nn.param_views` gives them back keyed by
+    parameter name. For a stacked model step_count becomes a list of one
+    count per member on the first step.
     """
 
     kind: str
@@ -68,14 +60,6 @@ class OptimizerState:
     layout: Layout | None = None
     flat_exp_avg: np.ndarray | None = None
     flat_exp_avg_sq: np.ndarray | None = None
-
-    @property
-    def exp_avg(self) -> dict[str, np.ndarray]:
-        return {} if self.flat_exp_avg is None else _views(self.flat_exp_avg, self.layout)
-
-    @property
-    def exp_avg_sq(self) -> dict[str, np.ndarray]:
-        return {} if self.flat_exp_avg_sq is None else _views(self.flat_exp_avg_sq, self.layout)
 
 
 def make_optimizer(
@@ -93,16 +77,14 @@ def make_optimizer(
     return OptimizerState(kind, learning_rate, beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay)
 
 
-def optimizer_step(state: OptimizerState, model: MlpModel, grads: dict[str, np.ndarray], active=None):
-    """Apply one update in place; returns (model, state) for chaining.
-
-    SGD is the bare rule p <- p - lr * g. AdamW applies decoupled weight decay
-    p <- p - lr * wd * p independently of the bias-corrected adaptive term.
-    Moment vectors are allocated lazily on the first step; a later step on a
-    different parameter layout raises ValueError. For a stacked model, active
-    is an optional boolean mask over the members: the parameters, moments and
-    step count of a member outside it stay untouched.
-    """
+def _flat_gradient(model: MlpModel, grads) -> np.ndarray:
+    """The gradient as one vector laid out like model.params: the vector of
+    `nn.Gradients` as it is, else the name-keyed arrays checked and gathered."""
+    if isinstance(grads, Gradients):
+        g = grads.flat
+        if g.shape != model.params.shape:
+            raise ValueError(f"gradient vector shape {g.shape} does not match params shape {model.params.shape}")
+        return g
     params = parameters(model)
     for name, p in params.items():
         if name not in grads:
@@ -110,10 +92,24 @@ def optimizer_step(state: OptimizerState, model: MlpModel, grads: dict[str, np.n
         g = grads[name]
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter {name!r} shape {p.shape}")
-    if state.kind == "adamw":
-        layout = tuple((name, p.shape) for name, p in params.items())
-        if state.layout is not None and layout != state.layout:
-            raise ValueError(f"parameter layout {layout} differs from the one the moments were built for {state.layout}")
+    return np.concatenate([grads[name].reshape(*model.stack, -1) for name in params], axis=-1)
+
+
+def optimizer_step(state: OptimizerState, model: MlpModel, grads: dict[str, np.ndarray], active=None):
+    """Apply one update to model.params in place; returns (model, state) for chaining.
+
+    SGD is the bare rule p <- p - lr * g. AdamW applies decoupled weight decay
+    p <- p - lr * wd * p independently of the bias-corrected adaptive term.
+    Moment vectors are allocated lazily on the first step; a later step on a
+    different parameter layout raises ValueError. For a stacked model, active
+    is an optional boolean mask over the members: the parameters, moments and
+    step count of a member outside it stay untouched. The gradient arrays are
+    only read.
+    """
+    g = _flat_gradient(model, grads)
+    layout = (model.layer_sizes, model.batchnorm is not None, model.params.shape)
+    if state.kind == "adamw" and state.layout is not None and layout != state.layout:
+        raise ValueError(f"parameter layout {layout} differs from the one the moments were built for {state.layout}")
     stack = model.stack
     if active is not None and not stack:
         raise ValueError("an active-member mask needs a stacked model")
@@ -124,22 +120,20 @@ def optimizer_step(state: OptimizerState, model: MlpModel, grads: dict[str, np.n
     rows = None if active is None or np.all(active) else np.flatnonzero(active)
     if rows is not None and rows.size == 0:
         return model, state
-    whole = np.concatenate([q.reshape(*stack, -1) for q in params.values()], axis=-1)
-    g = np.concatenate([grads[name].reshape(*stack, -1) for name in params], axis=-1)
     if state.kind == "adamw" and state.layout is None:
         state.layout = layout
-        state.flat_exp_avg = np.zeros_like(whole)
-        state.flat_exp_avg_sq = np.zeros_like(whole)
-    p = whole
+        state.flat_exp_avg = np.zeros_like(model.params)
+        state.flat_exp_avg_sq = np.zeros_like(model.params)
+    p = model.params
     if not stack:
         state.step_count += 1
     elif rows is None:
         state.step_count = [t + 1 for t in state.step_count]
     else:
-        p, g = whole[rows], g[rows]
+        p, g = p[rows], g[rows]
         for j in rows:
             state.step_count[j] += 1
-    s = np.empty_like(p)  # scratch; g becomes the second scratch once the moments are updated
+    s = np.empty_like(p)  # scratch
     lr = state.learning_rate
     if state.kind == "sgd":
         np.multiply(g, lr, out=s)
@@ -151,6 +145,7 @@ def optimizer_step(state: OptimizerState, model: MlpModel, grads: dict[str, np.n
             m, v, t = m[rows], v[rows], [t[j] for j in rows]
         bc1 = _bias_correction(state.beta1, t)
         bc2 = _bias_correction(state.beta2, t)
+        r = np.empty_like(p)  # the second scratch
         # m <- b1*m + (1-b1)*g;  v <- b2*v + ((1-b2)*g)*g
         m *= state.beta1
         np.multiply(g, 1.0 - state.beta1, out=s)
@@ -165,22 +160,16 @@ def optimizer_step(state: OptimizerState, model: MlpModel, grads: dict[str, np.n
         # p <- p - (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
         np.divide(m, bc1, out=s)
         s *= lr
-        np.divide(v, bc2, out=g)
-        np.sqrt(g, out=g)
-        g += state.eps
-        s /= g
+        np.divide(v, bc2, out=r)
+        np.sqrt(r, out=r)
+        r += state.eps
+        s /= r
         p -= s
         if rows is not None:
             state.flat_exp_avg[rows] = m
             state.flat_exp_avg_sq[rows] = v
     if rows is not None:
-        whole[rows] = p
-    members = stack[0] if stack else 1
-    start = 0
-    for q in params.values():  # a member left out writes back its unchanged values
-        stop = start + q.size // members
-        q[...] = whole[..., start:stop].reshape(q.shape)
-        start = stop
+        model.params[rows] = p
     return model, state
 
 

@@ -92,8 +92,8 @@ def _run(train, test, cfg, model, il_values_fn, il_after_step, dump) -> RunRecor
     fewest = chunk_select_count(last, cfg.n_b, cfg.n_B)
     if model.batchnorm is not None and fewest < 2:
         raise ValueError(
-            f"batch normalization needs >= 2 selected rows in every step, but n_b={cfg.n_b} of n_B={cfg.n_B} "
-            f"on a pool of {train.n} selects {fewest} from the last chunk of {last}"
+            f"run.n_b, run.n_B: batch normalization needs >= 2 selected rows in every step, but n_b={cfg.n_b} "
+            f"of n_B={cfg.n_B} on a pool of {train.n} selects {fewest} from the last chunk of {last}"
         )
     streams = np.random.SeedSequence(cfg.seed).spawn(5)
     perm_rng = np.random.default_rng(streams[0])

@@ -1103,6 +1103,70 @@ def test_a_diverging_ladder_names_where_and_writes_nothing(tmp_path, capsys, pre
     assert not (out / "ladder" / "ladder.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_a_diverging_il_fit_names_the_fit_and_epoch_and_leaves_no_il_dir(tmp_path, capsys):
+    raw = yaml.safe_load(EXAMPLE_CONFIG.read_text())
+    raw["il"]["optimizer"] = {"kind": "sgd", "learning_rate": 10.0}
+    cfg_path = tmp_path / "config.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out"
+    assert main(["prepare", "--config", str(cfg_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["train-il", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: train-il IL fit: epoch 1: forward pass produced non-finite logits\n"
+    assert not (out / "il").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize(
+    "overrides, stages, place, absent",
+    [
+        ({"il.scheme": "two-halves"}, ("prepare", "train-il"), "train-il IL fit: half a: epoch 1", "il"),
+        ({"dataset.noise": STRUCTURED}, ("prepare",), "prepare structured-noise reference model: epoch 1", "dataset"),
+        (
+            {"run.policy.kind": "svp-entropy", "run.targets": [], "run.seeds": [1]},
+            ("prepare", "run"),
+            "run svp-entropy proxy for seed 1: epoch 1",
+            "runs/record_svp-entropy_seed1.csv",
+        ),
+    ],
+)
+def test_every_il_fit_names_itself_when_it_diverges(tmp_path, capsys, overrides, stages, place, absent):
+    cfg_path = write_config(tmp_path, {**overrides, "il.optimizer": {"kind": "sgd", "learning_rate": 1e300}})
+    out = tmp_path / "out"
+    for stage in stages[:-1]:
+        assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main([stages[-1], "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {place}: forward pass produced non-finite logits\n"
+    assert not (out / absent).exists()
+
+
+def test_a_ladder_pool_smaller_than_one_candidate_batch_names_ladder_n_B(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, {"ladder.n_B": 127})  # the pool holds 126
+    out = tmp_path / "out"
+    assert main(["prepare", "--config", str(cfg_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["ladder", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: ladder.n_B: pool of 126 examples is smaller than one candidate batch of 127\n"
+    assert not (out / "ladder").exists()
+
+
+def test_the_batchnorm_last_chunk_refusal_names_run_n_b_and_run_n_B(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, {"run.model.batchnorm": True, "run.n_b": 2, "run.n_B": 20})
+    out = tmp_path / "out"
+    for stage in ("prepare", "train-il"):
+        assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    # the pool of 126 ends in a chunk of 6, of which a step would train on round(2 * 6 / 20) = 1
+    assert capsys.readouterr().err == (
+        "error: run.n_b, run.n_B: batch normalization needs >= 2 selected rows in every step, "
+        "but n_b=2 of n_B=20 on a pool of 126 selects 1 from the last chunk of 6\n"
+    )
+
+
 def test_stages_load_each_split_they_use_once(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path, {"run.seeds": [1, 2]})  # rho-loss + the uniform baseline: 4 runs
     out = tmp_path / "out"

@@ -107,8 +107,8 @@ def lockstep_against_one_at_a_time(k, n, batch_size, budget, tol, kind, seed):
         for name, p in nn.parameters(model).items():
             assert np.array_equal(nn.parameters(stack)[name][j], p), name
             if loop.exp_avg:
-                assert np.array_equal(opt.exp_avg[name][j], loop.exp_avg[name]), name
-                assert np.array_equal(opt.exp_avg_sq[name][j], loop.exp_avg_sq[name]), name
+                assert np.array_equal(nn.param_views(stack, opt.flat_exp_avg)[name][j], loop.exp_avg[name]), name
+                assert np.array_equal(nn.param_views(stack, opt.flat_exp_avg_sq)[name][j], loop.exp_avg_sq[name]), name
     return counts
 
 

@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -7,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rholoss import nn
-from rholoss.optim import make_optimizer, optimizer_step
+from rholoss.ladder import _take
+from rholoss.optim import make_optimizer, optimizer_step, train_step
 
 from oracles import direct_cross_entropy, explicit_forward, fd_gradients, grad_norm_oracle, max_rel_error
 
@@ -179,8 +181,8 @@ def test_closed_form_grad_norm_matches_the_gradient_dict(hidden, n_in, n_classes
     for bn in model.batchnorm or []:
         bn.running_mean = rng.normal(0.0, 2.0, bn.gamma.shape)
         bn.running_var = rng.uniform(0.05, 4.0, bn.gamma.shape)
-        bn.gamma = rng.uniform(-2.0, 2.0, bn.gamma.shape)
-        bn.beta = rng.normal(0.0, 1.0, bn.gamma.shape)
+        bn.gamma[...] = rng.uniform(-2.0, 2.0, bn.gamma.shape)
+        bn.beta[...] = rng.normal(0.0, 1.0, bn.gamma.shape)
     model.weights[-1] *= logit_scale  # large scales saturate the softmax
     x = rng.uniform(-x_scale, x_scale, (4, n_in))
     y = rng.integers(0, n_classes, 4)
@@ -196,7 +198,7 @@ def test_per_example_grad_norm_of_a_batch_is_each_rows_norm():
     rng = np.random.default_rng(4)
     for bn in model.batchnorm:
         bn.running_mean = rng.normal(0.0, 1.0, bn.gamma.shape)
-        bn.gamma = rng.uniform(0.5, 2.0, bn.gamma.shape)
+        bn.gamma[...] = rng.uniform(0.5, 2.0, bn.gamma.shape)
     x = rng.standard_normal((6, 4))
     y = rng.integers(0, 3, 6)
     norms = nn.per_example_grad_norm(model, x, y)
@@ -340,7 +342,7 @@ def _scratch_test_models(seed):
     trainer = nn.init_mlp((5, 9, 7, 4), seed=seed, dropout_rate=0.2, batchnorm=True)
     rng = np.random.default_rng(seed)
     for bn in trainer.batchnorm:
-        bn.gamma, bn.beta = rng.uniform(0.5, 2.0, bn.gamma.size), rng.standard_normal(bn.beta.size)
+        bn.gamma[...], bn.beta[...] = rng.uniform(0.5, 2.0, bn.gamma.size), rng.standard_normal(bn.beta.size)
         bn.running_mean, bn.running_var = rng.standard_normal(bn.gamma.size), rng.uniform(0.5, 2.0, bn.gamma.size)
     return {
         "trainer": trainer,
@@ -472,4 +474,69 @@ def test_model_save_load_roundtrip(tmp_path):
     assert loaded.layer_sizes == model.layer_sizes
     assert loaded.dropout_rate == model.dropout_rate
     assert np.array_equal(nn.forward(loaded, x), nn.forward(model, x))
-    assert nn.model_id(loaded) == nn.model_id(model)
+    assert np.array_equal(loaded.params, model.params)
+
+
+def _trainable_arrays(model):
+    """The model's weights, biases and batch-norm gamma/beta, keyed like `nn.parameters`."""
+    arrays = {}
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        arrays[f"w{l}"], arrays[f"b{l}"] = w, b
+    for l, bn in enumerate(model.batchnorm or ()):
+        arrays[f"bn{l}_gamma"], arrays[f"bn{l}_beta"] = bn.gamma, bn.beta
+    return arrays
+
+
+def assert_views_of_params(model):
+    """Every trainable array is the matching slice of params, and a write
+    through params reaches it; running statistics are arrays of their own."""
+    arrays = _trainable_arrays(model)
+    assert list(arrays) == list(nn.parameters(model))
+    before = model.params.copy()
+    model.params += 1.0
+    for name, expected in nn.param_views(model, before).items():
+        assert np.shares_memory(arrays[name], model.params), name
+        assert np.array_equal(arrays[name], expected + 1.0), name
+    model.params[...] = before
+    for bn in model.batchnorm or ():
+        assert not np.shares_memory(bn.running_mean, model.params)
+        assert not np.shares_memory(bn.running_var, model.params)
+
+
+def assert_shares_no_memory(a, b):
+    for x in (a.params, *_trainable_arrays(a).values()):
+        for y in (b.params, *_trainable_arrays(b).values()):
+            assert not np.shares_memory(x, y)
+
+
+def test_every_trainable_array_is_a_view_of_params_however_the_model_was_made(tmp_path):
+    plain = nn.init_mlp((3, 5, 4, 2), seed=1, dropout_rate=0.2, batchnorm=True)
+    assert plain.params.shape == (3 * 5 + 5 + 5 * 4 + 4 + 4 * 2 + 2 + 2 * (5 + 4),)
+    assert_views_of_params(plain)
+    x = np.random.default_rng(0).standard_normal((6, 3))
+    nn.forward(plain, x, bn_stat_source="batch", update_running=True)
+    nn.save_model(plain, tmp_path / "model.npz")
+    assert_views_of_params(nn.load_model(tmp_path / "model.npz"))
+
+    stack = nn.stack_models([nn.init_mlp((3, 5, 2), seed=s) for s in range(3)])
+    assert stack.params.shape == (3, 3 * 5 + 5 + 5 * 2 + 2)
+    assert_views_of_params(stack)
+    for j, member in enumerate(nn.unstack(stack)):
+        assert member.params.base is stack.params  # a row view, not a copy
+        assert_views_of_params(member)
+        member.params[0] = 7.0 + j
+        assert stack.weights[0][j, 0, 0] == 7.0 + j
+
+    opt = make_optimizer("adamw", 0.01)
+    train_step(stack, opt, np.zeros((3, 4, 3)), np.zeros((3, 4), dtype=int))
+    part, part_opt = _take((stack, opt), slice(1, None))
+    assert part.params.shape == part_opt.flat_exp_avg.shape == part_opt.flat_exp_avg_sq.shape == (2, 32)
+    assert np.array_equal(part.params, stack.params[1:])
+    assert_views_of_params(part)
+    assert_shares_no_memory(part, stack)
+
+    for model in (plain, stack):
+        twin = copy.deepcopy(model)
+        assert np.array_equal(twin.params, model.params)
+        assert_views_of_params(twin)
+        assert_shares_no_memory(twin, model)

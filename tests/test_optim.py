@@ -102,9 +102,10 @@ def test_moment_buffers_track_parameter_shapes():
     opt = make_optimizer("adamw", 1e-3)
     grads = nn.backward(model, np.zeros((2, 3)), [0, 1])
     optimizer_step(opt, model, grads)
+    assert opt.flat_exp_avg.shape == opt.flat_exp_avg_sq.shape == model.params.shape
+    m, v = nn.param_views(model, opt.flat_exp_avg), nn.param_views(model, opt.flat_exp_avg_sq)
     for name, p in nn.parameters(model).items():
-        assert opt.exp_avg[name].shape == p.shape
-        assert opt.exp_avg_sq[name].shape == p.shape
+        assert m[name].shape == v[name].shape == p.shape
 
 
 @settings(max_examples=80, deadline=None)
@@ -138,8 +139,8 @@ def test_fused_step_matches_per_parameter_loop_bitwise(kind, hidden, batchnorm, 
     for name, p in nn.parameters(model).items():
         assert np.array_equal(p, nn.parameters(twin)[name])
         if kind == "adamw":
-            assert np.array_equal(opt.exp_avg[name], loop.exp_avg[name])
-            assert np.array_equal(opt.exp_avg_sq[name], loop.exp_avg_sq[name])
+            assert np.array_equal(nn.param_views(model, opt.flat_exp_avg)[name], loop.exp_avg[name])
+            assert np.array_equal(nn.param_views(model, opt.flat_exp_avg_sq)[name], loop.exp_avg_sq[name])
 
 
 def test_moments_survive_deepcopy_as_name_keyed_views():
@@ -150,11 +151,12 @@ def test_moments_survive_deepcopy_as_name_keyed_views():
     model2, opt2 = copy.deepcopy((model, opt))
     for m, o in ((model, opt), (model2, opt2)):
         optimizer_step(o, m, nn.backward(m, x, y))
+    m, m2 = nn.param_views(model, opt.flat_exp_avg), nn.param_views(model2, opt2.flat_exp_avg)
     for name, p in nn.parameters(model).items():
         assert np.array_equal(p, nn.parameters(model2)[name])
-        assert np.array_equal(opt.exp_avg[name], opt2.exp_avg[name])
-        assert np.shares_memory(opt2.exp_avg[name], opt2.flat_exp_avg)
-        assert not np.shares_memory(opt2.exp_avg[name], opt.flat_exp_avg)
+        assert np.array_equal(m[name], m2[name])
+        assert np.shares_memory(m2[name], opt2.flat_exp_avg)
+        assert not np.shares_memory(m2[name], opt.flat_exp_avg)
 
 
 def test_adamw_rejects_a_layout_other_than_its_moments():
@@ -202,15 +204,16 @@ def test_masked_members_are_untouched_and_the_rest_step_as_if_alone(kind, k, sta
             for name, p in nn.parameters(stack).items():
                 assert np.array_equal(p[j], nn.parameters(before_stack)[name][j])
                 if before_opt.layout is not None:
-                    assert np.array_equal(opt.exp_avg[name][j], before_opt.exp_avg[name][j])
-                    assert np.array_equal(opt.exp_avg_sq[name][j], before_opt.exp_avg_sq[name][j])
+                    for moment in ("flat_exp_avg", "flat_exp_avg_sq"):
+                        now, then = (nn.param_views(stack, getattr(o, moment)) for o in (opt, before_opt))
+                        assert np.array_equal(now[name][j], then[name][j])
     for j, (member, loop) in enumerate(zip(members, loops)):
         assert opt.step_count[j] == loop.step_count
         for name, p in nn.parameters(member).items():
             assert np.array_equal(nn.parameters(stack)[name][j], p)
             if kind == "adamw" and loop.exp_avg:
-                assert np.array_equal(opt.exp_avg[name][j], loop.exp_avg[name])
-                assert np.array_equal(opt.exp_avg_sq[name][j], loop.exp_avg_sq[name])
+                assert np.array_equal(nn.param_views(stack, opt.flat_exp_avg)[name][j], loop.exp_avg[name])
+                assert np.array_equal(nn.param_views(stack, opt.flat_exp_avg_sq)[name][j], loop.exp_avg_sq[name])
 
 
 def test_active_mask_needs_a_stacked_model():
@@ -263,6 +266,77 @@ def test_train_step_on_a_stack_honours_the_active_mask_bitwise():
         _hand_step(twin, twin_opt, x, y, active=np.array(active))
     assert opt.step_count == [2, 2, 3]
     assert _state_bytes(stack, opt) == _state_bytes(twin, twin_opt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["sgd", "adamw"]),
+    k=st.sampled_from([0, 1, 3]),  # 0: an ordinary model
+    batchnorm=st.booleans(),
+    dropout=st.sampled_from([0.0, 0.3]),
+    weighted=st.booleans(),
+    masked=st.booleans(),
+    steps=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_train_step_matches_a_per_parameter_gather_and_scatter_bitwise(
+    kind, k, batchnorm, dropout, weighted, masked, steps, seed
+):
+    # the reference trains each member on its own, one array per parameter,
+    # with gradients from a name-keyed dict and moments keyed by name
+    rng = np.random.default_rng(seed)
+    sizes = (4, 6, 5, 3)
+    if k:  # a stack has neither batch norm nor dropout
+        members = [nn.init_mlp(sizes, seed=seed + j) for j in range(k)]
+        model = nn.stack_models(copy.deepcopy(members))
+    else:
+        members = [nn.init_mlp(sizes, seed=seed, dropout_rate=dropout, batchnorm=batchnorm)]
+        model = copy.deepcopy(members[0])
+    opt = make_optimizer(kind, 0.05, weight_decay=0.01)
+    loops = [LoopOptimizer(kind, 0.05, weight_decay=0.01) for _ in members]
+    mask_rng, twin_mask_rng = np.random.default_rng(seed), np.random.default_rng(seed)  # dropout masks
+    for _ in range(steps):
+        x = rng.standard_normal((k, 8, 4) if k else (8, 4))
+        y = rng.integers(0, 3, x.shape[:-1])
+        w = rng.random(8) + 0.5 if weighted else None
+        active = rng.random(k) < 0.6 if k and masked else None
+        train_step(model, opt, x, y, None if k else mask_rng, sample_weights=w, active=active)
+        for j, (member, loop) in enumerate(zip(members, loops)):
+            if active is None or active[j]:
+                grads = nn.backward(
+                    member, x[j] if k else x, y[j] if k else y, mode="train", bn_stat_source="batch",
+                    rng=None if k else twin_mask_rng, update_running=True, sample_weights=w,
+                )
+                loop.step(member, dict(grads))
+    counts = np.broadcast_to(opt.step_count, (max(k, 1),))
+    rows = model.params if k else model.params[None]
+    for j, (member, loop) in enumerate(zip(members, loops)):
+        assert counts[j] == loop.step_count
+        assert np.array_equal(rows[j], member.params)
+        for bn, twin_bn in zip(model.batchnorm or (), member.batchnorm or ()):
+            assert np.array_equal(bn.running_mean, twin_bn.running_mean)
+            assert np.array_equal(bn.running_var, twin_bn.running_var)
+        if loop.exp_avg:
+            m, v = nn.param_views(model, opt.flat_exp_avg), nn.param_views(model, opt.flat_exp_avg_sq)
+            for name in loop.exp_avg:
+                assert np.array_equal(m[name][j] if k else m[name], loop.exp_avg[name]), name
+                assert np.array_equal(v[name][j] if k else v[name], loop.exp_avg_sq[name]), name
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adamw"])
+def test_optimizer_step_only_reads_the_gradient_vector(kind):
+    model = nn.init_mlp((3, 4, 2), seed=1, batchnorm=True)
+    opt = make_optimizer(kind, 0.01, weight_decay=0.01)
+    grads = nn.backward(model, np.random.default_rng(0).standard_normal((5, 3)), [0, 1, 0, 1, 1])
+    assert grads.flat.shape == model.params.shape
+    for name, g in grads.items():
+        assert np.shares_memory(g, grads.flat), name
+    before = grads.flat.copy()
+    for _ in range(2):
+        optimizer_step(opt, model, grads)
+    assert np.array_equal(grads.flat, before)
+    with pytest.raises(ValueError, match="shape"):
+        optimizer_step(opt, nn.init_mlp((3, 5, 2), seed=1, batchnorm=True), grads)
 
 
 def _files_calling(name: str) -> set[str]:

@@ -460,7 +460,7 @@ def test_original_mode_with_dropout_il_model_is_deterministic():
         runs.append((run_original_selection(pool, test, live, cfg, copy.deepcopy(model)), live))
     (rec_a, il_a), (rec_b, il_b) = runs
     assert rec_a == rec_b
-    assert nn.model_id(il_a) == nn.model_id(il_b) != nn.model_id(il_model)
+    assert np.array_equal(il_a.params, il_b.params) and not np.array_equal(il_a.params, il_model.params)
 
 
 def test_run_training_refuses_a_needs_il_policy_in_original_mode():
