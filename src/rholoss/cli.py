@@ -327,15 +327,22 @@ def cmd_run(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = Fals
             _check_built_from(path, read_header(f.readline(), "il-table", path).get("built_from"), cfg, "il")
         if cfg.run.il_update_mode == "frozen":
             table = load_il_table(path)
-    (out / "runs").mkdir(parents=True, exist_ok=True)
+    runs = out / "runs"
+    made = not runs.exists()
+    runs.mkdir(parents=True, exist_ok=True)
     payloads = [(cfg, out, data_dir, kind, seed, pool, test, table if kind in NEEDS_IL else None) for kind, seed in todo]
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as executor:
-            for path in executor.map(_run_one, payloads):
-                print(f"wrote {path}")
-    else:
-        for payload in payloads:
-            print(f"wrote {_run_one(payload)}")
+    try:
+        if jobs > 1 and len(payloads) > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as executor:
+                for path in executor.map(_run_one, payloads):
+                    print(f"wrote {path}")
+        else:
+            for payload in payloads:
+                print(f"wrote {_run_one(payload)}")
+    except BaseException:
+        if made and not any(runs.iterdir()):  # a failed stage leaves nothing of its own
+            runs.rmdir()
+        raise
     return 0
 
 

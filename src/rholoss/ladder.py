@@ -11,20 +11,28 @@ acquired data after every step. Each cheaper rung strips one ingredient:
     approx3   the frozen irreducible-loss model is half-width
 
 All pipelines consume the trainer's seeded candidate schedule
-(`selection.candidate_chunks`) over the first epoch, but each evolves under its own selections; no re-synchronization is
-performed, so later-step rank correlations partly reflect genuine state
-divergence. Per step, the rung's candidate scores are compared to approx0's
-by Spearman rank correlation. A forward pass that diverges is re-raised
-naming the IL pre-fit, or the rung, the step and the stage (scoring, target
-update or IL update) where it happened.
+(`selection.candidate_chunks`) over the first epoch, but each evolves under
+its own selections; no re-synchronization is performed, so later-step rank
+correlations partly reflect genuine state divergence. The rungs run step by
+step: at each step every rung scores the chunk and selects its batch, then
+the updates run. Per step, the rung's candidate scores are compared to
+approx0's by Spearman rank correlation. A forward pass that diverges is
+re-raised naming the IL pre-fit, or the rung (both rungs for an update they
+share), the step and the stage (scoring, target update or IL update) where
+it happened.
 
-Each member list of the rung table, a single model or an ensemble of k, is
-one stacked model (`nn.stack_models`) with one optimizer. A converged update
-trains its members in lockstep, one forward/backward and one optimizer step
-per minibatch for all of them, while every member shuffles with its own
-random stream and stops early on its own; so each member ends exactly as it
-would trained alone. The holdout pre-fit trains the single IL model and the
-IL ensemble, which share an architecture and data, as one stack of k + 1.
+Members train as stacked models (`nn.stack_models`), one optimizer per
+stack. The holdout pre-fit trains the single IL model and the IL ensemble,
+which share an architecture and data, as one stack of k + 1. The rungs
+whose target regime is converged train their targets as one fresh stack,
+and the rungs whose IL regime is converged train their IL models on in the
+pre-fit stack; every other rung keeps a member list of its own. Each member
+trains on its own rung's data, rows of the holdout and the pool. A
+converged update trains its members in lockstep, one forward/backward and
+one optimizer step per minibatch for all of them, while every member
+shuffles with its own random stream and stops early on its own; so each
+member ends exactly as it would trained alone, and the scores are those of
+running the rungs one after the other.
 
 Reference correlations reported for the analogous large-scale ladder are
 kept alongside the results for orientation; they are not a pass/fail bound
@@ -85,31 +93,54 @@ class RungResult:
     step_scores: list[np.ndarray] | None = None  # this rung's raw candidate scores
 
 
-def _mean_losses(model, x, y, active) -> np.ndarray:
-    """Mean loss of each active member of a stacked model (0 for the rest),
-    one member at a time: x is the whole training set (see `nn.unstack`)."""
-    return np.array([cross_entropy(forward(m, x), y).mean() if on else 0.0 for m, on in zip(unstack(model), active)])
+def _mean_losses(model, x, y, active, rows=None) -> np.ndarray:
+    """Mean loss of each active member of a stacked model on its training set
+    (0 for the rest), one member at a time: all of x, or the rows of x that
+    rows gives the member (see `train_to_convergence`). Rows that are a run
+    of consecutive rows are read as a view, any others gathered, once for a
+    member whose rows equal the previous member's."""
+    losses = np.zeros(len(active))
+    held = xs = ys = None
+    for j, (member, on) in enumerate(zip(unstack(model), active)):
+        if not on:
+            continue
+        if rows is None:
+            xs, ys = x, y
+        elif held is None or not np.array_equal(rows[j], held):
+            held = rows[j]
+            run = slice(held[0], held[0] + held.size)
+            xs, ys = (x[run], y[run]) if np.array_equal(held, np.arange(x.shape[0])[run]) else (x[held], y[held])
+        losses[j] = cross_entropy(forward(member, xs), ys).mean()
+    return losses
 
 
-def train_to_convergence(model, x, y, opt, budget_epochs: int, tol: float, batch_size: int, rngs) -> None:
+def train_to_convergence(model, x, y, opt, budget_epochs: int, tol: float, batch_size: int, rngs, rows=None) -> None:
     """Train the members of a stacked model in lockstep on full shuffled
-    passes over (x, y). Member j shuffles with its own generator rngs[j] and
-    stops once its relative loss improvement drops below tol, capped at
-    budget_epochs; a stopped member is masked out of every later step, so each
-    ends as it would trained alone. A budget of 0 leaves the model untouched."""
+    passes over their training sets: all of (x, y), or, when rows is given,
+    the rows of x and y that row j of the (k, n) index array rows names for
+    member j. Member j shuffles with its own generator rngs[j] and stops once
+    its relative loss improvement drops below tol, capped at budget_epochs; a
+    stopped member is masked out of every later step, so each ends as it
+    would trained alone. Only the losses a stop decision reads are computed:
+    none after the last epoch, so none at all for a budget of 1. A budget of
+    0 leaves the model untouched."""
     if budget_epochs < 0:
         raise ValueError("budget must be >= 0")
     if model.stack != (len(rngs),):
         raise ValueError(f"need a stacked model and one generator per member, got stack {model.stack} and {len(rngs)}")
-    if budget_epochs == 0 or np.asarray(x).shape[0] == 0:
-        return
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
+    if rows is not None and (rows.ndim != 2 or rows.shape[0] != len(rngs)):
+        raise ValueError(f"need one row of training-set indices per member, got rows of shape {rows.shape}")
+    if budget_epochs == 0 or (x.shape[0] if rows is None else rows.shape[1]) == 0:
+        return
     active = np.ones(len(rngs), dtype=bool)
-    prev = _mean_losses(model, x, y, active)
-    for _ in range(budget_epochs):
-        train_epoch(model, opt, x, y, batch_size, rngs, active)
-        cur = _mean_losses(model, x, y, active)
+    prev = _mean_losses(model, x, y, active, rows) if budget_epochs > 1 else None
+    for epoch in range(1, budget_epochs + 1):
+        train_epoch(model, opt, x, y, batch_size, rngs, active, rows)
+        if epoch == budget_epochs:
+            break
+        cur = _mean_losses(model, x, y, active, rows)
         active &= ~(prev - cur < tol * np.maximum(prev, 1e-12))
         if not active.any():
             break
@@ -123,29 +154,16 @@ def _loss(model, x, y) -> np.ndarray:
     return ensemble_cross_entropy(model, x, y)
 
 
-def _update(member, regime, seen_x, seen_y, x_sel, y_sel, cfg: LadderConfig, rngs) -> None:
-    """Update a (stacked model, optimizer) member list by its regime: retrain
-    on everything seen, take one step on the acquired batch, or stay frozen.
-    Member j shuffles with its own generator rngs[j]."""
-    model, opt = member
-    if regime == "converged":
-        train_to_convergence(
-            model, seen_x, seen_y, opt, cfg.convergence_epochs, cfg.convergence_tol, cfg.batch_size, rngs
-        )
-    elif regime == "single-step":
-        train_step(model, opt, x_sel, y_sel)
-
-
 def _take(member, rows: slice):
     """Members `rows` of a (stacked model, optimizer) member list, with their
-    moments and step counts, as a member list of their own."""
-    model, opt = copy.deepcopy(member)
-    part = MlpModel(model.layer_sizes, model.params[rows])
+    moments and step counts, copied into a member list of their own."""
+    model, opt = member
+    part, opt = MlpModel(model.layer_sizes, model.params[rows].copy()), copy.copy(opt)
     if not isinstance(opt.step_count, int):  # counts are per member once the stack has stepped
         opt.step_count = opt.step_count[rows]
     if opt.layout is not None:
         opt.layout = (*opt.layout[:2], part.params.shape)
-        opt.flat_exp_avg, opt.flat_exp_avg_sq = opt.flat_exp_avg[rows], opt.flat_exp_avg_sq[rows]
+        opt.flat_exp_avg, opt.flat_exp_avg_sq = opt.flat_exp_avg[rows].copy(), opt.flat_exp_avg_sq[rows].copy()
     return part, opt
 
 
@@ -191,40 +209,90 @@ def run_ladder(pool: LabeledDataset, holdout: LabeledDataset, cfg: LadderConfig)
                 model, holdout.features, holdout.labels, opt, cfg.il_pretrain_epochs, cfg.convergence_tol,
                 cfg.batch_size, rngs,
             )
-    ils = {"single": _take(wide, slice(0, 1)), "small": small, "ensemble": _take(wide, slice(1, None))}
-    targets = {
-        "single": member_list([init_mlp(sizes, seed=int(init_seeds[3]))]),
-        "ensemble": member_list(ensemble(int(init_seeds[4]))),
-    }
 
-    scores: dict[str, list[np.ndarray]] = {}
-    for index, (name, (target_src, il_src, regime, il_regime)) in enumerate(RUNGS.items()):
-        target = copy.deepcopy(targets[target_src])
-        il = copy.deepcopy(ils[il_src])
-        # one stream per member: its shuffles never depend on another's early stop
-        n_target = target[0].stack[0]
-        streams = np.random.SeedSequence([cfg.seed, index]).spawn(n_target + il[0].stack[0])
-        rngs = [np.random.default_rng(seq) for seq in streams]
-        target_rngs, il_rngs = rngs[:n_target], rngs[n_target:]
-        seen_x, seen_y = [], []
-        per_step = []
-        for step, (chunk, n_sel, tie_seed) in enumerate(schedule):
-            x, y = pool.features[chunk], pool.labels[chunk]
+    # Each rung's streams, one per member, its target members' first: a
+    # member's shuffles never depend on another's early stop.
+    counts = {"single": 1, "small": 1, "ensemble": k}
+    streams = {}
+    for index, (name, (target_src, il_src, _, _)) in enumerate(RUNGS.items()):
+        seqs = np.random.SeedSequence([cfg.seed, index]).spawn(counts[target_src] + counts[il_src])
+        rngs = [np.random.default_rng(seq) for seq in seqs]
+        streams[name] = (rngs[: counts[target_src]], rngs[counts[target_src] :])
+
+    # The update groups, as (member list, regime, side (0 target, 1 IL),
+    # {rung: its members' rows of the stack}, one generator per member, and
+    # for a converged group its training data), and each rung's (target, IL)
+    # members as views of their stacks to score with.
+    groups, scorers = [], {name: [None, None] for name in RUNGS}
+    total = sum(n_sel for _, n_sel, _ in schedule)  # the rows a rung acquires in all
+
+    def add_group(member, regime, side, parts):
+        model = member[0]
+        rngs = [None] * model.stack[0]
+        for name, rows in parts.items():
+            scorers[name][side] = MlpModel(model.layer_sizes, model.params[rows])
+            rngs[rows] = streams[name][side]
+        # A converged group's data holds a run of rows per rung: the holdout,
+        # for an IL group, then room for every row the rung acquires.
+        data = None
+        if regime == "converged":
+            lead = holdout.n * side
+            data = np.zeros((len(parts), lead + total, pool.dim)), np.zeros((len(parts), lead + total), np.int64)
+            data[0][:, :lead], data[1][:, :lead] = holdout.features[:lead], holdout.labels[:lead]
+        groups.append((member, regime, side, parts, rngs, data))
+
+    # On each side, the rungs whose regime there is converged train as one
+    # stack: the targets in a fresh one, their members in rung order, and the
+    # IL models in `wide` itself, which goes on from the pre-fit with its
+    # moments and step counts. Every other rung has a member list of its own,
+    # its IL a copy of a pre-fit model.
+    fresh = {
+        "single": lambda: [init_mlp(sizes, seed=int(init_seeds[3]))],
+        "ensemble": lambda: ensemble(int(init_seeds[4])),
+    }
+    fitted = {"single": lambda: _take(wide, slice(0, 1)), "small": lambda: copy.deepcopy(small)}
+    models, parts = [], {}
+    for name, (target_src, _, regime, _) in RUNGS.items():
+        if regime == "converged":
+            new = fresh[target_src]()
+            parts[name] = slice(len(models), len(models) + len(new))
+            models += new
+    add_group(member_list(models), "converged", 0, parts)
+    in_wide = {"single": slice(0, 1), "ensemble": slice(1, k + 1)}
+    add_group(wide, "converged", 1, {name: in_wide[spec[1]] for name, spec in RUNGS.items() if spec[3] == "converged"})
+    for name, (target_src, il_src, regime, il_regime) in RUNGS.items():
+        if regime != "converged":
+            add_group(member_list(fresh[target_src]()), regime, 0, {name: slice(None)})
+        if il_regime != "converged":
+            add_group(fitted[il_src](), il_regime, 1, {name: slice(None)})
+
+    scores: dict[str, list[np.ndarray]] = {name: [] for name in RUNGS}
+    done = 0  # the rows each rung has acquired
+    for step, (chunk, n_sel, tie_seed) in enumerate(schedule):
+        x, y = pool.features[chunk], pool.labels[chunk]
+        picked = {}  # the candidates each rung acquires at this step
+        for name, (target, il) in scorers.items():
             with diverging_at(f"ladder rung {name} step {step} (scoring)"):
-                s = _loss(target[0], x, y) - _loss(il[0], x, y)
-            per_step.append(s)
-            sel = select_top_k(s, n_sel, tie_seed)
-            seen_x.append(x[sel])
-            seen_y.append(y[sel])
-            ax, ay = np.concatenate(seen_x), np.concatenate(seen_y)
-            with diverging_at(f"ladder rung {name} step {step} (target update)"):
-                _update(target, regime, ax, ay, x[sel], y[sel], cfg, target_rngs)
-            with diverging_at(f"ladder rung {name} step {step} (IL update)"):
-                _update(
-                    il, il_regime, np.concatenate([holdout.features, ax]), np.concatenate([holdout.labels, ay]),
-                    x[sel], y[sel], cfg, il_rngs,
-                )
-        scores[name] = per_step
+                s = _loss(target, x, y) - _loss(il, x, y)
+            scores[name].append(s)
+            picked[name] = select_top_k(s, n_sel, tie_seed)
+        done += n_sel
+        for (model, opt), regime, side, parts, rngs, data in groups:
+            names = list(parts)
+            stage = ("target update", "IL update")[side]
+            with diverging_at(f"ladder rung{'s' * (len(names) > 1)} {' and '.join(names)} step {step} ({stage})"):
+                if regime == "single-step":
+                    train_step(model, opt, x[picked[names[0]]], y[picked[names[0]]])
+                elif regime == "converged":
+                    (xs, ys), size = data, holdout.n * side + done  # a rung's training set: its run's first size rows
+                    rows = np.empty((len(rngs), size), dtype=np.int64)
+                    for i, (name, part) in enumerate(parts.items()):
+                        xs[i, size - n_sel : size], ys[i, size - n_sel : size] = x[picked[name]], y[picked[name]]
+                        rows[part] = np.arange(size) + i * xs.shape[1]
+                    train_to_convergence(
+                        model, xs.reshape(-1, pool.dim), ys.ravel(), opt, cfg.convergence_epochs, cfg.convergence_tol,
+                        cfg.batch_size, rngs, rows,
+                    )
 
     results: dict[str, RungResult] = {}
     for name in RUNG_NAMES:

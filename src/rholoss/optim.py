@@ -183,16 +183,19 @@ def train_step(model: MlpModel, opt: OptimizerState, x, y, rng=None, sample_weig
     optimizer_step(opt, model, grads, active)
 
 
-def train_epoch(model: MlpModel, opt: OptimizerState, x, y, batch_size: int, rng, active=None) -> None:
-    """One shuffled pass over (x, y) in minibatches, one `train_step` each.
+def train_epoch(model: MlpModel, opt: OptimizerState, x, y, batch_size: int, rng, active=None, rows=None) -> None:
+    """One shuffled pass over a training set in minibatches, one `train_step` each.
 
-    rng draws the permutation and any dropout masks. A stacked model takes one
-    generator per member as rng, and the optional active mask of
-    `optimizer_step`: each active member shuffles with its own generator and
-    steps on its own minibatches, while the others draw nothing and stay
-    untouched.
+    The training set is all of (x, y), or the rows of x and y that rows
+    names. rng draws the permutation and any dropout masks. A stacked model
+    takes one generator per member as rng, the optional active mask of
+    `optimizer_step`, and rows as a (k, n) index array, one training set per
+    member: each active member shuffles its own set with its own generator
+    and steps on its own minibatches, while the others draw nothing and stay
+    untouched. Members that share a set index the same rows of x, so no
+    data is copied per member.
     """
-    n = x.shape[0]
+    n = x.shape[0] if rows is None else rows.shape[-1]
     if model.stack:
         on = np.ones(model.stack, dtype=bool) if active is None else active
         perm = np.stack([r.permutation(n) if a else np.arange(n) for r, a in zip(rng, on, strict=True)])
@@ -200,6 +203,8 @@ def train_epoch(model: MlpModel, opt: OptimizerState, x, y, batch_size: int, rng
         active = None if on.all() else on
     else:
         perm = rng.permutation(n)
+    if rows is not None:
+        perm = np.take_along_axis(rows, perm, axis=-1)
     for start in range(0, n, batch_size):
         idx = perm[..., start : start + batch_size]
         train_step(model, opt, x[idx], y[idx], rng, active=active)

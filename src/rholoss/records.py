@@ -2,11 +2,11 @@
 
 Every file starts with a `# rholoss-<tag> v1 key=value ...` header line
 (header_line / read_header); plain tables follow it with a column row and
-csv rows (write_table / read_table), written atomically through
-atomic_write so a partial file never appears. The two tables of numbers,
-the dataset cache and the IL table, take the same bytes through
-write_numeric_table, which formats one row with one `%` and holds one block
-of rows as Python objects at a time, and are read through
+csv rows (write_table), written atomically through atomic_write so a
+partial file never appears; the package never reads one back. The two
+tables of numbers, the dataset cache and the IL table, take the same bytes
+through write_numeric_table, which formats one row with one `%` and holds
+one block of rows as Python objects at a time, and are read through
 read_numeric_header and read_numeric_rows, which parse the whole body with
 one np.loadtxt pass.
 
@@ -170,16 +170,6 @@ def write_table(path, tag: str, meta: Mapping[str, object], columns, rows) -> No
         writer = csv.writer(f)
         writer.writerow(columns)
         writer.writerows(rows)
-
-
-def read_table(path, tag: str) -> tuple[dict[str, str], list[list[str]]]:
-    """(header fields, rows as lists of strings) of a file write_table wrote;
-    the column row is skipped."""
-    with open(path, newline="") as f:
-        meta = read_header(f.readline(), tag, path)
-        reader = csv.reader(f)
-        next(reader, None)
-        return meta, list(reader)
 
 
 def write_numeric_table(path, tag: str, meta: Mapping[str, object], columns, ints, floats) -> None:

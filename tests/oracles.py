@@ -2,13 +2,16 @@
 
 Everything here is deliberately written with a different algorithm (explicit
 loops, brute-force sorting, numerical differentiation) than the code under
-test, so agreement is meaningful. The paired t-test is here because only the
-tests use it. The dataset-cache and IL-table writers and readers here go
-through the `csv` module with one `repr` per value, as the library did
-before it moved those two formats to one `%` per row and `np.loadtxt`.
+test, so agreement is meaningful. The paired t-test and `read_table` are here
+because only the tests use them. The dataset-cache and IL-table writers and
+readers here go through the `csv` module with one `repr` per value, as the
+library did before it moved those two formats to one `%` per row and
+`np.loadtxt`.
 """
 from __future__ import annotations
 
+import copy
+import csv
 import hashlib
 import itertools
 import math
@@ -18,7 +21,9 @@ from scipy import stats as _scipy_stats
 
 from rholoss import nn
 from rholoss.data import LabeledDataset
-from rholoss.records import read_table, write_table
+from rholoss.ladder import RUNGS
+from rholoss.records import read_header, write_table
+from rholoss.selection import candidate_chunks, select_top_k
 
 
 def fd_gradients(model, x, y, mode="eval", bn_stat_source="running", seed=1234, h=1e-5):
@@ -214,29 +219,110 @@ class LoopOptimizer:
             p -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-def train_members_one_at_a_time(models, loop_opts, x, y, budget_epochs, tol, batch_size, rngs):
+def train_members_one_at_a_time(models, loop_opts, x, y, budget_epochs, tol, batch_size, rngs, rows=None):
     """Each ordinary model trained to convergence on its own, one after the
     other, with its own `LoopOptimizer` and generator: what lockstep training
-    of their stack must reproduce. Full shuffled passes in minibatches until
-    the relative improvement of the mean loss drops below tol, capped at
-    budget_epochs."""
-    for model, opt, rng in zip(models, loop_opts, rngs):
-        if budget_epochs == 0 or len(x) == 0:
+    of their stack must reproduce. Model j trains on all of (x, y), or on the
+    rows of them that rows[j] names, gathered first. Full shuffled passes in
+    minibatches until the relative improvement of the mean loss drops below
+    tol, capped at budget_epochs."""
+    for j, (model, opt, rng) in enumerate(zip(models, loop_opts, rngs)):
+        xs, ys = (x, y) if rows is None else (x[rows[j]], y[rows[j]])
+        if budget_epochs == 0 or len(xs) == 0:
             continue
 
         def mean_loss():
-            return float(nn.cross_entropy(nn.forward(model, x), y).mean())
+            return float(nn.cross_entropy(nn.forward(model, xs), ys).mean())
 
         prev = mean_loss()
         for _ in range(budget_epochs):
-            perm = rng.permutation(len(x))
-            for start in range(0, len(x), batch_size):
+            perm = rng.permutation(len(xs))
+            for start in range(0, len(xs), batch_size):
                 idx = perm[start : start + batch_size]
-                opt.step(model, nn.backward(model, x[idx], y[idx]))
+                opt.step(model, nn.backward(model, xs[idx], ys[idx]))
             cur = mean_loss()
             if prev - cur < tol * max(prev, 1e-12):
                 break
             prev = cur
+
+
+def ladder_rung_by_rung(pool, holdout, cfg) -> dict[str, list[np.ndarray]]:
+    """Each rung's candidate scores per step, with the ladder run one rung
+    after the other over the whole schedule and every model trained on its
+    own with a `LoopOptimizer`: what `ladder.run_ladder`, which runs the rungs
+    step by step and trains members in stacks, must reproduce. Seeds and
+    streams are drawn as run_ladder documents them."""
+    ss = np.random.SeedSequence(cfg.seed).spawn(4)
+    perm_rng, tie_rng = (np.random.default_rng(seq) for seq in ss[:2])
+    schedule = list(candidate_chunks(pool.n, cfg.n_B, cfg.n_b, perm_rng, tie_rng))
+    init_seeds = np.random.default_rng(ss[2]).integers(0, 2**31 - 1, size=8)
+    sizes = (pool.dim, *cfg.hidden, pool.num_classes)
+    small_sizes = (pool.dim, *cfg.small_hidden, pool.num_classes)
+    k = cfg.ensemble_size
+
+    def ensemble(seed):
+        return [nn.init_mlp(sizes, seed=int(s)) for s in np.random.SeedSequence(seed).generate_state(k)]
+
+    def with_optimizers(models):
+        opt = cfg.optimizer
+        return [(m, LoopOptimizer(opt.kind, opt.learning_rate, weight_decay=opt.weight_decay)) for m in models]
+
+    def converge(members, x, y, budget, rngs):
+        models, opts = zip(*members)
+        train_members_one_at_a_time(models, opts, x, y, budget, cfg.convergence_tol, cfg.batch_size, rngs)
+
+    def loss(members, x, y):
+        if len(members) == 1:
+            return nn.cross_entropy(nn.forward(members[0][0], x), y)
+        return nn.ensemble_cross_entropy(nn.stack_models(m for m, _ in members), x, y)
+
+    pre = [np.random.default_rng(seq) for seq in ss[3].spawn(k + 2)]
+    fitted = {
+        "single": with_optimizers([nn.init_mlp(sizes, seed=int(init_seeds[0]))]),
+        "small": with_optimizers([nn.init_mlp(small_sizes, seed=int(init_seeds[1]))]),
+        "ensemble": with_optimizers(ensemble(int(init_seeds[2]))),
+    }
+    for members, rngs in zip(fitted.values(), ([pre[0]], [pre[1]], pre[2:])):
+        converge(members, holdout.features, holdout.labels, cfg.il_pretrain_epochs, rngs)
+    fresh = {
+        "single": lambda: with_optimizers([nn.init_mlp(sizes, seed=int(init_seeds[3]))]),
+        "ensemble": lambda: with_optimizers(ensemble(int(init_seeds[4]))),
+    }
+
+    scores = {}
+    for index, (name, (target_src, il_src, regime, il_regime)) in enumerate(RUNGS.items()):
+        target, il = fresh[target_src](), copy.deepcopy(fitted[il_src])
+        streams = np.random.SeedSequence([cfg.seed, index]).spawn(len(target) + len(il))
+        rngs = [np.random.default_rng(seq) for seq in streams]
+        seen_x, seen_y, scores[name] = [], [], []
+        for chunk, n_sel, tie_seed in schedule:
+            x, y = pool.features[chunk], pool.labels[chunk]
+            s = loss(target, x, y) - loss(il, x, y)
+            scores[name].append(s)
+            sel = select_top_k(s, n_sel, tie_seed)
+            seen_x.append(x[sel])
+            seen_y.append(y[sel])
+            for members, how, rows, data in (
+                (target, regime, rngs[: len(target)], (np.concatenate(seen_x), np.concatenate(seen_y))),
+                (il, il_regime, rngs[len(target) :], (np.concatenate([holdout.features, *seen_x]),
+                                                      np.concatenate([holdout.labels, *seen_y]))),
+            ):
+                if how == "converged":
+                    converge(members, *data, cfg.convergence_epochs, rows)
+                elif how == "single-step":
+                    for model, opt in members:
+                        opt.step(model, nn.backward(model, x[sel], y[sel]))
+    return scores
+
+
+def read_table(path, tag: str) -> tuple[dict[str, str], list[list[str]]]:
+    """(header fields, rows as lists of strings) of a file `records.write_table`
+    wrote; the column row is skipped."""
+    with open(path, newline="") as f:
+        meta = read_header(f.readline(), tag, path)
+        reader = csv.reader(f)
+        next(reader, None)
+        return meta, list(reader)
 
 
 # (CSV column, LabeledDataset field, dtype) of the dataset cache's integer columns

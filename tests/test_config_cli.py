@@ -1059,7 +1059,7 @@ def test_a_failed_run_leaves_no_partial_score_dump(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_training", failing_run)
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
-    assert list((out / "runs").iterdir()) == []
+    assert not (out / "runs").exists()
 
 
 def test_a_batchnorm_run_whose_last_chunk_selects_one_row_fails_before_any_record(tmp_path, capsys):
@@ -1073,7 +1073,7 @@ def test_a_batchnorm_run_whose_last_chunk_selects_one_row_fails_before_any_recor
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
     # the pool of 126 ends in a chunk of 6, of which a step would train on 1
     assert "n_b=4 of n_B=20 on a pool of 126 selects 1" in capsys.readouterr().err
-    assert list((out / "runs").iterdir()) == []
+    assert not (out / "runs").exists()
 
 
 def test_a_ladder_whose_last_chunk_holds_one_candidate_fails_before_writing(tmp_path, capsys):
@@ -1089,8 +1089,9 @@ def test_a_ladder_whose_last_chunk_holds_one_candidate_fails_before_writing(tmp_
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize(
     "pretrain_epochs, place",
-    # the IL pre-fit diverges first; without one, approx0's first target update does
-    [(5, "ladder IL pre-fit: "), (0, "ladder rung approx0 step 0 (target update): ")],
+    # the IL pre-fit diverges first; without one, the first target update of
+    # the two converged rungs, which train as one stack, does
+    [(5, "ladder IL pre-fit: "), (0, "ladder rungs approx0 and approx1a step 0 (target update): ")],
 )
 def test_a_diverging_ladder_names_where_and_writes_nothing(tmp_path, capsys, pretrain_epochs, place):
     sgd = {"kind": "sgd", "learning_rate": 1e300}
@@ -1128,6 +1129,12 @@ def test_a_diverging_il_fit_names_the_fit_and_epoch_and_leaves_no_il_dir(tmp_pat
             ("prepare", "run"),
             "run svp-entropy proxy for seed 1: epoch 1",
             "runs/record_svp-entropy_seed1.csv",
+        ),
+        (  # the uniform baseline is queued behind the failing run: no runs/ is left
+            {"run.policy.kind": "svp-entropy", "run.targets": [0.5], "run.seeds": [1]},
+            ("prepare", "run"),
+            "run svp-entropy proxy for seed 1: epoch 1",
+            "runs",
         ),
     ],
 )

@@ -4,18 +4,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rholoss import data, ladder, nn
+from rholoss.config import OptimizerSettings
 from rholoss.ladder import (
     REFERENCE_RANK_CORRELATION,
     RUNG_NAMES,
     LadderConfig,
-    _update,
     run_ladder,
     train_to_convergence,
 )
 from rholoss.optim import make_optimizer
 from rholoss.stats import spearman
 
-from oracles import LoopOptimizer, train_members_one_at_a_time
+from oracles import LoopOptimizer, ladder_rung_by_rung, train_members_one_at_a_time
 
 
 def toy_xy(seed=0, n=60, dim=4, classes=3, spread=0.4):
@@ -73,7 +73,8 @@ def test_train_to_convergence_ensemble_members_trained():
     before = stack.weights[0].copy()
     cfg = LadderConfig(convergence_epochs=2)
     rngs = [np.random.default_rng(s) for s in (2, 3, 4)]
-    _update((stack, make_optimizer("adamw", 1e-3)), "converged", x, y, x[:4], y[:4], cfg, rngs)
+    opt = make_optimizer("adamw", 1e-3)
+    train_to_convergence(stack, x, y, opt, cfg.convergence_epochs, cfg.convergence_tol, cfg.batch_size, rngs)
     for j in range(3):
         assert not np.array_equal(before[j], stack.weights[0][j])
 
@@ -86,12 +87,19 @@ def test_train_to_convergence_needs_one_generator_per_member():
             train_to_convergence(model, x, y, make_optimizer("adamw", 1e-3), 1, 1e-3, 32, rngs)
 
 
-def lockstep_against_one_at_a_time(k, n, batch_size, budget, tol, kind, seed):
+def lockstep_against_one_at_a_time(k, n, batch_size, budget, tol, kind, seed, sets=0):
     """Train k members as one stack and, separately, one at a time from the
     same init and streams, in two calls as two acquisitions would; both must
-    agree bit for bit. Returns the step counts."""
+    agree bit for bit. Every member trains on all n rows, or with sets > 0,
+    member j on set j % sets, n rows of a shared array of n + 5 given as row
+    indices. Returns the step counts."""
     rng = np.random.default_rng(seed)
-    x, y = rng.standard_normal((n, 3)), rng.integers(0, 3, n)
+    total = n + 5 if sets else n
+    x, y = rng.standard_normal((total, 3)), rng.integers(0, 3, total)
+    rows = None
+    if sets:
+        picks = [rng.permutation(total)[:n] for _ in range(sets)]
+        rows = np.stack([picks[j % sets] for j in range(k)])
     lr = 0.05 if kind == "adamw" else 0.2
     models = [nn.init_mlp((3, 6, 3), seed=seed + j) for j in range(k)]
     stack, opt = nn.stack_models(models), make_optimizer(kind, lr, weight_decay=0.01)
@@ -99,8 +107,8 @@ def lockstep_against_one_at_a_time(k, n, batch_size, budget, tol, kind, seed):
     streams = np.random.SeedSequence(seed).spawn(k)
     stack_rngs, loop_rngs = ([np.random.default_rng(s) for s in streams] for _ in range(2))
     for _ in range(2):  # a member that stopped early in the first call must have drawn nothing more
-        train_to_convergence(stack, x, y, opt, budget, tol, batch_size, stack_rngs)
-        train_members_one_at_a_time(models, loops, x, y, budget, tol, batch_size, loop_rngs)
+        train_to_convergence(stack, x, y, opt, budget, tol, batch_size, stack_rngs, rows)
+        train_members_one_at_a_time(models, loops, x, y, budget, tol, batch_size, loop_rngs, rows)
     counts = np.broadcast_to(opt.step_count, (k,))
     for j, (model, loop) in enumerate(zip(models, loops)):
         assert counts[j] == loop.step_count
@@ -121,17 +129,42 @@ def lockstep_against_one_at_a_time(k, n, batch_size, budget, tol, kind, seed):
     tol=st.sampled_from([0.0, 0.01, 0.05, 0.2]),
     kind=st.sampled_from(["adamw", "sgd"]),
     seed=st.integers(0, 2**16),
+    sets=st.integers(0, 4),
 )
-@example(k=3, n=9, batch_size=4, budget=0, tol=0.05, kind="adamw", seed=0)
-@example(k=4, n=13, batch_size=4, budget=6, tol=0.05, kind="adamw", seed=3)
-def test_lockstep_training_matches_members_trained_one_at_a_time(k, n, batch_size, budget, tol, kind, seed):
-    lockstep_against_one_at_a_time(k, n, batch_size, budget, tol, kind, seed)
+@example(k=3, n=9, batch_size=4, budget=0, tol=0.05, kind="adamw", seed=0, sets=0)
+@example(k=4, n=13, batch_size=4, budget=6, tol=0.05, kind="adamw", seed=3, sets=0)
+@example(k=4, n=13, batch_size=4, budget=6, tol=0.05, kind="adamw", seed=3, sets=2)
+def test_lockstep_training_matches_members_trained_one_at_a_time(k, n, batch_size, budget, tol, kind, seed, sets):
+    lockstep_against_one_at_a_time(k, n, batch_size, budget, tol, kind, seed, sets)
 
 
 def test_lockstep_members_stop_at_different_epochs():
     # 13 % 4 == 1: every epoch ends on a one-row minibatch
     counts = lockstep_against_one_at_a_time(4, 13, 4, 6, 0.05, "adamw", 3)
     assert len(set(counts.tolist())) > 1
+
+
+def test_lockstep_members_on_their_own_sets_stop_at_different_epochs():
+    counts = lockstep_against_one_at_a_time(4, 13, 4, 6, 0.05, "adamw", 3, sets=3)
+    assert len(set(counts.tolist())) > 1
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 5])
+@pytest.mark.parametrize("shared", [True, False])
+def test_train_to_convergence_computes_only_the_losses_a_stop_reads(budget, shared, monkeypatch):
+    # tol = -inf never stops a member, so every budget epoch runs; the loss
+    # after the last one has no use, so a budget of B takes B passes per
+    # member (B - 1 decisions need B losses), and a budget of 1 none
+    x, y = toy_xy()
+    rows = None if shared else np.stack([np.arange(0, 60, 2), np.arange(1, 60, 2)])
+    passes = []
+    real = ladder.forward
+    monkeypatch.setattr(ladder, "forward", lambda model, xs: passes.append(len(xs)) or real(model, xs))
+    stack = nn.stack_models(nn.init_mlp((4, 8, 3), seed=s) for s in (1, 2))
+    opt = make_optimizer("adamw", 1e-3)
+    train_to_convergence(stack, x, y, opt, budget, -np.inf, 16, [np.random.default_rng(s) for s in (3, 4)], rows)
+    assert opt.step_count == [budget * (4 if shared else 2)] * 2  # 60 or 30 rows in minibatches of 16
+    assert passes == [60 if shared else 30] * (0 if budget == 1 else 2 * budget)
 
 
 def ladder_task(seed=50):
@@ -227,3 +260,74 @@ def test_ladder_rejects_a_one_candidate_step_before_training(one_row_chunk, monk
 
 def test_reference_table_complete():
     assert set(REFERENCE_RANK_CORRELATION) == {"approx1a", "approx1b", "approx2", "approx3"}
+
+
+def tiny_ladder_task(seed):
+    base = data.gen_synthetic(3, 16, 4, 1.0, seed=seed, radius=2.0)
+    pool, holdout = data.split(base, data.SplitSpec(0.4, seed=seed + 1))
+    return data.inject_uniform_noise(pool, 0.2, seed=seed + 2), holdout
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    ensemble_size=st.integers(1, 3),
+    convergence_epochs=st.integers(0, 3),
+    il_pretrain_epochs=st.integers(0, 3),
+    tol=st.sampled_from([0.0, 0.02, 0.1]),
+    kind=st.sampled_from(["adamw", "sgd"]),
+    batch_size=st.sampled_from([4, 7]),
+    seed=st.integers(0, 2**16),
+)
+@example(ensemble_size=3, convergence_epochs=3, il_pretrain_epochs=3, tol=0.02, kind="adamw", batch_size=7, seed=5)
+@example(ensemble_size=1, convergence_epochs=0, il_pretrain_epochs=1, tol=0.0, kind="sgd", batch_size=4, seed=9)
+def test_lockstep_ladder_matches_the_rung_by_rung_oracle(
+    ensemble_size, convergence_epochs, il_pretrain_epochs, tol, kind, batch_size, seed
+):
+    pool, holdout = tiny_ladder_task(seed)
+    cfg = LadderConfig(
+        n_b=3, n_B=10, ensemble_size=ensemble_size, convergence_epochs=convergence_epochs,
+        il_pretrain_epochs=il_pretrain_epochs, convergence_tol=tol, hidden=(6,), small_hidden=(3,),
+        batch_size=batch_size, optimizer=OptimizerSettings(kind, 0.05 if kind == "adamw" else 0.2), seed=seed,
+    )
+    results = run_ladder(pool, holdout, cfg)
+    oracle = ladder_rung_by_rung(pool, holdout, cfg)
+    for name in RUNG_NAMES:
+        assert len(results[name].step_scores) == len(oracle[name])
+        for got, want in zip(results[name].step_scores, oracle[name]):
+            assert np.array_equal(got, want), name
+        rhos = [spearman(s, g) for s, g in zip(oracle[name], oracle["approx0"])]
+        assert np.array_equal(results[name].step_rho, [np.nan if r is None else r for r in rhos], equal_nan=True)
+
+
+def test_the_oracle_task_stops_members_at_different_epochs(monkeypatch):
+    # the example above must exercise early stops: record the epochs each
+    # converged update's members train
+    pool, holdout = tiny_ladder_task(5)
+    cfg = LadderConfig(
+        n_b=3, n_B=10, ensemble_size=3, convergence_epochs=3, il_pretrain_epochs=3, convergence_tol=0.02,
+        hidden=(6,), small_hidden=(3,), batch_size=7, optimizer=OptimizerSettings("adamw", 0.05), seed=5,
+    )
+    spread = []
+    real = ladder.train_to_convergence
+
+    def spy(model, x, y, opt, *args):
+        before = np.broadcast_to(opt.step_count, model.stack).copy()
+        real(model, x, y, opt, *args)
+        spread.append(len(set((np.broadcast_to(opt.step_count, model.stack) - before).tolist())))
+
+    monkeypatch.setattr(ladder, "train_to_convergence", spy)
+    run_ladder(pool, holdout, cfg)
+    assert max(spread) > 1
+
+
+def test_a_single_step_rung_names_itself_when_it_diverges(monkeypatch):
+    def diverge(*args, **kwargs):
+        raise nn.NonFiniteLogitsError("forward pass produced non-finite logits")
+
+    monkeypatch.setattr(ladder, "train_step", diverge)  # the single-step update; converged ones train by epochs
+    pool, holdout = ladder_task()
+    cfg = LadderConfig(n_b=4, n_B=40, ensemble_size=2, convergence_epochs=1, il_pretrain_epochs=1, hidden=(8,),
+                       small_hidden=(4,), batch_size=16, seed=3)
+    with pytest.raises(nn.NonFiniteLogitsError) as info:
+        run_ladder(pool, holdout, cfg)
+    assert str(info.value) == "ladder rung approx1b step 0 (target update): forward pass produced non-finite logits"

@@ -20,10 +20,11 @@ from rholoss.records import (
     RunRecord,
     StepRow,
     load_run_record,
-    read_table,
     save_run_record,
     write_table,
 )
+
+from oracles import read_table
 
 # Header keys and values are whitespace-separated key=value tokens.
 _TOKEN = st.text("abcxyzABC0189_-.:;+", min_size=1, max_size=12)
