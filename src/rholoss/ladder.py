@@ -49,6 +49,7 @@ from .config import LadderConfig
 from .data import LabeledDataset
 from .nn import (
     MlpModel,
+    NonFiniteLogitsError,
     cross_entropy,
     diverging_at,
     ensemble_cross_entropy,
@@ -107,7 +108,7 @@ def _mean_losses(model, x, y, active, rows=None) -> np.ndarray:
         if rows is None:
             xs, ys = x, y
         elif held is None or not np.array_equal(rows[j], held):
-            held = rows[j]
+            held, xs, ys = rows[j], None, None  # the previous set's gather is freed before the next is made
             run = slice(held[0], held[0] + held.size)
             xs, ys = (x[run], y[run]) if np.array_equal(held, np.arange(x.shape[0])[run]) else (x[held], y[held])
         losses[j] = cross_entropy(forward(member, xs), ys).mean()
@@ -122,8 +123,10 @@ def train_to_convergence(model, x, y, opt, budget_epochs: int, tol: float, batch
     its relative loss improvement drops below tol, capped at budget_epochs; a
     stopped member is masked out of every later step, so each ends as it
     would trained alone. Only the losses a stop decision reads are computed:
-    none after the last epoch, so none at all for a budget of 1. A budget of
-    0 leaves the model untouched."""
+    none after the last epoch, so none at all for a budget of 1; the
+    parameters the last epoch leaves are checked to be finite instead, so a
+    divergence is still raised where it happened. A budget of 0 leaves the
+    model untouched."""
     if budget_epochs < 0:
         raise ValueError("budget must be >= 0")
     if model.stack != (len(rngs),):
@@ -139,6 +142,8 @@ def train_to_convergence(model, x, y, opt, budget_epochs: int, tol: float, batch
     for epoch in range(1, budget_epochs + 1):
         train_epoch(model, opt, x, y, batch_size, rngs, active, rows)
         if epoch == budget_epochs:
+            if not np.isfinite(model.params).all():
+                raise NonFiniteLogitsError("training left non-finite parameters")
             break
         cur = _mean_losses(model, x, y, active, rows)
         active &= ~(prev - cur < tol * np.maximum(prev, 1e-12))
@@ -219,12 +224,21 @@ def run_ladder(pool: LabeledDataset, holdout: LabeledDataset, cfg: LadderConfig)
         rngs = [np.random.default_rng(seq) for seq in seqs]
         streams[name] = (rngs[: counts[target_src]], rngs[counts[target_src] :])
 
-    # The update groups, as (member list, regime, side (0 target, 1 IL),
-    # {rung: its members' rows of the stack}, one generator per member, and
-    # for a converged group its training data), and each rung's (target, IL)
-    # members as views of their stacks to score with.
-    groups, scorers = [], {name: [None, None] for name in RUNGS}
+    # The converged updates train on rows of one array: the holdout, then a
+    # run of rows for each rung that converges on either side, with room for
+    # every row the rung acquires, filled as it acquires them. A rung's target
+    # set is its run's filled rows, its IL set the holdout and those rows.
     total = sum(n_sel for _, n_sel, _ in schedule)  # the rows a rung acquires in all
+    converging = [name for name, spec in RUNGS.items() if "converged" in spec[2:]]
+    runs = {name: holdout.n + i * total for i, name in enumerate(converging)}
+    capacity = holdout.n + len(runs) * total
+    seen_x, seen_y = np.empty((capacity, pool.dim)), np.empty(capacity, np.int64)
+    seen_x[: holdout.n], seen_y[: holdout.n] = holdout.features, holdout.labels
+
+    # The update groups, as (member list, regime, side (0 target, 1 IL),
+    # {rung: its members' rows of the stack}, one generator per member), and
+    # each rung's (target, IL) members as views of their stacks to score with.
+    groups, scorers = [], {name: [None, None] for name in RUNGS}
 
     def add_group(member, regime, side, parts):
         model = member[0]
@@ -232,14 +246,7 @@ def run_ladder(pool: LabeledDataset, holdout: LabeledDataset, cfg: LadderConfig)
         for name, rows in parts.items():
             scorers[name][side] = MlpModel(model.layer_sizes, model.params[rows])
             rngs[rows] = streams[name][side]
-        # A converged group's data holds a run of rows per rung: the holdout,
-        # for an IL group, then room for every row the rung acquires.
-        data = None
-        if regime == "converged":
-            lead = holdout.n * side
-            data = np.zeros((len(parts), lead + total, pool.dim)), np.zeros((len(parts), lead + total), np.int64)
-            data[0][:, :lead], data[1][:, :lead] = holdout.features[:lead], holdout.labels[:lead]
-        groups.append((member, regime, side, parts, rngs, data))
+        groups.append((member, regime, side, parts, rngs))
 
     # On each side, the rungs whose regime there is converged train as one
     # stack: the targets in a fresh one, their members in rung order, and the
@@ -276,22 +283,24 @@ def run_ladder(pool: LabeledDataset, holdout: LabeledDataset, cfg: LadderConfig)
                 s = _loss(target, x, y) - _loss(il, x, y)
             scores[name].append(s)
             picked[name] = select_top_k(s, n_sel, tie_seed)
+        for name, start in runs.items():
+            seen_x[start + done : start + done + n_sel], seen_y[start + done : start + done + n_sel] = (
+                x[picked[name]], y[picked[name]]
+            )
         done += n_sel
-        for (model, opt), regime, side, parts, rngs, data in groups:
+        for (model, opt), regime, side, parts, rngs in groups:
             names = list(parts)
             stage = ("target update", "IL update")[side]
             with diverging_at(f"ladder rung{'s' * (len(names) > 1)} {' and '.join(names)} step {step} ({stage})"):
                 if regime == "single-step":
                     train_step(model, opt, x[picked[names[0]]], y[picked[names[0]]])
                 elif regime == "converged":
-                    (xs, ys), size = data, holdout.n * side + done  # a rung's training set: its run's first size rows
-                    rows = np.empty((len(rngs), size), dtype=np.int64)
-                    for i, (name, part) in enumerate(parts.items()):
-                        xs[i, size - n_sel : size], ys[i, size - n_sel : size] = x[picked[name]], y[picked[name]]
-                        rows[part] = np.arange(size) + i * xs.shape[1]
+                    rows = np.empty((len(rngs), holdout.n * side + done), dtype=np.int64)
+                    for name, part in parts.items():
+                        rows[part] = np.r_[: holdout.n * side, runs[name] : runs[name] + done]
                     train_to_convergence(
-                        model, xs.reshape(-1, pool.dim), ys.ravel(), opt, cfg.convergence_epochs, cfg.convergence_tol,
-                        cfg.batch_size, rngs, rows,
+                        model, seen_x, seen_y, opt, cfg.convergence_epochs, cfg.convergence_tol, cfg.batch_size, rngs,
+                        rows,
                     )
 
     results: dict[str, RungResult] = {}

@@ -320,10 +320,12 @@ _scratch = [np.empty(0), np.empty(0)]  # the cache-free pass's hidden-layer buff
 
 
 def _scratch_view(i: int, shape: tuple[int, ...]) -> Array:
-    """A C-contiguous (shape) view of scratch buffer i, grown to fit."""
+    """A C-contiguous (shape) view of scratch buffer i. A buffer too small
+    grows to at least twice its size, so passes that grow a little each call
+    (the ladder's IL loss pass) reallocate it a few times, not every call."""
     size = math.prod(shape)
     if _scratch[i].size < size:
-        _scratch[i] = np.empty(size)
+        _scratch[i] = np.empty(max(size, 2 * _scratch[i].size))
     return _scratch[i][:size].reshape(shape)
 
 
