@@ -16,7 +16,8 @@ its own selections; no re-synchronization is performed, so later-step rank
 correlations partly reflect genuine state divergence. The rungs run step by
 step: at each step every rung scores the chunk and selects its batch, then
 the updates run. Per step, the rung's candidate scores are compared to
-approx0's by Spearman rank correlation. A forward pass that diverges is
+approx0's by Spearman rank correlation. A forward pass that diverges, or
+a converged update whose last epoch leaves non-finite parameters, is
 re-raised naming the IL pre-fit, or the rung (both rungs for an update they
 share), the step and the stage (scoring, target update or IL update) where
 it happened.
@@ -27,7 +28,8 @@ which share an architecture and data, as one stack of k + 1. The rungs
 whose target regime is converged train their targets as one fresh stack,
 and the rungs whose IL regime is converged train their IL models on in the
 pre-fit stack; every other rung keeps a member list of its own. Each member
-trains on its own rung's data, rows of the holdout and the pool. A
+trains on its own rung's data, rows of one array that holds the holdout
+once and each converging rung's acquired rows. A
 converged update trains its members in lockstep, one forward/backward and
 one optimizer step per minibatch for all of them, while every member
 shuffles with its own random stream and stops early on its own; so each
