@@ -340,7 +340,7 @@ def _forward_cache(model, x, mode, bn_stat_source, rng, update_running, keep_cac
     x = _as_batch(x, model.input_dim, model.stack)
     use_dropout = mode == "train" and model.dropout_rate > 0.0
     if use_dropout and rng is None:
-        rng = np.random.default_rng()
+        raise ValueError(f"rng is None, but dropout {model.dropout_rate} in train mode draws masks")
     a = x
     cache = []
     last = model.n_layers - 1
@@ -380,10 +380,11 @@ def forward(
 ) -> Array:
     """Logits for a batch.
 
-    mode controls dropout only (identity in eval mode); bn_stat_source picks
-    whether batch normalization uses statistics of this batch or the stored
-    running ones. Running statistics are mutated only when update_running is
-    set, so scoring passes never perturb the model.
+    mode controls dropout only (identity in eval mode); rng draws its masks
+    and is required when they are drawn. bn_stat_source picks whether batch
+    normalization uses statistics of this batch or the stored running ones.
+    Running statistics are mutated only when update_running is set, so
+    scoring passes never perturb the model.
     """
     logits, _ = _forward_cache(model, x, mode, bn_stat_source, rng, update_running, keep_cache=False)
     return logits
@@ -516,12 +517,11 @@ def mc_dropout_predict(
     """Stack of `samples` stochastic softmax outputs under active dropout.
 
     Batch normalization, if present, uses running statistics; only the
-    dropout masks vary between samples. Returns shape (samples, batch, classes).
+    dropout masks, drawn from rng, vary between samples. Returns shape
+    (samples, batch, classes).
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if rng is None:
-        rng = np.random.default_rng()
     return np.stack(
         [softmax(forward(model, x, mode="train", bn_stat_source="running", rng=rng)) for _ in range(samples)]
     )

@@ -4,9 +4,25 @@ A model keeps its parameters in one flat vector, `params`, and `backward`
 returns its gradients as views of one vector of the same layout
 (`nn.Gradients`). A step updates `params` in place from that vector with
 whole-vector ufuncs; a name-keyed mapping of gradient arrays without the
-vector is checked and gathered into one first. Every element goes through
-the same operations in the same order as a per-parameter update, so the
-result does not depend on how the parameters are split into arrays.
+vector is checked and gathered into one first. Each element's result does
+not depend on how the parameters are split into arrays.
+
+AdamW at step t, with bc1 = 1 - b1**t and c2 = sqrt(1 - b2**t), is
+
+    m <- b1*m + (1-b1)*g;  v <- b2*v + ((1-b2)*g)*g
+    p <- p * (1 - lr*wd)
+    p <- p - (lr*c2/bc1) * m / (sqrt(v) + eps*c2)
+
+This is the textbook p - lr*wd*p - lr*(m/bc1) / (sqrt(v/bc2) + eps) with
+the bias corrections folded into two scalars, since sqrt(v/bc2) + eps =
+(sqrt(v) + eps*c2) / c2 (Kingma & Ba, section 2), and the decoupled decay
+as a plain scale of p (Loshchilov & Hutter). Only the rounding differs, by
+a few ulps of |p| + |step|. A step then makes one elementwise division,
+where the textbook form makes three, and needs one scratch vector.
+The decay scales p before the adaptive term is taken off, so the term
+itself is not decayed and the two lines sum to the textbook update. The
+decay is skipped at wd = 0, and the whole parameter update at lr = 0, where
+a step of -0 would turn a -0 parameter into +0.
 
 For a stacked model (`nn.stack_models`) the vectors are member-major
 (k, P), and each member keeps its own step count, so a member left out of a
@@ -17,6 +33,7 @@ minibatch epoch and the ladder all take it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +91,12 @@ def make_optimizer(
         raise ValueError(f"optimizer kind must be one of {OPTIMIZER_KINDS}, got {kind!r}")
     if learning_rate < 0:
         raise ValueError(f"learning rate must be >= 0, got {learning_rate}")
+    # at beta = 1 a bias correction is 0; at eps = 0 a gradient entry that was always 0 gives 0/0
+    for name, beta in (("beta1", beta1), ("beta2", beta2)):
+        if not 0.0 <= beta < 1.0:
+            raise ValueError(f"{name} must be in [0, 1), got {beta}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     return OptimizerState(kind, learning_rate, beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay)
 
 
@@ -98,13 +121,13 @@ def _flat_gradient(model: MlpModel, grads) -> np.ndarray:
 def optimizer_step(state: OptimizerState, model: MlpModel, grads: dict[str, np.ndarray], active=None):
     """Apply one update to model.params in place; returns (model, state) for chaining.
 
-    SGD is the bare rule p <- p - lr * g. AdamW applies decoupled weight decay
-    p <- p - lr * wd * p independently of the bias-corrected adaptive term.
-    Moment vectors are allocated lazily on the first step; a later step on a
-    different parameter layout raises ValueError. For a stacked model, active
-    is an optional boolean mask over the members: the parameters, moments and
-    step count of a member outside it stay untouched. The gradient arrays are
-    only read.
+    SGD is the bare rule p <- p - lr * g. AdamW scales p by 1 - lr * wd
+    (decoupled weight decay), then takes the bias-corrected adaptive term off
+    it, as the module docstring gives. Moment vectors are allocated lazily on
+    the first step; a later step on a different parameter layout raises
+    ValueError. For a stacked model, active is an optional boolean mask over
+    the members: the parameters, moments and step count of a member outside
+    it stay untouched. The gradient arrays are only read.
     """
     g = _flat_gradient(model, grads)
     layout = (model.layer_sizes, model.batchnorm is not None, model.params.shape)
@@ -143,9 +166,6 @@ def optimizer_step(state: OptimizerState, model: MlpModel, grads: dict[str, np.n
         t = state.step_count if stack else [state.step_count]
         if rows is not None:
             m, v, t = m[rows], v[rows], [t[j] for j in rows]
-        bc1 = _bias_correction(state.beta1, t)
-        bc2 = _bias_correction(state.beta2, t)
-        r = np.empty_like(p)  # the second scratch
         # m <- b1*m + (1-b1)*g;  v <- b2*v + ((1-b2)*g)*g
         m *= state.beta1
         np.multiply(g, 1.0 - state.beta1, out=s)
@@ -154,17 +174,17 @@ def optimizer_step(state: OptimizerState, model: MlpModel, grads: dict[str, np.n
         np.multiply(g, 1.0 - state.beta2, out=s)
         s *= g
         v += s
-        if state.weight_decay != 0.0:  # at 0, p - 0*p would turn a -0 parameter into +0
-            np.multiply(p, lr * state.weight_decay, out=s)
+        if lr != 0.0:  # at 0 the step is +-0, and p - (-0) would turn a -0 parameter into +0
+            bc1 = _bias_correction(state.beta1, t)
+            c2 = np.sqrt(_bias_correction(state.beta2, t))
+            if state.weight_decay != 0.0:
+                p *= 1.0 - lr * state.weight_decay
+            # p <- p - (lr*c2/bc1) * m / (sqrt(v) + eps*c2)
+            np.sqrt(v, out=s)
+            s += state.eps * c2
+            np.divide(m, s, out=s)
+            s *= lr * c2 / bc1
             p -= s
-        # p <- p - (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
-        np.divide(m, bc1, out=s)
-        s *= lr
-        np.divide(v, bc2, out=r)
-        np.sqrt(r, out=r)
-        r += state.eps
-        s /= r
-        p -= s
         if rows is not None:
             state.flat_exp_avg[rows] = m
             state.flat_exp_avg_sq[rows] = v

@@ -177,9 +177,22 @@ def inverse_draw_weights(scores, idx, temperature=1.0):
     return w * (len(w) / w.sum())
 
 
+def textbook_adamw_step(p, m, v, t, learning_rate, beta1, beta2, eps, weight_decay):
+    """The parameters after one AdamW update in the textbook form
+    p - lr*wd*p - lr*(m/bc1) / (sqrt(v/bc2) + eps), with bc = 1 - beta**t,
+    from moments m and v that already include this step's gradient. t is a
+    step count, or one count per row of a (k, P) stack; p is not changed."""
+    def bias_correction(beta):
+        return np.array([[1.0 - beta**c] for c in t]) if np.ndim(t) else 1.0 - beta**t
+
+    bc1, bc2 = bias_correction(beta1), bias_correction(beta2)
+    return p - learning_rate * weight_decay * p - learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
 class LoopOptimizer:
     """SGD/AdamW as one update per parameter array, with moment buffers keyed
-    by parameter name: the per-parameter loop the fused flat step replaced."""
+    by parameter name: the per-parameter loop the fused flat step replaced,
+    in the same arithmetic as the fused step."""
 
     def __init__(self, kind, learning_rate, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
         self.kind = kind
@@ -201,8 +214,9 @@ class LoopOptimizer:
             return
         self.step_count += 1
         t = self.step_count
+        lr = self.learning_rate
         bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        c2 = math.sqrt(1.0 - self.beta2**t)
         for name, p in params.items():
             g = grads[name]
             if name not in self.exp_avg:
@@ -214,9 +228,11 @@ class LoopOptimizer:
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
+            if lr == 0.0:
+                continue
             if self.weight_decay != 0.0:
-                p -= self.learning_rate * self.weight_decay * p
-            p -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                p *= 1.0 - lr * self.weight_decay
+            p -= (lr * c2 / bc1) * (m / (np.sqrt(v) + self.eps * c2))
 
 
 def train_members_one_at_a_time(models, loop_opts, x, y, budget_epochs, tol, batch_size, rngs, rows=None):

@@ -239,6 +239,33 @@ def test_mc_dropout_single_sample_equals_train_forward():
     assert np.array_equal(sample, direct)
 
 
+def test_a_dropout_mask_is_never_drawn_without_a_generator():
+    # an unseeded fallback made two backward calls on one batch give different gradients
+    model = nn.init_mlp((3, 4, 2), seed=1, dropout_rate=0.5)
+    x = np.random.default_rng(2).standard_normal((5, 3))
+    for call in (
+        lambda: nn.forward(model, x, mode="train"),
+        lambda: nn.backward(model, x, [0, 1, 0, 1, 1]),
+        lambda: nn.mc_dropout_predict(model, x, 2),
+    ):
+        with pytest.raises(ValueError, match="^rng is None"):
+            call()
+    # eval mode draws no mask, so it needs no generator
+    assert np.array_equal(nn.forward(model, x), nn.forward(model, x, rng=np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"batchnorm": True}])
+def test_a_model_without_dropout_needs_no_generator(kwargs):
+    model = nn.init_mlp((3, 4, 2), seed=1, dropout_rate=0.0, **kwargs)
+    x = np.random.default_rng(2).standard_normal((5, 3))
+    y = [0, 1, 0, 1, 1]
+    assert np.array_equal(nn.forward(model, x, mode="train"), nn.forward(model, x, mode="eval"))
+    g1, g2 = nn.backward(model, x, y), nn.backward(model, x, y)
+    assert np.array_equal(g1.flat, g2.flat)
+    samples = nn.mc_dropout_predict(model, x, 2)
+    assert np.array_equal(samples[0], samples[1])
+
+
 def test_mc_dropout_rejects_zero_samples():
     model = nn.init_mlp((3, 4, 2), seed=1, dropout_rate=0.5)
     with pytest.raises(ValueError):
@@ -382,7 +409,7 @@ def test_forward_is_the_cache_keeping_pass_bitwise_and_hands_out_no_buffer(calls
         kwargs = dict(mode=mode, bn_stat_source=source)
         if model.batchnorm is not None and source == "batch" and rows < 2:
             with pytest.raises(ValueError, match="batch of size >= 2"):
-                nn.forward(model, x, **kwargs)
+                nn.forward(model, x, rng=np.random.default_rng(i), **kwargs)
             continue
         logits = nn.forward(model, x, rng=np.random.default_rng(i), **kwargs)
         cached, _ = nn._forward_cache(model, x, rng=np.random.default_rng(i), update_running=False, **kwargs)

@@ -11,7 +11,13 @@ import rholoss
 from rholoss import nn
 from rholoss.optim import make_optimizer, optimizer_step, train_step
 
-from oracles import LoopOptimizer
+from oracles import LoopOptimizer, textbook_adamw_step
+
+
+# The fused AdamW step and the textbook form differ only in rounding. Adding
+# up the roundings of both chains bounds the gap by about 8 ulps of
+# |p| + |step|; over 3000 random states it was at most 2.7.
+ULPS_FROM_TEXTBOOK = 8.0
 
 
 def scalar_model(theta: float) -> nn.MlpModel:
@@ -97,6 +103,25 @@ def test_optimizer_rejects_unknown_kind():
         make_optimizer("rmsprop", 0.1)
 
 
+@pytest.mark.parametrize(
+    "kwargs,name",
+    [
+        ({"beta1": 1.0}, "beta1"),
+        ({"beta1": -0.1}, "beta1"),
+        ({"beta2": 1.0}, "beta2"),
+        ({"beta2": float("nan")}, "beta2"),
+        ({"eps": 0.0}, "eps"),
+        ({"eps": -1e-8}, "eps"),
+        ({"eps": float("inf")}, "eps"),
+        ({"eps": float("nan")}, "eps"),
+    ],
+)
+def test_make_optimizer_refuses_betas_and_eps_that_break_the_update(kwargs, name):
+    # at beta = 1 one step turns every parameter into NaN; at eps = 0 an always-zero gradient gives 0/0
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        make_optimizer("adamw", 1e-3, **kwargs)
+
+
 def test_moment_buffers_track_parameter_shapes():
     model = nn.init_mlp((3, 4, 2), seed=1)
     opt = make_optimizer("adamw", 1e-3)
@@ -141,6 +166,65 @@ def test_fused_step_matches_per_parameter_loop_bitwise(kind, hidden, batchnorm, 
         if kind == "adamw":
             assert np.array_equal(nn.param_views(model, opt.flat_exp_avg)[name], loop.exp_avg[name])
             assert np.array_equal(nn.param_views(model, opt.flat_exp_avg_sq)[name], loop.exp_avg_sq[name])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.sampled_from([0, 1, 3]),  # 0: an ordinary model
+    hidden=st.lists(st.integers(1, 9), min_size=0, max_size=3),
+    batchnorm=st.booleans(),
+    lr=st.floats(0.0, 1.0),
+    beta1=st.floats(0.0, 0.999),
+    beta2=st.floats(0.0, 0.9999),
+    weight_decay=st.sampled_from([0.0, 1e-4, 0.01, 0.5]),
+    counts=st.lists(st.integers(0, 10**4 - 1), min_size=3, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_fused_adamw_step_is_within_a_few_ulps_of_the_textbook_form(
+    k, hidden, batchnorm, lr, beta1, beta2, weight_decay, counts, seed
+):
+    # one step from a random state, each stack member at its own step count
+    rng = np.random.default_rng(seed)
+    sizes = (int(rng.integers(1, 6)), *hidden, int(rng.integers(1, 5)))
+    if k:  # a stack has no batch norm
+        model = nn.stack_models([nn.init_mlp(sizes, seed=seed + j) for j in range(k)])
+    else:
+        model = nn.init_mlp(sizes, seed=seed, batchnorm=batchnorm and len(hidden) > 0)
+    shape = model.params.shape
+    scale = 10.0 ** rng.integers(-8, 4, size=shape)
+    model.params[...] = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 3, size=shape)
+    p0 = model.params.copy()
+    opt = make_optimizer("adamw", lr, weight_decay=weight_decay, beta1=beta1, beta2=beta2)
+    opt.step_count = counts[:k] if k else counts[0]
+    opt.layout = (model.layer_sizes, model.batchnorm is not None, shape)
+    opt.flat_exp_avg = rng.standard_normal(shape) * scale
+    opt.flat_exp_avg_sq = rng.random(shape) * scale**2
+    g = rng.standard_normal(shape) * scale
+    g[rng.random(shape) < 0.2] = 0.0
+    optimizer_step(opt, model, nn.param_views(model, g))
+    want = textbook_adamw_step(
+        p0, opt.flat_exp_avg, opt.flat_exp_avg_sq, opt.step_count, lr, beta1, beta2, opt.eps, weight_decay
+    )
+    ulp = np.finfo(float).eps * (np.abs(p0) + np.abs(want - p0))
+    assert np.all(np.abs(model.params - want) <= ULPS_FROM_TEXTBOOK * ulp)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+@pytest.mark.parametrize("k", [0, 3])  # 0: an ordinary model
+def test_adamw_at_learning_rate_zero_leaves_the_parameters_bit_identical(k, weight_decay):
+    rng = np.random.default_rng(k)
+    if k:
+        model = nn.stack_models([nn.init_mlp((3, 4, 2), seed=j) for j in range(k)])
+    else:
+        model = nn.init_mlp((3, 4, 2), seed=0, batchnorm=True)
+    model.params[..., ::2] = -0.0
+    before = model.params.tobytes()
+    opt = make_optimizer("adamw", 0.0, weight_decay=weight_decay)
+    for _ in range(3):
+        optimizer_step(opt, model, nn.param_views(model, rng.standard_normal(model.params.shape)))
+    assert model.params.tobytes() == before
+    # the moments still step, and some are negative: a step of -0 there would turn -0 into +0
+    assert (opt.flat_exp_avg[..., ::2] < 0).any() and opt.flat_exp_avg_sq.all()
 
 
 def test_moments_survive_deepcopy_as_name_keyed_views():
