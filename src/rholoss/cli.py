@@ -114,7 +114,14 @@ def prepare_datasets(cfg: ExperimentConfig):
     test = None
     if ds_cfg.kind == "idx" and ds_cfg.idx.test_images:
         pool = base
-        test = datamod.load_idx(ds_cfg.idx.test_images, ds_cfg.idx.test_labels)
+        idx = ds_cfg.idx
+        test = datamod.load_idx(idx.test_images, idx.test_labels)
+        if test.n == 0 or test.dim != base.dim:  # no accuracy to take, or none the model can take
+            raise CliError(f"dataset.idx.test_images: {idx.test_images} holds {test.n} images of {test.dim} "
+                           f"pixels; the test split needs at least one image of the training images' {base.dim}")
+        if test.num_classes > base.num_classes:
+            raise CliError(f"dataset.idx.test_labels: {idx.test_labels} has labels up to {test.num_classes - 1}, "
+                           f"but the training images have {base.num_classes} classes")
     else:
         pool, test = datamod.split(base, datamod.SplitSpec(ds_cfg.split.test_fraction, seed=int(split_seeds[0])))
     holdout = None

@@ -168,6 +168,10 @@ class RunSection:
         if self.model.batchnorm and self.n_b < 2:
             raise ValueError("model.batchnorm: batch normalization needs run.n_b >= 2, got run.n_b=1; "
                              "a training step on one row has no batch statistics")
+        repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
+        if repeated:
+            raise ValueError(f"seeds: seed {repeated[0]} is listed more than once in {list(self.seeds)}; "
+                             "each seed is one run and one record")
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,9 @@
 A model keeps its trainable parameters in one flat float64 vector, `params`,
 in `parameters` order; its weights, biases and batch-norm gamma/beta are
 views of that vector, and running statistics are arrays of their own.
-`backward` writes its gradients into one fresh vector of the same layout and
-returns them keyed by parameter name, as views of that vector (`Gradients`,
-whose `flat` is the vector), so an optimizer updates `params` in place from
-it without gathering or scattering. Forward passes distinguish the
+`backward` returns its gradient as one fresh vector of the same layout, so an
+optimizer updates `params` in place from it without gathering or scattering;
+`param_views` names the parts of either vector. Forward passes distinguish the
 dropout mode ("train"/"eval") from the batch-normalization statistics source
 ("batch"/"running"), because batch selection and model updates legitimately
 combine them differently: scoring a candidate batch wants deterministic
@@ -261,14 +260,6 @@ def parameters(model: MlpModel) -> dict[str, Array]:
     return param_views(model, model.params)
 
 
-class Gradients(dict):
-    """Gradients keyed by parameter name, each a view of one flat vector,
-    `flat`, laid out like the model's params. Edit them in place: an entry
-    bound to a new array is no longer part of `flat`."""
-
-    flat: Array
-
-
 def _check_mode(mode: str, bn_stat_source: str) -> None:
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -376,17 +367,16 @@ def forward(
     mode: str = "eval",
     bn_stat_source: str = "running",
     rng: np.random.Generator | None = None,
-    update_running: bool = False,
 ) -> Array:
     """Logits for a batch.
 
     mode controls dropout only (identity in eval mode); rng draws its masks
     and is required when they are drawn. bn_stat_source picks whether batch
     normalization uses statistics of this batch or the stored running ones.
-    Running statistics are mutated only when update_running is set, so
-    scoring passes never perturb the model.
+    Running statistics move only in a training step's `backward`, so scoring
+    passes never perturb the model.
     """
-    logits, _ = _forward_cache(model, x, mode, bn_stat_source, rng, update_running, keep_cache=False)
+    logits, _ = _forward_cache(model, x, mode, bn_stat_source, rng, False, keep_cache=False)
     return logits
 
 
@@ -451,9 +441,10 @@ def backward(
     rng: np.random.Generator | None = None,
     update_running: bool = False,
     sample_weights=None,
-) -> Gradients:
+) -> Array:
     """Gradient of the mean cross-entropy over the batch w.r.t. every parameter,
-    keyed by name, as views of one flat vector laid out like model.params.
+    as one vector laid out like model.params: (P,), or (k, P) for a stack.
+    update_running, with batch statistics, also moves the running ones.
 
     sample_weights, when given, reweight the per-example losses inside the
     mean (used by importance-sampling policies; weights are expected to
@@ -470,8 +461,7 @@ def backward(
             raise ValueError(f"got {b} examples but {w.size} sample weights")
         d *= (w / b)[:, None]
     flat = np.empty_like(model.params)
-    grads = Gradients(param_views(model, flat))
-    grads.flat = flat
+    grads = param_views(model, flat)
     for l, a_in, d, bn in _backprop(model, cache, d):
         if bn is not None:
             dout, xhat = bn
@@ -479,22 +469,21 @@ def backward(
             dout.sum(axis=0, out=grads[f"bn{l}_beta"])
         np.matmul(a_in.swapaxes(-1, -2), d, out=grads[f"w{l}"])
         d.sum(axis=-2, out=grads[f"b{l}"])
-    return grads
+    return flat
 
 
-def per_example_grad_norm(model: MlpModel, x, y) -> float | Array:
-    """Euclidean norm of an example's loss gradient over the full parameter set.
+def per_example_grad_norm(model: MlpModel, x, y) -> Array:
+    """Euclidean norm of each row's loss gradient over the full parameter set,
+    for a 2-D batch x with one label per row.
 
-    x is one example (a float comes back) or a 2-D batch with one label per
-    row (an array of per-row norms comes back). Deterministic by
-    construction: evaluated in eval mode with running batch statistics, so
-    dropout and batch coupling never enter the score, and summed in closed
-    form from the deltas of one backprop (see the module docstring).
+    Deterministic by construction: evaluated in eval mode with running batch
+    statistics, so dropout and batch coupling never enter the score, and
+    summed in closed form from the deltas of one backprop (see the module
+    docstring).
     """
     if model.stack:
         raise ValueError("per_example_grad_norm takes one model; split a stack with nn.unstack")
-    x = np.asarray(x, dtype=np.float64)
-    logits, cache = _forward_cache(model, x.reshape(1, -1) if x.ndim == 1 else x, "eval", "running", None, False)
+    logits, cache = _forward_cache(model, x, "eval", "running", None, False)
     d = _output_delta(logits, _as_labels(y, model.n_classes, logits.shape[:-1]))
     a_sq = np.empty((len(logits), model.n_layers))  # ||a_in||^2 per row and layer
     d_sq = np.empty_like(a_sq)  # ||d||^2
@@ -507,8 +496,7 @@ def per_example_grad_norm(model: MlpModel, x, y) -> float | Array:
             g = dout * xhat
             bn_sq += np.vecdot(g, g) + np.vecdot(dout, dout)
     a_sq[d_sq == 0.0] = 0.0  # a zero delta zeroes the weight gradient even where ||a_in||^2 overflowed
-    norms = np.sqrt(np.vecdot(a_sq + 1.0, d_sq) + bn_sq)
-    return float(norms[0]) if x.ndim == 1 else norms
+    return np.sqrt(np.vecdot(a_sq + 1.0, d_sq) + bn_sq)
 
 
 def mc_dropout_predict(

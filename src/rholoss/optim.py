@@ -1,11 +1,9 @@
 """SGD and AdamW (decoupled weight decay) on a model's flat parameter vector.
 
 A model keeps its parameters in one flat vector, `params`, and `backward`
-returns its gradients as views of one vector of the same layout
-(`nn.Gradients`). A step updates `params` in place from that vector with
-whole-vector ufuncs; a name-keyed mapping of gradient arrays without the
-vector is checked and gathered into one first. Each element's result does
-not depend on how the parameters are split into arrays.
+returns its gradient as one vector of the same layout. A step updates
+`params` in place from it with whole-vector ufuncs, so each element's
+result does not depend on how the parameters are split into arrays.
 
 AdamW at step t, with bc1 = 1 - b1**t and c2 = sqrt(1 - b2**t), is
 
@@ -38,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import Gradients, MlpModel, backward, parameters
+from .nn import MlpModel, backward
 
 OPTIMIZER_KINDS = ("sgd", "adamw")
 
@@ -100,26 +98,10 @@ def make_optimizer(
     return OptimizerState(kind, learning_rate, beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay)
 
 
-def _flat_gradient(model: MlpModel, grads) -> np.ndarray:
-    """The gradient as one vector laid out like model.params: the vector of
-    `nn.Gradients` as it is, else the name-keyed arrays checked and gathered."""
-    if isinstance(grads, Gradients):
-        g = grads.flat
-        if g.shape != model.params.shape:
-            raise ValueError(f"gradient vector shape {g.shape} does not match params shape {model.params.shape}")
-        return g
-    params = parameters(model)
-    for name, p in params.items():
-        if name not in grads:
-            raise ValueError(f"missing gradient for parameter {name!r}")
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {name!r} shape {p.shape}")
-    return np.concatenate([grads[name].reshape(*model.stack, -1) for name in params], axis=-1)
-
-
-def optimizer_step(state: OptimizerState, model: MlpModel, grads: dict[str, np.ndarray], active=None):
-    """Apply one update to model.params in place; returns (model, state) for chaining.
+def optimizer_step(state: OptimizerState, model: MlpModel, g: np.ndarray, active=None):
+    """Apply one update to model.params in place from the gradient g, a
+    vector of the same shape (as `backward` returns it, and only read);
+    returns (model, state) for chaining.
 
     SGD is the bare rule p <- p - lr * g. AdamW scales p by 1 - lr * wd
     (decoupled weight decay), then takes the bias-corrected adaptive term off
@@ -127,9 +109,10 @@ def optimizer_step(state: OptimizerState, model: MlpModel, grads: dict[str, np.n
     the first step; a later step on a different parameter layout raises
     ValueError. For a stacked model, active is an optional boolean mask over
     the members: the parameters, moments and step count of a member outside
-    it stay untouched. The gradient arrays are only read.
+    it stay untouched.
     """
-    g = _flat_gradient(model, grads)
+    if np.shape(g) != model.params.shape:
+        raise ValueError(f"gradient shape {np.shape(g)} does not match params shape {model.params.shape}")
     layout = (model.layer_sizes, model.batchnorm is not None, model.params.shape)
     if state.kind == "adamw" and state.layout is not None and layout != state.layout:
         raise ValueError(f"parameter layout {layout} differs from the one the moments were built for {state.layout}")
@@ -197,10 +180,10 @@ def train_step(model: MlpModel, opt: OptimizerState, x, y, rng=None, sample_weig
     """The one training step: backward in train mode with batch statistics,
     which also update the running ones, then `optimizer_step`. rng draws the
     dropout masks; sample_weights and active are as in backward and optimizer_step."""
-    grads = backward(
+    g = backward(
         model, x, y, mode="train", bn_stat_source="batch", rng=rng, update_running=True, sample_weights=sample_weights
     )
-    optimizer_step(opt, model, grads, active)
+    optimizer_step(opt, model, g, active)
 
 
 def train_epoch(model: MlpModel, opt: OptimizerState, x, y, batch_size: int, rng, active=None, rows=None) -> None:

@@ -82,17 +82,17 @@ class ScoredBatch:
 def score_grad_norm(model: MlpModel, x, labels) -> np.ndarray:
     """Each candidate's gradient norm (`nn.per_example_grad_norm`).
 
-    The kernel takes a whole batch, but this loop calls it once per
-    candidate through this module's name for it: `perfbench` wraps that name
-    and its hard-scoring check wants one call per candidate. Once that check
-    counts rows instead (ROADMAP item 1), one call on the batch replaces the
-    loop.
+    The kernel takes a whole 2-D batch, but this loop calls it once per
+    candidate, on that candidate's one-row batch, through this module's name
+    for it: `perfbench` wraps that name and its hard-scoring check wants one
+    call per candidate. Once that check counts rows instead (ROADMAP item 1),
+    one call on the batch replaces the loop.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64).ravel()
     if y.shape != (x.shape[0],):
         raise ValueError(f"got {x.shape[0]} examples but labels of shape {y.shape}")
-    return np.array([per_example_grad_norm(model, x[i], y[i]) for i in range(x.shape[0])])
+    return np.array([per_example_grad_norm(model, x[i : i + 1], y[i : i + 1])[0] for i in range(x.shape[0])])
 
 
 def chunk_select_count(chunk_size: int, n_b: int, n_B: int) -> int:

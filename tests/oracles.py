@@ -27,7 +27,9 @@ from rholoss.selection import candidate_chunks, select_top_k
 
 
 def fd_gradients(model, x, y, mode="eval", bn_stat_source="running", seed=1234, h=1e-5):
-    """Central finite differences of the mean cross-entropy w.r.t. every parameter.
+    """Central finite differences of the mean cross-entropy w.r.t. every
+    parameter, one element of model.params at a time, as a vector laid out
+    like it.
 
     The same dropout mask seed is replayed for every evaluation so the loss
     is a deterministic function of the parameters.
@@ -38,43 +40,36 @@ def fd_gradients(model, x, y, mode="eval", bn_stat_source="running", seed=1234, 
         logits = nn.forward(model, x, mode=mode, bn_stat_source=bn_stat_source, rng=rng)
         return float(nn.cross_entropy(logits, y).mean())
 
-    grads = {}
-    for name, p in nn.parameters(model).items():
-        g = np.zeros_like(p)
-        flat = p.ravel()
-        gflat = g.ravel()
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + h
-            lp = loss()
-            flat[k] = orig - h
-            lm = loss()
-            flat[k] = orig
-            gflat[k] = (lp - lm) / (2.0 * h)
-        grads[name] = g
+    flat = model.params
+    grads = np.zeros_like(flat)
+    for k in range(flat.size):
+        orig = flat[k]
+        flat[k] = orig + h
+        lp = loss()
+        flat[k] = orig - h
+        lm = loss()
+        flat[k] = orig
+        grads[k] = (lp - lm) / (2.0 * h)
     return grads
 
 
-def max_rel_error(analytic: dict, numeric: dict, floor=1e-6) -> float:
+def max_rel_error(analytic, numeric, floor=1e-6) -> float:
     # The floor absorbs finite-difference roundoff (~1e-11) on components
     # whose true gradient is exactly zero, e.g. pre-batchnorm biases.
     worst = 0.0
-    for name in analytic:
-        a = analytic[name].ravel()
-        n = numeric[name].ravel()
-        for ak, nk in zip(a, n):
-            denom = max(abs(ak), abs(nk), floor)
-            worst = max(worst, abs(ak - nk) / denom)
+    for ak, nk in zip(np.ravel(analytic), np.ravel(numeric), strict=True):
+        denom = max(abs(ak), abs(nk), floor)
+        worst = max(worst, abs(ak - nk) / denom)
     return worst
 
 
 def grad_norm_oracle(model, x, y):
-    """One example's gradient norm the long way: the full gradient dict from
+    """One example's gradient norm the long way: the full gradient from
     `nn.backward` on that row, in eval mode with running statistics, squared
-    entry by entry."""
+    entry by entry and summed parameter by parameter."""
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     grads = nn.backward(model, x, [int(y)], mode="eval", bn_stat_source="running")
-    return math.sqrt(sum(float((g**2).sum()) for g in grads.values()))
+    return math.sqrt(sum(float((g**2).sum()) for g in nn.param_views(model, grads).values()))
 
 
 def explicit_forward(weights, biases, x):
@@ -190,9 +185,10 @@ def textbook_adamw_step(p, m, v, t, learning_rate, beta1, beta2, eps, weight_dec
 
 
 class LoopOptimizer:
-    """SGD/AdamW as one update per parameter array, with moment buffers keyed
-    by parameter name: the per-parameter loop the fused flat step replaced,
-    in the same arithmetic as the fused step."""
+    """SGD/AdamW as one update per parameter array, with the gradient vector
+    split by `nn.param_views` and moment buffers keyed by parameter name: the
+    per-parameter loop the fused flat step replaced, in the same arithmetic
+    as the fused step."""
 
     def __init__(self, kind, learning_rate, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
         self.kind = kind
@@ -205,7 +201,8 @@ class LoopOptimizer:
         self.exp_avg_sq: dict = {}
         self.step_count = 0
 
-    def step(self, model, grads):
+    def step(self, model, g):
+        grads = nn.param_views(model, g)
         params = nn.parameters(model)
         if self.kind == "sgd":
             for name, p in params.items():

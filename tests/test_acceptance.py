@@ -70,7 +70,7 @@ def test_criterion_02_optimizer_oracles():
     model = nn.init_mlp((1, 1), seed=0)
     model.weights[0][:] = 1.0
     model.biases[0][:] = 0.0
-    optimizer_step(make_optimizer("sgd", 0.1), model, {"w0": np.full((1, 1), 2.0), "b0": np.zeros(1)})
+    optimizer_step(make_optimizer("sgd", 0.1), model, np.array([2.0, 0.0]))  # w0, then b0
     assert model.weights[0][0, 0] == 0.8  # exact in floating point
 
     cases = [
@@ -85,7 +85,7 @@ def test_criterion_02_optimizer_oracles():
         m.weights[0][:] = theta
         m.biases[0][:] = 0.0
         opt = make_optimizer("adamw", lr, weight_decay=wd)
-        optimizer_step(opt, m, {"w0": np.full((1, 1), g), "b0": np.zeros(1)})
+        optimizer_step(opt, m, np.array([g, 0.0]))  # w0, then b0
         # closed form for step 1: m_hat = g, v_hat = g^2
         expected = theta - lr * wd * theta - lr * g / (math.sqrt(g * g) + opt.eps)
         assert abs(m.weights[0][0, 0] - expected) < 1e-12
@@ -147,7 +147,7 @@ def test_criterion_06_is_debias():
     y = rng.integers(0, 2, 32)
     scores = score_grad_norm(model, x, y)
     per = [nn.backward(model, x[i : i + 1], [y[i]], mode="eval", bn_stat_source="running") for i in range(32)]
-    flat = np.stack([np.concatenate([g[name].ravel() for name in per[0]]) for g in per])
+    flat = np.stack(per)
     exact = flat.mean(axis=0)
     accum = np.zeros_like(exact)
     draw_rng = np.random.default_rng(7)

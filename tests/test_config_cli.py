@@ -38,6 +38,8 @@ from rholoss.records import load_run_record, read_header
 from rholoss.selection import ALL_KINDS, SelectionPolicy
 from rholoss.trainer import RunConfig
 
+from test_data import write_idx_pair
+
 
 BASE_CONFIG = {
     "dataset": {
@@ -146,6 +148,8 @@ def test_config_rejects_bad_values(tmp_path):
         ({"il.optimizer.learning_rate": -0.001}, "il.optimizer.learning_rate"),
         ({"run.epochs": 0}, "run.epochs"),
         ({"run.seeds": [1, -2]}, "run.seeds[1]"),
+        # two runs of one seed would write one record twice
+        ({"run.seeds": [3, 1, 2, 1]}, "run.seeds: seed 1 is listed more than once"),
         ({"run.model.hidden": [16, 0]}, "run.model.hidden[1]"),
         ({"run.optimizer.weight_decay": -0.01}, "run.optimizer.weight_decay"),
         ({"ladder.convergence_tol": -1.0}, "ladder.convergence_tol"),
@@ -339,6 +343,8 @@ def _parse_in_range(dataset, il, run, ladder):
     assume(not (run.get("model", {}).get("batchnorm", False) and run["n_b"] == 1))
     assume(not (run.get("il_update_mode") == "original" and il.get("scheme") == "two-halves"))
     assume(("test_images" in dataset.get("idx", {})) == ("test_labels" in dataset.get("idx", {})))
+    if "seeds" in run:
+        run["seeds"] = list(dict.fromkeys(run["seeds"]))  # each seed is one run
     for opt in (section["optimizer"] for section in (il, run, ladder) if "optimizer" in section):
         lr = opt.get("learning_rate", OptimizerSettings.learning_rate)
         if opt.get("kind", OptimizerSettings.kind) == "adamw" and lr * opt.get("weight_decay", OptimizerSettings.weight_decay) >= 1:
@@ -491,6 +497,35 @@ def test_prepare_refuses_a_malformed_csv_input_before_writing(tmp_path, capsys, 
     assert main(["prepare", "--config", str(cfg_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {source}: ") and reason in err
+    assert not (out / "dataset").exists()
+
+
+@pytest.mark.parametrize(
+    "test_label_values, side, key",
+    [
+        ([0, 1, 2, 0, 1, 2], 2, None),  # a test split the model can evaluate
+        ([0, 1, 2, 3, 4, 5], 2, "dataset.idx.test_labels: "),  # labels the 3-class model cannot score
+        ([], 2, "dataset.idx.test_images: "),  # no accuracy to take
+        ([0, 1, 2, 0, 1, 2], 3, "dataset.idx.test_images: "),  # 9 pixels for a 4-input model
+    ],
+)
+def test_prepare_refuses_an_idx_test_split_it_cannot_evaluate(tmp_path, capsys, test_label_values, side, key):
+    rng = np.random.default_rng(0)
+    train, test = tmp_path / "train", tmp_path / "test"
+    train.mkdir()
+    test.mkdir()
+    images, labels = write_idx_pair(train, rng.integers(0, 256, 40 * 4).tolist(), [i % 3 for i in range(40)])
+    test_pixels = rng.integers(0, 256, len(test_label_values) * side * side).tolist()
+    test_images, test_labels = write_idx_pair(test, test_pixels, test_label_values, rows=side, cols=side)
+    idx = {"images": images, "labels": labels, "test_images": test_images, "test_labels": test_labels}
+    cfg_path = write_config(tmp_path, {"dataset.kind": "idx", "dataset.idx": {k: str(v) for k, v in idx.items()}})
+    out = tmp_path / "out"
+    code = main(["prepare", "--config", str(cfg_path), "--out", str(out)])
+    if key is None:
+        assert code == 0 and (out / "dataset" / "test.csv").exists()
+        return
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}")
     assert not (out / "dataset").exists()
 
 

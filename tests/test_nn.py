@@ -98,8 +98,7 @@ def test_backward_saturated_correct_predictions():
     model.biases[0][:] = 0.0
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
     grads = nn.backward(model, x, [0, 1])
-    norm = math.sqrt(sum(float((g**2).sum()) for g in grads.values()))
-    assert norm < 1e-9
+    assert math.sqrt(float((grads**2).sum())) < 1e-9
 
 
 @pytest.mark.parametrize(
@@ -129,8 +128,7 @@ def test_backward_duplicated_batch_equals_single_point():
     x = np.array([[0.3, -1.0, 2.0]])
     g1 = nn.backward(model, x, [1])
     g4 = nn.backward(model, np.repeat(x, 4, axis=0), [1, 1, 1, 1])
-    for name in g1:
-        assert np.allclose(g1[name], g4[name], atol=1e-12)
+    assert np.allclose(g1, g4, atol=1e-12)
 
 
 def test_backward_sample_weights_scale_gradient():
@@ -140,8 +138,7 @@ def test_backward_sample_weights_scale_gradient():
     y = rng.integers(0, 2, 4)
     base = nn.backward(model, x, y)
     weighted = nn.backward(model, x, y, sample_weights=np.ones(4))
-    for name in base:
-        assert np.allclose(base[name], weighted[name])
+    assert np.allclose(base, weighted)
 
 
 def test_per_example_grad_norm_matches_backward_on_singleton():
@@ -151,15 +148,15 @@ def test_per_example_grad_norm_matches_backward_on_singleton():
         x = rng.standard_normal(4)
         y = int(rng.integers(0, 3))
         grads = nn.backward(model, x.reshape(1, -1), [y], mode="eval", bn_stat_source="running")
-        expected = math.sqrt(sum(float((g**2).sum()) for g in grads.values()))
-        assert nn.per_example_grad_norm(model, x, y) == pytest.approx(expected, abs=1e-10)
+        expected = math.sqrt(float((grads**2).sum()))
+        assert nn.per_example_grad_norm(model, x.reshape(1, -1), [y])[0] == pytest.approx(expected, abs=1e-10)
 
 
 def test_per_example_grad_norm_saturated_is_tiny():
     model = nn.init_mlp((2, 2), seed=0)
     model.weights[0][:] = np.array([[80.0, -80.0], [-80.0, 80.0]])
     model.biases[0][:] = 0.0
-    assert nn.per_example_grad_norm(model, [1.0, 0.0], 0) < 1e-9
+    assert nn.per_example_grad_norm(model, [[1.0, 0.0]], [0])[0] < 1e-9
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -173,7 +170,7 @@ def test_per_example_grad_norm_saturated_is_tiny():
     x_scale=st.sampled_from([1.0, 30.0, 1e3]),
     seed=st.integers(0, 2**16),
 )
-def test_closed_form_grad_norm_matches_the_gradient_dict(hidden, n_in, n_classes, batchnorm, dropout, logit_scale, x_scale, seed):
+def test_closed_form_grad_norm_matches_the_full_gradient(hidden, n_in, n_classes, batchnorm, dropout, logit_scale, x_scale, seed):
     # eval mode ignores the dropout rate; running statistics, gamma and beta
     # are far from their init so batch norm is not the identity
     rng = np.random.default_rng(seed)
@@ -187,7 +184,7 @@ def test_closed_form_grad_norm_matches_the_gradient_dict(hidden, n_in, n_classes
     x = rng.uniform(-x_scale, x_scale, (4, n_in))
     y = rng.integers(0, n_classes, 4)
     for i in range(4):
-        got = nn.per_example_grad_norm(model, x[i], y[i])
+        got = nn.per_example_grad_norm(model, x[i : i + 1], y[i : i + 1])[0]
         assert got >= 0.0  # also false for NaN
         # below ~1e-140 the squares of both forms fall into subnormals, where neither keeps relative precision
         assert got == pytest.approx(grad_norm_oracle(model, x[i], y[i]), rel=1e-12, abs=1e-140)
@@ -207,6 +204,8 @@ def test_per_example_grad_norm_of_a_batch_is_each_rows_norm():
         assert norms[i] == pytest.approx(grad_norm_oracle(model, x[i], y[i]), rel=1e-12)
     with pytest.raises(ValueError, match=r"got 6 examples but labels of shape \(5,\)"):
         nn.per_example_grad_norm(model, x, y[:5])
+    with pytest.raises(ValueError, match=r"x must be 2-D with 4 columns, got shape \(4,\)"):
+        nn.per_example_grad_norm(model, x[0], y[:1])  # one row is a (1, d) batch
 
 
 def test_per_example_grad_norm_overflowed_input_norm_times_zero_delta_is_zero():
@@ -214,13 +213,13 @@ def test_per_example_grad_norm_overflowed_input_norm_times_zero_delta_is_zero():
     model = nn.init_mlp((2, 2), seed=0)
     model.weights[0][:] = np.array([[80.0, -80.0], [-80.0, 80.0]])
     with np.errstate(over="ignore"):
-        assert nn.per_example_grad_norm(model, [1e200, 0.0], 0) == 0.0 == grad_norm_oracle(model, [1e200, 0.0], 0)
+        assert nn.per_example_grad_norm(model, [[1e200, 0.0]], [0])[0] == 0.0 == grad_norm_oracle(model, [1e200, 0.0], 0)
 
 
 def test_per_example_grad_norm_refuses_a_stack():
     stack = nn.stack_models([nn.init_mlp((4, 5, 3), seed=s) for s in (1, 2)])
     with pytest.raises(ValueError, match=r"nn\.unstack"):
-        nn.per_example_grad_norm(stack, np.ones(4), 1)
+        nn.per_example_grad_norm(stack, np.ones((1, 4)), [1])
 
 
 def test_mc_dropout_zero_rate_identical_samples():
@@ -261,7 +260,7 @@ def test_a_model_without_dropout_needs_no_generator(kwargs):
     y = [0, 1, 0, 1, 1]
     assert np.array_equal(nn.forward(model, x, mode="train"), nn.forward(model, x, mode="eval"))
     g1, g2 = nn.backward(model, x, y), nn.backward(model, x, y)
-    assert np.array_equal(g1.flat, g2.flat)
+    assert np.array_equal(g1, g2)
     samples = nn.mc_dropout_predict(model, x, 2)
     assert np.array_equal(samples[0], samples[1])
 
@@ -353,13 +352,13 @@ def test_stacked_member_computes_what_its_model_computes_bitwise(k, sizes, rows,
     y = rng.integers(0, sizes[-1], (k, rows) if per_member else rows)
     logits = nn.forward(stack, x)
     losses = nn.cross_entropy(logits, y)
-    grads = nn.backward(stack, x, y) if rows else {}
+    grads = nn.backward(stack, x, y) if rows else None
     for j, m in enumerate(members):
         xj, yj = (x[j], y[j]) if per_member else (x, y)
         assert np.array_equal(logits[j], nn.forward(m, xj))
         assert np.array_equal(losses[j], nn.cross_entropy(nn.forward(m, xj), yj))
-        for name, g in (nn.backward(m, xj, yj) if rows else {}).items():
-            assert np.array_equal(grads[name][j], g), name
+        if rows:
+            assert np.array_equal(grads[j], nn.backward(m, xj, yj))
 
 
 def _scratch_test_models(seed):
@@ -463,13 +462,22 @@ def test_batchnorm_permutation_equivariance():
 
 
 def test_batchnorm_running_stats_update_only_when_asked():
-    model = nn.init_mlp((4, 6, 3), seed=12, batchnorm=True)
+    # a forward never moves them; a backward moves them when asked
+    model = nn.init_mlp((4, 6, 3), seed=12, batchnorm=True, dropout_rate=0.2)
     x = np.random.default_rng(1).standard_normal((8, 4))
-    before = model.batchnorm[0].running_mean.copy()
-    nn.forward(model, x, bn_stat_source="batch")
-    assert np.array_equal(model.batchnorm[0].running_mean, before)
-    nn.forward(model, x, bn_stat_source="batch", update_running=True)
-    assert not np.array_equal(model.batchnorm[0].running_mean, before)
+    y = np.zeros(8, dtype=int)
+    before = copy.deepcopy(model.batchnorm)
+    for mode in ("eval", "train"):
+        nn.forward(model, x, mode=mode, bn_stat_source="batch", rng=np.random.default_rng(2))
+    with pytest.raises(TypeError, match="update_running"):
+        nn.forward(model, x, bn_stat_source="batch", update_running=True)
+    nn.backward(model, x, y, rng=np.random.default_rng(2))
+    for bn, then in zip(model.batchnorm, before):
+        assert np.array_equal(bn.running_mean, then.running_mean)
+        assert np.array_equal(bn.running_var, then.running_var)
+    nn.backward(model, x, y, rng=np.random.default_rng(2), update_running=True)
+    assert not np.array_equal(model.batchnorm[0].running_mean, before[0].running_mean)
+    assert not np.array_equal(model.batchnorm[0].running_var, before[0].running_var)
 
 
 def test_training_is_bit_deterministic_under_seed():
@@ -494,7 +502,7 @@ def test_training_is_bit_deterministic_under_seed():
 def test_model_save_load_roundtrip(tmp_path):
     model = nn.init_mlp((5, 7, 4), seed=3, dropout_rate=0.1, batchnorm=True)
     x = np.random.default_rng(0).standard_normal((6, 5))
-    nn.forward(model, x, bn_stat_source="batch", update_running=True)
+    nn.backward(model, x, np.zeros(6, dtype=int), mode="eval", update_running=True)  # moves the running statistics
     path = tmp_path / "model.npz"
     nn.save_model(model, path)
     loaded = nn.load_model(path)
@@ -541,7 +549,7 @@ def test_every_trainable_array_is_a_view_of_params_however_the_model_was_made(tm
     assert plain.params.shape == (3 * 5 + 5 + 5 * 4 + 4 + 4 * 2 + 2 + 2 * (5 + 4),)
     assert_views_of_params(plain)
     x = np.random.default_rng(0).standard_normal((6, 3))
-    nn.forward(plain, x, bn_stat_source="batch", update_running=True)
+    nn.backward(plain, x, np.zeros(6, dtype=int), mode="eval", update_running=True)
     nn.save_model(plain, tmp_path / "model.npz")
     assert_views_of_params(nn.load_model(tmp_path / "model.npz"))
 

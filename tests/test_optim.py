@@ -1,5 +1,6 @@
 import ast
 import copy
+import re
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,9 @@ def scalar_model(theta: float) -> nn.MlpModel:
 
 
 def grads_like(model, w, b=0.0):
-    return {"w0": np.full_like(model.weights[0], w), "b0": np.full_like(model.biases[0], b)}
+    """A gradient vector for a `scalar_model`: w0, then b0."""
+    assert model.params.shape == (2,)
+    return np.array([w, b])
 
 
 def test_sgd_exact_update():
@@ -89,13 +92,28 @@ def test_adamw_multi_step_matches_manual_recurrence():
     assert opt.step_count == 7
 
 
-def test_optimizer_rejects_shape_mismatch():
-    model = nn.init_mlp((2, 3), seed=0)
-    opt = make_optimizer("sgd", 0.1)
-    with pytest.raises(ValueError):
-        optimizer_step(opt, model, {"w0": np.zeros((3, 2)), "b0": np.zeros(3)})
-    with pytest.raises(ValueError):
-        optimizer_step(opt, model, {"w0": np.zeros((2, 3))})
+@pytest.mark.parametrize("kind", ["sgd", "adamw"])
+@pytest.mark.parametrize("k", [0, 2])  # 0: an ordinary model
+def test_optimizer_step_refuses_a_name_keyed_dict_and_a_wrong_shape_vector(kind, k):
+    # a gradient is one vector laid out like params, as backward returns it; nn.param_views names its parts
+    if k:
+        model = nn.stack_models([nn.init_mlp((2, 3), seed=j) for j in range(k)])
+    else:
+        model = nn.init_mlp((2, 3), seed=0)
+    shape = model.params.shape
+    before = model.params.copy()
+    opt = make_optimizer(kind, 0.1)
+    for g in (
+        np.zeros((*shape[:-1], 8)),
+        np.zeros((*shape[:-1], 10)),
+        np.zeros((1, *shape)),
+        nn.param_views(model, np.ones(shape)),
+    ):
+        message = f"gradient shape {np.shape(g)} does not match params shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            optimizer_step(opt, model, g)
+    assert np.array_equal(model.params, before)
+    assert opt.step_count == 0 and opt.flat_exp_avg is None
 
 
 def test_optimizer_rejects_unknown_kind():
@@ -153,13 +171,12 @@ def test_fused_step_matches_per_parameter_loop_bitwise(kind, hidden, batchnorm, 
     opt = make_optimizer(kind, lr, weight_decay=weight_decay, beta1=beta1, beta2=beta2)
     loop = LoopOptimizer(kind, lr, weight_decay=weight_decay, beta1=beta1, beta2=beta2)
     for _ in range(steps):
-        grads = {}
-        for name, p in nn.parameters(model).items():
-            g = rng.standard_normal(p.shape) * 10.0 ** rng.integers(-8, 4, size=p.shape)
-            g[rng.random(p.shape) < 0.2] = 0.0
-            grads[name] = g
-        optimizer_step(opt, model, grads)
-        loop.step(twin, grads)
+        g = np.empty_like(model.params)
+        for part in nn.param_views(model, g).values():
+            part[...] = rng.standard_normal(part.shape) * 10.0 ** rng.integers(-8, 4, size=part.shape)
+            part[rng.random(part.shape) < 0.2] = 0.0
+        optimizer_step(opt, model, g)
+        loop.step(twin, g)
     assert opt.step_count == loop.step_count == steps
     for name, p in nn.parameters(model).items():
         assert np.array_equal(p, nn.parameters(twin)[name])
@@ -201,7 +218,7 @@ def test_fused_adamw_step_is_within_a_few_ulps_of_the_textbook_form(
     opt.flat_exp_avg_sq = rng.random(shape) * scale**2
     g = rng.standard_normal(shape) * scale
     g[rng.random(shape) < 0.2] = 0.0
-    optimizer_step(opt, model, nn.param_views(model, g))
+    optimizer_step(opt, model, g)
     want = textbook_adamw_step(
         p0, opt.flat_exp_avg, opt.flat_exp_avg_sq, opt.step_count, lr, beta1, beta2, opt.eps, weight_decay
     )
@@ -221,7 +238,7 @@ def test_adamw_at_learning_rate_zero_leaves_the_parameters_bit_identical(k, weig
     before = model.params.tobytes()
     opt = make_optimizer("adamw", 0.0, weight_decay=weight_decay)
     for _ in range(3):
-        optimizer_step(opt, model, nn.param_views(model, rng.standard_normal(model.params.shape)))
+        optimizer_step(opt, model, rng.standard_normal(model.params.shape))
     assert model.params.tobytes() == before
     # the moments still step, and some are negative: a step of -0 there would turn -0 into +0
     assert (opt.flat_exp_avg[..., ::2] < 0).any() and opt.flat_exp_avg_sq.all()
@@ -277,12 +294,14 @@ def test_masked_members_are_untouched_and_the_rest_step_as_if_alone(kind, k, sta
         loop.step_count = start
     for _ in range(steps):
         active = rng.random(k) < 0.6
-        grads = {name: rng.standard_normal(p.shape) for name, p in nn.parameters(stack).items()}
+        g = np.empty_like(stack.params)
+        for part in nn.param_views(stack, g).values():
+            part[...] = rng.standard_normal(part.shape)
         before_stack, before_opt = copy.deepcopy((stack, opt))
-        optimizer_step(opt, stack, grads, active=active)
+        optimizer_step(opt, stack, g, active=active)
         for j in range(k):
             if active[j]:
-                loops[j].step(members[j], {name: g[j] for name, g in grads.items()})
+                loops[j].step(members[j], g[j])
                 continue
             assert opt.step_count[j] == before_opt.step_count[j]
             for name, p in nn.parameters(stack).items():
@@ -367,7 +386,7 @@ def test_train_step_matches_a_per_parameter_gather_and_scatter_bitwise(
     kind, k, batchnorm, dropout, weighted, masked, steps, seed
 ):
     # the reference trains each member on its own, one array per parameter,
-    # with gradients from a name-keyed dict and moments keyed by name
+    # with each gradient named by nn.param_views and moments keyed by name
     rng = np.random.default_rng(seed)
     sizes = (4, 6, 5, 3)
     if k:  # a stack has neither batch norm nor dropout
@@ -391,7 +410,7 @@ def test_train_step_matches_a_per_parameter_gather_and_scatter_bitwise(
                     member, x[j] if k else x, y[j] if k else y, mode="train", bn_stat_source="batch",
                     rng=None if k else twin_mask_rng, update_running=True, sample_weights=w,
                 )
-                loop.step(member, dict(grads))
+                loop.step(member, grads)
     counts = np.broadcast_to(opt.step_count, (max(k, 1),))
     rows = model.params if k else model.params[None]
     for j, (member, loop) in enumerate(zip(members, loops)):
@@ -412,13 +431,11 @@ def test_optimizer_step_only_reads_the_gradient_vector(kind):
     model = nn.init_mlp((3, 4, 2), seed=1, batchnorm=True)
     opt = make_optimizer(kind, 0.01, weight_decay=0.01)
     grads = nn.backward(model, np.random.default_rng(0).standard_normal((5, 3)), [0, 1, 0, 1, 1])
-    assert grads.flat.shape == model.params.shape
-    for name, g in grads.items():
-        assert np.shares_memory(g, grads.flat), name
-    before = grads.flat.copy()
+    assert type(grads) is np.ndarray and grads.shape == model.params.shape
+    before = grads.copy()
     for _ in range(2):
         optimizer_step(opt, model, grads)
-    assert np.array_equal(grads.flat, before)
+    assert np.array_equal(grads, before)
     with pytest.raises(ValueError, match="shape"):
         optimizer_step(opt, nn.init_mlp((3, 5, 2), seed=1, batchnorm=True), grads)
 

@@ -107,7 +107,7 @@ def test_grad_norm_scores_match_norm_oracle():
     y = rng.integers(0, 3, 5)
     scores = score_grad_norm(model, x, y)
     for i in range(5):
-        assert scores[i] == pytest.approx(nn.per_example_grad_norm(model, x[i], y[i]), abs=1e-12)
+        assert scores[i] == pytest.approx(nn.per_example_grad_norm(model, x[i : i + 1], y[i : i + 1])[0], abs=1e-12)
     assert np.all(scores >= 0)
 
 
@@ -120,7 +120,8 @@ def test_grad_norm_needs_one_label_per_candidate(n_labels):
 
 
 def test_grad_norm_makes_one_kernel_call_per_candidate(monkeypatch):
-    # the benchmark's tracer wraps selection.per_example_grad_norm and checks one call per candidate
+    # the benchmark's tracer wraps selection.per_example_grad_norm and checks
+    # one call per candidate, each on that candidate's one-row batch
     calls = []
 
     def counted(model, x, y):
@@ -133,8 +134,8 @@ def test_grad_norm_makes_one_kernel_call_per_candidate(monkeypatch):
     x = rng.standard_normal((7, 4))
     y = rng.integers(0, 3, 7)
     scores = score_grad_norm(model, x, y)
-    assert calls == [(4,)] * 7
-    assert np.array_equal(scores, [nn.per_example_grad_norm(model, x[i], y[i]) for i in range(7)])
+    assert calls == [(1, 4)] * 7
+    assert np.array_equal(scores, [nn.per_example_grad_norm(model, x[i : i + 1], y[i : i + 1])[0] for i in range(7)])
 
 
 def test_grad_norm_saturated_candidates_near_zero():
@@ -339,8 +340,7 @@ def test_is_debias_expectation_tracks_candidate_mean_gradient():
     y = rng.integers(0, 2, 32)
     scores = score_grad_norm(model, x, y)
     per_example = [nn.backward(model, x[i : i + 1], [y[i]], mode="eval", bn_stat_source="running") for i in range(32)]
-    names = list(per_example[0])
-    flat = np.stack([np.concatenate([g[n].ravel() for n in names]) for g in per_example])
+    flat = np.stack(per_example)
     exact = flat.mean(axis=0)
     accum = np.zeros_like(exact)
     draws = 10_000
