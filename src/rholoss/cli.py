@@ -238,61 +238,53 @@ def _record_path(out: Path, policy_kind: str, seed: int) -> Path:
 
 
 def _run_one(payload) -> str:
-    """One (policy, seed) training run; standalone so it can run in a worker.
-
-    pool, test and table are loaded once by cmd_run and shared read-only by
-    every run; the live IL model of original mode is trained in place, so
-    each run loads its own from data_dir. The record goes under out."""
+    """One queued run, standalone so it can run in a worker. pool, test and
+    table are shared read-only; original mode trains its own IL model, loaded
+    from data_dir. A run whose out is not data_dir is a sweep cell's, and a
+    divergence names the cell."""
     cfg, out, data_dir, policy_kind, seed, pool, test, table = payload
-    run = cfg.run
-    chash = built_from(cfg, "run")
-    policy = replace(run.policy, kind=policy_kind) if policy_kind != run.policy.kind else run.policy
-    train_pool = pool
-    if policy_kind == "svp-entropy":
-        with diverging_at(f"run svp-entropy proxy for seed {seed}"):
-            proxy, _ = train_il_model(
-                pool, validation=pool, seed=_model_seed(cfg.il.seed + 7, seed), **_il_train_kwargs(cfg.il)
-            )
-        kept = svp_offline_select(proxy, pool, run.policy.keep_fraction, seed=seed)
-        train_pool = datamod.take(pool, np.flatnonzero(np.isin(pool.ids, kept)))
-        policy = SelectionPolicy(kind="uniform")
-    run_cfg = RunConfig(
-        policy=policy,
-        n_b=run.n_b,
-        n_B=run.n_B,
-        epochs=run.epochs,
-        optimizer_kind=run.optimizer.kind,
-        learning_rate=run.optimizer.learning_rate,
-        weight_decay=run.optimizer.weight_decay,
-        il_update_mode=run.il_update_mode,
-        il_lr_scale=run.lr_scale,
-        seed=seed,
-        eval_every=run.eval_every,
-    )
-    sizes = (train_pool.dim, *run.model.hidden, train_pool.num_classes)
-    model = init_mlp(sizes, seed=_model_seed(run.model.seed, seed),
-                     dropout_rate=run.model.dropout, batchnorm=run.model.batchnorm)
-    il_model = (load_model(data_dir / "il" / "il_model.npz")
-                if run.il_update_mode == "original" and policy.needs_il else None)
-    dump_path = out / "runs" / f"scores_{policy_kind}_seed{seed}.csv"
-    with atomic_write(dump_path) if run.dump_scores else contextlib.nullcontext() as dump:
-        if dump is not None:
-            dump.write(header_line("scores", {"built_from": chash, "seed": seed}))
-        if il_model is not None:
-            record = run_original_selection(train_pool, test, il_model, run_cfg, model, score_dump=dump)
-        else:
-            record = run_training(train_pool, test, table, run_cfg, model, score_dump=dump)
-    record.policy = policy_kind
-    record.built_from = chash
-    path = _record_path(out, policy_kind, seed)
-    save_run_record(record, path)
-    return str(path)
+    with diverging_at(f"sweep {out.name}") if out != data_dir else contextlib.nullcontext():
+        run = cfg.run
+        chash = built_from(cfg, "run")
+        policy = replace(run.policy, kind=policy_kind) if policy_kind != run.policy.kind else run.policy
+        train_pool = pool
+        if policy_kind == "svp-entropy":
+            with diverging_at(f"run svp-entropy proxy for seed {seed}"):
+                proxy, _ = train_il_model(
+                    pool, validation=pool, seed=_model_seed(cfg.il.seed + 7, seed), **_il_train_kwargs(cfg.il)
+                )
+            kept = svp_offline_select(proxy, pool, run.policy.keep_fraction, seed=seed)
+            train_pool = datamod.take(pool, np.flatnonzero(np.isin(pool.ids, kept)))
+            policy = SelectionPolicy(kind="uniform")
+        run_cfg = RunConfig(
+            policy=policy, n_b=run.n_b, n_B=run.n_B, epochs=run.epochs, optimizer_kind=run.optimizer.kind,
+            learning_rate=run.optimizer.learning_rate, weight_decay=run.optimizer.weight_decay,
+            il_update_mode=run.il_update_mode, il_lr_scale=run.lr_scale, seed=seed, eval_every=run.eval_every,
+        )
+        sizes = (train_pool.dim, *run.model.hidden, train_pool.num_classes)
+        model = init_mlp(sizes, seed=_model_seed(run.model.seed, seed),
+                         dropout_rate=run.model.dropout, batchnorm=run.model.batchnorm)
+        il_model = (load_model(data_dir / "il" / "il_model.npz")
+                    if run.il_update_mode == "original" and policy.needs_il else None)
+        dump_path = out / "runs" / f"scores_{policy_kind}_seed{seed}.csv"
+        with atomic_write(dump_path) if run.dump_scores else contextlib.nullcontext() as dump:
+            if dump is not None:
+                dump.write(header_line("scores", {"built_from": chash, "seed": seed}))
+            if il_model is not None:
+                record = run_original_selection(train_pool, test, il_model, run_cfg, model, score_dump=dump)
+            else:
+                record = run_training(train_pool, test, table, run_cfg, model, score_dump=dump)
+        record.policy = policy_kind
+        record.built_from = chash
+        path = _record_path(out, policy_kind, seed)
+        save_run_record(record, path)
+        return str(path)
 
 
-def _queued_runs(cfg: ExperimentConfig, out: Path, resume: bool) -> list[tuple[str, int]]:
-    """The (policy, seed) runs with no record under out/runs yet. An existing
-    record is refused unless resume is set and it parses and carries the
-    run's built_from."""
+def _queued_runs(cfg: ExperimentConfig, out: Path, resume: bool) -> list[tuple]:
+    """The (cfg, out, policy, seed) runs with no record under out/runs yet. An
+    existing record is refused unless resume is set and it parses and carries
+    the run's built_from."""
     policies = [cfg.run.policy.kind]
     if cfg.run.targets and "uniform" not in policies:
         policies.append("uniform")  # baseline needed to anchor epoch-to-target comparisons
@@ -309,24 +301,21 @@ def _queued_runs(cfg: ExperimentConfig, out: Path, resume: bool) -> list[tuple[s
                     raise CliError(f"{path} exists but cannot be parsed ({exc}); remove it manually") from exc
                 _check_built_from(path, found, cfg, "run")
                 continue  # complete record, skip
-            todo.append((kind, seed))
+            todo.append((cfg, out, kind, seed))
     return todo
 
 
-def cmd_run(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = False, data_dir: Path | None = None) -> int:
-    """Train every queued (policy, seed) run into out/runs. The prepared
-    splits, and the IL table when a frozen-mode policy needs it, are read once
-    from data_dir (default out) and handed to each run. The records --resume
-    skips, and the IL table of a policy that needs it, must carry built_from."""
-    data_dir = data_dir or out
-    if cfg.run is None:
-        raise CliError("config has no run section")
-    todo = _queued_runs(cfg, out, resume)
-    if not todo:
+def _run_queue(queue: list, data_dir: Path, jobs: int) -> int:
+    """Train the queued runs of _queued_runs in one serial loop or one process
+    pool. The splits, and the IL table when a frozen-mode policy needs it,
+    are read once from data_dir; the queued configs differ only in run keys,
+    so the first one's built_from checks cover them all."""
+    if not queue:
         return 0
+    cfg = queue[0][0]
     pool, test = _load_prepared(data_dir, cfg, ("train", "test"))
     table = None
-    if any(kind in NEEDS_IL for kind, _ in todo):
+    if any(kind in NEEDS_IL for _, _, kind, _ in queue):
         path = data_dir / "il" / "il_table.csv"
         if not path.exists():
             raise CliError(f"no IL table under {path.parent}; run `rholoss train-il` first")
@@ -334,23 +323,31 @@ def cmd_run(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = Fals
             _check_built_from(path, read_header(f.readline(), "il-table", path).get("built_from"), cfg, "il")
         if cfg.run.il_update_mode == "frozen":
             table = load_il_table(path)
-    runs = out / "runs"
-    made = not runs.exists()
-    runs.mkdir(parents=True, exist_ok=True)
-    payloads = [(cfg, out, data_dir, kind, seed, pool, test, table if kind in NEEDS_IL else None) for kind, seed in todo]
+    made = [runs for runs in dict.fromkeys(out / "runs" for _, out, _, _ in queue) if not runs.exists()]
+    for runs in made:
+        runs.mkdir(parents=True)
+    payloads = [(c, out, data_dir, kind, seed, pool, test, table if kind in NEEDS_IL else None)
+                for c, out, kind, seed in queue]
+    workers = min(jobs, len(payloads))
+    executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        if jobs > 1 and len(payloads) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as executor:
-                for path in executor.map(_run_one, payloads):
-                    print(f"wrote {path}")
-        else:
-            for payload in payloads:
-                print(f"wrote {_run_one(payload)}")
-    except BaseException:
-        if made and not any(runs.iterdir()):  # a failed stage leaves nothing of its own
-            runs.rmdir()
-        raise
+        for path in (executor.map if executor else map)(_run_one, payloads):
+            print(f"wrote {path}")
+    finally:
+        if executor:  # after a failure the runs handed to a worker finish and the rest never start
+            executor.shutdown(cancel_futures=True)
+        for runs in made:
+            if not any(runs.iterdir()):  # a failed stage leaves no runs/ of its own
+                runs.rmdir()
     return 0
+
+
+def cmd_run(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = False) -> int:
+    """Train cfg's (policy, seed) runs that have no record yet into out/runs,
+    from the prepared files under out."""
+    if cfg.run is None:
+        raise CliError("config has no run section")
+    return _run_queue(_queued_runs(cfg, out, resume), out, jobs)
 
 
 def _aggregate_epochs(values: list[int | None]) -> str:
@@ -446,8 +443,9 @@ def cmd_ladder(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = False) -> int:
-    """Run every grid cell on one dataset and IL fit under out/sweep; each
-    cell's cmd_run reads them through its built_from checks."""
+    """Run every grid cell on one dataset and IL fit under out/sweep. Every
+    cell's records are checked before any cell's config.yaml is written; then
+    one queue runs every cell's runs, reading the shared files once."""
     if cfg.run is None:
         raise CliError("config has no run section")
     cell_cfgs = sweep_configs(cfg)  # all built, so a bad cell fails before any cell runs
@@ -456,17 +454,15 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = Fa
     if not (shared / "dataset" / "manifest.json").exists():
         cmd_prepare(cfg, shared)
     _load_prepared(shared, cfg, ())  # refuses a stale dataset before any cell's records are checked
-    cell_outs = [shared / f"cell_{i:03d}" for i in range(len(cell_cfgs))]
-    for cell_cfg, cell_out in zip(cell_cfgs, cell_outs):
-        _queued_runs(cell_cfg, cell_out, resume)  # a refused record stops the sweep before any cell is written
+    cells = [(cell_cfg, shared / f"cell_{i:03d}") for i, cell_cfg in enumerate(cell_cfgs)]
+    queue = [run for cell_cfg, cell_out in cells for run in _queued_runs(cell_cfg, cell_out, resume)]
     if cfg.run.policy.needs_il and not (shared / "il" / "il_table.csv").exists():
         cmd_train_il(cfg, shared)
-    for cell_cfg, cell_out in zip(cell_cfgs, cell_outs):
+    for cell_cfg, cell_out in cells:
         cell_out.mkdir(parents=True, exist_ok=True)
         with atomic_write(cell_out / "config.yaml") as f:
             yaml.safe_dump(as_dict(cell_cfg), f, sort_keys=True)
-        cmd_run(cell_cfg, cell_out, jobs=jobs, resume=resume, data_dir=shared)
-    return 0
+    return _run_queue(queue, shared, jobs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -497,6 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise CliError(f"--jobs: must be at least 1, got {args.jobs}")
         cfg = load_config(args.config)
         if args.seed_override is not None and cfg.run is not None:
             d = as_dict(cfg)

@@ -345,13 +345,12 @@ def _forward_cache(model, x, mode, bn_stat_source, rng, update_running, keep_cac
         if l < last:
             if model.batchnorm is not None:
                 h, layer["bn"] = _bn_forward(model.batchnorm[l], h, bn_stat_source, update_running, not keep_cache)
-            layer["pre_act"] = h
-            h = np.maximum(h, 0.0, out=None if keep_cache else h)
+            h = np.maximum(h, 0.0, out=h)  # in place: no cache keeps the matmul's or batch norm's output
             if use_dropout:
                 keep = 1.0 - model.dropout_rate
                 out = None if keep_cache else _scratch_view((l + 1) % 2, h.shape)
                 mask = np.divide(np.less(rng.random(h.shape, out=out), keep, out=out), keep, out=out)
-                h = np.multiply(h, mask, out=None if keep_cache else h)
+                h = np.multiply(h, mask, out=h)
                 layer["mask"] = mask
         if keep_cache:
             cache.append(layer)
@@ -423,7 +422,7 @@ def _backprop(model: MlpModel, cache: list, d: Array):
         if l < model.n_layers - 1:
             if "mask" in layer:
                 d = d * layer["mask"]
-            d = d * (layer["pre_act"] > 0)
+            d = d * (cache[l + 1]["a_in"] > 0)  # the ReLU gate: where a mask zeroed a_in it zeroed d too
             if "bn" in layer:
                 bn = (d, layer["bn"]["xhat"])
                 d = _bn_backward(model.batchnorm[l], layer["bn"], d)

@@ -998,6 +998,84 @@ def test_a_refused_sweep_resume_rewrites_no_cell(swept, tmp_path, capsys):
     assert _tree(out) == _tree(finished)  # every cell's config.yaml included
 
 
+def _strip_generated_at(tree):
+    return {path: re.sub(rb" generated_at=\S+", b"", body) for path, body in tree.items()}
+
+
+def test_a_sweep_queues_every_cell_once_and_reads_each_shared_file_once(swept, tmp_path, monkeypatch):
+    _, finished, _ = swept
+    cfg_path = write_config(tmp_path, SWEEP_2X2)
+    out = tmp_path / "out"
+    for sub in ("dataset", "il"):  # the shared files exist, so only the cells' runs read them
+        shutil.copytree(finished / "sweep" / sub, out / "sweep" / sub)
+    loads = []
+    real_csv, real_table = data.load_dataset_csv, cli.load_il_table
+    monkeypatch.setattr(data, "load_dataset_csv", lambda path: loads.append(path.name) or real_csv(path))
+    monkeypatch.setattr(cli, "load_il_table", lambda path: loads.append(path.name) or real_table(path))
+    calls = _calls(monkeypatch, "cmd_run", "_queued_runs")
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out), "--jobs", "2"]) == 0
+    assert sorted(loads) == ["il_table.csv", "test.csv", "train.csv"]
+    assert calls == {"cmd_run": 0, "_queued_runs": 4}
+    # the records of two workers are those of one serial loop, below the header's timestamp
+    assert _strip_generated_at(_tree(out)) == _strip_generated_at(_tree(finished))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_a_diverging_sweep_run_names_its_cell_and_resume_runs_only_what_is_missing(tmp_path, capsys, monkeypatch):
+    sgd = {"run.seeds": [1], "run.targets": [], "run.epochs": 1,
+           "run.optimizer": {"kind": "sgd", "learning_rate": 0.01}}
+    cfg_path = write_config(tmp_path, {**sgd, "sweep": {"grid": {"learning_rate": [0.001, 1e300, 0.01]}}})
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: sweep cell_001: policy rho-loss seed 1 epoch 1 step 1: forward pass produced non-finite logits\n")
+    cells = out / "sweep"
+    record = "runs/record_rho-loss_seed1.csv"
+    kept = (cells / "cell_000" / record).read_bytes()  # the finished run's record stays
+    assert not (cells / "cell_001" / "runs").exists() and not (cells / "cell_002" / "runs").exists()
+
+    mended = write_config(tmp_path, {**sgd, "sweep": {"grid": {"learning_rate": [0.001, 0.1, 0.01]}}},
+                          name="mended.yaml")
+    calls = _calls(monkeypatch, "run_training")
+    assert main(["sweep", "--config", str(mended), "--out", str(out), "--resume"]) == 0
+    assert calls == {"run_training": 2}
+    assert (cells / "cell_000" / record).read_bytes() == kept
+    assert (cells / "cell_001" / record).exists() and (cells / "cell_002" / record).exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "prepare"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_refused_before_any_output(tmp_path, capsys, command, jobs):
+    cfg_path = write_config(tmp_path, SWEEP_2X2)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out), "--jobs", jobs]) == 1
+    assert capsys.readouterr() == ("", f"error: --jobs: must be at least 1, got {jobs}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs, workers", [("1", []), ("2", [2]), ("500", [2])])
+def test_the_executor_starts_no_more_workers_than_queued_runs(tmp_path, monkeypatch, jobs, workers):
+    cfg_path = write_config(tmp_path, {"run.seeds": [1, 2], "run.targets": [], "run.policy.kind": "uniform"})
+    out = tmp_path / "out"
+    assert main(["prepare", "--config", str(cfg_path), "--out", str(out)]) == 0
+    started = []
+
+    class InProcessExecutor:  # records the pool's size and runs the map in this process
+        map = staticmethod(map)
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessExecutor)
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--jobs", jobs]) == 0
+    assert started == workers
+    assert len(list((out / "runs").glob("record_*.csv"))) == 2
+
+
 def test_sweep_default_grid_has_27_cells(tmp_path):
     cfg = load_config(write_config(tmp_path, {"sweep": {"grid": {}}}))
     assert len(sweep_configs(cfg)) == 27
