@@ -237,12 +237,22 @@ def _record_path(out: Path, policy_kind: str, seed: int) -> Path:
     return out / "runs" / f"record_{policy_kind}_seed{seed}.csv"
 
 
-def _run_one(payload) -> str:
-    """One queued run, standalone so it can run in a worker. pool, test and
-    table are shared read-only; original mode trains its own IL model, loaded
-    from data_dir. A run whose out is not data_dir is a sweep cell's, and a
-    divergence names the cell."""
-    cfg, out, data_dir, policy_kind, seed, pool, test, table = payload
+_shared: tuple = ()  # the running queue's (data_dir, pool, test, IL table), read-only
+
+
+def _share(*data) -> None:
+    """Set _shared: once per queue here, and as each worker's pool initializer."""
+    global _shared
+    _shared = data
+
+
+def _run_one(queued) -> str:
+    """One queued (cfg, out, policy, seed) run, standalone so it can run in a
+    worker, on the queue's shared data (_share); original mode trains its
+    own IL model, loaded from data_dir. A run whose out is not data_dir is a
+    sweep cell's, and a divergence names the cell."""
+    cfg, out, policy_kind, seed = queued
+    data_dir, pool, test, table = _shared
     with diverging_at(f"sweep {out.name}") if out != data_dir else contextlib.nullcontext():
         run = cfg.run
         chash = built_from(cfg, "run")
@@ -308,8 +318,9 @@ def _queued_runs(cfg: ExperimentConfig, out: Path, resume: bool) -> list[tuple]:
 def _run_queue(queue: list, data_dir: Path, jobs: int) -> int:
     """Train the queued runs of _queued_runs in one serial loop or one process
     pool. The splits, and the IL table when a frozen-mode policy needs it,
-    are read once from data_dir; the queued configs differ only in run keys,
-    so the first one's built_from checks cover them all."""
+    are read once from data_dir and handed to each process once (_share);
+    the queued configs differ only in run keys, so the first one's
+    built_from checks cover them all."""
     if not queue:
         return 0
     cfg = queue[0][0]
@@ -326,14 +337,14 @@ def _run_queue(queue: list, data_dir: Path, jobs: int) -> int:
     made = [runs for runs in dict.fromkeys(out / "runs" for _, out, _, _ in queue) if not runs.exists()]
     for runs in made:
         runs.mkdir(parents=True)
-    payloads = [(c, out, data_dir, kind, seed, pool, test, table if kind in NEEDS_IL else None)
-                for c, out, kind, seed in queue]
-    workers = min(jobs, len(payloads))
-    executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    workers = min(jobs, len(queue))
+    _share(data_dir, pool, test, table)
+    executor = ProcessPoolExecutor(max_workers=workers, initializer=_share, initargs=_shared) if workers > 1 else None
     try:
-        for path in (executor.map if executor else map)(_run_one, payloads):
+        for path in (executor.map if executor else map)(_run_one, queue):
             print(f"wrote {path}")
     finally:
+        _share()
         if executor:  # after a failure the runs handed to a worker finish and the rest never start
             executor.shutdown(cancel_futures=True)
         for runs in made:

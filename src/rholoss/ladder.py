@@ -88,7 +88,6 @@ REFERENCE_RANK_CORRELATION = {
 
 @dataclass
 class RungResult:
-    rung: str
     step_rho: list[float]
     mean_rho: float
     frac_positive: float
@@ -254,12 +253,13 @@ def run_ladder(pool: LabeledDataset, holdout: LabeledDataset, cfg: LadderConfig)
     # stack: the targets in a fresh one, their members in rung order, and the
     # IL models in `wide` itself, which goes on from the pre-fit with its
     # moments and step counts. Every other rung has a member list of its own,
-    # its IL a copy of a pre-fit model.
+    # its IL a copy of the pre-fit single model, or the pre-fit small model
+    # itself, which only approx3 trains on.
     fresh = {
         "single": lambda: [init_mlp(sizes, seed=int(init_seeds[3]))],
         "ensemble": lambda: ensemble(int(init_seeds[4])),
     }
-    fitted = {"single": lambda: _take(wide, slice(0, 1)), "small": lambda: copy.deepcopy(small)}
+    fitted = {"single": lambda: _take(wide, slice(0, 1)), "small": lambda: small}
     models, parts = [], {}
     for name, (target_src, _, regime, _) in RUNGS.items():
         if regime == "converged":
@@ -313,7 +313,6 @@ def run_ladder(pool: LabeledDataset, holdout: LabeledDataset, cfg: LadderConfig)
             rhos.append(float("nan") if rho is None else rho)
         arr = np.asarray(rhos)
         results[name] = RungResult(
-            rung=name,
             step_rho=rhos,
             mean_rho=float(np.nanmean(arr)),
             frac_positive=float(np.mean(arr > 0)),

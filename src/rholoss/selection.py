@@ -3,6 +3,8 @@
 Everything here is a pure function of a frozen model snapshot, a candidate
 batch, and (for some rules) a table of irreducible losses. Scoring never
 mutates the model; picking the batch is a single-threaded reduction.
+`score_and_select` is the one place that maps a policy kind to its scorer
+and its picker; the scorers and pickers below it know no policy.
 
 Ranking rules share one tie-break convention: candidates are shuffled with a
 seeded permutation before a stable sort, so constant scores make top-k an
@@ -18,11 +20,9 @@ import numpy as np
 from .data import LabeledDataset
 from .nn import MlpModel, batched_logits, mc_dropout_predict, per_example_grad_norm, softmax
 
-LOSS_BASED_KINDS = ("rho-loss", "train-loss", "neg-il", "uniform")
-GRAD_KINDS = ("grad-norm", "grad-norm-is")
 AL_KINDS = ("bald", "cond-entropy", "pred-entropy", "loss-minus-cond-entropy")
 OFFLINE_KINDS = ("svp-entropy",)
-ALL_KINDS = LOSS_BASED_KINDS + GRAD_KINDS + AL_KINDS + OFFLINE_KINDS
+ALL_KINDS = ("rho-loss", "train-loss", "neg-il", "uniform", "grad-norm", "grad-norm-is") + AL_KINDS + OFFLINE_KINDS
 
 NEEDS_IL = ("rho-loss", "neg-il")
 READS_LOSSES = ("rho-loss", "train-loss", "loss-minus-cond-entropy")
@@ -45,11 +45,10 @@ class SelectionPolicy:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ValueError(f"kind must be one of {'|'.join(ALL_KINDS)}, got {self.kind!r}")
-        if self.kind in AL_KINDS:
-            if self.mc_samples < 1:
-                raise ValueError(f"mc_samples must be >= 1 for Monte-Carlo acquisition, got {self.mc_samples}")
-            if self.kind == "bald" and self.mc_samples < 2:
-                raise ValueError(f"mc_samples must be >= 2 for bald to decompose the entropy, got {self.mc_samples}")
+        if self.kind in AL_KINDS and self.mc_samples < 1:
+            raise ValueError(f"mc_samples must be >= 1 for Monte-Carlo acquisition, got {self.mc_samples}")
+        if self.kind == "bald" and self.mc_samples < 2:
+            raise ValueError(f"mc_samples must be >= 2 for bald to decompose the entropy, got {self.mc_samples}")
         if self.kind == "grad-norm-is" and not 0 < self.temperature < np.inf:
             raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
         if self.kind in OFFLINE_KINDS and not 0.0 < self.keep_fraction <= 1.0:
@@ -69,14 +68,9 @@ class SelectionPolicy:
 class ScoredBatch:
     """One step's candidate batch after scoring and selection."""
 
-    candidate_ids: np.ndarray
     scores: np.ndarray
     selected_indices: np.ndarray  # positions into the candidate batch, ascending
     weights: np.ndarray | None = None  # importance-sampling weights, mean 1
-
-    @property
-    def selected_ids(self) -> np.ndarray:
-        return self.candidate_ids[self.selected_indices]
 
 
 def score_grad_norm(model: MlpModel, x, labels) -> np.ndarray:
@@ -190,32 +184,6 @@ def entropy(probs) -> np.ndarray:
     return -plogp.sum(axis=-1)
 
 
-def al_scores_from_samples(kind: str, samples, losses=None) -> np.ndarray:
-    """Acquisition scores from a stack of Monte-Carlo softmax samples.
-
-    samples has shape (k, batch, classes). bald is the mutual information
-    (predictive entropy minus mean per-sample entropy); the loss variant
-    replaces the irreducible-loss term of reducible-loss scoring with the
-    mean conditional entropy and is the only label-aware kind here.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    predictive = samples.mean(axis=0)
-    mean_conditional = entropy(samples).mean(axis=0)
-    if kind == "pred-entropy":
-        return entropy(predictive)
-    if kind == "cond-entropy":
-        return mean_conditional
-    if kind == "bald":
-        if samples.shape[0] < 2:
-            raise ValueError("bald needs at least 2 Monte-Carlo samples")
-        return entropy(predictive) - mean_conditional
-    if kind == "loss-minus-cond-entropy":
-        if losses is None:
-            raise ValueError("loss-minus-cond-entropy needs per-candidate losses")
-        return np.asarray(losses, dtype=np.float64) - mean_conditional
-    raise ValueError(f"unknown acquisition kind {kind!r}")
-
-
 def score_al(
     kind: str,
     model: MlpModel,
@@ -224,13 +192,26 @@ def score_al(
     mc_samples: int = 16,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Monte-Carlo-dropout acquisition scores for a candidate batch. losses
-    are the candidates' per-example losses under the scored snapshot; only
-    loss-minus-cond-entropy reads them."""
+    """Monte-Carlo-dropout acquisition scores for a candidate batch, from
+    mc_samples softmax samples drawn with dropout on. bald is the mutual
+    information (predictive entropy minus mean per-sample entropy). The loss
+    variant replaces the irreducible-loss term of reducible-loss scoring with
+    the mean conditional entropy; it alone reads losses, the candidates'
+    per-example losses under the scored snapshot."""
+    if kind not in AL_KINDS:
+        raise ValueError(f"unknown acquisition kind {kind!r}")
     if kind == "bald" and mc_samples < 2:
         raise ValueError("bald needs mc_samples >= 2")
+    if kind == "loss-minus-cond-entropy" and losses is None:
+        raise ValueError("loss-minus-cond-entropy needs per-candidate losses")
     samples = mc_dropout_predict(model, x, mc_samples, rng=rng)
-    return al_scores_from_samples(kind, samples, losses=losses)
+    mean_conditional = entropy(samples).mean(axis=0)
+    if kind == "cond-entropy":
+        return mean_conditional
+    if kind == "loss-minus-cond-entropy":
+        return np.asarray(losses, dtype=np.float64) - mean_conditional
+    predictive = entropy(samples.mean(axis=0))
+    return predictive if kind == "pred-entropy" else predictive - mean_conditional
 
 
 def svp_offline_select(
@@ -250,42 +231,6 @@ def svp_offline_select(
     return pool.ids[kept]
 
 
-def score_candidates(
-    policy: SelectionPolicy,
-    model: MlpModel,
-    x,
-    labels,
-    candidate_ids,
-    losses,
-    il_values_fn,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Dispatch a policy to its per-candidate scores.
-
-    losses are the precomputed per-candidate cross-entropies of the snapshot,
-    required when the policy reads them and None allowed otherwise;
-    il_values_fn(ids, x, labels) supplies irreducible losses when the policy
-    needs them (table lookup in the frozen scheme, a live model otherwise).
-    rho-loss is training loss minus irreducible loss and may be negative.
-    """
-    kind = policy.kind
-    if policy.reads_losses and losses is None:
-        raise ValueError(f"policy {kind!r} scores candidate losses, but none were given")
-    if kind == "uniform":
-        return np.zeros(len(candidate_ids))
-    if kind == "train-loss":
-        return np.array(losses, dtype=np.float64)
-    if kind == "rho-loss":
-        return np.asarray(losses, dtype=np.float64) - il_values_fn(candidate_ids, x, labels)
-    if kind == "neg-il":
-        return -il_values_fn(candidate_ids, x, labels)
-    if kind in GRAD_KINDS:
-        return score_grad_norm(model, x, labels)
-    if kind in AL_KINDS:
-        return score_al(kind, model, x, losses=losses, mc_samples=policy.mc_samples, rng=rng)
-    raise ValueError(f"policy kind {kind!r} cannot be scored online (offline kinds pre-filter the pool)")
-
-
 def score_and_select(
     policy: SelectionPolicy,
     model: MlpModel,
@@ -298,9 +243,34 @@ def score_and_select(
     tie_seed: int,
     rng: np.random.Generator,
 ) -> ScoredBatch:
-    scores = score_candidates(policy, model, x, labels, candidate_ids, losses, il_values_fn, rng)
-    if policy.kind == "grad-norm-is":
+    """Score a candidate batch under policy and pick n_b of it: the one
+    dispatch from a policy kind to its scorer and its picker.
+
+    losses are the snapshot's per-candidate cross-entropies, required when
+    the policy reads them; il_values_fn(ids, x, labels) supplies irreducible
+    losses (table lookup in the frozen scheme, a live model otherwise).
+    grad-norm-is samples with rng and weights its pick; every other kind
+    takes the top n_b, ties broken by tie_seed.
+    """
+    kind = policy.kind
+    if policy.reads_losses and losses is None:
+        raise ValueError(f"policy {kind!r} scores candidate losses, but none were given")
+    if kind == "grad-norm-is":
+        scores = score_grad_norm(model, x, labels)
         idx, weights = sample_grad_norm_is(scores, n_b, rng, temperature=policy.temperature)
-        return ScoredBatch(np.asarray(candidate_ids), scores, idx, weights=weights)
-    idx = select_top_k(scores, n_b, tie_seed)
-    return ScoredBatch(np.asarray(candidate_ids), scores, idx)
+        return ScoredBatch(scores, idx, weights)
+    if kind == "uniform":
+        scores = np.zeros(len(candidate_ids))
+    elif kind == "train-loss":
+        scores = np.array(losses, dtype=np.float64)
+    elif kind == "rho-loss":
+        scores = np.asarray(losses, dtype=np.float64) - il_values_fn(candidate_ids, x, labels)
+    elif kind == "neg-il":
+        scores = -il_values_fn(candidate_ids, x, labels)
+    elif kind == "grad-norm":
+        scores = score_grad_norm(model, x, labels)
+    elif kind in AL_KINDS:
+        scores = score_al(kind, model, x, losses, policy.mc_samples, rng)
+    else:
+        raise ValueError(f"policy kind {kind!r} cannot be scored online (offline kinds pre-filter the pool)")
+    return ScoredBatch(scores, select_top_k(scores, n_b, tie_seed))

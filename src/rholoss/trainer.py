@@ -138,7 +138,7 @@ def _run(train, test, cfg, model, il_values_fn, il_after_step, dump) -> RunRecor
                     for j, ex_id in enumerate(ids):
                         dump.write(f"{step},{int(ex_id)},{float(scored.scores[j])!r},{int(j in picked)}\n")
                 record.steps.append(
-                    StepRow(step, epoch, tuple(int(i) for i in scored.selected_ids), float(scored.scores[sel].mean()))
+                    StepRow(step, epoch, tuple(int(i) for i in ids[sel]), float(scored.scores[sel].mean()))
                 )
                 step += 1
                 if cfg.eval_every is not None and step % cfg.eval_every == 0:
@@ -190,10 +190,8 @@ def run_training(
             missing = train.ids[~np.isin(train.ids, il_table.ids)][:5].tolist()
             raise ValueError(f"irreducible-loss table does not cover the pool (e.g. ids {missing})")
 
-    def il_values(ids, x, labels):
-        return il_table.lookup(ids)
-
-    return _run(train, test, cfg, model, il_values, lambda x, y, rng: None, score_dump)
+    return _run(train, test, cfg, model, lambda ids, x, labels: il_table.lookup(ids), lambda x, y, rng: None,
+                score_dump)
 
 
 def run_original_selection(
@@ -210,19 +208,21 @@ def run_original_selection(
 
     With il_lr_scale=0 the IL model's parameters never move, so the selected
     sets coincide step-for-step with frozen-table mode under shared seeds.
-    cfg.il_update_mode must be "original". score_dump is as in run_training.
+    cfg.il_update_mode must be "original", and the policy must read the
+    irreducible loss. score_dump is as in run_training.
     """
+    if not cfg.policy.needs_il:
+        raise ValueError(f"policy {cfg.policy.kind!r} reads no irreducible loss, so a live IL model would "
+                         "train for nothing; run it with run_training")
     if cfg.il_update_mode != "original":
         raise ValueError(
             f"run_original_selection updates a live IL model, but il_update_mode is {cfg.il_update_mode!r}; "
             "run a frozen table with run_training"
         )
     il_opt = make_optimizer(cfg.optimizer_kind, cfg.learning_rate * cfg.il_lr_scale, weight_decay=cfg.weight_decay)
-
-    def il_values(ids, x, labels):
-        return cross_entropy(forward(il_model, x), labels)
-
-    def after_step(x, labels, rng):
-        update_il_model(il_model, il_opt, x, labels, rng=rng)
-
-    return _run(train, test, cfg, model, il_values, after_step, score_dump)
+    return _run(
+        train, test, cfg, model,
+        lambda ids, x, labels: cross_entropy(forward(il_model, x), labels),
+        lambda x, labels, rng: update_il_model(il_model, il_opt, x, labels, rng=rng),
+        score_dump,
+    )

@@ -1054,26 +1054,52 @@ def test_jobs_below_one_is_refused_before_any_output(tmp_path, capsys, command, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("jobs, workers", [("1", []), ("2", [2]), ("500", [2])])
-def test_the_executor_starts_no_more_workers_than_queued_runs(tmp_path, monkeypatch, jobs, workers):
-    cfg_path = write_config(tmp_path, {"run.seeds": [1, 2], "run.targets": [], "run.policy.kind": "uniform"})
-    out = tmp_path / "out"
-    assert main(["prepare", "--config", str(cfg_path), "--out", str(out)]) == 0
-    started = []
+@pytest.fixture()
+def in_process_pool(monkeypatch):
+    """Stands in for the process pool: runs its initializer and its map in
+    this process, and records each pool's size and every payload mapped."""
+    seen = {"workers": [], "payloads": []}
 
-    class InProcessExecutor:  # records the pool's size and runs the map in this process
-        map = staticmethod(map)
+    class InProcessExecutor:
+        def __init__(self, max_workers, initializer, initargs):
+            seen["workers"].append(max_workers)
+            initializer(*initargs)
 
-        def __init__(self, max_workers):
-            started.append(max_workers)
+        def map(self, fn, payloads):
+            payloads = list(payloads)
+            seen["payloads"] += payloads
+            return map(fn, payloads)
 
         def shutdown(self, cancel_futures=False):
             pass
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessExecutor)
+    return seen
+
+
+@pytest.mark.parametrize("jobs, workers", [("1", []), ("2", [2]), ("500", [2])])
+def test_the_executor_starts_no_more_workers_than_queued_runs(tmp_path, in_process_pool, jobs, workers):
+    cfg_path = write_config(tmp_path, {"run.seeds": [1, 2], "run.targets": [], "run.policy.kind": "uniform"})
+    out = tmp_path / "out"
+    assert main(["prepare", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert main(["run", "--config", str(cfg_path), "--out", str(out), "--jobs", jobs]) == 0
-    assert started == workers
+    assert in_process_pool["workers"] == workers
     assert len(list((out / "runs").glob("record_*.csv"))) == 2
+
+
+@pytest.mark.parametrize("jobs", ["1", "3"])
+def test_a_queued_run_carries_its_keys_and_not_the_shared_data(tmp_path, in_process_pool, jobs):
+    # the splits and the IL table go to each worker once, through the pool's initializer
+    cfg_path = write_config(tmp_path)  # rho-loss on the frozen table, plus the uniform baseline
+    out = tmp_path / "out"
+    for stage in ("prepare", "train-il"):
+        assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--jobs", jobs]) == 0
+    cfg = load_config(cfg_path)
+    keys = [(cfg, out, kind, seed) for kind in ("rho-loss", "uniform") for seed in (1, 2)]
+    assert in_process_pool["payloads"] == ([] if jobs == "1" else keys)
+    assert cli._shared == ()  # cleared once the queue is done
+    assert len(list((out / "runs").glob("record_*.csv"))) == 4
 
 
 def test_sweep_default_grid_has_27_cells(tmp_path):

@@ -9,21 +9,29 @@ from scipy.stats import chisquare
 from rholoss import data, nn, selection
 from rholoss.ilmodel import IrreducibleLossTable
 from rholoss.selection import (
+    ALL_KINDS,
+    OFFLINE_KINDS,
     SelectionPolicy,
-    al_scores_from_samples,
     candidate_chunks,
     chunk_select_count,
     entropy,
     sample_grad_norm_is,
     score_al,
-    score_candidates,
+    score_and_select,
     score_grad_norm,
     select_top_k,
     smallest_chunk,
     svp_offline_select,
 )
 
-from oracles import brute_top_k, inverse_draw_weights, successive_sampling_set_probs
+from oracles import (
+    brute_top_k,
+    direct_cross_entropy,
+    explicit_forward,
+    grad_norm_oracle,
+    inverse_draw_weights,
+    successive_sampling_set_probs,
+)
 
 
 def table_from(ids, values):
@@ -32,9 +40,9 @@ def table_from(ids, values):
 
 def score_from_table(kind, losses, ids, table):
     """A loss-based policy's scores with irreducible losses looked up in table."""
-    return score_candidates(
-        SelectionPolicy(kind=kind), None, None, None, ids, losses, lambda ids, x, y: table.lookup(ids), None
-    )
+    return score_and_select(
+        SelectionPolicy(kind=kind), None, None, None, ids, losses, lambda ids, x, y: table.lookup(ids), 0, 0, None
+    ).scores
 
 
 # ---------------------------------------------------------------- scoring
@@ -96,8 +104,8 @@ def test_a_policy_that_reads_losses_refuses_none_by_name(kind):
     il = table_from(ids, np.ones(10))
     assert SelectionPolicy(kind=kind).reads_losses
     with pytest.raises(ValueError, match=f"policy '{kind}' scores candidate losses, but none were given"):
-        score_candidates(SelectionPolicy(kind=kind), model, x, ids % 4, ids, None,
-                         lambda ids, x, y: il.lookup(ids), np.random.default_rng(3))
+        score_and_select(SelectionPolicy(kind=kind), model, x, ids % 4, ids, None,
+                         lambda ids, x, y: il.lookup(ids), 2, 0, np.random.default_rng(3))
 
 
 def test_grad_norm_scores_match_norm_oracle():
@@ -382,13 +390,14 @@ def test_entropy_uniform_distribution():
     assert entropy(np.full((1, 10), 0.1))[0] == pytest.approx(math.log(10), abs=1e-12)
 
 
-def test_bald_hand_case():
+def test_bald_hand_case(monkeypatch):
     samples = np.array([[[0.9, 0.1]], [[0.1, 0.9]]])
+    monkeypatch.setattr(selection, "mc_dropout_predict", lambda model, x, k, rng=None: samples)
     pred_ent = entropy(samples.mean(axis=0))[0]
     assert pred_ent == pytest.approx(math.log(2), abs=1e-12)
-    cond = al_scores_from_samples("cond-entropy", samples)[0]
+    cond = score_al("cond-entropy", None, np.zeros((1, 2)), mc_samples=2)[0]
     assert cond == pytest.approx(0.325083, abs=1e-6)
-    bald = al_scores_from_samples("bald", samples)[0]
+    bald = score_al("bald", None, np.zeros((1, 2)), mc_samples=2)[0]
     assert bald == pytest.approx(0.368064, abs=1e-6)
 
 
@@ -477,3 +486,54 @@ def test_rho_loss_redundant_point_never_beats_positive_candidate():
     redundant, informative = score_from_table("rho-loss", [1e-9, 2.0], [0, 1], t)
     assert redundant <= 0.0
     assert informative > 0.0 > redundant
+
+
+# ---------------------------------------------------------------- the dispatch
+
+
+def hand_entropy(p) -> float:
+    return -sum(q * math.log(q) for q in p if q > 0)
+
+
+@pytest.mark.parametrize("kind", [kind for kind in ALL_KINDS if kind not in OFFLINE_KINDS])
+def test_every_online_kind_scores_and_picks_through_the_dispatch_as_first_principles_say(kind):
+    model = nn.init_mlp((3, 6, 4), seed=1, dropout_rate=0.3)
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((12, 3))
+    y = rng.integers(0, 4, 12)
+    ids = np.arange(100, 112)
+    il = {int(i): float(v) for i, v in zip(ids, rng.uniform(0.0, 2.0, 12))}
+    policy = SelectionPolicy(kind=kind, mc_samples=8, temperature=0.7)
+    losses = nn.cross_entropy(nn.forward(model, x), y) if policy.reads_losses else None
+
+    def il_lookup(ids, x, labels):
+        return np.array([il[int(i)] for i in ids])
+
+    scored = score_and_select(policy, model, x, y, ids, losses, il_lookup, 4, 11, np.random.default_rng(5))
+
+    oracle_losses = direct_cross_entropy(explicit_forward(model.weights, model.biases, x), y)
+    il_values = np.array([il[int(i)] for i in ids])
+    grad_norms = np.array([grad_norm_oracle(model, x[i], y[i]) for i in range(12)])
+    samples = nn.mc_dropout_predict(model, x, 8, rng=np.random.default_rng(5))
+    pred = np.array([hand_entropy(samples[:, i].mean(axis=0)) for i in range(12)])
+    cond = np.array([np.mean([hand_entropy(s[i]) for s in samples]) for i in range(12)])
+    expected = {
+        "uniform": np.zeros(12),
+        "train-loss": oracle_losses,
+        "rho-loss": oracle_losses - il_values,
+        "neg-il": -il_values,
+        "grad-norm": grad_norms,
+        "grad-norm-is": grad_norms,
+        "pred-entropy": pred,
+        "cond-entropy": cond,
+        "bald": pred - cond,
+        "loss-minus-cond-entropy": oracle_losses - cond,
+    }[kind]
+    assert np.allclose(scored.scores, expected, rtol=1e-9, atol=1e-12)
+    if kind == "grad-norm-is":
+        idx, weights = sample_grad_norm_is(expected, 4, np.random.default_rng(5), temperature=0.7)
+        assert np.array_equal(scored.selected_indices, idx)
+        assert np.allclose(scored.weights, weights, rtol=1e-9)
+    else:
+        assert set(scored.selected_indices.tolist()) == brute_top_k(expected, 4, 11)
+        assert np.all(np.diff(scored.selected_indices) > 0) and scored.weights is None

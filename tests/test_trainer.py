@@ -482,6 +482,18 @@ def test_run_original_selection_refuses_frozen_mode():
         run_original_selection(pool, test, il_model, quick_cfg(kind="rho-loss"), model)
 
 
+@pytest.mark.parametrize("kind", ["uniform", "train-loss", "grad-norm-is"])
+def test_run_original_selection_refuses_a_policy_that_reads_no_il(kind):
+    # the live IL model would take a gradient step on every batch for scores that never read it
+    pool, _, test = make_task()
+    il_model = nn.init_mlp((pool.dim, 8, pool.num_classes), seed=18)
+    before = il_model.params.copy()
+    model = nn.init_mlp((pool.dim, 8, pool.num_classes), seed=19)
+    with pytest.raises(ValueError, match=f"policy '{kind}' reads no irreducible loss.*run it with run_training"):
+        run_original_selection(pool, test, il_model, quick_cfg(kind=kind, il_update_mode="original"), model)
+    assert np.array_equal(il_model.params, before)
+
+
 @pytest.mark.parametrize("scale", [-0.01, -np.inf, np.nan])
 def test_run_config_rejects_a_negative_il_lr_scale_by_name(scale):
     # a negative rate would be gradient ascent on the live IL model
