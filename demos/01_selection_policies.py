@@ -19,7 +19,6 @@ from rholoss import (
     split,
     train_il_model,
 )
-from rholoss.data import SplitSpec
 from rholoss.nn import cross_entropy, forward
 from rholoss.selection import score_and_select
 
@@ -27,8 +26,8 @@ rng = np.random.default_rng(0)
 
 print("== build a 10-class noisy task ==")
 base = gen_synthetic(classes=10, per_class=150, dim=16, spread=1.1, seed=1, radius=3.0)
-pool, test = split(base, SplitSpec(0.2, seed=2))
-pool, holdout = split(pool, SplitSpec(0.3, seed=3))
+pool, test = split(base, 0.2, seed=2)
+pool, holdout = split(pool, 0.3, seed=3)
 pool = inject_uniform_noise(pool, 0.1, seed=4)
 print(f"pool {pool.n} (corrupted {pool.corrupted.mean():.0%}), holdout {holdout.n}, test {test.n}")
 

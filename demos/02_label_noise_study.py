@@ -19,11 +19,10 @@ from rholoss import (
     split,
     train_il_model,
 )
-from rholoss.data import SplitSpec
 
 base = gen_synthetic(classes=10, per_class=300, dim=32, spread=1.2, seed=500, radius=3.0)
-pool, test = split(base, SplitSpec(1 / 6, seed=501))
-pool, holdout = split(pool, SplitSpec(1 / 3, seed=502))
+pool, test = split(base, 1 / 6, seed=501)
+pool, holdout = split(pool, 1 / 3, seed=502)
 pool = inject_uniform_noise(pool, 0.1, seed=503)
 print(f"pool {pool.n} with {pool.corrupted.mean():.1%} corrupted labels\n")
 

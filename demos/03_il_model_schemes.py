@@ -16,6 +16,7 @@ from rholoss import (
     compute_il_table,
     epochs_to_target,
     gen_synthetic,
+    halves,
     init_mlp,
     inject_uniform_noise,
     run_training,
@@ -23,17 +24,16 @@ from rholoss import (
     train_il_model,
     train_il_two_halves,
 )
-from rholoss.data import SplitSpec
 
 base = gen_synthetic(classes=10, per_class=300, dim=32, spread=1.2, seed=500, radius=3.0)
-pool, test = split(base, SplitSpec(1 / 6, seed=501))
-pool, holdout = split(pool, SplitSpec(1 / 3, seed=502))
+pool, test = split(base, 1 / 6, seed=501)
+pool, holdout = split(pool, 1 / 3, seed=502)
 pool = inject_uniform_noise(pool, 0.1, seed=503)
 
 print("== three irreducible-loss tables ==")
 full, log_full = train_il_model(holdout, validation=pool, hidden=(128, 128), epochs=30, seed=1)
 small, log_small = train_il_model(holdout, validation=pool, hidden=(64, 64), epochs=30, seed=1)
-half_a, half_b = split(pool, SplitSpec(seed=99, mode="two-halves"))
+half_a, half_b = halves(pool, seed=99)
 tables = {
     "full holdout IL": compute_il_table(full, pool),
     "half-width IL": compute_il_table(small, pool),

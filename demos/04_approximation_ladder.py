@@ -12,10 +12,10 @@ orientation; exact values differ at this scale.
 import numpy as np
 
 from rholoss import LadderConfig, gen_synthetic, inject_uniform_noise, run_ladder, split
-from rholoss.data import SplitSpec, duplicate
+from rholoss.data import duplicate
 
 base = gen_synthetic(classes=10, per_class=120, dim=16, spread=1.0, seed=100, radius=3.0)
-pool, holdout = split(base, SplitSpec(0.4, seed=101))
+pool, holdout = split(base, 0.4, seed=101)
 pool = inject_uniform_noise(pool, 0.1, seed=102)
 pool = duplicate(pool, 5)  # web-scrape-style redundancy
 print(f"pool {pool.n} (10% noise, 5x duplicated), holdout {holdout.n}\n")

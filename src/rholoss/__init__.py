@@ -14,7 +14,7 @@ everything else is imported from its module (`rholoss.nn`, `rholoss.optim`,
 `rholoss.selection`, `rholoss.records`, ...).
 """
 
-from .data import SplitSpec, gen_synthetic, inject_uniform_noise, split
+from .data import gen_synthetic, halves, inject_uniform_noise, split
 from .ilmodel import compute_il_table, train_il_model, train_il_two_halves
 from .ladder import LadderConfig, run_ladder
 from .nn import init_mlp

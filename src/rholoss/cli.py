@@ -15,6 +15,7 @@ import contextlib
 import glob as globlib
 import json
 import math
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -123,11 +124,11 @@ def prepare_datasets(cfg: ExperimentConfig):
             raise CliError(f"dataset.idx.test_labels: {idx.test_labels} has labels up to {test.num_classes - 1}, "
                            f"but the training images have {base.num_classes} classes")
     else:
-        pool, test = datamod.split(base, datamod.SplitSpec(ds_cfg.split.test_fraction, seed=int(split_seeds[0])))
+        pool, test = datamod.split(base, ds_cfg.split.test_fraction, int(split_seeds[0]))
     holdout = None
     scheme = cfg.il.scheme if cfg.il is not None else "holdout"
     if scheme == "holdout":
-        pool, holdout = datamod.split(pool, datamod.SplitSpec(ds_cfg.split.holdout_fraction, seed=int(split_seeds[1])))
+        pool, holdout = datamod.split(pool, ds_cfg.split.holdout_fraction, int(split_seeds[1]))
     if ds_cfg.noise.kind == "uniform":
         pool = datamod.inject_uniform_noise(pool, ds_cfg.noise.p, seed=ds_cfg.noise.seed)
     elif ds_cfg.noise.kind == "structured":
@@ -221,7 +222,7 @@ def cmd_train_il(cfg: ExperimentConfig, out: Path) -> int:
             table = compute_il_table(model, pool)
             fits = {"": (model, log)}
         else:
-            half_a, half_b = datamod.split(pool, datamod.SplitSpec(0.5, seed=il.seed, mode="two-halves"))
+            half_a, half_b = datamod.halves(pool, il.seed)
             table, model_a, model_b, log_a, log_b = train_il_two_halves(half_a, half_b, seed=il.seed, **kwargs)
             fits = {"_a": (model_a, log_a), "_b": (model_b, log_b)}
     ildir.mkdir(parents=True, exist_ok=True)  # only now, so a fit that fails leaves no il/ behind
@@ -315,6 +316,22 @@ def _queued_runs(cfg: ExperimentConfig, out: Path, resume: bool) -> list[tuple]:
     return todo
 
 
+@contextlib.contextmanager
+def _worker_pool(workers: int):
+    """A pool of spawned workers that each get _shared once and run one BLAS
+    thread: each thread-count variable the user left unset reads 1 in them,
+    and os.environ is as it was once the pool is shut down."""
+    unset = [name for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS") if name not in os.environ]
+    os.environ.update(dict.fromkeys(unset, "1"))
+    executor = ProcessPoolExecutor(workers, multiprocessing.get_context("spawn"), _share, _shared)
+    try:
+        yield executor
+    finally:  # after a failure the runs handed to a worker finish and the rest never start
+        executor.shutdown(cancel_futures=True)
+        for name in unset:
+            os.environ.pop(name, None)
+
+
 def _run_queue(queue: list, data_dir: Path, jobs: int) -> int:
     """Train the queued runs of _queued_runs in one serial loop or one process
     pool. The splits, and the IL table when a frozen-mode policy needs it,
@@ -339,14 +356,12 @@ def _run_queue(queue: list, data_dir: Path, jobs: int) -> int:
         runs.mkdir(parents=True)
     workers = min(jobs, len(queue))
     _share(data_dir, pool, test, table)
-    executor = ProcessPoolExecutor(max_workers=workers, initializer=_share, initargs=_shared) if workers > 1 else None
     try:
-        for path in (executor.map if executor else map)(_run_one, queue):
-            print(f"wrote {path}")
+        with _worker_pool(workers) if workers > 1 else contextlib.nullcontext() as executor:
+            for path in (executor.map if executor else map)(_run_one, queue):
+                print(f"wrote {path}")
     finally:
         _share()
-        if executor:  # after a failure the runs handed to a worker finish and the rest never start
-            executor.shutdown(cancel_futures=True)
         for runs in made:
             if not any(runs.iterdir()):  # a failed stage leaves no runs/ of its own
                 runs.rmdir()

@@ -64,19 +64,6 @@ class LabeledDataset:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    holdout_fraction: float = 0.5
-    seed: int = 0
-    mode: str = "holdout"  # "holdout" | "two-halves"
-
-    def __post_init__(self):
-        if self.mode not in ("holdout", "two-halves"):
-            raise ValueError(f"unknown split mode {self.mode!r}")
-        if self.mode == "holdout" and not 0.0 < self.holdout_fraction < 1.0:
-            raise ValueError(f"holdout fraction must lie in (0, 1), got {self.holdout_fraction}")
-
-
 def make_dataset(features, labels, num_classes: int, ids=None) -> LabeledDataset:
     """Wrap raw arrays into a dataset with clean metadata."""
     features = np.asarray(features, dtype=np.float64)
@@ -171,25 +158,27 @@ def gen_synthetic(
     return make_dataset(features, labels, classes)
 
 
-def split(ds: LabeledDataset, spec: SplitSpec):
-    """Seeded shuffle followed by a partition.
-
-    holdout mode returns (train, holdout) with the holdout taking the given
-    fraction (clamped so both sides stay nonempty); two-halves mode returns
-    equal halves (sizes differ by at most one).
-    """
+def _shuffle_and_cut(ds: LabeledDataset, seed: int, cut: int) -> tuple[LabeledDataset, LabeledDataset]:
+    """The first cut rows of a seeded shuffle of ds, then the rest, each in ds's row order."""
     if ds.n < 2:
         raise ValueError("need at least 2 examples to split")
-    perm = np.random.default_rng(spec.seed).permutation(ds.n)
-    if spec.mode == "two-halves":
-        cut = ds.n // 2
-    else:
-        cut = int(round(spec.holdout_fraction * ds.n))
-        cut = min(max(cut, 1), ds.n - 1)
-    second, first = perm[:cut], perm[cut:]
-    if spec.mode == "two-halves":
-        return take(ds, np.sort(second)), take(ds, np.sort(first))
-    return take(ds, np.sort(first)), take(ds, np.sort(second))
+    perm = np.random.default_rng(seed).permutation(ds.n)
+    return take(ds, np.sort(perm[:cut])), take(ds, np.sort(perm[cut:]))
+
+
+def split(ds: LabeledDataset, fraction: float, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
+    """(rest, held): a seeded partition that holds out round(fraction * n)
+    rows, at least one and at most n - 1."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"holdout fraction must lie in (0, 1), got {fraction}")
+    held, rest = _shuffle_and_cut(ds, seed, min(max(int(round(fraction * ds.n)), 1), ds.n - 1))
+    return rest, held
+
+
+def halves(ds: LabeledDataset, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
+    """The two halves of the two-halves IL scheme: the first n // 2 rows of a
+    seeded shuffle, then the rest."""
+    return _shuffle_and_cut(ds, seed, ds.n // 2)
 
 
 def inject_uniform_noise(ds: LabeledDataset, p: float, seed: int = 0) -> LabeledDataset:

@@ -92,7 +92,6 @@ class RungResult:
     mean_rho: float
     frac_positive: float
     reference_rho: float | None
-    step_scores: list[np.ndarray] | None = None  # this rung's raw candidate scores
 
 
 def _mean_losses(model, x, y, active, rows=None) -> np.ndarray:
@@ -307,16 +306,8 @@ def run_ladder(pool: LabeledDataset, holdout: LabeledDataset, cfg: LadderConfig)
 
     results: dict[str, RungResult] = {}
     for name in RUNG_NAMES:
-        rhos = []
-        for s_rung, s_gold in zip(scores[name], scores["approx0"]):
-            rho = spearman(s_rung, s_gold)
-            rhos.append(float("nan") if rho is None else rho)
-        arr = np.asarray(rhos)
-        results[name] = RungResult(
-            step_rho=rhos,
-            mean_rho=float(np.nanmean(arr)),
-            frac_positive=float(np.mean(arr > 0)),
-            reference_rho=REFERENCE_RANK_CORRELATION.get(name),
-            step_scores=scores[name],
-        )
+        rhos = [float("nan") if rho is None else rho for rho in map(spearman, scores[name], scores["approx0"])]
+        results[name] = RungResult(step_rho=rhos, mean_rho=float(np.nanmean(rhos)),
+                                   frac_positive=float(np.mean(np.greater(rhos, 0))),
+                                   reference_rho=REFERENCE_RANK_CORRELATION.get(name))
     return results

@@ -6,7 +6,8 @@ test, so agreement is meaningful. The paired t-test and `read_table` are here
 because only the tests use them. The dataset-cache and IL-table writers and
 readers here go through the `csv` module with one `repr` per value, as the
 library did before it moved those two formats to one `%` per row and
-`np.loadtxt`.
+`np.loadtxt`. `split_oracle` is the library's split as it was when one call
+served both the holdout and the two-halves partitions.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 from scipy import stats as _scipy_stats
 
 from rholoss import nn
-from rholoss.data import LabeledDataset
+from rholoss.data import LabeledDataset, take
 from rholoss.ladder import RUNGS
 from rholoss.records import read_header, write_table
 from rholoss.selection import candidate_chunks, select_top_k
@@ -326,6 +327,27 @@ def ladder_rung_by_rung(pool, holdout, cfg) -> dict[str, list[np.ndarray]]:
                     for model, opt in members:
                         opt.step(model, nn.backward(model, x[sel], y[sel]))
     return scores
+
+
+def split_oracle(ds, holdout_fraction, seed, mode):
+    """Seeded shuffle followed by a partition.
+
+    holdout mode returns (train, holdout) with the holdout taking the given
+    fraction (clamped so both sides stay nonempty); two-halves mode returns
+    equal halves (sizes differ by at most one).
+    """
+    if ds.n < 2:
+        raise ValueError("need at least 2 examples to split")
+    perm = np.random.default_rng(seed).permutation(ds.n)
+    if mode == "two-halves":
+        cut = ds.n // 2
+    else:
+        cut = int(round(holdout_fraction * ds.n))
+        cut = min(max(cut, 1), ds.n - 1)
+    second, first = perm[:cut], perm[cut:]
+    if mode == "two-halves":
+        return take(ds, np.sort(second)), take(ds, np.sort(first))
+    return take(ds, np.sort(first)), take(ds, np.sort(second))
 
 
 def read_table(path, tag: str) -> tuple[dict[str, str], list[list[str]]]:

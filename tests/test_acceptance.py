@@ -165,8 +165,8 @@ def test_criterion_06_is_debias():
 
 def _build_noisy_task():
     base = data.gen_synthetic(10, 480, 32, 1.2, seed=500, radius=3.0)
-    pool, test = data.split(base, data.SplitSpec(1 / 6, seed=501))
-    pool, holdout = data.split(pool, data.SplitSpec(1 / 3, seed=502))
+    pool, test = data.split(base, 1 / 6, 501)
+    pool, holdout = data.split(pool, 1 / 3, 502)
     pool = data.inject_uniform_noise(pool, 0.1, seed=503)
     return pool, holdout, test
 
@@ -186,7 +186,7 @@ def noisy_bundle():
     table_full = compute_il_table(il_full, pool)
     il_small, _ = train_il_model(holdout, hidden=(64, 64), **il_kw)
     table_small = compute_il_table(il_small, pool)
-    half_a, half_b = data.split(pool, data.SplitSpec(seed=99, mode="two-halves"))
+    half_a, half_b = data.halves(pool, 99)
     table_two, *_ = train_il_two_halves(half_a, half_b, hidden=(64, 64), epochs=30, seed=2)
     records = {
         kind: {s: _run_policy(pool, test, table_full, kind, s) for s in SEEDS}
@@ -284,8 +284,8 @@ def relevance_bundle():
     start = time.time()
     base = data.gen_synthetic(10, 600, 128, 2.2, seed=600, radius=3.0)
     skew = data.make_relevance_skew(base, high_frac=0.2, keep_frac=0.06, seed=601)
-    pool, test = data.split(skew, data.SplitSpec(1 / 6, seed=602))
-    pool, holdout = data.split(pool, data.SplitSpec(1 / 3, seed=603))
+    pool, test = data.split(skew, 1 / 6, 602)
+    pool, holdout = data.split(pool, 1 / 3, 603)
     il_model, _ = train_il_model(holdout, validation=pool, hidden=(128, 128), epochs=30, seed=1)
     table = compute_il_table(il_model, pool)
     fractions = {}
@@ -319,7 +319,7 @@ def test_criterion_09_relevance_property(relevance_bundle):
 def test_criterion_13_approximation_ladder():
     start = time.time()
     base = data.gen_synthetic(10, 120, 16, 1.0, seed=100, radius=3.0)
-    pool, holdout = data.split(base, data.SplitSpec(0.4, seed=101))
+    pool, holdout = data.split(base, 0.4, 101)
     pool = data.inject_uniform_noise(pool, 0.1, seed=102)
     pool = data.duplicate(pool, 5)
     cfg = LadderConfig(
@@ -343,8 +343,8 @@ def test_criterion_13_approximation_ladder():
 
 def test_criterion_14_live_il_update_ablation():
     base = data.gen_synthetic(10, 120, 32, 1.2, seed=700, radius=3.0)
-    pool, test = data.split(base, data.SplitSpec(1 / 6, seed=701))
-    pool, holdout = data.split(pool, data.SplitSpec(1 / 3, seed=702))
+    pool, test = data.split(base, 1 / 6, 701)
+    pool, holdout = data.split(pool, 1 / 3, 702)
     pool = data.inject_uniform_noise(pool, 0.2, seed=703)
     il_model, _ = train_il_model(holdout, validation=pool, hidden=(64, 64), epochs=30, seed=2)
     table = compute_il_table(il_model, pool)

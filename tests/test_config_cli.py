@@ -1,8 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import shutil
+import threading
 import types
 import typing
 from pathlib import Path
@@ -368,8 +370,8 @@ def test_any_config_inside_the_declared_ranges_parses_and_the_library_accepts_it
     base = data.gen_synthetic(syn.classes, syn.per_class, syn.dim, syn.spread, seed=syn.seed, radius=syn.radius)
     if (rel := cfg.dataset.relevance) is not None:
         data.make_relevance_skew(base, high_frac=rel.high_frac, keep_frac=rel.keep_frac, seed=rel.seed)
-    data.SplitSpec(split.test_fraction, seed=split.seed)
-    data.SplitSpec(split.holdout_fraction, seed=split.seed)
+    data.split(base, split.test_fraction, split.seed)
+    data.split(base, split.holdout_fraction, split.seed)
     r = cfg.run
     for seed in r.seeds:
         RunConfig(
@@ -1057,11 +1059,14 @@ def test_jobs_below_one_is_refused_before_any_output(tmp_path, capsys, command, 
 @pytest.fixture()
 def in_process_pool(monkeypatch):
     """Stands in for the process pool: runs its initializer and its map in
-    this process, and records each pool's size and every payload mapped."""
+    this process, and records each pool's size and every payload mapped. A
+    pool's workers must be spawned, so that each starts with the thread-count
+    variables of _worker_pool."""
     seen = {"workers": [], "payloads": []}
 
     class InProcessExecutor:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            assert mp_context.get_start_method() == "spawn"
             seen["workers"].append(max_workers)
             initializer(*initargs)
 
@@ -1100,6 +1105,34 @@ def test_a_queued_run_carries_its_keys_and_not_the_shared_data(tmp_path, in_proc
     assert in_process_pool["payloads"] == ([] if jobs == "1" else keys)
     assert cli._shared == ()  # cleared once the queue is done
     assert len(list((out / "runs").glob("record_*.csv"))) == 4
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("user_set", BLAS_THREADS)
+def test_each_pool_worker_runs_one_blas_thread_unless_the_user_set_a_count(monkeypatch, user_set):
+    # a real pool of two spawned workers, built as _run_queue builds it, reads
+    # the thread-count variables in a worker; every wait is bounded
+    for name in BLAS_THREADS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv(user_set, "3")
+    before = dict(os.environ)
+    outcome = {}
+
+    def read_in_a_worker():
+        try:
+            with cli._worker_pool(2) as executor:
+                outcome["read"] = list(executor.map(os.getenv, BLAS_THREADS, timeout=120))
+        except Exception as exc:
+            outcome["error"] = repr(exc)
+
+    reader = threading.Thread(target=read_in_a_worker, daemon=True)
+    reader.start()
+    reader.join(timeout=180)
+    assert not reader.is_alive(), "the pool did not start, answer and shut down within 180 s"
+    assert outcome == {"read": ["3" if name == user_set else "1" for name in BLAS_THREADS]}
+    assert dict(os.environ) == before
 
 
 def test_sweep_default_grid_has_27_cells(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from oracles import load_dataset_csv_oracle, save_dataset_csv_oracle
+from oracles import load_dataset_csv_oracle, save_dataset_csv_oracle, split_oracle
 from rholoss import data, records
 
 
@@ -129,32 +129,63 @@ def test_synthetic_two_class_1d_matches_gaussian_overlap():
 
 def test_split_half_and_half():
     ds = data.gen_synthetic(2, 5, 3, 1.0, seed=0)
-    train, hold = data.split(ds, data.SplitSpec(0.5, seed=1))
+    train, hold = data.split(ds, 0.5, 1)
     assert train.n == 5 and hold.n == 5
 
 
 def test_split_partition_property():
     ds = data.gen_synthetic(3, 7, 3, 1.0, seed=0)
-    train, hold = data.split(ds, data.SplitSpec(0.3, seed=2))
+    train, hold = data.split(ds, 0.3, 2)
     assert set(train.ids) | set(hold.ids) == set(ds.ids)
     assert not set(train.ids) & set(hold.ids)
 
 
 def test_split_reproducible():
     ds = data.gen_synthetic(3, 7, 3, 1.0, seed=0)
-    a = data.split(ds, data.SplitSpec(0.3, seed=2))
-    b = data.split(ds, data.SplitSpec(0.3, seed=2))
+    a = data.split(ds, 0.3, 2)
+    b = data.split(ds, 0.3, 2)
     assert np.array_equal(a[0].ids, b[0].ids)
     assert np.array_equal(a[1].ids, b[1].ids)
 
 
 def test_split_two_halves_sizes():
     ds = data.gen_synthetic(2, 11, 3, 1.0, seed=0)  # n = 22
-    a, b = data.split(ds, data.SplitSpec(seed=3, mode="two-halves"))
+    a, b = data.halves(ds, 3)
     assert abs(a.n - b.n) <= 1 and a.n + b.n == 22
     ds = data.take(ds, np.arange(21))
-    a, b = data.split(ds, data.SplitSpec(seed=3, mode="two-halves"))
+    a, b = data.halves(ds, 3)
     assert abs(a.n - b.n) <= 1 and a.n + b.n == 21
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_split_and_halves_give_the_reference_partitions(n, fraction, seed):
+    ds = data.take(data.gen_synthetic(2, 30, 2, 1.0, seed=4), np.arange(n))
+    ds = data.make_dataset(ds.features, ds.labels, 2, ids=1000 - 7 * np.arange(n))  # ids out of row order
+    for got, want in ((data.split(ds, fraction, seed), split_oracle(ds, fraction, seed, "holdout")),
+                      (data.halves(ds, seed), split_oracle(ds, 0.5, seed, "two-halves"))):
+        for part, reference in zip(got, want, strict=True):
+            assert part.ids.tolist() == reference.ids.tolist()
+            assert np.array_equal(part.features, reference.features)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 1.5, float("nan")])
+def test_split_refuses_a_fraction_outside_the_open_unit_interval(fraction):
+    ds = data.gen_synthetic(2, 5, 3, 1.0, seed=0)
+    with pytest.raises(ValueError, match=r"^holdout fraction must lie in \(0, 1\), got "):
+        data.split(ds, fraction, 1)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("partition", [lambda ds: data.split(ds, 0.5, 1), lambda ds: data.halves(ds, 1)])
+def test_split_and_halves_refuse_fewer_than_two_rows(n, partition):
+    ds = data.take(data.gen_synthetic(2, 5, 3, 1.0, seed=0), np.arange(n))
+    with pytest.raises(ValueError, match="^need at least 2 examples to split$"):
+        partition(ds)
 
 
 def test_uniform_noise_p_zero_noop():

@@ -23,7 +23,7 @@ from oracles import il_content_hash_oracle, save_il_table_oracle
 
 def small_task(seed=0, per_class=40):
     base = data.gen_synthetic(3, per_class, 4, 1.0, seed=seed, radius=2.5)
-    return data.split(base, data.SplitSpec(0.5, seed=seed + 1))
+    return data.split(base, 0.5, seed + 1)
 
 
 def test_train_il_model_single_epoch_returned_regardless():
@@ -43,7 +43,7 @@ def test_train_il_model_monotone_run_selects_last():
 def test_train_il_model_overfit_selects_argmin():
     # tiny noisy holdout, many epochs: validation loss turns back up
     base = data.gen_synthetic(3, 30, 4, 1.2, seed=5, radius=2.0)
-    pool, holdout = data.split(base, data.SplitSpec(0.2, seed=6))
+    pool, holdout = data.split(base, 0.2, 6)
     holdout = data.inject_uniform_noise(holdout, 0.3, seed=7)
     model, log = train_il_model(
         holdout, validation=pool, hidden=(64, 64), epochs=60, learning_rate=3e-3, weight_decay=0.0, seed=2
@@ -126,7 +126,7 @@ def test_il_table_refuses_a_repeated_id():
 
 def test_two_halves_covers_union_and_scheme():
     pool, _ = small_task(per_class=30)
-    half_a, half_b = data.split(pool, data.SplitSpec(seed=9, mode="two-halves"))
+    half_a, half_b = data.halves(pool, 9)
     table, *_ = train_il_two_halves(half_a, half_b, hidden=(16,), epochs=3, seed=5)
     assert table.scheme == "two-halves"
     assert set(table.ids) == set(half_a.ids) | set(half_b.ids)
@@ -134,7 +134,7 @@ def test_two_halves_covers_union_and_scheme():
 
 def test_two_halves_no_self_scoring():
     pool, _ = small_task(per_class=30)
-    half_a, half_b = data.split(pool, data.SplitSpec(seed=9, mode="two-halves"))
+    half_a, half_b = data.halves(pool, 9)
     table, model_a, model_b, _, _ = train_il_two_halves(half_a, half_b, hidden=(16,), epochs=3, seed=5)
     # each half is scored by the one model trained on the other half
     assert np.array_equal(table.lookup(half_a.ids), compute_il_table(model_b, half_a).values)
@@ -153,7 +153,7 @@ def test_two_halves_symmetric_content_similar_means():
     # agree within resampling error
     rng = np.random.default_rng(12)
     base = data.gen_synthetic(3, 200, 4, 1.0, seed=12, radius=2.5)
-    half_a, half_b = data.split(base, data.SplitSpec(seed=13, mode="two-halves"))
+    half_a, half_b = data.halves(base, 13)
     table, *_ = train_il_two_halves(half_a, half_b, hidden=(32,), epochs=10, seed=6)
     vals_a = table.lookup(half_a.ids)
     vals_b = table.lookup(half_b.ids)

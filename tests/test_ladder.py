@@ -13,6 +13,7 @@ from rholoss.ladder import (
     train_to_convergence,
 )
 from rholoss.optim import make_optimizer
+from rholoss.selection import select_top_k
 from rholoss.stats import spearman
 
 from oracles import LoopOptimizer, ladder_rung_by_rung, train_members_one_at_a_time
@@ -207,10 +208,26 @@ def test_a_shared_update_whose_last_epoch_diverges_names_both_rungs(monkeypatch)
 
 def ladder_task(seed=50):
     base = data.gen_synthetic(4, 60, 6, 1.0, seed=seed, radius=2.5)
-    pool, holdout = data.split(base, data.SplitSpec(0.4, seed=seed + 1))
+    pool, holdout = data.split(base, 0.4, seed + 1)
     pool = data.inject_uniform_noise(pool, 0.1, seed=seed + 2)
     pool = data.duplicate(pool, 2)
     return pool, holdout
+
+
+def run_ladder_with_scores(pool, holdout, cfg):
+    """run_ladder's results, and each rung's candidate scores at every step,
+    as the rung hands them to select_top_k (once per rung and step, in rung
+    order)."""
+    handed = []
+
+    def spy(scores, *args):
+        handed.append(scores)
+        return select_top_k(scores, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ladder, "select_top_k", spy)
+        results = run_ladder(pool, holdout, cfg)
+    return results, {name: handed[i :: len(RUNG_NAMES)] for i, name in enumerate(RUNG_NAMES)}
 
 
 @pytest.fixture(scope="module")
@@ -220,7 +237,8 @@ def ladder_results():
         n_b=4, n_B=40, ensemble_size=3, convergence_epochs=3, il_pretrain_epochs=15,
         hidden=(16,), small_hidden=(8,), batch_size=16, seed=7,
     )
-    return run_ladder(pool, holdout, cfg), pool, holdout, cfg
+    results, scores = run_ladder_with_scores(pool, holdout, cfg)
+    return results, pool, holdout, cfg, scores
 
 
 def test_ladder_self_rung_is_one(ladder_results):
@@ -230,7 +248,7 @@ def test_ladder_self_rung_is_one(ladder_results):
 
 
 def test_ladder_emits_every_rung_with_bounded_rho(ladder_results):
-    results, pool, _, cfg = ladder_results
+    results, pool, _, cfg, _ = ladder_results
     assert set(results) == set(RUNG_NAMES)
     n_steps = int(np.ceil(pool.n / cfg.n_B))
     for res in results.values():
@@ -248,7 +266,7 @@ def test_ladder_reference_values_attached(ladder_results):
 
 
 def test_ladder_deterministic(ladder_results):
-    results, pool, holdout, cfg = ladder_results
+    results, pool, holdout, cfg, _ = ladder_results
     again = run_ladder(pool, holdout, cfg)
     for name in RUNG_NAMES:
         assert again[name].step_rho == results[name].step_rho
@@ -258,8 +276,8 @@ def test_ladder_random_scores_uncorrelated_with_gold(ladder_results):
     # a dummy rung emitting random scores should correlate with the gold
     # standard at roughly zero, judged against a permutation null built by
     # shuffling the gold scores themselves
-    results, *_ = ladder_results
-    gold = results["approx0"].step_scores
+    *_, scores = ladder_results
+    gold = scores["approx0"]
     rng = np.random.default_rng(8)
     dummy_mean = np.mean([spearman(rng.standard_normal(len(g)), g) for g in gold])
     null_rng = np.random.default_rng(9)
@@ -302,7 +320,7 @@ def test_reference_table_complete():
 
 def tiny_ladder_task(seed):
     base = data.gen_synthetic(3, 16, 4, 1.0, seed=seed, radius=2.0)
-    pool, holdout = data.split(base, data.SplitSpec(0.4, seed=seed + 1))
+    pool, holdout = data.split(base, 0.4, seed + 1)
     return data.inject_uniform_noise(pool, 0.2, seed=seed + 2), holdout
 
 
@@ -327,11 +345,11 @@ def test_lockstep_ladder_matches_the_rung_by_rung_oracle(
         il_pretrain_epochs=il_pretrain_epochs, convergence_tol=tol, hidden=(6,), small_hidden=(3,),
         batch_size=batch_size, optimizer=OptimizerSettings(kind, 0.05 if kind == "adamw" else 0.2), seed=seed,
     )
-    results = run_ladder(pool, holdout, cfg)
+    results, scores = run_ladder_with_scores(pool, holdout, cfg)
     oracle = ladder_rung_by_rung(pool, holdout, cfg)
     for name in RUNG_NAMES:
-        assert len(results[name].step_scores) == len(oracle[name])
-        for got, want in zip(results[name].step_scores, oracle[name]):
+        assert len(scores[name]) == len(oracle[name])
+        for got, want in zip(scores[name], oracle[name]):
             assert np.array_equal(got, want), name
         rhos = [spearman(s, g) for s, g in zip(oracle[name], oracle["approx0"])]
         assert np.array_equal(results[name].step_rho, [np.nan if r is None else r for r in rhos], equal_nan=True)

@@ -30,8 +30,8 @@ from rholoss.trainer import (
 
 def make_task(seed=0, per_class=40, classes=4, dim=6, spread=1.0):
     base = data.gen_synthetic(classes, per_class, dim, spread, seed=seed, radius=2.5)
-    pool, test = data.split(base, data.SplitSpec(0.25, seed=seed + 1))
-    pool, holdout = data.split(pool, data.SplitSpec(0.3, seed=seed + 2))
+    pool, test = data.split(base, 0.25, seed + 1)
+    pool, holdout = data.split(pool, 0.3, seed + 2)
     return pool, holdout, test
 
 
@@ -422,8 +422,8 @@ def test_original_mode_scores_match_live_loss_oracle():
 def test_original_mode_diverges_from_frozen_over_time():
     # on a noisy run with a real update scale the selected sets drift apart
     base = data.gen_synthetic(4, 150, 6, 1.1, seed=40, radius=2.5)
-    pool, test = data.split(base, data.SplitSpec(0.25, seed=41))
-    pool, holdout = data.split(pool, data.SplitSpec(0.3, seed=42))
+    pool, test = data.split(base, 0.25, 41)
+    pool, holdout = data.split(pool, 0.3, 42)
     pool = data.inject_uniform_noise(pool, 0.2, seed=43)
     il_model, _ = train_il_model(holdout, validation=pool, hidden=(32,), epochs=10, seed=14)
     table = compute_il_table(il_model, pool)
