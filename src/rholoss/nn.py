@@ -18,16 +18,21 @@ Its input is either one (n, d) batch shared by every member or a (k, b, d)
 batch per member, and member j computes, bit for bit, what the model it was
 stacked from computes on its slice.
 
-A forward pass that keeps no cache for a backward (`forward`, and everything
-built on it) writes its hidden layers into two float64 buffers that belong to
-the process, alternating between layers, instead of allocating them per
-call: at a few hundred KB and more, fresh arrays go back to the system
-between calls and are page-faulted in again on the next. The buffers only
-grow, no caller ever sees them (logits are a fresh array on every call), and
-the same GEMMs and ufuncs run into them, so results are bit for bit those of
-fresh arrays. They are not thread-safe: run concurrent passes in separate
-processes, as `rholoss run --jobs` does. `backward` keeps its activations
-and allocates them per call.
+A forward pass that keeps no cache for a backward (`forward`, everything
+built on it, and each sample of `mc_dropout_predict`) writes its hidden
+layers into two float64 buffers that belong to the process, alternating
+between layers, instead of allocating them per call: at a few hundred KB and
+more, fresh arrays go back to the system between calls and are page-faulted
+in again on the next. The buffers only grow, no caller ever sees them
+(logits are a fresh array on every call), and the same GEMMs and ufuncs run
+into them, so results are bit for bit those of fresh arrays. They are not
+thread-safe: run concurrent passes in separate processes, as `rholoss run
+--jobs` does. `backward` keeps its activations and allocates them per call.
+The Monte-Carlo dropout pass is not built on `forward`: its first hidden
+layer comes before any mask, so it computes that layer once per call, into
+an array of its own, and runs only the rest per sample. It shares with
+`_forward_cache` one recipe per layer op (`_hidden_layer`, `_dropout_mask`,
+`_output_layer`).
 
 `backward` and `per_example_grad_norm` share one walk down the cached
 layers (`_backprop`). The norm is the grad-norm policies' score, and it
@@ -320,6 +325,47 @@ def _scratch_view(i: int, shape: tuple[int, ...]) -> Array:
     return _scratch[i][:size].reshape(shape)
 
 
+def _hidden_shape(model: MlpModel, l: int, a: Array) -> tuple[int, ...]:
+    """Shape of hidden layer l's output on input a (a stack's is (k, n, width))."""
+    w = model.weights[l]
+    return (*w.shape[:-2], a.shape[-2], w.shape[-1])
+
+
+def _hidden_layer(model: MlpModel, l: int, a: Array, bn_stat_source: str, update_running: bool, out=None):
+    """Hidden layer l up to its dropout: a @ w + b, optional batch
+    normalization, ReLU. With out, everything runs in place in out; without,
+    into fresh arrays that the backward cache can keep. Returns (h, the
+    batch-norm cache or None)."""
+    z = np.matmul(a, model.weights[l], out=out)
+    z += model.biases[l][..., None, :]
+    bn = None
+    if model.batchnorm is not None:
+        z, bn = _bn_forward(model.batchnorm[l], z, bn_stat_source, update_running, out is not None)
+    return np.maximum(z, 0.0, out=z), bn  # in place: no cache keeps the matmul's or batch norm's output
+
+
+def _dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator, out=None) -> Array:
+    """An inverted-dropout mask: 1/(1 - rate) where a uniform draw from rng
+    falls below 1 - rate, else 0, drawn into out or a fresh array. Multiplying
+    by the rounded 1/(1 - rate) gives the same bits as dividing by 1 - rate."""
+    keep = 1.0 - rate
+    return np.multiply(np.less(rng.random(shape, out=out), keep, out=out), 1.0 / keep, out=out)
+
+
+def _output_layer(model: MlpModel, a: Array) -> Array:
+    """Logits a @ w + b of the last layer, in a fresh array, refused when not finite."""
+    z = np.matmul(a, model.weights[-1])
+    z += model.biases[-1][..., None, :]
+    if not np.isfinite(z).all():
+        raise NonFiniteLogitsError("forward pass produced non-finite logits")
+    return z
+
+
+def _check_rng(model: MlpModel, rng) -> None:
+    if model.dropout_rate > 0.0 and rng is None:
+        raise ValueError(f"rng is None, but dropout {model.dropout_rate} in train mode draws masks")
+
+
 def _forward_cache(model, x, mode, bn_stat_source, rng, update_running, keep_cache=True):
     """Logits, and the per-layer cache that backward needs when keep_cache.
 
@@ -330,34 +376,21 @@ def _forward_cache(model, x, mode, bn_stat_source, rng, update_running, keep_cac
     _check_mode(mode, bn_stat_source)
     x = _as_batch(x, model.input_dim, model.stack)
     use_dropout = mode == "train" and model.dropout_rate > 0.0
-    if use_dropout and rng is None:
-        raise ValueError(f"rng is None, but dropout {model.dropout_rate} in train mode draws masks")
+    if use_dropout:
+        _check_rng(model, rng)
     a = x
     cache = []
-    last = model.n_layers - 1
-    for l in range(model.n_layers):
-        w = model.weights[l]
-        out = None if keep_cache or l == last else _scratch_view(l % 2, (*w.shape[:-2], a.shape[-2], w.shape[-1]))
-        z = np.matmul(a, w, out=out)
-        z += model.biases[l][..., None, :]
-        layer: dict = {"a_in": a}
-        h = z
-        if l < last:
-            if model.batchnorm is not None:
-                h, layer["bn"] = _bn_forward(model.batchnorm[l], h, bn_stat_source, update_running, not keep_cache)
-            h = np.maximum(h, 0.0, out=h)  # in place: no cache keeps the matmul's or batch norm's output
-            if use_dropout:
-                keep = 1.0 - model.dropout_rate
-                out = None if keep_cache else _scratch_view((l + 1) % 2, h.shape)
-                mask = np.divide(np.less(rng.random(h.shape, out=out), keep, out=out), keep, out=out)
-                h = np.multiply(h, mask, out=h)
-                layer["mask"] = mask
-        if keep_cache:
-            cache.append(layer)
-        a = h
-    if not np.isfinite(a).all():
-        raise NonFiniteLogitsError("forward pass produced non-finite logits")
-    return a, cache
+    for l in range(model.n_layers - 1):
+        out = None if keep_cache else _scratch_view(l % 2, _hidden_shape(model, l, a))
+        layer = {"a_in": a}
+        a, layer["bn"] = _hidden_layer(model, l, a, bn_stat_source, update_running, out)
+        if use_dropout:
+            out = None if keep_cache else _scratch_view((l + 1) % 2, a.shape)
+            layer["mask"] = _dropout_mask(a.shape, model.dropout_rate, rng, out)
+            a = np.multiply(a, layer["mask"], out=a)
+        cache.append(layer)
+    cache.append({"a_in": a})
+    return _output_layer(model, a), cache if keep_cache else []
 
 
 def forward(
@@ -423,7 +456,7 @@ def _backprop(model: MlpModel, cache: list, d: Array):
             if "mask" in layer:
                 d = d * layer["mask"]
             d = d * (cache[l + 1]["a_in"] > 0)  # the ReLU gate: where a mask zeroed a_in it zeroed d too
-            if "bn" in layer:
+            if layer["bn"] is not None:
                 bn = (d, layer["bn"]["xhat"])
                 d = _bn_backward(model.batchnorm[l], layer["bn"], d)
         yield l, layer["a_in"], d, bn
@@ -504,14 +537,32 @@ def mc_dropout_predict(
     """Stack of `samples` stochastic softmax outputs under active dropout.
 
     Batch normalization, if present, uses running statistics; only the
-    dropout masks, drawn from rng, vary between samples. Returns shape
-    (samples, batch, classes).
+    dropout masks, drawn from rng, vary between samples. Sample s draws its
+    masks after sample s - 1's, layer by layer from the input up, so the
+    samples and rng's end state are bit for bit those of `samples` successive
+    `softmax(forward(model, x, mode="train", bn_stat_source="running", rng=rng))`
+    calls. The first hidden layer precedes every mask, so it is computed once.
+    Returns shape (samples, batch, classes), or (samples, k, batch, classes)
+    for a stack of k.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    return np.stack(
-        [softmax(forward(model, x, mode="train", bn_stat_source="running", rng=rng)) for _ in range(samples)]
-    )
+    x = _as_batch(x, model.input_dim, model.stack)
+    _check_rng(model, rng)
+    first = x
+    if model.n_layers > 1:
+        first, _ = _hidden_layer(model, 0, x, "running", False, np.empty(_hidden_shape(model, 0, x)))
+    probs = np.empty((samples, *model.stack, x.shape[-2], model.n_classes))
+    for s in range(samples):
+        a = first
+        for l in range(model.n_layers - 1):
+            if l > 0:
+                a, _ = _hidden_layer(model, l, a, "running", False, _scratch_view(l % 2, _hidden_shape(model, l, a)))
+            if model.dropout_rate > 0.0:
+                mask = _dropout_mask(a.shape, model.dropout_rate, rng, _scratch_view((l + 1) % 2, a.shape))
+                a = np.multiply(a, mask, out=_scratch_view(l % 2, a.shape))
+        probs[s] = softmax(_output_layer(model, a))
+    return probs
 
 
 def stack_models(models) -> MlpModel:

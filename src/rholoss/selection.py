@@ -178,9 +178,12 @@ def sample_grad_norm_is(scores, n_b: int, seed_or_rng, temperature: float = 1.0)
 
 
 def entropy(probs) -> np.ndarray:
-    """Row-wise Shannon entropy in nats; zero-probability terms contribute 0."""
+    """Row-wise Shannon entropy in nats over the last axis; zero, negative
+    and NaN entries contribute 0."""
     p = np.asarray(probs, dtype=np.float64)
-    plogp = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
+    positive = p > 0
+    plogp = np.log(p, out=np.zeros_like(p), where=positive)
+    np.multiply(p, plogp, out=plogp, where=positive)
     return -plogp.sum(axis=-1)
 
 
@@ -205,13 +208,14 @@ def score_al(
     if kind == "loss-minus-cond-entropy" and losses is None:
         raise ValueError("loss-minus-cond-entropy needs per-candidate losses")
     samples = mc_dropout_predict(model, x, mc_samples, rng=rng)
+    if kind == "pred-entropy":
+        return entropy(samples.mean(axis=0))
     mean_conditional = entropy(samples).mean(axis=0)
     if kind == "cond-entropy":
         return mean_conditional
     if kind == "loss-minus-cond-entropy":
         return np.asarray(losses, dtype=np.float64) - mean_conditional
-    predictive = entropy(samples.mean(axis=0))
-    return predictive if kind == "pred-entropy" else predictive - mean_conditional
+    return entropy(samples.mean(axis=0)) - mean_conditional
 
 
 def svp_offline_select(

@@ -7,7 +7,9 @@ because only the tests use them. The dataset-cache and IL-table writers and
 readers here go through the `csv` module with one `repr` per value, as the
 library did before it moved those two formats to one `%` per row and
 `np.loadtxt`. `split_oracle` is the library's split as it was when one call
-served both the holdout and the two-halves partitions.
+served both the holdout and the two-halves partitions. `entropy_where` is
+the library's entropy as it was, with two `np.where` passes, kept to pin
+the masked-ufunc form to it byte for byte.
 """
 from __future__ import annotations
 
@@ -99,6 +101,14 @@ def direct_cross_entropy(logits, labels):
     for row, y in zip(logits, labels):
         out.append(math.log(sum(math.exp(v) for v in row)) - row[y])
     return np.asarray(out)
+
+
+def entropy_where(probs):
+    """Row-wise entropy in nats, every entry that is not > 0 replaced by 1
+    before the log and its term by 0 after it."""
+    p = np.asarray(probs, dtype=np.float64)
+    plogp = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
+    return -plogp.sum(axis=-1)
 
 
 def brute_ranks(x):

@@ -265,6 +265,41 @@ def test_a_model_without_dropout_needs_no_generator(kwargs):
     assert np.array_equal(samples[0], samples[1])
 
 
+def _assert_mc_is_successive_train_forwards(model, x, samples):
+    mc_rng, forward_rng = np.random.default_rng(4), np.random.default_rng(4)
+    got = nn.mc_dropout_predict(model, x, samples, rng=mc_rng)
+    want = np.stack([
+        nn.softmax(nn.forward(model, x, mode="train", bn_stat_source="running", rng=forward_rng))
+        for _ in range(samples)
+    ])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert mc_rng.random() == forward_rng.random()  # both generators end in one state
+
+
+@pytest.mark.parametrize("samples", [1, 7])
+@pytest.mark.parametrize("batchnorm", [False, True])
+@pytest.mark.parametrize("dropout", [0.0, 0.1, 0.5])
+@pytest.mark.parametrize("sizes", [(5, 3), (5, 6, 3), (5, 6, 4, 7, 3)])
+def test_mc_dropout_samples_are_successive_train_forwards(sizes, dropout, batchnorm, samples):
+    model = nn.init_mlp(sizes, seed=3, dropout_rate=dropout, batchnorm=batchnorm)
+    stats_rng = np.random.default_rng(8)
+    for bn in model.batchnorm or ():  # every batch-norm array off its default
+        bn.running_mean = stats_rng.standard_normal(bn.running_mean.shape)
+        bn.running_var = stats_rng.uniform(0.5, 2.0, bn.running_var.shape)
+        bn.gamma[...] = stats_rng.uniform(0.5, 1.5, bn.gamma.shape)
+        bn.beta[...] = stats_rng.standard_normal(bn.beta.shape)
+    _assert_mc_is_successive_train_forwards(model, np.random.default_rng(9).standard_normal((11, 5)), samples)
+
+
+@pytest.mark.parametrize("per_member", [False, True])
+def test_mc_dropout_on_a_stack_is_successive_train_forwards(per_member):
+    sizes = (5, 6, 4, 3)
+    stack = nn.MlpModel(sizes, np.stack([nn.init_mlp(sizes, seed=s).params for s in (1, 2, 3)]), dropout_rate=0.3)
+    x = np.random.default_rng(9).standard_normal((3, 11, 5) if per_member else (11, 5))
+    _assert_mc_is_successive_train_forwards(stack, x, 4)
+    assert nn.mc_dropout_predict(stack, x, 2, rng=np.random.default_rng(0)).shape == (2, 3, 11, 3)
+
+
 def test_mc_dropout_rejects_zero_samples():
     model = nn.init_mlp((3, 4, 2), seed=1, dropout_rate=0.5)
     with pytest.raises(ValueError):

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import chisquare
 
 from rholoss import data, nn, selection
@@ -27,6 +28,7 @@ from rholoss.selection import (
 from oracles import (
     brute_top_k,
     direct_cross_entropy,
+    entropy_where,
     explicit_forward,
     grad_norm_oracle,
     inverse_draw_weights,
@@ -390,6 +392,28 @@ def test_entropy_uniform_distribution():
     assert entropy(np.full((1, 10), 0.1))[0] == pytest.approx(math.log(10), abs=1e-12)
 
 
+_EDGE_PROBS = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, np.nan, -0.25, -5e-324, np.inf, -np.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=12),
+        elements=st.one_of(st.floats(0.0, 1.0), st.sampled_from(_EDGE_PROBS)),
+    ),
+    transpose=st.booleans(),
+)
+@example(p=np.zeros((3, 0)), transpose=False)
+@example(p=np.array([[0.0, 5e-324, np.nan, -0.5, 1.0]]), transpose=False)
+def test_entropy_is_the_where_formula_byte_for_byte(p, transpose):
+    # transposed, the terms sit in Fortran order, and a last axis over 8 long
+    # sums pairwise in an order that follows the terms' layout
+    p = p.T if transpose else p
+    with np.errstate(invalid="ignore"):  # inf - inf in the sum, for both
+        assert entropy(p).tobytes() == entropy_where(p).tobytes()
+
+
 def test_bald_hand_case(monkeypatch):
     samples = np.array([[[0.9, 0.1]], [[0.1, 0.9]]])
     monkeypatch.setattr(selection, "mc_dropout_predict", lambda model, x, k, rng=None: samples)
@@ -421,6 +445,29 @@ def test_bald_requires_two_samples():
         score_al("bald", model, np.zeros((2, 3)), mc_samples=1)
     with pytest.raises(ValueError):
         SelectionPolicy(kind="bald", mc_samples=1)
+
+
+@pytest.mark.parametrize(
+    "kind, shapes",
+    [
+        ("pred-entropy", [(4, 5)]),
+        ("cond-entropy", [(3, 4, 5)]),
+        ("loss-minus-cond-entropy", [(3, 4, 5)]),
+        ("bald", [(3, 4, 5), (4, 5)]),
+    ],
+)
+def test_score_al_takes_only_the_entropies_its_kind_reads(monkeypatch, kind, shapes):
+    seen = []
+
+    def spy(probs):
+        seen.append(np.shape(probs))
+        return entropy(probs)
+
+    monkeypatch.setattr(selection, "entropy", spy)
+    model = nn.init_mlp((3, 6, 5), seed=5, dropout_rate=0.3)
+    x = np.random.default_rng(6).standard_normal((4, 3))
+    score_al(kind, model, x, losses=np.zeros(4), mc_samples=3, rng=np.random.default_rng(2))
+    assert seen == shapes
 
 
 def test_loss_minus_cond_entropy_uses_labels():
