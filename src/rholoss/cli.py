@@ -1,12 +1,12 @@
 """Experiment front door.
 
 Subcommands: prepare, train-il, run, report, ladder, sweep. Each takes a
-YAML config (--config); outputs land under --out, the config's output_dir,
-or $RHOLOSS_OUT_DIR, in that order of precedence. Every emitted file carries
-built_from, the hash of the config slice it was built from (config.built_from),
-and a stage that reads an artifact refuses one built from another slice,
-naming the stage to re-run. Any validation failure exits nonzero before
-partial output is written.
+YAML config (--config) and refuses one without the section the stage reads;
+outputs land under --out, the config's output_dir, or $RHOLOSS_OUT_DIR, in
+that order of precedence. Every emitted file carries built_from, the hash of
+the config slice it was built from (config.built_from), and a stage that
+reads an artifact refuses one built from another slice, naming the stage to
+re-run. Any validation failure exits nonzero before partial output is written.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ import yaml
 
 from . import data as datamod
 from .config import (
-    ConfigError,
     ExperimentConfig,
     as_dict,
     built_from,
@@ -207,8 +206,6 @@ def _save_checkpoint_log(log, path, chash: str, seed: int) -> None:
 
 
 def cmd_train_il(cfg: ExperimentConfig, out: Path) -> int:
-    if cfg.il is None:
-        raise CliError("config has no il section")
     pool, holdout = _load_prepared(out, cfg, ("train", "holdout"))
     ildir = out / "il"
     chash = built_from(cfg, "il")
@@ -371,8 +368,6 @@ def _run_queue(queue: list, data_dir: Path, jobs: int) -> int:
 def cmd_run(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = False) -> int:
     """Train cfg's (policy, seed) runs that have no record yet into out/runs,
     from the prepared files under out."""
-    if cfg.run is None:
-        raise CliError("config has no run section")
     return _run_queue(_queued_runs(cfg, out, resume), out, jobs)
 
 
@@ -384,10 +379,8 @@ def _aggregate_epochs(values: list[int | None]) -> str:
     return "NR" if math.isinf(med) else repr(med)
 
 
-def cmd_report(cfg: ExperimentConfig, out: Path, records_glob: str | None = None) -> int:
-    if cfg.run is None:
-        raise CliError("config has no run section")
-    pattern = records_glob or str(out / "runs" / "record_*.csv")
+def cmd_report(cfg: ExperimentConfig, out: Path) -> int:
+    pattern = str(out / "runs" / "record_*.csv")
     paths = sorted(globlib.glob(pattern))
     if not paths:
         raise CliError(f"no run records match {pattern!r}")
@@ -445,8 +438,6 @@ def cmd_report(cfg: ExperimentConfig, out: Path, records_glob: str | None = None
 
 
 def cmd_ladder(cfg: ExperimentConfig, out: Path) -> int:
-    if cfg.ladder is None:
-        raise CliError("config has no ladder section")
     pool, holdout = _load_prepared(out, cfg, ("train", "holdout"))
     if holdout is None:
         raise CliError("the ladder needs a holdout split (il.scheme=holdout)")
@@ -472,8 +463,6 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = Fa
     """Run every grid cell on one dataset and IL fit under out/sweep. Every
     cell's records are checked before any cell's config.yaml is written; then
     one queue runs every cell's runs, reading the shared files once."""
-    if cfg.run is None:
-        raise CliError("config has no run section")
     cell_cfgs = sweep_configs(cfg)  # all built, so a bad cell fails before any cell runs
     print(f"sweeping {len(cell_cfgs)} cells")
     shared = out / "sweep"
@@ -491,17 +480,21 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = Fa
     return _run_queue(queue, shared, jobs)
 
 
+# Each subcommand's help text and the config section it cannot run without.
+STAGES = {
+    "prepare": ("build and cache the dataset splits", None),
+    "train-il": ("train the irreducible-loss model(s) and cache the loss table", "il"),
+    "run": ("run training for the configured policy and seeds", "run"),
+    "report": ("aggregate run records into plot-ready CSVs", "run"),
+    "ladder": ("run the approximation-fidelity ladder", "ladder"),
+    "sweep": ("run the hyperparameter grid sweep", "run"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rholoss", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("prepare", "build and cache the dataset splits"),
-        ("train-il", "train the irreducible-loss model(s) and cache the loss table"),
-        ("run", "run training for the configured policy and seeds"),
-        ("report", "aggregate run records into plot-ready CSVs"),
-        ("ladder", "run the approximation-fidelity ladder"),
-        ("sweep", "run the hyperparameter grid sweep"),
-    ):
+    for name, (help_text, _) in STAGES.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the experiment YAML")
         p.add_argument("--out", default=None, help=f"output directory (default: config output_dir or ${OUT_ENV_VAR})")
@@ -511,8 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="independent runs to execute concurrently (used by run and sweep only)")
         if name in ("run", "sweep"):
             p.add_argument("--resume", action="store_true", help="skip runs whose record file already exists")
-        if name == "report":
-            p.add_argument("--records", default=None, help="glob of run-record files (default: <out>/runs/record_*.csv)")
     return parser
 
 
@@ -527,6 +518,9 @@ def main(argv=None) -> int:
             d["run"]["seeds"] = [args.seed_override]
             cfg = parse_config(d)
         out = _resolve_out(args, cfg)
+        section = STAGES[args.command][1]
+        if section is not None and getattr(cfg, section) is None:
+            raise CliError(f"config has no {section} section")
         if args.command == "prepare":
             return cmd_prepare(cfg, out)
         if args.command == "train-il":
@@ -534,13 +528,11 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(cfg, out, jobs=args.jobs, resume=args.resume)
         if args.command == "report":
-            return cmd_report(cfg, out, records_glob=args.records)
+            return cmd_report(cfg, out)
         if args.command == "ladder":
             return cmd_ladder(cfg, out)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out, jobs=args.jobs, resume=args.resume)
-        raise CliError(f"unknown command {args.command!r}")
-    except (ConfigError, CliError, OSError, ValueError, KeyError) as exc:
+        return cmd_sweep(cfg, out, jobs=args.jobs, resume=args.resume)
+    except (CliError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

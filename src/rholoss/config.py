@@ -242,6 +242,9 @@ class ExperimentConfig:
             raise ValueError("run.policy.kind: svp-entropy needs the il section, which defines its proxy model")
         if self.il is None and self.dataset.noise.kind == "structured":
             raise ValueError("dataset.noise.kind: structured noise needs the il section for its reference model")
+        if self.il is None and self.run is not None and self.run.policy.needs_il:
+            raise ValueError(f"run.policy.kind: {self.run.policy.kind} reads irreducible losses, "
+                             "which need the il section")
 
 
 # Exponent spellings such as 1e-3 or 2.5E4 are floats in YAML 1.2 but plain

@@ -69,8 +69,6 @@ class RunConfig:
     eval_every: int | None = RunSection.eval_every  # extra evaluations every this many steps
 
     def __post_init__(self):
-        if self.n_b < 1:
-            raise ValueError(f"n_b must be >= 1, got {self.n_b}")
         if not 0 < self.n_b <= self.n_B:
             raise ValueError(f"need 1 <= n_b <= n_B, got n_b={self.n_b}, n_B={self.n_B}")
         if self.epochs < 1:

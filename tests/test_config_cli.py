@@ -1200,6 +1200,52 @@ def test_a_missing_il_section_is_refused_at_parse_before_any_run_is_queued(tmp_p
     assert not (out / "runs").exists()
 
 
+@pytest.mark.parametrize("kind", ["rho-loss", "neg-il"])
+def test_a_policy_that_reads_irreducible_losses_is_refused_at_parse_without_il(tmp_path, capsys, kind):
+    want = f"run.policy.kind: {kind} reads irreducible losses, which need the il section"
+    with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+        parse_config({"dataset": {"kind": "synthetic"}, "run": {"policy": {"kind": kind}}})
+    cfg_path = write_config(tmp_path, {"run.policy.kind": kind, "il": None})
+    out = tmp_path / "out"
+    for command in ("prepare", "train-il", "run", "sweep"):
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: run.policy.kind: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, section", [
+    ("train-il", "il"), ("run", "run"), ("report", "run"), ("ladder", "ladder"), ("sweep", "run"),
+])
+def test_a_stage_refuses_a_config_without_the_section_it_reads_and_writes_nothing(tmp_path, capsys, command, section):
+    # a uniform run reads no IL, so its config parses without il
+    uniform = {"run.policy.kind": "uniform"} if section == "il" else {}
+    cfg_path = write_config(tmp_path, {section: None, **uniform})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: config has no {section} section\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["prepare", "train-il", "run", "report", "ladder", "sweep"])
+def test_every_stage_takes_the_common_flags_and_only_run_and_sweep_resume(command):
+    parser = cli.build_parser()
+    args = parser.parse_args([command, "--config", "c.yaml", "--out", "o", "--seed-override", "3", "--jobs", "2"])
+    assert (args.config, args.out, args.seed_override, args.jobs) == ("c.yaml", "o", 3, 2)
+    if command in ("run", "sweep"):
+        assert parser.parse_args([command, "--config", "c.yaml", "--resume"]).resume
+    else:
+        with pytest.raises(SystemExit) as info:
+            parser.parse_args([command, "--config", "c.yaml", "--resume"])
+        assert info.value.code == 2
+
+
+def test_report_takes_no_records_glob(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["report", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o"), "--records", "x"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --records x" in capsys.readouterr().err
+
+
 def test_dump_scores_via_cli_carries_provenance(tmp_path):
     cfg_path = write_config(tmp_path, {"run.dump_scores": True, "run.seeds": [1], "run.targets": []})
     out = tmp_path / "out"
