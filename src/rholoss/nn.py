@@ -553,8 +553,7 @@ def mc_dropout_predict(
     if model.n_layers > 1:
         first, _ = _hidden_layer(model, 0, x, "running", False, np.empty(_hidden_shape(model, 0, x)))
     probs = np.empty((samples, *model.stack, x.shape[-2], model.n_classes))
-    passes = samples if model.dropout_rate > 0.0 else 1  # without masks every sample is the first
-    for s in range(passes):
+    for s in range(samples):
         a = first
         for l in range(model.n_layers - 1):
             if l > 0:
@@ -563,7 +562,6 @@ def mc_dropout_predict(
                 mask = _dropout_mask(a.shape, model.dropout_rate, rng, _scratch_view((l + 1) % 2, a.shape))
                 a = np.multiply(a, mask, out=_scratch_view(l % 2, a.shape))
         probs[s] = softmax(_output_layer(model, a))
-    probs[passes:] = probs[0]
     return probs
 
 

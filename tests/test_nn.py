@@ -230,16 +230,6 @@ def test_mc_dropout_zero_rate_identical_samples():
         assert np.array_equal(samples[0], samples[k])
 
 
-@pytest.mark.parametrize("dropout, passes", [(0.0, 1), (0.3, 5)])
-def test_mc_dropout_makes_one_pass_per_sample_that_can_differ(monkeypatch, dropout, passes):
-    # without dropout every sample is the same forward, so one pass fills them all
-    model = nn.init_mlp((3, 4, 4, 2), seed=1, dropout_rate=dropout)
-    output_layer, calls = nn._output_layer, []
-    monkeypatch.setattr(nn, "_output_layer", lambda *args: calls.append(args) or output_layer(*args))
-    samples = nn.mc_dropout_predict(model, np.ones((5, 3)), 5, rng=np.random.default_rng(0))
-    assert len(calls) == passes and samples.shape == (5, 5, 2)
-
-
 def test_mc_dropout_single_sample_equals_train_forward():
     model = nn.init_mlp((3, 4, 2), seed=1, dropout_rate=0.5)
     x = np.random.default_rng(2).standard_normal((5, 3))
