@@ -329,6 +329,17 @@ def _worker_pool(workers: int):
             os.environ.pop(name, None)
 
 
+def _checked_il_table(data_dir: Path, cfg: ExperimentConfig) -> Path:
+    """The path of the IL table under data_dir, refused when it is missing or
+    built from another config; only its header line is read."""
+    path = data_dir / "il" / "il_table.csv"
+    if not path.exists():
+        raise CliError(f"no IL table under {path.parent}; run `rholoss train-il` first")
+    with open(path) as f:
+        _check_built_from(path, read_header(f.readline(), "il-table", path).get("built_from"), cfg, "il")
+    return path
+
+
 def _run_queue(queue: list, data_dir: Path, jobs: int) -> int:
     """Train the queued runs of _queued_runs in one serial loop or one process
     pool. The splits, and the IL table when a frozen-mode policy needs it,
@@ -341,12 +352,8 @@ def _run_queue(queue: list, data_dir: Path, jobs: int) -> int:
     pool, test = _load_prepared(data_dir, cfg, ("train", "test"))
     table = None
     if any(kind in NEEDS_IL for _, _, kind, _ in queue):
-        path = data_dir / "il" / "il_table.csv"
-        if not path.exists():
-            raise CliError(f"no IL table under {path.parent}; run `rholoss train-il` first")
-        with open(path) as f:
-            _check_built_from(path, read_header(f.readline(), "il-table", path).get("built_from"), cfg, "il")
-        if cfg.run.il_update_mode == "frozen":
+        path = _checked_il_table(data_dir, cfg)
+        if any(kind in NEEDS_IL and c.run.il_update_mode == "frozen" for c, _, kind, _ in queue):
             table = load_il_table(path)
     made = [runs for runs in dict.fromkeys(out / "runs" for _, out, _, _ in queue) if not runs.exists()]
     for runs in made:
@@ -460,18 +467,23 @@ def cmd_ladder(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: Path, jobs: int = 1, resume: bool = False) -> int:
-    """Run every grid cell on one dataset and IL fit under out/sweep. Every
-    cell's records are checked before any cell's config.yaml is written; then
-    one queue runs every cell's runs, reading the shared files once."""
+    """Run every grid cell on one dataset and IL fit under out/sweep, fitting
+    IL when any cell's policy reads it. The shared files, then every cell's
+    records, are checked before any cell's config.yaml is written; then one
+    queue runs every cell's runs, reading the shared files once."""
     cell_cfgs = sweep_configs(cfg)  # all built, so a bad cell fails before any cell runs
     print(f"sweeping {len(cell_cfgs)} cells")
     shared = out / "sweep"
     if not (shared / "dataset" / "manifest.json").exists():
         cmd_prepare(cfg, shared)
     _load_prepared(shared, cfg, ())  # refuses a stale dataset before any cell's records are checked
+    needs_il = any(cell_cfg.run.policy.needs_il for cell_cfg in cell_cfgs)
+    fitted = (shared / "il" / "il_table.csv").exists()
+    if needs_il and fitted:
+        _checked_il_table(shared, cfg)  # and a stale IL table
     cells = [(cell_cfg, shared / f"cell_{i:03d}") for i, cell_cfg in enumerate(cell_cfgs)]
     queue = [run for cell_cfg, cell_out in cells for run in _queued_runs(cell_cfg, cell_out, resume)]
-    if cfg.run.policy.needs_il and not (shared / "il" / "il_table.csv").exists():
+    if needs_il and not fitted:
         cmd_train_il(cfg, shared)
     for cell_cfg, cell_out in cells:
         cell_out.mkdir(parents=True, exist_ok=True)

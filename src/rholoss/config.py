@@ -197,29 +197,25 @@ class LadderConfig:
             raise ValueError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
 
 
-# Reported hyperparameter grid used as the default sweep template.
+# The reported hyperparameter grid, the sweep of a grid that sets no key.
 DEFAULT_SWEEP_GRID: dict[str, tuple] = {
     "batch_size": (160, 320, 960),
-    "learning_rate": (0.0001, 0.001, 0.01),
-    "weight_decay": (0.001, 0.01, 0.1),
+    "run.optimizer.learning_rate": (0.0001, 0.001, 0.01),
+    "run.optimizer.weight_decay": (0.001, 0.01, 0.1),
 }
 
 
 @dataclass(frozen=True)
-class SweepGrid:
-    """The values each swept key takes, in cell-numbering order. A grid that
-    sets none of them means DEFAULT_SWEEP_GRID."""
-
-    batch_size: tuple[int, ...] | None = _field(None, nonempty=True)
-    n_b: tuple[int, ...] | None = _field(None, nonempty=True)
-    n_B: tuple[int, ...] | None = _field(None, nonempty=True)
-    learning_rate: tuple[float, ...] | None = _field(None, nonempty=True)
-    weight_decay: tuple[float, ...] | None = _field(None, nonempty=True)
-
-
-@dataclass(frozen=True)
 class SweepSection:
-    grid: SweepGrid = SweepGrid()
+    grid: dict | None = None  # batch_size or a dotted key under run: the values it takes
+
+    def __post_init__(self):
+        for key, values in (self.grid or {}).items():
+            if key != "batch_size" and not str(key).startswith("run."):
+                raise ValueError(f"grid.{key}: expected batch_size or a dotted key under run, such as "
+                                 "run.optimizer.learning_rate; every cell shares one dataset and one IL fit")
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ValueError(f"grid.{key}: expected a nonempty list, got {values!r}")
 
 
 @dataclass(frozen=True)
@@ -320,27 +316,30 @@ def as_dict(cfg: ExperimentConfig) -> dict:
 
 
 def sweep_configs(cfg: ExperimentConfig) -> list[ExperimentConfig]:
-    """The config of each cell of the sweep grid (the default grid when the
-    config has no sweep section or its grid sets no key), in cell order. A
-    cell sets its values in run; a batch_size cell sets n_b and keeps the
-    ratio n_b/n_B. An invalid cell raises a ConfigError naming it."""
-    grid = vars(cfg.sweep.grid) if cfg.sweep is not None else {}
-    grid = {key: values for key, values in grid.items() if values is not None} or DEFAULT_SWEEP_GRID
+    """The config of each cell of the sweep grid (DEFAULT_SWEEP_GRID when the
+    config's grid sets no key), in cell order: the product of the values in
+    sorted key order. A cell writes each value at its dotted key, and a
+    batch_size sets run.n_b and run.n_B at the config's ratio n_b/n_B. An
+    invalid cell raises a ConfigError naming it."""
+    grid = (cfg.sweep.grid if cfg.sweep is not None else None) or DEFAULT_SWEEP_GRID
     cells: list[dict] = [{}]
-    for key, values in grid.items():
-        cells = [dict(cell, **{key: value}) for cell in cells for value in values]
+    for key in sorted(grid):
+        cells = [{**cell, key: value} for cell in cells for value in grid[key]]
     ratio = cfg.run.n_b / cfg.run.n_B
     configs = []
     for i, cell in enumerate(cells):
         d = as_dict(cfg)
-        run = d["run"]
         for key, value in cell.items():
             if key == "batch_size":
-                run["n_b"], run["n_B"] = value, max(value, round(value / ratio))
-            elif key in ("n_b", "n_B"):
-                run[key] = value
-            else:
-                run["optimizer"][key] = value
+                d["run"]["n_b"], d["run"]["n_B"] = value, max(value, round(value / ratio))
+                continue
+            *parents, last = key.split(".")
+            node = d
+            for part in parents:
+                if not isinstance(node.get(part), dict):  # a mapping where none fits, which _section refuses
+                    node[part] = {}
+                node = node[part]
+            node[last] = value
         try:
             configs.append(_section(ExperimentConfig, d, ""))
         except ConfigError as exc:

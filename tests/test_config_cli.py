@@ -163,7 +163,7 @@ def test_config_rejects_bad_values(tmp_path):
         # checks across keys
         ({"dataset.idx": {"images": "a", "labels": "b", "test_images": "c"}}, "dataset.idx.test_images"),
         ({"run.policy.kind": "bald"}, "run.model.dropout"),
-        ({"sweep": {"grid": {"learning_rate": [0.001, -1.0]}}}, "sweep.grid cell 001"),
+        ({"sweep": {"grid": {"run.optimizer.learning_rate": [0.001, -1.0]}}}, "sweep.grid cell 001"),
         ({"run.model.batchnorm": True, "run.n_b": 1}, "run.model.batchnorm"),
         # the models that the il section defines
         ({"run.policy.kind": "svp-entropy", "il": None}, "run.policy.kind"),
@@ -429,11 +429,11 @@ def test_built_from_follows_what_the_config_means_not_how_it_is_written(dataset,
 
 
 def test_default_sweep_grid_is_3x3x3():
-    assert sorted(DEFAULT_SWEEP_GRID) == ["batch_size", "learning_rate", "weight_decay"]
+    assert sorted(DEFAULT_SWEEP_GRID) == ["batch_size", "run.optimizer.learning_rate", "run.optimizer.weight_decay"]
     assert all(len(v) == 3 for v in DEFAULT_SWEEP_GRID.values())
     assert DEFAULT_SWEEP_GRID["batch_size"] == (160, 320, 960)
-    assert DEFAULT_SWEEP_GRID["learning_rate"] == (0.0001, 0.001, 0.01)
-    assert DEFAULT_SWEEP_GRID["weight_decay"] == (0.001, 0.01, 0.1)
+    assert DEFAULT_SWEEP_GRID["run.optimizer.learning_rate"] == (0.0001, 0.001, 0.01)
+    assert DEFAULT_SWEEP_GRID["run.optimizer.weight_decay"] == (0.001, 0.01, 0.1)
 
 
 # ---------------------------------------------------------------- CLI pipeline
@@ -889,7 +889,7 @@ def test_sweep_emits_cell_configs_and_records(tmp_path):
             "run.targets": [],
             "run.policy.kind": "uniform",
             "run.epochs": 1,
-            "sweep": {"grid": {"n_b": [2, 4], "learning_rate": [0.001, 0.01]}},
+            "sweep": {"grid": {"run.n_b": [2, 4], "run.optimizer.learning_rate": [0.001, 0.01]}},
         },
     )
     out = tmp_path / "out"
@@ -929,7 +929,7 @@ SWEEP_2X2 = {
     "run.seeds": [1],
     "run.targets": [],
     "run.epochs": 1,
-    "sweep": {"grid": {"n_b": [2, 4], "learning_rate": [0.001, 0.01]}},
+    "sweep": {"grid": {"run.n_b": [2, 4], "run.optimizer.learning_rate": [0.001, 0.01]}},
 }
 
 
@@ -1000,6 +1000,21 @@ def test_a_refused_sweep_resume_rewrites_no_cell(swept, tmp_path, capsys):
     assert _tree(out) == _tree(finished)  # every cell's config.yaml included
 
 
+def test_a_sweep_resume_refuses_a_stale_il_table_before_any_cell_is_written(swept, tmp_path, capsys):
+    _, finished, _ = swept
+    out = tmp_path / "out"
+    shutil.copytree(finished, out)
+    for runs in (out / "sweep").glob("cell_*/runs"):
+        shutil.rmtree(runs)
+    before = _tree(out)
+    edited = write_config(tmp_path, {**SWEEP_2X2, "il.epochs": 4})
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(edited), "--out", str(out), "--resume"]) == 1
+    table = out / "sweep" / "il" / "il_table.csv"
+    assert f"{table} was built from another config" in capsys.readouterr().err
+    assert _tree(out) == before  # every cell's config.yaml included
+
+
 def _strip_generated_at(tree):
     return {path: re.sub(rb" generated_at=\S+", b"", body) for path, body in tree.items()}
 
@@ -1026,7 +1041,7 @@ def test_a_sweep_queues_every_cell_once_and_reads_each_shared_file_once(swept, t
 def test_a_diverging_sweep_run_names_its_cell_and_resume_runs_only_what_is_missing(tmp_path, capsys, monkeypatch):
     sgd = {"run.seeds": [1], "run.targets": [], "run.epochs": 1,
            "run.optimizer": {"kind": "sgd", "learning_rate": 0.01}}
-    cfg_path = write_config(tmp_path, {**sgd, "sweep": {"grid": {"learning_rate": [0.001, 1e300, 0.01]}}})
+    cfg_path = write_config(tmp_path, {**sgd, "sweep": {"grid": {"run.optimizer.learning_rate": [0.001, 1e300, 0.01]}}})
     out = tmp_path / "out"
     capsys.readouterr()
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
@@ -1037,7 +1052,7 @@ def test_a_diverging_sweep_run_names_its_cell_and_resume_runs_only_what_is_missi
     kept = (cells / "cell_000" / record).read_bytes()  # the finished run's record stays
     assert not (cells / "cell_001" / "runs").exists() and not (cells / "cell_002" / "runs").exists()
 
-    mended = write_config(tmp_path, {**sgd, "sweep": {"grid": {"learning_rate": [0.001, 0.1, 0.01]}}},
+    mended = write_config(tmp_path, {**sgd, "sweep": {"grid": {"run.optimizer.learning_rate": [0.001, 0.1, 0.01]}}},
                           name="mended.yaml")
     calls = _calls(monkeypatch, "run_training")
     assert main(["sweep", "--config", str(mended), "--out", str(out), "--resume"]) == 0
@@ -1143,9 +1158,101 @@ def test_sweep_default_grid_has_27_cells(tmp_path):
 def test_sweep_cells_fill_a_null_optimizer_block():
     raw = json.loads(json.dumps(BASE_CONFIG))
     raw["run"]["optimizer"] = None
-    raw["sweep"] = {"grid": {"learning_rate": [0.01, "1e-1"]}}
+    raw["sweep"] = {"grid": {"run.optimizer.learning_rate": [0.01, "1e-1"]}}
     cells = sweep_configs(parse_config(raw))
     assert [c.run.optimizer.learning_rate for c in cells] == [0.01, 0.1]
+
+
+def test_the_commented_sweep_example_is_the_default_grid():
+    lines = EXAMPLE_CONFIG.read_text().splitlines()
+    start = lines.index("# sweep:")
+    raw = yaml.safe_load("\n".join(lines[:start] + [line.removeprefix("# ") for line in lines[start:]]))
+    example = load_config(EXAMPLE_CONFIG)
+    assert raw["sweep"]["grid"] == {key: list(values) for key, values in DEFAULT_SWEEP_GRID.items()}
+    cells = sweep_configs(parse_config(raw))
+    assert len(cells) == 27
+    assert [cell.run for cell in cells] == [cell.run for cell in sweep_configs(example)]
+
+
+def _schema_values(cls, path):
+    """In-range values of the field at the dotted path below the section cls."""
+    name, *rest = path
+    typ = typing.get_type_hints(cls)[name]
+    if rest:
+        return _schema_values(typ, rest)
+    return _in_range(typ, next(f for f in dataclasses.fields(cls) if f.name == name).metadata)
+
+
+# run keys whose in-range values pass every check across keys on BASE_CONFIG
+_GRID_KEYS = [("n_b",), ("epochs",), ("eval_every",), ("il_update_mode",), ("lr_scale",), ("dump_scores",),
+              ("targets",), ("model", "hidden"), ("model", "dropout"), ("model", "seed"),
+              ("optimizer", "kind"), ("optimizer", "learning_rate")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_each_sweep_cell_is_the_config_with_its_values_written_in(data):
+    paths = data.draw(st.lists(st.sampled_from(_GRID_KEYS), min_size=1, max_size=3, unique=True))
+    grid = {".".join(("run", *path)): data.draw(st.lists(_schema_values(RunSection, path), min_size=1, max_size=3))
+            for path in paths}
+    cfg = parse_config({**BASE_CONFIG, "sweep": {"grid": grid}})
+    cells = sweep_configs(cfg)
+    ordered = sorted(zip(grid, paths))
+    combos = [[]]
+    for key, _ in ordered:  # the first key in sorted order varies slowest
+        combos = [[*combo, value] for combo in combos for value in grid[key]]
+    assert len(cells) == len(combos)
+    for cell, combo in zip(cells, combos):
+        d = as_dict(cfg)
+        for (_, path), value in zip(ordered, combo):
+            section = d["run"]
+            for name in path[:-1]:
+                section = section[name]
+            section[path[-1]] = value
+        assert cell == dataclasses.replace(parse_config({**d, "sweep": None}), sweep=cfg.sweep)
+
+
+@pytest.mark.parametrize("grid", [
+    {"il.hidden": [[8], [16]]},  # every cell shares one IL fit
+    {"dataset.split.seed": [1, 2]},  # and one dataset
+    {"learning_rate": [0.001, 0.01]},  # a bare name
+    {"run.n_b": []},
+    {"run.n_b": 4},
+])
+def test_a_sweep_grid_key_outside_run_or_without_values_is_refused_before_any_output(tmp_path, capsys, grid):
+    cfg_path = write_config(tmp_path, {"sweep": {"grid": grid}})
+    out = tmp_path / "out"
+    for command in ("prepare", "run", "sweep"):
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: sweep.grid.{next(iter(grid))}: ")
+    assert not out.exists()
+
+
+def test_a_sweep_over_policy_kinds_fits_il_once_for_the_cells_that_read_it(tmp_path, monkeypatch):
+    cfg_path = write_config(tmp_path, {**SWEEP_2X2, "run.policy.kind": "uniform",
+                                       "sweep": {"grid": {"run.policy.kind": ["uniform", "rho-loss"]}}})
+    out = tmp_path / "out"
+    calls = _calls(monkeypatch, "prepare_datasets", "train_il_model")
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert calls == {"prepare_datasets": 1, "train_il_model": 1}
+    assert (out / "sweep" / "il" / "il_table.csv").exists()
+    for cell, kind in (("cell_000", "uniform"), ("cell_001", "rho-loss")):
+        assert [p.name for p in (out / "sweep" / cell / "runs").iterdir()] == [f"record_{kind}_seed1.csv"]
+
+
+def test_a_sweep_over_il_update_modes_runs_each_cell_as_its_own_run(tmp_path):
+    cfg_path = write_config(tmp_path, {**SWEEP_2X2, "sweep": {"grid": {"run.il_update_mode": ["original", "frozen"]}}})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    record = "runs/record_rho-loss_seed1.csv"
+    for cell, mode in (("cell_000", "original"), ("cell_001", "frozen")):
+        cell_cfg = out / "sweep" / cell / "config.yaml"
+        assert load_config(cell_cfg).run.il_update_mode == mode
+        alone = tmp_path / cell
+        for stage in ("prepare", "train-il", "run"):
+            assert main([stage, "--config", str(cell_cfg), "--out", str(alone)]) == 0
+        a, b = ((d / record).read_text() for d in (out / "sweep" / cell, alone))
+        assert re.sub(r"generated_at=\S+", "", a) == re.sub(r"generated_at=\S+", "", b)
 
 
 def test_out_dir_resolution_env_var(tmp_path, monkeypatch):
